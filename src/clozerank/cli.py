@@ -160,8 +160,6 @@ def cmd_train_embeddings(args) -> int:
             embed_config[flag_fields.get(key, key)] = value
     cfg = embeddings.EmbedTrainConfig(**embed_config)
     workers = int(_setting(args, config, "workers", default=1))
-    if args.deterministic:
-        workers = 1
 
     settings = {
         "vocab": str(vocab_path), "corpus": str(corpus),
@@ -421,7 +419,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--output", help="output directory (default .)")
     common.add_argument("--seed", type=int, help="training seed")
     common.add_argument("--deterministic", action="store_true",
-                        help="force single-worker execution everywhere")
+                        help="accepted for compatibility; a no-op, since every "
+                             "command is already single-threaded and deterministic")
 
     parser = argparse.ArgumentParser(
         prog="clozerank",
@@ -458,7 +457,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--char-ngram-min", dest="char_ngram_min", type=int)
     p.add_argument("--char-ngram-max", dest="char_ngram_max", type=int)
     p.add_argument("--hash-buckets", dest="hash_buckets", type=int)
-    p.add_argument("--workers", type=int)
+    p.add_argument("--workers", type=int,
+                   help="only 1 is accepted: training is single-threaded")
     p.set_defaults(func=cmd_train_embeddings)
 
     p = sub.add_parser("build-candidates", parents=[common],

@@ -1,9 +1,7 @@
 """Subword-augmented skip-gram embeddings: training, composition, I/O."""
 
 import json
-import math
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -161,23 +159,28 @@ def char_ngram_buckets(token: str, nmin: int, nmax: int, buckets: int) -> list[i
 
 
 def _sigmoid(x):
-    return 1.0 / (1.0 + np.exp(-x))
+    return 1.0 / (1.0 + np.exp(-x, dtype=np.float64))
 
 
 def train_static_embeddings(tokenized_corpus, vocab: SubwordVocab,
                             cfg: EmbedTrainConfig, workers: int = 1) -> EmbeddingTable:
     """Train skip-gram embeddings with negative sampling over token-id sequences.
 
-    Tokens occurring at least cfg.min_count times receive vectors. Each
-    training step averages the input rows of the center token (its own row
-    plus its hashed character n-gram rows) and updates against one positive
-    context and cfg.negatives samples drawn from the unigram^0.75
-    distribution. The stored vector for a token is the mean of its word row
-    and its n-gram rows.
+    Tokens occurring at least cfg.min_count times receive vectors. A center
+    token's hidden vector is the mean of its input rows (its own row plus its
+    hashed character n-gram rows). One batched step per center scores every
+    context token in its window and cfg.negatives unigram^0.75 samples per
+    context token. The stored vector for a token is the mean of its word row
+    and its n-gram rows. Only n-gram buckets in use get a row, so memory
+    scales with the kept tokens, not with cfg.ngram_buckets.
 
-    With workers=1 the run is deterministic for a fixed seed; workers > 1
-    updates shared rows without synchronization, so results vary run to run.
+    Training is single-threaded and bitwise deterministic for a fixed seed;
+    workers is accepted for compatibility, and workers > 1 is rejected.
     """
+    if workers > 1:
+        raise ValueError(
+            "workers > 1 is not supported: training is single-threaded and deterministic"
+        )
     sentences = [list(s) for s in tokenized_corpus]
     counts: Counter[int] = Counter()
     for sent in sentences:
@@ -193,28 +196,35 @@ def train_static_embeddings(tokenized_corpus, vocab: SubwordVocab,
     row_of = {tid: row for row, tid in enumerate(kept_ids)}
     n_tokens = len(kept_ids)
 
-    # Input rows: one per kept token, then n-gram buckets.
-    if cfg.ngrams_enabled:
-        n_rows = n_tokens + cfg.ngram_buckets
-        subword_rows = []
-        for row, tid in enumerate(kept_ids):
+    # Input rows: one per kept token, then one per n-gram bucket in use,
+    # numbered in order of first use. Tokens whose n-grams hash to the same
+    # bucket share its row, exactly as in the full bucket table.
+    bucket_row: dict[int, int] = {}
+    subword_rows = []
+    for row, tid in enumerate(kept_ids):
+        grams = []
+        if cfg.ngrams_enabled:
             grams = char_ngram_buckets(
                 vocab.tokens[tid], cfg.char_ngram_min, cfg.char_ngram_max,
                 cfg.ngram_buckets,
             )
-            subword_rows.append(np.array([row] + [n_tokens + g for g in grams]))
-    else:
-        n_rows = n_tokens
-        subword_rows = [np.array([row]) for row in range(n_tokens)]
+        subword_rows.append(np.array(
+            [row] + [n_tokens + bucket_row.setdefault(g, len(bucket_row)) for g in grams]
+        ))
 
     rng = np.random.default_rng(cfg.seed)
-    bound = 1.0 / cfg.dim
-    vec_in = rng.uniform(-bound, bound, size=(n_rows, cfg.dim)).astype(np.float32)
+    vec_in = rng.random((n_tokens + len(bucket_row), cfg.dim), dtype=np.float32)
+    vec_in -= np.float32(0.5)
+    vec_in *= np.float32(2.0 / cfg.dim)
     vec_out = np.zeros((n_tokens, cfg.dim), dtype=np.float32)
 
     freq = np.array([counts[tid] for tid in kept_ids], dtype=np.float64)
     noise = freq ** 0.75
     noise_cdf = np.cumsum(noise / noise.sum())
+    noise_cdf[-1] = 1.0  # float cumsum can top out a hair below 1.0
+
+    def draw(k):
+        return np.searchsorted(noise_cdf, rng.random(k))
 
     filtered = [[row_of[t] for t in sent if t in row_of] for sent in sentences]
     filtered = [sent for sent in filtered if sent]
@@ -222,59 +232,33 @@ def train_static_embeddings(tokenized_corpus, vocab: SubwordVocab,
     if total_tokens == 0:
         raise ValueError("corpus has no trainable tokens")
 
-    def run_span(sents, rng, progress_start):
-        processed = progress_start
-        for sent in sents:
+    processed = 0
+    for _ in range(cfg.epochs):
+        for sent in filtered:
             for pos, center in enumerate(sent):
-                alpha = cfg.learning_rate * max(
-                    1e-4, 1.0 - processed / total_tokens
-                )
+                alpha = cfg.learning_rate * max(1e-4, 1.0 - processed / total_tokens)
                 processed += 1
                 b = int(rng.integers(1, cfg.window + 1))
+                ctx = np.array(sent[max(0, pos - b):pos] + sent[pos + 1:pos + b + 1])
+                if ctx.size == 0:
+                    continue
+                negs = draw((len(ctx), cfg.negatives))
+                while n_tokens > 1:
+                    clash = negs == ctx[:, None]
+                    if not clash.any():
+                        break
+                    negs[clash] = draw(int(clash.sum()))
+                targets = np.concatenate([ctx, negs.ravel()])
                 rows = subword_rows[center]
-                hidden = vec_in[rows].mean(axis=0, dtype=np.float32)
-                grad_h = np.zeros(cfg.dim, dtype=np.float32)
-                for ctx_pos in range(max(0, pos - b), min(len(sent), pos + b + 1)):
-                    if ctx_pos == pos:
-                        continue
-                    target = sent[ctx_pos]
-                    for label, out_row in _targets(target, rng):
-                        score = _sigmoid(float(np.dot(hidden, vec_out[out_row])))
-                        g = np.float32(alpha * (label - score))
-                        grad_h += g * vec_out[out_row]
-                        vec_out[out_row] += g * hidden
-                vec_in[rows] += grad_h / np.float32(len(rows))
-        return processed
-
-    def _draw(rng):
-        # Clamp: float cumsum can top out a hair below 1.0.
-        return min(int(np.searchsorted(noise_cdf, rng.random())), n_tokens - 1)
-
-    def _targets(positive, rng):
-        yield 1.0, positive
-        for _ in range(cfg.negatives):
-            neg = _draw(rng)
-            while neg == positive and n_tokens > 1:
-                neg = _draw(rng)
-            yield 0.0, neg
-
-    if workers <= 1:
-        processed = 0
-        for _ in range(cfg.epochs):
-            processed = run_span(filtered, rng, processed)
-    else:
-        chunk = max(1, math.ceil(len(filtered) / workers))
-        spans = [filtered[i:i + chunk] for i in range(0, len(filtered), chunk)]
-        for epoch in range(cfg.epochs):
-            done = 0
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                for i, span in enumerate(spans):
-                    pool.submit(
-                        run_span, span,
-                        np.random.default_rng(cfg.seed + 7919 * (epoch + 1) + i),
-                        epoch * (total_tokens // cfg.epochs) + done,
-                    )
-                    done += sum(len(s) for s in span)
+                inv_rows = np.float32(1.0 / len(rows))
+                hidden = vec_in[rows].sum(axis=0) * inv_rows
+                out = vec_out[targets]
+                err = _sigmoid(out @ hidden)
+                err[:len(ctx)] -= 1.0  # score minus label: 1 for contexts, 0 for negatives
+                g = (-alpha * err).astype(np.float32)
+                grad_h = g @ out
+                np.add.at(vec_out, targets, g[:, None] * hidden)
+                vec_in[rows] += grad_h * inv_rows  # a row listed twice is updated once
 
     entries = {}
     for row, tid in enumerate(kept_ids):
@@ -288,6 +272,12 @@ def train_static_embeddings(tokenized_corpus, vocab: SubwordVocab,
 
 def save_table(table: EmbeddingTable, path) -> None:
     """Write the text format: header "count dim", then "token v1 .. vd" rows."""
+    for token in table.entries:
+        if not token or any(ch.isspace() for ch in token):
+            raise ValueError(
+                f"cannot save token {token!r}: tokens must be non-empty "
+                "and contain no whitespace"
+            )
     with open(path, "w", encoding="utf-8") as f:
         f.write(f"{len(table)} {table.dim}\n")
         for token, vec in table.entries.items():

@@ -132,6 +132,9 @@ def ingest_dataset(triples_path, templates_path, language_tag: str = "en") -> Da
             obj = row["obj_label"]
         except KeyError as exc:
             raise ValueError(f"{triples_path}:{lineno}: missing field {exc}") from None
+        for name, label in (("sub_label", subject), ("obj_label", obj)):
+            if isinstance(label, str) and not label.strip():
+                raise ValueError(f"{triples_path}:{lineno}: blank {name} {label!r}")
         if rel not in relations:
             unknown[rel] = unknown.get(rel, 0) + 1
             continue
@@ -140,7 +143,10 @@ def ingest_dataset(triples_path, templates_path, language_tag: str = "en") -> Da
         if triple_id in seen_ids:
             raise ValueError(f"{triples_path}:{lineno}: duplicate triple id {triple_id!r}")
         seen_ids.add(triple_id)
-        group.append(Triple(id=triple_id, subject=subject, relation_id=rel, object=obj))
+        try:
+            group.append(Triple(id=triple_id, subject=subject, relation_id=rel, object=obj))
+        except ValueError as exc:
+            raise ValueError(f"{triples_path}:{lineno}: {exc}") from None
 
     if unknown:
         offenders = ", ".join(

@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .embeddings import Composition, EmbeddingTable, compose
-from .kb import CandidateSet, Dataset, instantiate_query
+from .kb import CandidateSet, Dataset, _read_jsonl, instantiate_query
 from .wordpiece import UNK_TOKEN, SubwordVocab, tokenize
 
 
@@ -195,18 +195,20 @@ def rank_mlm(score_path, dataset: Dataset, candidates: dict[str, CandidateSet],
         by_pair[key] = rec
 
     if manifest_path is not None:
-        with open(manifest_path, "r", encoding="utf-8") as f:
-            for lineno, line in enumerate(f, start=1):
-                if not line.strip():
-                    continue
-                row = json.loads(line)
+        for lineno, row in _read_jsonl(manifest_path):
+            try:
                 key = (row["triple_id"], row["candidate"])
-                rec = by_pair.get(key)
-                if rec is not None and len(rec.token_logprobs) != len(row["mask_token_ids"]):
-                    raise ValueError(
-                        f"score length {len(rec.token_logprobs)} for {key!r} does not "
-                        f"match manifest mask count {len(row['mask_token_ids'])}"
-                    )
+                n_masks = len(row["mask_token_ids"])
+            except KeyError as exc:
+                raise ValueError(
+                    f"{manifest_path}:{lineno}: missing field {exc}"
+                ) from None
+            rec = by_pair.get(key)
+            if rec is not None and len(rec.token_logprobs) != n_masks:
+                raise ValueError(
+                    f"{manifest_path}:{lineno}: score length {len(rec.token_logprobs)} "
+                    f"for {key!r} does not match manifest mask count {n_masks}"
+                )
 
     expected = set()
     for rel in dataset.relation_ids:

@@ -1,8 +1,11 @@
+import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from clozerank.cli import main as cli_main
 from clozerank.embeddings import (
     EmbeddingTable,
     EmbedTrainConfig,
@@ -13,7 +16,11 @@ from clozerank.embeddings import (
     save_table,
     train_static_embeddings,
 )
+from clozerank.kb import build_candidates, ingest_dataset
+from clozerank.ranking import export_mlm_manifest, rank_mlm, write_stub_scores
 from clozerank.wordpiece import SPECIAL_TOKENS, SubwordVocab
+
+from conftest import FIXTURES, write_jsonl
 
 
 def make_table(entries, dim):
@@ -264,6 +271,130 @@ class TestTraining:
                                char_ngram_min=0, char_ngram_max=0)
         table = train_static_embeddings(corpus, vocab, cfg)
         assert table.dim == 300
+
+
+class TestCompactTrainer:
+    def cfg(self, **kw):
+        base = dict(dim=16, window=2, negatives=3, epochs=1, learning_rate=0.05,
+                    min_count=1, char_ngram_min=3, char_ngram_max=6,
+                    ngram_buckets=1000, seed=4)
+        base.update(kw)
+        return EmbedTrainConfig(**base)
+
+    def test_memory_follows_buckets_in_use_not_bucket_count(self):
+        # A full 2M x 16 bucket table is 128 MB of float32 alone.
+        vocab = make_vocab(["aa", "bb", "cc", "dd"])
+        corpus = cooccurrence_corpus(vocab)
+        tracemalloc.start()
+        try:
+            table = train_static_embeddings(
+                corpus, vocab, self.cfg(ngram_buckets=2_000_000))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sorted(table.entries) == ["aa", "bb", "cc", "dd"]
+        assert peak < 16 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MB"
+
+    def test_single_bucket_is_shared_and_deterministic(self):
+        vocab = make_vocab(["aa", "bb", "cc", "dd"])
+        corpus = cooccurrence_corpus(vocab)
+        t1 = train_static_embeddings(corpus, vocab, self.cfg(ngram_buckets=1))
+        t2 = train_static_embeddings(corpus, vocab, self.cfg(ngram_buckets=1))
+        wide = train_static_embeddings(corpus, vocab, self.cfg())
+        assert sorted(t1.entries) == ["aa", "bb", "cc", "dd"]
+        for token in t1.entries:
+            assert np.all(np.isfinite(t1.vector(token)))
+            assert np.array_equal(t1.vector(token), t2.vector(token))
+        assert any(not np.array_equal(t1.vector(t), wide.vector(t))
+                   for t in t1.entries)
+
+    def test_multiple_workers_rejected(self):
+        vocab = make_vocab(["t1", "t2"])
+        corpus = [[vocab.id_for("t1"), vocab.id_for("t2")]] * 3
+        with pytest.raises(ValueError, match="workers > 1 is not supported"):
+            train_static_embeddings(corpus, vocab, self.cfg(), workers=2)
+
+    def test_cli_accepts_one_worker_and_rejects_two(self, tmp_path, capsys):
+        vocab = tmp_path / "vocab.txt"
+        vocab.write_text("[UNK]\n[MASK]\nt1\nt2\n", encoding="utf-8")
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_text("t1 t2\n" * 10, encoding="utf-8")
+        args = ["train-embeddings", "--vocab", str(vocab), "--corpus", str(corpus),
+                "--dim", "8", "--epochs", "1", "--min-count", "1", "--seed", "3"]
+        ok = tmp_path / "ok"
+        assert cli_main(args + ["--output", str(ok), "--workers", "1",
+                                "--deterministic"]) == 0
+        assert (ok / "embeddings.vec").exists()
+        capsys.readouterr()
+        bad = tmp_path / "bad"
+        assert cli_main(args + ["--output", str(bad), "--workers", "2"]) == 1
+        record = json.loads(capsys.readouterr().err)
+        assert record["command"] == "train-embeddings"
+        assert record["error"] == "ValueError"
+        assert "workers > 1 is not supported" in record["message"]
+        assert not (bad / "embeddings.vec").exists()
+
+
+class TestInputLocations:
+    TEMPLATES = [{"relation": "P1", "template": "[X] likes [Y] ."}]
+
+    def ingest(self, tmp_path, triples):
+        tpath = write_jsonl(tmp_path / "triples.jsonl", triples)
+        mpath = write_jsonl(tmp_path / "templates.jsonl", self.TEMPLATES)
+        return tpath, lambda: ingest_dataset(tpath, mpath)
+
+    @pytest.mark.parametrize("field", ["sub_label", "obj_label"])
+    @pytest.mark.parametrize("blank", ["", " ", "\t \u3000"])
+    def test_blank_label_rejected_with_location(self, tmp_path, field, blank):
+        row = {"sub_label": "anna", "obj_label": "tea", "predicate_id": "P1"}
+        tpath, ingest = self.ingest(tmp_path, [row, dict(row, **{field: blank})])
+        with pytest.raises(ValueError, match=f"{tpath}:2: blank {field}"):
+            ingest()
+
+    def test_triple_validation_error_carries_location(self, tmp_path):
+        rows = [{"sub_label": "anna", "obj_label": "tea", "predicate_id": "P1"},
+                {"sub_label": "bo", "obj_label": "tea", "predicate_id": "P1"},
+                {"sub_label": None, "obj_label": "tea", "predicate_id": "P1"}]
+        tpath, ingest = self.ingest(tmp_path, rows)
+        with pytest.raises(ValueError, match=f"{tpath}:3: triple field subject"):
+            ingest()
+
+    @pytest.mark.parametrize("field", ["triple_id", "candidate", "mask_token_ids"])
+    def test_manifest_missing_field_reports_location(self, tmp_path, field):
+        dataset = ingest_dataset(FIXTURES / "mini_triples.jsonl",
+                                 FIXTURES / "mini_templates.jsonl")
+        vocab = SubwordVocab.load(FIXTURES / "mini_vocab.txt")
+        cands = build_candidates(dataset)
+        manifest = tmp_path / "manifest.jsonl"
+        export_mlm_manifest(dataset, cands, vocab, manifest)
+        scores = tmp_path / "scores.jsonl"
+        write_stub_scores(manifest, scores)
+        rows = [json.loads(line) for line in
+                manifest.read_text(encoding="utf-8").splitlines()]
+        del rows[2][field]
+        write_jsonl(manifest, rows)
+        with pytest.raises(ValueError, match=f"{manifest}:3: missing field '{field}'"):
+            rank_mlm(scores, dataset, cands, manifest_path=manifest)
+
+    def test_malformed_manifest_line_reports_location(self, tmp_path):
+        dataset = ingest_dataset(FIXTURES / "mini_triples.jsonl",
+                                 FIXTURES / "mini_templates.jsonl")
+        cands = build_candidates(dataset)
+        manifest = tmp_path / "manifest.jsonl"
+        manifest.write_text("{not json\n", encoding="utf-8")
+        scores = tmp_path / "scores.jsonl"
+        scores.write_text("", encoding="utf-8")
+        with pytest.raises(ValueError, match=f"{manifest}:1: malformed JSON"):
+            rank_mlm(scores, dataset, cands, manifest_path=manifest)
+
+    @pytest.mark.parametrize("token", ["", "two words", "tab\there", "nl\n"])
+    def test_unsaveable_token_rejected_by_name(self, tmp_path, token):
+        table = make_table({"ok": [1.0, 2.0], token: [3.0, 4.0]}, 2)
+        path = tmp_path / "t.vec"
+        with pytest.raises(ValueError, match="cannot save token") as err:
+            save_table(table, path)
+        assert repr(token) in str(err.value)
+        assert not path.exists()
 
 
 class TestNgramHashing:
