@@ -16,94 +16,86 @@ from pathlib import Path
 from . import embeddings, energy, kb, metrics, ranking, wordpiece
 
 
-def _checksum_json(obj) -> str:
-    payload = json.dumps(obj, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+def _write_json(path: Path, obj, ensure_ascii: bool = False) -> None:
+    path.write_text(json.dumps(obj, ensure_ascii=ensure_ascii, indent=2, sort_keys=True)
+                    + "\n", encoding="utf-8")
 
 
-def _load_config(path) -> dict:
-    if path is None:
-        return {}
-    with open(path, "r", encoding="utf-8") as f:
-        config = json.load(f)
-    if not isinstance(config, dict):
-        raise ValueError(f"{path}: config must be a JSON object")
-    return config
+class RunContext:
+    """One command run: its flags, config file and output directory.
 
+    A setting is the flag if given, else the config key, else the default.
+    finish() writes the <command>_manifest.json every command leaves behind.
+    """
 
-def _setting(args, config, key, default=None):
-    value = getattr(args, key, None)
-    if value is not None:
+    def __init__(self, args):
+        self.args = args
+        self.config = {}
+        if args.config is not None:
+            with open(args.config, "r", encoding="utf-8") as f:
+                self.config = json.load(f)
+            if not isinstance(self.config, dict):
+                raise ValueError(f"{args.config}: config must be a JSON object")
+        self.out = Path(self.get("output", "."))
+        self.out.mkdir(parents=True, exist_ok=True)
+
+    def get(self, key, default=None):
+        value = getattr(self.args, key, None)
+        return value if value is not None else self.config.get(key, default)
+
+    def require(self, key):
+        value = self.get(key)
+        if value is None:
+            raise ValueError(f"missing required setting {key!r} (flag or config)")
         return value
-    if key in config:
-        return config[key]
-    return default
+
+    def checksum(self, settings: dict) -> str:
+        payload = json.dumps({"command": self.args.command, "settings": settings},
+                             sort_keys=True, separators=(",", ":"))
+        return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+
+    def dataset(self):
+        """The KB named by triples/templates, cut to subset; with its input paths."""
+        triples = self.require("triples")
+        templates = self.require("templates")
+        dataset = kb.ingest_dataset(triples, templates,
+                                    language_tag=self.get("language", "en"))
+        inputs = [triples, templates]
+        subset = self.get("subset")
+        if subset is not None:
+            dataset, _ = kb.apply_subset(dataset, kb.read_subset_ids(subset))
+            inputs.append(subset)
+        return dataset, inputs
+
+    def finish(self, settings: dict, inputs, outputs, message: str) -> int:
+        command = self.args.command
+        # Manifests escape non-ASCII paths; the other JSON artifacts keep them.
+        _write_json(self.out / f"{command.replace('-', '_')}_manifest.json", {
+            "command": command,
+            "config_checksum": self.checksum(settings),
+            "settings": settings,
+            "inputs": {p: wordpiece.corpus_checksum(p) for p in sorted(set(map(str, inputs)))},
+            "outputs": sorted(str(o) for o in outputs),
+        }, ensure_ascii=True)
+        print(message)
+        return 0
 
 
-def _require(args, config, key):
-    value = _setting(args, config, key)
-    if value is None:
-        raise ValueError(f"missing required setting {key!r} (flag or config)")
-    return value
-
-
-def _out_dir(args, config) -> Path:
-    out = Path(_setting(args, config, "output", default="."))
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
-def _write_manifest(out_dir: Path, command: str, settings: dict,
-                    inputs, outputs) -> str:
-    checksum = _checksum_json({"command": command, "settings": settings})
-    manifest = {
-        "command": command,
-        "config_checksum": checksum,
-        "settings": settings,
-        "inputs": {str(p): wordpiece.corpus_checksum(p) for p in sorted(set(map(str, inputs)))},
-        "outputs": sorted(str(o) for o in outputs),
-    }
-    path = out_dir / f"{command.replace('-', '_')}_manifest.json"
-    path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n",
-                    encoding="utf-8")
-    return checksum
-
-
-def _settings_checksum(command: str, settings: dict) -> str:
-    return _checksum_json({"command": command, "settings": settings})
-
-
-def _load_dataset(args, config):
-    triples = _require(args, config, "triples")
-    templates = _require(args, config, "templates")
-    language = _setting(args, config, "language", default="en")
-    dataset = kb.ingest_dataset(triples, templates, language_tag=language)
-    inputs = [triples, templates]
-    subset = _setting(args, config, "subset")
-    if subset is not None:
-        ids = kb.read_subset_ids(subset)
-        dataset, _ = kb.apply_subset(dataset, ids)
-        inputs.append(subset)
-    return dataset, inputs
-
-
-def cmd_build_vocab(args) -> int:
-    config = _load_config(args.config)
-    out_dir = _out_dir(args, config)
-    corpus = _require(args, config, "corpus")
-    sizes = _setting(args, config, "vocab_sizes")
+def cmd_build_vocab(ctx: RunContext) -> int:
+    corpus = ctx.require("corpus")
+    sizes = ctx.get("vocab_sizes")
     if sizes is None:
-        sizes = [_require(args, config, "target_size")]
+        sizes = [ctx.require("target_size")]
     sizes = [int(s) for s in sizes]
-    min_frequency = int(_setting(args, config, "min_frequency", default=1))
-    max_word_length = int(_setting(args, config, "max_word_length", default=100))
+    min_frequency = int(ctx.get("min_frequency", 1))
+    max_word_length = int(ctx.get("max_word_length", 100))
 
     settings = {
         "corpus": str(corpus), "vocab_sizes": sizes,
         "min_frequency": min_frequency, "max_word_length": max_word_length,
     }
-    checksum = _settings_checksum("build-vocab", settings)
-    outputs = []
+    checksum = ctx.checksum(settings)
+    outputs, lines = [], []
     for size in sizes:
         cfg = wordpiece.VocabTrainConfig(
             target_size=size, min_frequency=min_frequency,
@@ -111,26 +103,23 @@ def cmd_build_vocab(args) -> int:
         )
         with open(corpus, "r", encoding="utf-8") as f:
             vocab = wordpiece.train_wordpiece(f, cfg)
-        vocab_path = out_dir / f"vocab_{size}.txt"
+        vocab_path = ctx.out / f"vocab_{size}.txt"
         wordpiece.save_vocab_with_sidecar(
             vocab, cfg, vocab_path, corpus_path=corpus,
             extra={"config_checksum": checksum},
         )
         outputs += [vocab_path, Path(str(vocab_path) + ".json")]
-        print(f"vocab_{size}: {vocab.size} tokens -> {vocab_path}")
-    _write_manifest(out_dir, "build-vocab", settings, [corpus], outputs)
-    return 0
+        lines.append(f"vocab_{size}: {vocab.size} tokens -> {vocab_path}")
+    return ctx.finish(settings, [corpus], outputs, "\n".join(lines))
 
 
-def cmd_tokenize(args) -> int:
-    config = _load_config(args.config)
-    out_dir = _out_dir(args, config)
-    vocab_path = _require(args, config, "vocab")
-    text_path = _require(args, config, "input")
+def cmd_tokenize(ctx: RunContext) -> int:
+    vocab_path = ctx.require("vocab")
+    text_path = ctx.require("input")
     vocab = wordpiece.SubwordVocab.load(vocab_path)
 
     settings = {"vocab": str(vocab_path), "input": str(text_path)}
-    out_path = out_dir / "tokens.jsonl"
+    out_path = ctx.out / "tokens.jsonl"
     with open(text_path, "r", encoding="utf-8") as fin, \
             open(out_path, "w", encoding="utf-8") as fout:
         for line in fin:
@@ -139,100 +128,84 @@ def cmd_tokenize(args) -> int:
                 "token_ids": ids,
                 "tokens": vocab.ids_to_tokens(ids),
             }, ensure_ascii=False) + "\n")
-    _write_manifest(out_dir, "tokenize", settings, [vocab_path, text_path], [out_path])
-    print(f"tokenized {text_path} -> {out_path}")
-    return 0
+    return ctx.finish(settings, [vocab_path, text_path], [out_path],
+                      f"tokenized {text_path} -> {out_path}")
 
 
-def cmd_train_embeddings(args) -> int:
-    config = _load_config(args.config)
-    out_dir = _out_dir(args, config)
-    vocab_path = _require(args, config, "vocab")
-    corpus = _require(args, config, "corpus")
+# train-embeddings settings, under their flag names; two map to a differently
+# named EmbedTrainConfig field.
+_EMBED_SETTINGS = ("dim", "window", "negatives", "epochs", "lr", "min_count",
+                  "char_ngram_min", "char_ngram_max", "hash_buckets", "seed")
+_EMBED_FIELDS = {"lr": "learning_rate", "hash_buckets": "ngram_buckets"}
+
+
+def cmd_train_embeddings(ctx: RunContext) -> int:
+    if "embed" in ctx.config:
+        raise ValueError("config key 'embed' is not read: move its keys to the top "
+                         "level, under the flag names (dim, lr, hash_buckets, ...)")
+    vocab_path = ctx.require("vocab")
+    corpus = ctx.require("corpus")
     vocab = wordpiece.SubwordVocab.load(vocab_path)
-
-    embed_config = dict(config.get("embed", {}))
-    flag_fields = {"lr": "learning_rate", "hash_buckets": "ngram_buckets"}
-    for key in ("dim", "window", "negatives", "epochs", "lr", "min_count",
-                "char_ngram_min", "char_ngram_max", "hash_buckets", "seed"):
-        value = getattr(args, key, None)
-        if value is not None:
-            embed_config[flag_fields.get(key, key)] = value
-    cfg = embeddings.EmbedTrainConfig(**embed_config)
-    workers = int(_setting(args, config, "workers", default=1))
+    values = {_EMBED_FIELDS.get(key, key): ctx.get(key) for key in _EMBED_SETTINGS}
+    cfg = embeddings.EmbedTrainConfig(**{k: v for k, v in values.items() if v is not None})
+    workers = int(ctx.get("workers", 1))
 
     settings = {
         "vocab": str(vocab_path), "corpus": str(corpus),
         "embed": cfg.to_dict(), "workers": workers,
     }
-    checksum = _settings_checksum("train-embeddings", settings)
-
     with open(corpus, "r", encoding="utf-8") as f:
         tokenized = [wordpiece.tokenize(vocab, line) for line in f]
     table = embeddings.train_static_embeddings(tokenized, vocab, cfg, workers=workers)
-    table.metadata["config_checksum"] = checksum
+    table.metadata["config_checksum"] = ctx.checksum(settings)
 
-    table_path = out_dir / "embeddings.vec"
-    meta_path = out_dir / "embeddings.vec.json"
+    table_path = ctx.out / "embeddings.vec"
+    meta_path = ctx.out / "embeddings.vec.json"
     embeddings.save_table(table, table_path)
     embeddings.save_table_metadata(table, meta_path)
-    _write_manifest(out_dir, "train-embeddings", settings,
-                    [vocab_path, corpus], [table_path, meta_path])
-    print(f"trained {len(table)} vectors (dim {table.dim}) -> {table_path}")
-    return 0
+    return ctx.finish(settings, [vocab_path, corpus], [table_path, meta_path],
+                      f"trained {len(table)} vectors (dim {table.dim}) -> {table_path}")
 
 
-def cmd_build_candidates(args) -> int:
-    config = _load_config(args.config)
-    out_dir = _out_dir(args, config)
-    dataset, inputs = _load_dataset(args, config)
+def cmd_build_candidates(ctx: RunContext) -> int:
+    dataset, inputs = ctx.dataset()
     candidates = kb.build_candidates(dataset)
 
     settings = {"inputs": [str(p) for p in inputs]}
-    checksum = _settings_checksum("build-candidates", settings)
-    out_path = out_dir / "candidates.json"
-    payload = {
-        "config_checksum": checksum,
+    out_path = ctx.out / "candidates.json"
+    _write_json(out_path, {
+        "config_checksum": ctx.checksum(settings),
         "candidates": {rel: list(cset) for rel, cset in candidates.items()},
-    }
-    out_path.write_text(json.dumps(payload, ensure_ascii=False, indent=2,
-                                   sort_keys=True) + "\n", encoding="utf-8")
-    _write_manifest(out_dir, "build-candidates", settings, inputs, [out_path])
-    print(f"{len(candidates)} candidate sets -> {out_path}")
-    return 0
+    })
+    return ctx.finish(settings, inputs, [out_path],
+                      f"{len(candidates)} candidate sets -> {out_path}")
 
 
-def cmd_export_manifest(args) -> int:
-    config = _load_config(args.config)
-    out_dir = _out_dir(args, config)
-    dataset, inputs = _load_dataset(args, config)
-    vocab_path = _require(args, config, "vocab")
+def cmd_export_manifest(ctx: RunContext) -> int:
+    dataset, inputs = ctx.dataset()
+    vocab_path = ctx.require("vocab")
     vocab = wordpiece.SubwordVocab.load(vocab_path)
     candidates = kb.build_candidates(dataset)
 
     settings = {"inputs": [str(p) for p in inputs], "vocab": str(vocab_path)}
-    out_path = out_dir / "mlm_manifest.jsonl"
+    out_path = ctx.out / "mlm_manifest.jsonl"
     rows = ranking.export_mlm_manifest(dataset, candidates, vocab, out_path)
-    _write_manifest(out_dir, "export-manifest", settings,
-                    inputs + [vocab_path], [out_path])
-    print(f"{rows} scoring rows -> {out_path}")
-    return 0
+    return ctx.finish(settings, inputs + [vocab_path], [out_path],
+                      f"{rows} scoring rows -> {out_path}")
 
 
-def cmd_rank(args) -> int:
-    config = _load_config(args.config)
-    out_dir = _out_dir(args, config)
-    dataset, inputs = _load_dataset(args, config)
+def cmd_rank(ctx: RunContext) -> int:
+    dataset, inputs = ctx.dataset()
     candidates = kb.build_candidates(dataset)
-    mode = args.mode
+    mode = ctx.args.mode
 
     settings = {"mode": mode, "inputs": [str(p) for p in inputs]}
     if mode == "static":
-        table_path = _require(args, config, "table")
-        vocab_path = _require(args, config, "vocab")
+        table_path = ctx.require("table")
+        vocab_path = ctx.require("vocab")
         table = embeddings.load_table(table_path)
         vocab = wordpiece.SubwordVocab.load(vocab_path)
-        exclude = bool(_setting(args, config, "exclude_subject_match", default=False))
+        exclude = bool(ctx.get("exclude_subject_match", False))
         settings.update({"table": str(table_path), "vocab": str(vocab_path),
                          "exclude_subject_match": exclude})
         inputs += [table_path, vocab_path]
@@ -241,8 +214,8 @@ def cmd_rank(args) -> int:
     elif mode == "oracle":
         predictions = ranking.rank_oracle(dataset, candidates)
     elif mode == "mlm":
-        score_path = _require(args, config, "scores")
-        manifest_path = _setting(args, config, "manifest")
+        score_path = ctx.require("scores")
+        manifest_path = ctx.get("manifest")
         settings.update({"scores": str(score_path),
                          "manifest": str(manifest_path) if manifest_path else None})
         inputs.append(score_path)
@@ -253,25 +226,21 @@ def cmd_rank(args) -> int:
     else:
         raise ValueError(f"unknown rank mode {mode!r}")
 
-    checksum = _settings_checksum("rank", settings)
-    out_path = out_dir / f"predictions_{mode}.jsonl"
-    meta_path = out_dir / f"predictions_{mode}.meta.json"
+    out_path = ctx.out / f"predictions_{mode}.jsonl"
+    meta_path = ctx.out / f"predictions_{mode}.meta.json"
     ranking.save_predictions(predictions, out_path)
-    meta_path.write_text(json.dumps({
-        "config_checksum": checksum,
+    _write_json(meta_path, {
+        "config_checksum": ctx.checksum(settings),
         "mode": mode,
         "n_predictions": len(predictions),
-    }, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    _write_manifest(out_dir, "rank", settings, inputs, [out_path, meta_path])
-    print(f"{len(predictions)} predictions -> {out_path}")
-    return 0
+    })
+    return ctx.finish(settings, inputs, [out_path, meta_path],
+                      f"{len(predictions)} predictions -> {out_path}")
 
 
-def cmd_stub_score(args) -> int:
-    config = _load_config(args.config)
-    out_dir = _out_dir(args, config)
-    manifest_path = _require(args, config, "manifest")
-    lookup_path = _setting(args, config, "lookup")
+def cmd_stub_score(ctx: RunContext) -> int:
+    manifest_path = ctx.require("manifest")
+    lookup_path = ctx.get("lookup")
     lookup = None
     inputs = [manifest_path]
     if lookup_path is not None:
@@ -281,27 +250,22 @@ def cmd_stub_score(args) -> int:
 
     settings = {"manifest": str(manifest_path),
                 "lookup": str(lookup_path) if lookup_path else None}
-    out_path = out_dir / "stub_scores.jsonl"
+    out_path = ctx.out / "stub_scores.jsonl"
     rows = ranking.write_stub_scores(manifest_path, out_path, lookup=lookup)
-    _write_manifest(out_dir, "stub-score", settings, inputs, [out_path])
-    print(f"{rows} score rows -> {out_path}")
-    return 0
+    return ctx.finish(settings, inputs, [out_path], f"{rows} score rows -> {out_path}")
 
 
-def cmd_evaluate(args) -> int:
-    config = _load_config(args.config)
-    out_dir = _out_dir(args, config)
-    dataset, inputs = _load_dataset(args, config)
-    predictions_path = _require(args, config, "predictions")
+def cmd_evaluate(ctx: RunContext) -> int:
+    dataset, inputs = ctx.dataset()
+    predictions_path = ctx.require("predictions")
     predictions = ranking.load_predictions(predictions_path)
     inputs.append(predictions_path)
 
-    toggles = dict(config.get("metrics", {}))
+    toggles = dict(ctx.config.get("metrics", {}))
     for key in ("p5", "mf", "diversity"):
-        flag = getattr(args, f"no_{key}", False)
-        if flag:
+        if getattr(ctx.args, f"no_{key}", False):
             toggles[key] = False
-    vocab_path = _setting(args, config, "vocab")
+    vocab_path = ctx.get("vocab")
     vocab = None
     if vocab_path is not None and toggles.get("buckets", True):
         vocab = wordpiece.SubwordVocab.load(vocab_path)
@@ -314,45 +278,39 @@ def cmd_evaluate(args) -> int:
         "toggles": {k: bool(toggles.get(k, True))
                     for k in ("p5", "mf", "diversity", "buckets")},
     }
-    checksum = _settings_checksum("evaluate", settings)
-
     report = metrics.compute_report(
         predictions, dataset, vocab=vocab,
         with_p5=toggles.get("p5", True),
         with_mf=toggles.get("mf", True),
         with_diversity=toggles.get("diversity", True),
     )
-    report.metadata["config_checksum"] = checksum
+    report.metadata["config_checksum"] = ctx.checksum(settings)
     if vocab is not None:
         report.metadata["vocab_size"] = vocab.size
 
-    report_path = out_dir / "metrics.json"
+    report_path = ctx.out / "metrics.json"
     report.save(report_path)
-    rel_path = out_dir / "per_relation.tsv"
+    rel_path = ctx.out / "per_relation.tsv"
     rel_path.write_text(metrics.per_relation_tsv(report), encoding="utf-8")
     outputs = [report_path, rel_path]
     if report.buckets:
-        bucket_path = out_dir / "buckets.tsv"
+        bucket_path = ctx.out / "buckets.tsv"
         bucket_path.write_text(metrics.buckets_tsv(report), encoding="utf-8")
         outputs.append(bucket_path)
-    _write_manifest(out_dir, "evaluate", settings, inputs, outputs)
-    print(f"macro p1 {report.macro_p1:.4f} -> {report_path}")
-    return 0
+    return ctx.finish(settings, inputs, outputs,
+                      f"macro p1 {report.macro_p1:.4f} -> {report_path}")
 
 
-def cmd_energy(args) -> int:
-    config = _load_config(args.config)
-    out_dir = _out_dir(args, config)
-    watts = float(_require(args, config, "watts"))
-    hours = float(_require(args, config, "hours"))
-    pue = float(_setting(args, config, "pue", default=energy.DEFAULT_PUE))
-    intensity = float(_setting(args, config, "carbon_intensity",
-                               default=energy.DEFAULT_CARBON_INTENSITY))
+def cmd_energy(ctx: RunContext) -> int:
+    watts = float(ctx.require("watts"))
+    hours = float(ctx.require("hours"))
+    pue = float(ctx.get("pue", energy.DEFAULT_PUE))
+    intensity = float(ctx.get("carbon_intensity", energy.DEFAULT_CARBON_INTENSITY))
     run = energy.EnergyInput(watts, hours, pue=pue, carbon_intensity=intensity)
     payload = {"run": energy.footprint(run)}
 
-    baseline_watts = _setting(args, config, "baseline_watts")
-    baseline_hours = _setting(args, config, "baseline_hours")
+    baseline_watts = ctx.get("baseline_watts")
+    baseline_hours = ctx.get("baseline_hours")
     if (baseline_watts is None) != (baseline_hours is None):
         raise ValueError("baseline needs both --baseline-watts and --baseline-hours")
     if baseline_watts is not None:
@@ -366,14 +324,12 @@ def cmd_energy(args) -> int:
         "baseline_watts": float(baseline_watts) if baseline_watts is not None else None,
         "baseline_hours": float(baseline_hours) if baseline_hours is not None else None,
     }
-    payload["config_checksum"] = _settings_checksum("energy", settings)
-    out_path = out_dir / "energy.json"
-    out_path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
-                        encoding="utf-8")
-    _write_manifest(out_dir, "energy", settings, [], [out_path])
-    print(f"{payload['run']['energy_kwh']:.4f} kWh, "
-          f"{payload['run']['co2e']:.4f} CO2e -> {out_path}")
-    return 0
+    payload["config_checksum"] = ctx.checksum(settings)
+    out_path = ctx.out / "energy.json"
+    _write_json(out_path, payload)
+    return ctx.finish(settings, [], [out_path],
+                      f"{payload['run']['energy_kwh']:.4f} kWh, "
+                      f"{payload['run']['co2e']:.4f} CO2e -> {out_path}")
 
 
 def _parse_run_spec(spec: str) -> tuple[str, str, str | None]:
@@ -384,10 +340,8 @@ def _parse_run_spec(spec: str) -> tuple[str, str, str | None]:
     return name, first, second or None
 
 
-def cmd_report(args) -> int:
-    config = _load_config(args.config)
-    out_dir = _out_dir(args, config)
-    specs = list(args.run or []) + [str(s) for s in config.get("runs", [])]
+def cmd_report(ctx: RunContext) -> int:
+    specs = list(ctx.args.run or []) + [str(s) for s in ctx.config.get("runs", [])]
     if not specs:
         raise ValueError("no runs given; pass --run NAME=metrics.json[,uhn.json]")
 
@@ -406,21 +360,15 @@ def cmd_report(args) -> int:
         lines.append(f"{name}\t{vocab_size}\t{full.macro_p1:.4f}\t{p1_uhn}")
 
     settings = {"runs": specs}
-    out_path = out_dir / "report.tsv"
+    out_path = ctx.out / "report.tsv"
     out_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    _write_manifest(out_dir, "report", settings, inputs, [out_path])
-    print(f"{len(specs)} rows -> {out_path}")
-    return 0
+    return ctx.finish(settings, inputs, [out_path], f"{len(specs)} rows -> {out_path}")
 
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="JSON config file; flags override it")
     common.add_argument("--output", help="output directory (default .)")
-    common.add_argument("--seed", type=int, help="training seed")
-    common.add_argument("--deterministic", action="store_true",
-                        help="accepted for compatibility; a no-op, since every "
-                             "command is already single-threaded and deterministic")
 
     parser = argparse.ArgumentParser(
         prog="clozerank",
@@ -459,6 +407,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--hash-buckets", dest="hash_buckets", type=int)
     p.add_argument("--workers", type=int,
                    help="only 1 is accepted: training is single-threaded")
+    p.add_argument("--seed", type=int, help="training seed")
+    p.add_argument("--deterministic", action="store_true",
+                   help="accepted for compatibility; a no-op, since training is "
+                        "already single-threaded and deterministic")
     p.set_defaults(func=cmd_train_embeddings)
 
     p = sub.add_parser("build-candidates", parents=[common],
@@ -531,7 +483,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        return args.func(RunContext(args))
     except Exception as exc:
         record = {
             "command": getattr(args, "command", None),

@@ -2,6 +2,7 @@
 
 import json
 import logging
+import operator
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -90,15 +91,30 @@ class Dataset:
         return {t.id: t for t in self.triples()}
 
 
-def _read_jsonl(path):
+def _read_jsonl(path, *fields):
+    """Yield (lineno, row, values) for each non-blank line of a JSONL file.
+
+    Every line must be a JSON object holding all of fields (two or more);
+    values is the tuple of those fields. Errors name path:line.
+    """
+    pick = operator.itemgetter(*fields)
     with open(path, "r", encoding="utf-8") as f:
         for lineno, line in enumerate(f, start=1):
             if not line.strip():
                 continue
             try:
-                yield lineno, json.loads(line)
+                row = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ValueError(f"{path}:{lineno}: malformed JSON line: {exc}") from None
+            if not isinstance(row, dict):
+                raise ValueError(
+                    f"{path}:{lineno}: expected a JSON object, got {type(row).__name__}"
+                )
+            try:
+                values = pick(row)
+            except KeyError as exc:
+                raise ValueError(f"{path}:{lineno}: missing field {exc}") from None
+            yield lineno, row, values
 
 
 def ingest_dataset(triples_path, templates_path, language_tag: str = "en") -> Dataset:
@@ -109,13 +125,8 @@ def ingest_dataset(triples_path, templates_path, language_tag: str = "en") -> Da
     counting that relation's triples in file order.
     """
     relations: dict[str, RelationSpec] = {}
-    for lineno, row in _read_jsonl(templates_path):
-        try:
-            spec = RelationSpec(relation_id=row["relation"], template=row["template"])
-        except KeyError as exc:
-            raise ValueError(
-                f"{templates_path}:{lineno}: missing field {exc}"
-            ) from None
+    for lineno, _, (rel, template) in _read_jsonl(templates_path, "relation", "template"):
+        spec = RelationSpec(relation_id=rel, template=template)
         if spec.relation_id in relations:
             raise ValueError(
                 f"{templates_path}:{lineno}: duplicate template for {spec.relation_id!r}"
@@ -125,13 +136,8 @@ def ingest_dataset(triples_path, templates_path, language_tag: str = "en") -> Da
     triples_by_relation: dict[str, list[Triple]] = {}
     seen_ids: set[str] = set()
     unknown: dict[str, int] = {}
-    for lineno, row in _read_jsonl(triples_path):
-        try:
-            rel = row["predicate_id"]
-            subject = row["sub_label"]
-            obj = row["obj_label"]
-        except KeyError as exc:
-            raise ValueError(f"{triples_path}:{lineno}: missing field {exc}") from None
+    for lineno, row, (rel, subject, obj) in _read_jsonl(
+            triples_path, "predicate_id", "sub_label", "obj_label"):
         for name, label in (("sub_label", subject), ("obj_label", obj)):
             if isinstance(label, str) and not label.strip():
                 raise ValueError(f"{triples_path}:{lineno}: blank {name} {label!r}")
@@ -176,10 +182,8 @@ def apply_subset(dataset: Dataset, id_list) -> tuple[Dataset, int]:
     """
     wanted = set(id_list)
     kept: dict[str, list[Triple]] = {}
-    found = 0
     for rel, triples in dataset.triples_by_relation.items():
         selected = [t for t in triples if t.id in wanted]
-        found += len(selected)
         if selected:
             kept[rel] = selected
     unknown = len(wanted) - len({t.id for ts in kept.values() for t in ts})

@@ -161,22 +161,33 @@ class MlmScoreRecord:
 
 def read_score_file(path) -> list[MlmScoreRecord]:
     records = []
-    with open(path, "r", encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            if not line.strip():
-                continue
-            try:
-                row = json.loads(line)
-                records.append(MlmScoreRecord(
-                    triple_id=row["triple_id"],
-                    candidate=row["candidate"],
-                    token_logprobs=tuple(float(x) for x in row["token_logprobs"]),
-                ))
-            except (json.JSONDecodeError, KeyError, TypeError) as exc:
-                raise ValueError(f"{path}:{lineno}: malformed score row: {exc}") from None
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from None
+    for lineno, _, (triple_id, candidate, logprobs) in _read_jsonl(
+            path, "triple_id", "candidate", "token_logprobs"):
+        try:
+            records.append(MlmScoreRecord(triple_id, candidate, tuple(map(float, logprobs))))
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{path}:{lineno}: malformed score row: {exc}") from None
     return records
+
+
+def _check_manifest(manifest_path, by_pair: dict) -> None:
+    """Every scored pair needs a manifest row with one mask id per log-prob."""
+    unlisted = set(by_pair)
+    for lineno, _, (triple_id, cand, mask_ids) in _read_jsonl(
+            manifest_path, "triple_id", "candidate", "mask_token_ids"):
+        key = (triple_id, cand)
+        unlisted.discard(key)
+        rec = by_pair.get(key)
+        if rec is not None and len(rec.token_logprobs) != len(mask_ids):
+            raise ValueError(
+                f"{manifest_path}:{lineno}: score length {len(rec.token_logprobs)} "
+                f"for {key!r} does not match manifest mask count {len(mask_ids)}"
+            )
+    if unlisted:
+        shown = ", ".join(repr(p) for p in sorted(unlisted)[:10])
+        raise ValueError(
+            f"{manifest_path}: {len(unlisted)} scored pairs have no manifest row: {shown}"
+        )
 
 
 def rank_mlm(score_path, dataset: Dataset, candidates: dict[str, CandidateSet],
@@ -185,7 +196,8 @@ def rank_mlm(score_path, dataset: Dataset, candidates: dict[str, CandidateSet],
 
     A candidate's score is the arithmetic mean of its per-mask log
     probabilities. The file must cover every (triple, candidate) pair exactly
-    once; row order is irrelevant.
+    once; row order is irrelevant. A manifest, if given, must hold a row for
+    every scored pair with as many mask ids as the pair has log-probs.
     """
     by_pair: dict[tuple[str, str], MlmScoreRecord] = {}
     for rec in read_score_file(score_path):
@@ -195,20 +207,7 @@ def rank_mlm(score_path, dataset: Dataset, candidates: dict[str, CandidateSet],
         by_pair[key] = rec
 
     if manifest_path is not None:
-        for lineno, row in _read_jsonl(manifest_path):
-            try:
-                key = (row["triple_id"], row["candidate"])
-                n_masks = len(row["mask_token_ids"])
-            except KeyError as exc:
-                raise ValueError(
-                    f"{manifest_path}:{lineno}: missing field {exc}"
-                ) from None
-            rec = by_pair.get(key)
-            if rec is not None and len(rec.token_logprobs) != n_masks:
-                raise ValueError(
-                    f"{manifest_path}:{lineno}: score length {len(rec.token_logprobs)} "
-                    f"for {key!r} does not match manifest mask count {n_masks}"
-                )
+        _check_manifest(manifest_path, by_pair)
 
     expected = set()
     for rel in dataset.relation_ids:
@@ -259,21 +258,17 @@ def write_stub_scores(manifest_path, out_path, lookup=None) -> int:
                 table[(key, cand)] = list(lps)
 
     rows = 0
-    with open(manifest_path, "r", encoding="utf-8") as fin, \
-            open(out_path, "w", encoding="utf-8") as fout:
-        for line in fin:
-            if not line.strip():
-                continue
-            row = json.loads(line)
-            key = (row["triple_id"], row["candidate"])
-            k = max(1, len(row["mask_token_ids"]))
+    with open(out_path, "w", encoding="utf-8") as fout:
+        for lineno, _, (triple_id, cand, mask_ids) in _read_jsonl(
+                manifest_path, "triple_id", "candidate", "mask_token_ids"):
+            key = (triple_id, cand)
+            k = max(1, len(mask_ids))
             lps = table.get(key)
             if lps is None:
                 lps = [_stub_logprob(*key, i) for i in range(k)]
             elif len(lps) != k:
-                raise ValueError(
-                    f"lookup for {key!r} has {len(lps)} log-probs, manifest wants {k}"
-                )
+                raise ValueError(f"{manifest_path}:{lineno}: lookup for {key!r} has "
+                                 f"{len(lps)} log-probs, manifest wants {k}")
             fout.write(json.dumps({
                 "triple_id": key[0], "candidate": key[1], "token_logprobs": lps,
             }, ensure_ascii=False) + "\n")
@@ -294,18 +289,11 @@ def save_predictions(predictions, path) -> None:
 
 def load_predictions(path) -> list[Prediction]:
     predictions = []
-    with open(path, "r", encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            if not line.strip():
-                continue
-            try:
-                row = json.loads(line)
-                predictions.append(Prediction(
-                    triple_id=row["triple_id"],
-                    relation_id=row["relation_id"],
-                    ranked=[(c, float(s)) for c, s in row["ranked"]],
-                    flags=row.get("flags", {}),
-                ))
-            except (json.JSONDecodeError, KeyError) as exc:
-                raise ValueError(f"{path}:{lineno}: malformed prediction: {exc}") from None
+    for lineno, row, (triple_id, relation_id, ranked) in _read_jsonl(
+            path, "triple_id", "relation_id", "ranked"):
+        try:
+            ranked = [(c, float(s)) for c, s in ranked]
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{path}:{lineno}: malformed prediction: {exc}") from None
+        predictions.append(Prediction(triple_id, relation_id, ranked, row.get("flags", {})))
     return predictions

@@ -3,6 +3,7 @@ import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -376,3 +377,175 @@ class TestModuleEntry:
             capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert (tmp_path / "energy.json").exists()
+
+
+def sha256_file(path):
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+class TestManifestContract:
+    """Every command's manifest and every embedded checksum agree."""
+
+    def run_all(self, tmp_path):
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_text("ab ab ab b\nab cab bc\nbc bc cab\n", encoding="utf-8")
+        vocab, train_corpus = write_tiny_training_setup(tmp_path)
+        kb_args = ["--triples", MINI["triples"], "--templates", MINI["templates"]]
+        out = {name: tmp_path / name for name in (
+            "build-vocab", "tokenize", "train-embeddings", "build-candidates",
+            "export-manifest", "stub-score", "rank", "evaluate", "energy", "report")}
+        commands = [
+            ["build-vocab", "--corpus", corpus, "--vocab-sizes", "8", "10"],
+            ["tokenize", "--vocab", MINI["vocab"], "--input", corpus],
+            ["train-embeddings", "--vocab", vocab, "--corpus", train_corpus,
+             "--dim", "8", "--epochs", "1", "--min-count", "1", "--seed", "3"],
+            ["build-candidates", *kb_args, "--subset", MINI["uhn_ids"]],
+            ["export-manifest", *kb_args, "--vocab", MINI["vocab"]],
+            ["stub-score", "--manifest", out["export-manifest"] / "mlm_manifest.jsonl",
+             "--lookup", MINI["lookup"]],
+            ["rank", "mlm", *kb_args,
+             "--scores", out["stub-score"] / "stub_scores.jsonl",
+             "--manifest", out["export-manifest"] / "mlm_manifest.jsonl"],
+            ["evaluate", *kb_args, "--vocab", MINI["vocab"],
+             "--predictions", out["rank"] / "predictions_mlm.jsonl"],
+            ["energy", "--watts", "618", "--hours", "5",
+             "--baseline-watts", "12041", "--baseline-hours", "79"],
+            ["report", "--run", f"mlm={out['evaluate'] / 'metrics.json'}"],
+        ]
+        for argv in commands:
+            assert run_cli([*argv, "--output", out[argv[0]]]) == 0, argv
+        return out
+
+    def test_manifests_and_embedded_checksums(self, tmp_path):
+        out = self.run_all(tmp_path)
+        checksums = {}
+        for command, out_dir in out.items():
+            manifest = read_json(out_dir / f"{command.replace('-', '_')}_manifest.json")
+            assert manifest["command"] == command
+            payload = json.dumps({"command": command, "settings": manifest["settings"]},
+                                 sort_keys=True, separators=(",", ":"))
+            expected = hashlib.sha256(payload.encode("utf-8")).hexdigest()
+            assert manifest["config_checksum"] == expected, command
+            for path, digest in manifest["inputs"].items():
+                assert digest == sha256_file(path), (command, path)
+            for path in manifest["outputs"]:
+                assert Path(path).exists(), (command, path)
+            checksums[command] = expected
+
+        embedded = {
+            "build-vocab": [out["build-vocab"] / "vocab_8.txt.json",
+                            out["build-vocab"] / "vocab_10.txt.json"],
+            "train-embeddings": [out["train-embeddings"] / "embeddings.vec.json"],
+            "build-candidates": [out["build-candidates"] / "candidates.json"],
+            "rank": [out["rank"] / "predictions_mlm.meta.json"],
+            "evaluate": [out["evaluate"] / "metrics.json"],
+            "energy": [out["energy"] / "energy.json"],
+        }
+        for command, paths in embedded.items():
+            for path in paths:
+                payload = read_json(path)
+                found = payload.get("config_checksum",
+                                    payload.get("metadata", {}).get("config_checksum"))
+                assert found == checksums[command], (command, path)
+
+
+def cli_error(capsys):
+    return json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+
+
+def export_and_stub_score(out):
+    assert run_cli(["export-manifest", "--triples", MINI["triples"],
+                    "--templates", MINI["templates"],
+                    "--vocab", MINI["vocab"], "--output", out]) == 0
+    manifest = out / "mlm_manifest.jsonl"
+    assert run_cli(["stub-score", "--manifest", manifest, "--output", out]) == 0
+    return manifest, out / "stub_scores.jsonl"
+
+
+class TestJsonlLocations:
+    """A JSONL line that is not an object, or lacks a field, names path:line."""
+
+    def test_build_candidates_non_object_triple(self, tmp_path, capsys):
+        triples = tmp_path / "triples.jsonl"
+        triples.write_text("[1, 2]\n", encoding="utf-8")
+        assert run_cli(["build-candidates", "--triples", triples,
+                        "--templates", MINI["templates"], "--output", tmp_path]) == 1
+        record = cli_error(capsys)
+        assert record["error"] == "ValueError"
+        assert f"{triples}:1:" in record["message"]
+
+    def test_rank_mlm_non_object_manifest(self, tmp_path, capsys):
+        manifest, scores = export_and_stub_score(tmp_path)
+        manifest.write_text("[1, 2]\n", encoding="utf-8")
+        assert run_cli(["rank", "mlm", "--triples", MINI["triples"],
+                        "--templates", MINI["templates"], "--scores", scores,
+                        "--manifest", manifest, "--output", tmp_path]) == 1
+        record = cli_error(capsys)
+        assert record["error"] == "ValueError"
+        assert f"{manifest}:1:" in record["message"]
+
+    def test_stub_score_row_missing_candidate(self, tmp_path, capsys):
+        manifest = tmp_path / "manifest.jsonl"
+        manifest.write_text('{"triple_id": "P1#0"}\n', encoding="utf-8")
+        assert run_cli(["stub-score", "--manifest", manifest, "--output", tmp_path]) == 1
+        record = cli_error(capsys)
+        assert record["error"] == "ValueError"
+        assert f"{manifest}:1: missing field 'candidate'" in record["message"]
+
+
+class TestMlmManifestCoverage:
+    def test_manifest_missing_scored_pairs_rejected(self, tmp_path, capsys):
+        manifest, scores = export_and_stub_score(tmp_path)
+        rows = manifest.read_text(encoding="utf-8").splitlines()
+        assert len(rows) == 54
+        cut = tmp_path / "cut_manifest.jsonl"
+        cut.write_text("\n".join(rows[:50]) + "\n", encoding="utf-8")
+        assert run_cli(["rank", "mlm", "--triples", MINI["triples"],
+                        "--templates", MINI["templates"], "--scores", scores,
+                        "--manifest", cut, "--output", tmp_path]) == 1
+        record = cli_error(capsys)
+        assert record["error"] == "ValueError"
+        assert "4 scored pairs have no manifest row" in record["message"]
+        for row in rows[50:]:
+            pair = json.loads(row)
+            assert repr((pair["triple_id"], pair["candidate"])) in record["message"]
+
+
+class TestTrainEmbeddingsConfig:
+    FLAGS = {"dim": 8, "epochs": 1, "min_count": 1, "char_ngram_min": 0,
+             "char_ngram_max": 0, "seed": 5, "lr": 0.1, "hash_buckets": 64}
+
+    def test_config_matches_flags(self, tmp_path):
+        vocab, corpus = write_tiny_training_setup(tmp_path)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"vocab": str(vocab), "corpus": str(corpus),
+                                      **self.FLAGS}), encoding="utf-8")
+        assert run_cli(["train-embeddings", "--config", config,
+                        "--output", tmp_path / "config"]) == 0
+        flags = []
+        for key, value in self.FLAGS.items():
+            flags += [f"--{key.replace('_', '-')}", value]
+        assert run_cli(["train-embeddings", "--vocab", vocab, "--corpus", corpus,
+                        *flags, "--output", tmp_path / "flags"]) == 0
+        table = (tmp_path / "config" / "embeddings.vec").read_bytes()
+        assert table.splitlines()[0] == b"2 8"
+        assert table == (tmp_path / "flags" / "embeddings.vec").read_bytes()
+        meta = read_json(tmp_path / "config" / "embeddings.vec.json")
+        assert meta["config"]["seed"] == 5
+        assert meta["config"]["ngram_buckets"] == 64
+
+    def test_nested_embed_config_rejected(self, tmp_path, capsys):
+        vocab, corpus = write_tiny_training_setup(tmp_path)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"embed": {"dim": 8}}), encoding="utf-8")
+        assert run_cli(["train-embeddings", "--config", config, "--vocab", vocab,
+                        "--corpus", corpus, "--output", tmp_path]) == 1
+        assert "top level" in cli_error(capsys)["message"]
+
+
+class TestCommonOptions:
+    def test_seed_belongs_to_train_embeddings_only(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["rank", "oracle", "--seed", "3"])
+        assert exc.value.code == 2
+        assert "--seed" in capsys.readouterr().err

@@ -377,3 +377,9 @@ class TestPredictionIO:
         path.write_text('{"triple_id": "t1"}\n', encoding="utf-8")
         with pytest.raises(ValueError, match=":1:"):
             load_predictions(path)
+
+    def test_non_object_row_reports_location(self, tmp_path):
+        path = tmp_path / "preds.jsonl"
+        path.write_text('"x"\n', encoding="utf-8")
+        with pytest.raises(ValueError, match=f"{path}:1: expected a JSON object"):
+            load_predictions(path)
