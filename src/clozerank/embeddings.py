@@ -63,28 +63,36 @@ class EmbedTrainConfig:
 
 
 class EmbeddingTable:
-    """Token string -> d-dimensional vector store."""
+    """Token string -> d-dimensional vector store: row entries[token] of matrix."""
 
-    def __init__(self, dim: int, entries=None, metadata=None):
+    def __init__(self, dim: int, tokens=(), matrix=None, metadata=None):
         if dim <= 0:
             raise ValueError(f"dim must be positive, got {dim}")
         self.dim = dim
-        self.entries: dict[str, np.ndarray] = {}
         self.metadata: dict = dict(metadata or {})
-        for token, vec in (entries or {}).items():
-            self.add(token, vec)
+        self.entries: dict[str, int] = {}
+        for row, token in enumerate(tokens):
+            if self.entries.setdefault(token, row) != row:
+                raise ValueError(f"duplicate token {token!r}")
+        self.matrix = np.ascontiguousarray(
+            np.zeros((0, dim)) if matrix is None else matrix, dtype=np.float32)
+        if self.matrix.shape != (len(self), dim):
+            raise ValueError(f"matrix shape {self.matrix.shape} is not ({len(self)}, {dim})")
+        bad = np.flatnonzero(~np.isfinite(self.matrix).all(axis=1))
+        if bad.size:
+            token = list(self.entries)[bad[0]]
+            raise ValueError(f"vector for {token!r} contains NaN/Inf")
 
     def add(self, token: str, vector) -> None:
+        """Append one row. Copies the matrix: build large tables in one go instead."""
         vec = np.asarray(vector, dtype=np.float32)
         if vec.shape != (self.dim,):
             raise ValueError(
                 f"vector for {token!r} has shape {vec.shape}, expected ({self.dim},)"
             )
-        if not np.all(np.isfinite(vec)):
-            raise ValueError(f"vector for {token!r} contains NaN/Inf")
-        if token in self.entries:
-            raise ValueError(f"duplicate token {token!r}")
-        self.entries[token] = vec
+        grown = EmbeddingTable(self.dim, [*self.entries, token],
+                               np.vstack([self.matrix, vec]))
+        self.matrix, self.entries = grown.matrix, grown.entries
 
     def __contains__(self, token: str) -> bool:
         return token in self.entries
@@ -93,14 +101,14 @@ class EmbeddingTable:
         return len(self.entries)
 
     def vector(self, token: str) -> np.ndarray:
-        return self.entries[token]
+        return self.matrix[self.entries[token]]
 
     def scaled(self, factor: float) -> "EmbeddingTable":
         """New table with every vector multiplied by a positive scalar."""
         if factor <= 0:
             raise ValueError("scale factor must be positive")
-        scaled = {t: v * np.float32(factor) for t, v in self.entries.items()}
-        return EmbeddingTable(self.dim, scaled, dict(self.metadata))
+        return EmbeddingTable(self.dim, self.entries, self.matrix * np.float32(factor),
+                              self.metadata)
 
 
 @dataclass
@@ -120,19 +128,17 @@ def compose(table: EmbeddingTable, tokens) -> Composition:
 
     Tokens absent from the table contribute a zero vector and are reported in
     the result instead of raising; candidate strings may contain rare pieces.
+    The present rows are summed in token order, starting from +0.0.
     """
     tokens = list(tokens)
     if not tokens:
         raise ValueError("cannot compose an empty token sequence")
+    rows = [table.entries.get(tok) for tok in tokens]
     total = np.zeros(table.dim, dtype=np.float64)
-    missing = []
-    for tok in tokens:
-        vec = table.entries.get(tok)
-        if vec is None:
-            missing.append(tok)
-        else:
-            total += vec.astype(np.float64)
-    return Composition(total / len(tokens), tuple(missing))
+    for vec in table.matrix[[row for row in rows if row is not None]]:
+        total += vec
+    missing = tuple(tok for tok, row in zip(tokens, rows) if row is None)
+    return Composition(total / len(tokens), missing)
 
 
 def _fnv1a(data: bytes) -> int:
@@ -260,12 +266,11 @@ def train_static_embeddings(tokenized_corpus, vocab: SubwordVocab,
                 np.add.at(vec_out, targets, g[:, None] * hidden)
                 vec_in[rows] += grad_h * inv_rows  # a row listed twice is updated once
 
-    entries = {}
-    for row, tid in enumerate(kept_ids):
-        rows = subword_rows[row]
-        entries[vocab.tokens[tid]] = vec_in[rows].mean(axis=0, dtype=np.float64)
+    means = np.empty((n_tokens, cfg.dim), dtype=np.float32)
+    for row, rows in enumerate(subword_rows):
+        means[row] = vec_in[rows].mean(axis=0, dtype=np.float64)
     return EmbeddingTable(
-        cfg.dim, entries,
+        cfg.dim, [vocab.tokens[tid] for tid in kept_ids], means,
         metadata={"source": "trained", "config": cfg.to_dict()},
     )
 
@@ -280,7 +285,7 @@ def save_table(table: EmbeddingTable, path) -> None:
             )
     with open(path, "w", encoding="utf-8") as f:
         f.write(f"{len(table)} {table.dim}\n")
-        for token, vec in table.entries.items():
+        for token, vec in zip(table.entries, table.matrix):
             values = " ".join(f"{v:.{SERIALIZATION_DECIMALS}f}" for v in vec)
             f.write(f"{token} {values}\n")
 
@@ -296,7 +301,7 @@ def load_table(path, source: str = "loaded") -> EmbeddingTable:
             raise ValueError(f"{path}: malformed header {header!r}") from None
         if dim <= 0 or count < 0:
             raise ValueError(f"{path}: invalid header values {count} {dim}")
-        table = EmbeddingTable(dim, metadata={"source": source})
+        tokens, rows = [], []
         for lineno, line in enumerate(f, start=2):
             parts = line.rstrip("\n").split(" ")
             if len(parts) != dim + 1:
@@ -304,15 +309,14 @@ def load_table(path, source: str = "loaded") -> EmbeddingTable:
                     f"{path}:{lineno}: expected {dim} values, got {len(parts) - 1}"
                 )
             try:
-                vec = np.array([float(x) for x in parts[1:]], dtype=np.float32)
+                rows.append(np.array([float(x) for x in parts[1:]], dtype=np.float32))
             except ValueError:
                 raise ValueError(f"{path}:{lineno}: non-numeric vector value") from None
-            table.add(parts[0], vec)
-        if len(table) != count:
-            raise ValueError(
-                f"{path}: header declares {count} rows, found {len(table)}"
-            )
-    return table
+            tokens.append(parts[0])
+    if len(tokens) != count:
+        raise ValueError(f"{path}: header declares {count} rows, found {len(tokens)}")
+    return EmbeddingTable(dim, tokens, np.array(rows).reshape(count, dim),
+                          metadata={"source": source})
 
 
 def import_external_table(path, expected_vocab: SubwordVocab | None = None) -> EmbeddingTable:

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .embeddings import Composition, EmbeddingTable, compose
+from .embeddings import EmbeddingTable, compose
 from .kb import CandidateSet, Dataset, _read_jsonl, instantiate_query
 from .wordpiece import UNK_TOKEN, SubwordVocab, tokenize
 
@@ -37,21 +37,13 @@ def _rank_items(scores: dict[str, float]) -> list[tuple[str, float]]:
     return sorted(scores.items(), key=lambda item: (-item[1], item[0]))
 
 
-def _cosine(q: np.ndarray, c: np.ndarray) -> tuple[float, bool]:
-    qn = float(np.linalg.norm(q))
-    cn = float(np.linalg.norm(c))
-    if qn == 0.0 or cn == 0.0:
-        # Zero-norm compositions get a fixed floor score instead of NaN.
-        return -1.0, True
-    return float(np.dot(q, c)) / (qn * cn), False
-
-
-def _composed(table: EmbeddingTable, vocab: SubwordVocab, text: str) -> tuple[Composition, bool]:
+def _composed(table: EmbeddingTable, vocab: SubwordVocab, text: str):
+    """The mean piece vector of text, its norm, and whether any piece is OOV."""
     tokens = vocab.ids_to_tokens(tokenize(vocab, text))
     if not tokens:
-        return Composition(np.zeros(table.dim, dtype=np.float64), (text,)), True
+        return np.zeros(table.dim, dtype=np.float64), 0.0, True
     comp = compose(table, tokens)
-    return comp, comp.flagged or UNK_TOKEN in tokens
+    return comp.vector, float(np.linalg.norm(comp.vector)), comp.flagged or UNK_TOKEN in tokens
 
 
 def rank_static(table: EmbeddingTable, vocab: SubwordVocab, dataset: Dataset,
@@ -61,22 +53,26 @@ def rank_static(table: EmbeddingTable, vocab: SubwordVocab, dataset: Dataset,
 
     The template plays no part: the only signal is the subject string. With
     exclude_subject_match a candidate identical to the subject is dropped
-    from that triple's ranking.
+    from that triple's ranking. Each distinct string is composed once.
     """
+    strings = {t.subject for t in dataset.triples()}
+    for rel in dataset.relation_ids:
+        strings.update(candidates[rel])
+    composed = {text: _composed(table, vocab, text) for text in strings}
     predictions = []
     for rel in dataset.relation_ids:
-        cset = candidates[rel]
-        composed_cands = {cand: _composed(table, vocab, cand)[0] for cand in cset}
+        cands = [(cand, *composed[cand][:2]) for cand in candidates[rel]]
         for triple in dataset.triples_by_relation[rel]:
-            query, query_oov = _composed(table, vocab, triple.subject)
+            q, qn, query_oov = composed[triple.subject]
             scores = {}
             zero_norm = False
-            for cand in cset:
+            for cand, c, cn in cands:
                 if exclude_subject_match and cand == triple.subject:
                     continue
-                score, flagged = _cosine(query.vector, composed_cands[cand].vector)
-                zero_norm = zero_norm or flagged
-                scores[cand] = score
+                # Zero-norm compositions get a fixed floor score instead of NaN.
+                zero = qn == 0.0 or cn == 0.0
+                zero_norm = zero_norm or zero
+                scores[cand] = -1.0 if zero else float(np.dot(q, c)) / (qn * cn)
             predictions.append(Prediction(
                 triple_id=triple.id,
                 relation_id=rel,
