@@ -36,6 +36,14 @@ class RunContext:
                 self.config = json.load(f)
             if not isinstance(self.config, dict):
                 raise ValueError(f"{args.config}: config must be a JSON object")
+        for key in sorted(args.flags.keys() & self.config.keys()):  # must fit the type=
+            flag, value = args.flags[key], self.config[key]
+            items = value if flag.nargs and isinstance(value, list) else [value]
+            kinds = int if flag.type is int else (int, float)
+            if any(isinstance(v, bool) or not isinstance(v, kinds) for v in items):
+                raise ValueError(f"{args.config}: config key {key!r} must be "
+                                 f"{flag.type.__name__}, like {flag.option_strings[0]}")
+            self.config[key] = list(map(flag.type, items)) if flag.nargs else flag.type(value)
         self.out = Path(self.get("output", "."))
         self.out.mkdir(parents=True, exist_ok=True)
 
@@ -476,6 +484,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="NAME=metrics.json[,uhn_metrics.json]; repeatable")
     p.set_defaults(func=cmd_report)
 
+    for p in sub.choices.values():
+        p.set_defaults(flags={a.dest: a for a in p._actions if a.type in (int, float)})
     return parser
 
 

@@ -62,6 +62,14 @@ class EmbedTrainConfig:
         }
 
 
+class TableRowError(ValueError):
+    """A table row that fails validation; row is its index in the matrix."""
+
+    def __init__(self, row: int, message: str):
+        super().__init__(message)
+        self.row = row
+
+
 class EmbeddingTable:
     """Token string -> d-dimensional vector store: row entries[token] of matrix."""
 
@@ -73,7 +81,7 @@ class EmbeddingTable:
         self.entries: dict[str, int] = {}
         for row, token in enumerate(tokens):
             if self.entries.setdefault(token, row) != row:
-                raise ValueError(f"duplicate token {token!r}")
+                raise TableRowError(row, f"duplicate token {token!r}")
         self.matrix = np.ascontiguousarray(
             np.zeros((0, dim)) if matrix is None else matrix, dtype=np.float32)
         if self.matrix.shape != (len(self), dim):
@@ -81,17 +89,12 @@ class EmbeddingTable:
         bad = np.flatnonzero(~np.isfinite(self.matrix).all(axis=1))
         if bad.size:
             token = list(self.entries)[bad[0]]
-            raise ValueError(f"vector for {token!r} contains NaN/Inf")
+            raise TableRowError(int(bad[0]), f"vector for {token!r} contains NaN/Inf")
 
     def add(self, token: str, vector) -> None:
         """Append one row. Copies the matrix: build large tables in one go instead."""
-        vec = np.asarray(vector, dtype=np.float32)
-        if vec.shape != (self.dim,):
-            raise ValueError(
-                f"vector for {token!r} has shape {vec.shape}, expected ({self.dim},)"
-            )
         grown = EmbeddingTable(self.dim, [*self.entries, token],
-                               np.vstack([self.matrix, vec]))
+                               np.vstack([self.matrix, vector]))
         self.matrix, self.entries = grown.matrix, grown.entries
 
     def __contains__(self, token: str) -> bool:
@@ -291,7 +294,8 @@ def save_table(table: EmbeddingTable, path) -> None:
 
 
 def load_table(path, source: str = "loaded") -> EmbeddingTable:
-    with open(path, "r", encoding="utf-8") as f:
+    # A value that overflows float32 becomes inf and is rejected as non-finite.
+    with open(path, "r", encoding="utf-8") as f, np.errstate(over="ignore"):
         header = f.readline().split()
         if len(header) != 2:
             raise ValueError(f"{path}: malformed header {header!r}")
@@ -315,8 +319,11 @@ def load_table(path, source: str = "loaded") -> EmbeddingTable:
             tokens.append(parts[0])
     if len(tokens) != count:
         raise ValueError(f"{path}: header declares {count} rows, found {len(tokens)}")
-    return EmbeddingTable(dim, tokens, np.array(rows).reshape(count, dim),
-                          metadata={"source": source})
+    try:
+        return EmbeddingTable(dim, tokens, np.array(rows).reshape(count, dim),
+                              metadata={"source": source})
+    except TableRowError as exc:
+        raise ValueError(f"{path}:{exc.row + 2}: {exc}") from None
 
 
 def import_external_table(path, expected_vocab: SubwordVocab | None = None) -> EmbeddingTable:

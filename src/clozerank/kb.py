@@ -3,6 +3,7 @@
 import json
 import logging
 import operator
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -11,6 +12,8 @@ logger = logging.getLogger(__name__)
 SUBJECT_SLOT = "[X]"
 OBJECT_SLOT = "[Y]"
 MASK = "[MASK]"
+# A surrogate code point in a str has no UTF-8 encoding.
+NOT_UTF8 = re.compile("[\ud800-\udfff]")
 
 
 @dataclass(frozen=True)
@@ -24,8 +27,9 @@ class Triple:
 
     def __post_init__(self):
         for name in ("id", "subject", "relation_id", "object"):
-            if not getattr(self, name):
-                raise ValueError(f"triple field {name} must be non-empty")
+            value = getattr(self, name)
+            if not isinstance(value, str) or not value or NOT_UTF8.search(value):
+                raise ValueError(f"triple field {name} must be a non-empty UTF-8 string")
 
 
 @dataclass(frozen=True)
@@ -91,11 +95,12 @@ class Dataset:
         return {t.id: t for t in self.triples()}
 
 
-def _read_jsonl(path, *fields):
+def _read_jsonl(path, *fields, text=()):
     """Yield (lineno, row, values) for each non-blank line of a JSONL file.
 
     Every line must be a JSON object holding all of fields (two or more);
-    values is the tuple of those fields. Errors name path:line.
+    values is the tuple of those fields. The keys named in text must, where
+    present, hold strings that UTF-8 can encode. Errors name path:line.
     """
     pick = operator.itemgetter(*fields)
     with open(path, "r", encoding="utf-8") as f:
@@ -114,6 +119,11 @@ def _read_jsonl(path, *fields):
                 values = pick(row)
             except KeyError as exc:
                 raise ValueError(f"{path}:{lineno}: missing field {exc}") from None
+            for name in text:
+                value = row.get(name, "")
+                if not isinstance(value, str) or NOT_UTF8.search(value):
+                    raise ValueError(f"{path}:{lineno}: {name} must be a UTF-8 string, "
+                                     f"got {value!r}")
             yield lineno, row, values
 
 
@@ -125,7 +135,8 @@ def ingest_dataset(triples_path, templates_path, language_tag: str = "en") -> Da
     counting that relation's triples in file order.
     """
     relations: dict[str, RelationSpec] = {}
-    for lineno, _, (rel, template) in _read_jsonl(templates_path, "relation", "template"):
+    for lineno, _, (rel, template) in _read_jsonl(
+            templates_path, "relation", "template", text=("relation", "template")):
         spec = RelationSpec(relation_id=rel, template=template)
         if spec.relation_id in relations:
             raise ValueError(
@@ -137,7 +148,8 @@ def ingest_dataset(triples_path, templates_path, language_tag: str = "en") -> Da
     seen_ids: set[str] = set()
     unknown: dict[str, int] = {}
     for lineno, row, (rel, subject, obj) in _read_jsonl(
-            triples_path, "predicate_id", "sub_label", "obj_label"):
+            triples_path, "predicate_id", "sub_label", "obj_label",
+            text=("id", "predicate_id")):
         for name, label in (("sub_label", subject), ("obj_label", obj)):
             if isinstance(label, str) and not label.strip():
                 raise ValueError(f"{triples_path}:{lineno}: blank {name} {label!r}")

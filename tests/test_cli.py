@@ -549,3 +549,64 @@ class TestCommonOptions:
             run_cli(["rank", "oracle", "--seed", "3"])
         assert exc.value.code == 2
         assert "--seed" in capsys.readouterr().err
+
+
+class TestConfigTypes:
+    """Config values must have the type of the flag with the same name."""
+
+    @pytest.mark.parametrize("key, value", [
+        ("dim", "8"), ("dim", 8.0), ("epochs", True), ("lr", "0.1"), ("seed", None),
+    ])
+    def test_mistyped_value_rejected(self, tmp_path, capsys, key, value):
+        vocab, corpus = write_tiny_training_setup(tmp_path)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"vocab": str(vocab), "corpus": str(corpus),
+                                      **TestTrainEmbeddingsConfig.FLAGS, key: value}),
+                          encoding="utf-8")
+        assert run_cli(["train-embeddings", "--config", config,
+                        "--output", tmp_path / "out"]) == 1
+        record = cli_error(capsys)
+        assert record["error"] == "ValueError"
+        assert record["message"].startswith(f"{config}: config key {key!r}")
+
+    def test_list_flag_takes_a_list_of_its_type(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_text("anna maria\n" * 5, encoding="utf-8")
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"corpus": str(corpus), "vocab_sizes": [9, "12"]}),
+                          encoding="utf-8")
+        assert run_cli(["build-vocab", "--config", config, "--output", tmp_path]) == 1
+        assert "config key 'vocab_sizes'" in cli_error(capsys)["message"]
+
+    def test_integer_lr_checksum_matches_flag(self, tmp_path):
+        vocab, corpus = write_tiny_training_setup(tmp_path)
+        settings = dict(TestTrainEmbeddingsConfig.FLAGS, lr=1)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"vocab": str(vocab), "corpus": str(corpus),
+                                      **settings}), encoding="utf-8")
+        assert run_cli(["train-embeddings", "--config", config,
+                        "--output", tmp_path / "config"]) == 0
+        flags = []
+        for key, value in settings.items():
+            flags += [f"--{key.replace('_', '-')}", value]
+        assert run_cli(["train-embeddings", "--vocab", vocab, "--corpus", corpus,
+                        *flags, "--output", tmp_path / "flags"]) == 0
+        from_config, from_flags = (read_json(tmp_path / side / "train_embeddings_manifest.json")
+                                   for side in ("config", "flags"))
+        assert from_config["settings"]["embed"]["learning_rate"] == 1.0
+        assert from_config["config_checksum"] == from_flags["config_checksum"]
+
+
+class TestUnencodableLabel:
+    def test_lone_surrogate_rejected_before_any_output(self, tmp_path, capsys):
+        triples = tmp_path / "triples.jsonl"
+        triples.write_text(json.dumps({"sub_label": "anna", "obj_label": "\ud800x",
+                                       "predicate_id": "P1"}) + "\n", encoding="utf-8")
+        templates = tmp_path / "templates.jsonl"
+        templates.write_text(json.dumps({"relation": "P1", "template": "[X] in [Y] ."})
+                             + "\n", encoding="utf-8")
+        out = tmp_path / "out"
+        assert run_cli(["rank", "oracle", "--triples", triples, "--templates", templates,
+                        "--output", out]) == 1
+        assert cli_error(capsys)["message"].startswith(f"{triples}:1: ")
+        assert not (out / "predictions_oracle.jsonl").exists()

@@ -453,3 +453,46 @@ class TestTableValidation:
         table.add("a", np.ones(2, dtype=np.float32))
         with pytest.raises(ValueError):
             table.scaled(0.0)
+
+
+class TestMatrixTable:
+    def assert_one_matrix(self, table):
+        assert isinstance(table.matrix, np.ndarray)
+        assert table.matrix.dtype == np.float32
+        assert table.matrix.flags["C_CONTIGUOUS"]
+        assert table.matrix.shape == (len(table), table.dim)
+        assert sorted(table.entries.values()) == list(range(len(table)))
+        for token, row in table.entries.items():
+            assert np.array_equal(table.vector(token), table.matrix[row])
+
+    def test_loaded_table_is_one_matrix(self):
+        table = load_table(FIXTURES / "mini_table.vec")
+        assert len(table) > 1
+        self.assert_one_matrix(table)
+
+    def test_trained_table_is_one_matrix(self):
+        vocab = make_vocab(["aa", "bb", "cc", "dd"])
+        corpus = cooccurrence_corpus(vocab)
+        cfg = EmbedTrainConfig(dim=16, window=2, negatives=3, epochs=1, min_count=1,
+                               char_ngram_min=3, char_ngram_max=4, ngram_buckets=50)
+        table = train_static_embeddings(corpus, vocab, cfg)
+        assert sorted(table.entries) == ["aa", "bb", "cc", "dd"]
+        self.assert_one_matrix(table)
+
+    def test_scaled_and_added_tables_stay_one_matrix(self):
+        table = make_table({"a": [1.0, 2.0], "b": [3.0, 4.0]}, 2)
+        self.assert_one_matrix(table)
+        self.assert_one_matrix(table.scaled(0.5))
+
+    def test_duplicate_token_reports_line(self, tmp_path):
+        path = tmp_path / "dup.vec"
+        path.write_text("3 2\na 1 2\nb 3 4\na 5 6\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=f"{path}:4: duplicate token 'a'"):
+            load_table(path)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e40"])
+    def test_non_finite_value_reports_line(self, tmp_path, value):
+        path = tmp_path / "bad.vec"
+        path.write_text(f"3 2\na 1 2\nb 3 {value}\nc 5 6\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=f"{path}:3: vector for 'b' contains NaN/Inf"):
+            load_table(path)

@@ -1,4 +1,6 @@
+import json
 import random
+import re
 
 import pytest
 
@@ -215,3 +217,45 @@ class TestQueries:
         spec = RelationSpec("P19", "[X] was born in [Y] .")
         with pytest.raises(ValueError):
             instantiate_query(spec, "Ada", mask_count=0)
+
+
+class TestLabelTypes:
+    """Label fields must be strings that UTF-8 can encode, else path:line at ingest."""
+
+    def ingest(self, tmp_path, triple, template=BIRTHPLACE):
+        # json.dumps escapes lone surrogates, so the files themselves are valid UTF-8.
+        tpath = tmp_path / "triples.jsonl"
+        tpath.write_text(json.dumps(triple) + "\n", encoding="utf-8")
+        mpath = tmp_path / "templates.jsonl"
+        mpath.write_text(json.dumps(template) + "\n", encoding="utf-8")
+        return tpath, mpath
+
+    @pytest.mark.parametrize("field, value", [
+        ("predicate_id", ["P19"]),
+        ("predicate_id", None),
+        ("sub_label", 5),
+        ("sub_label", ["Ada"]),
+        ("obj_label", "\ud800x"),
+        ("id", 7),
+        ("id", "t\udc80"),
+    ])
+    def test_triple_field_rejected_with_location(self, tmp_path, field, value):
+        row = dict(triple_row("Ada", "P19", "London"), **{field: value})
+        tpath, mpath = self.ingest(tmp_path, row)
+        with pytest.raises(ValueError, match=re.escape(f"{tpath}:1: ")):
+            ingest_dataset(tpath, mpath)
+
+    @pytest.mark.parametrize("field, value", [
+        ("relation", 19), ("relation", "P\ud83d"), ("template", None),
+        ("template", ["[X] was born in [Y] ."]),
+    ])
+    def test_template_field_rejected_with_location(self, tmp_path, field, value):
+        tpath, mpath = self.ingest(tmp_path, triple_row("Ada", "P19", "London"),
+                                   dict(BIRTHPLACE, **{field: value}))
+        with pytest.raises(ValueError, match=re.escape(f"{mpath}:1: {field} must be")):
+            ingest_dataset(tpath, mpath)
+
+    def test_astral_labels_accepted(self, tmp_path):
+        tpath, mpath = self.ingest(tmp_path, triple_row("\U0001f600 Ada", "P19", "Lon\u00e9"))
+        (triple,) = ingest_dataset(tpath, mpath).triples()
+        assert (triple.subject, triple.object) == ("\U0001f600 Ada", "Lon\u00e9")

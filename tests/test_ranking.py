@@ -5,6 +5,7 @@ import random
 import numpy as np
 import pytest
 
+from clozerank import ranking
 from clozerank.embeddings import EmbeddingTable
 from clozerank.kb import CandidateSet, build_candidates
 from clozerank.ranking import (
@@ -383,3 +384,30 @@ class TestPredictionIO:
         path.write_text('"x"\n', encoding="utf-8")
         with pytest.raises(ValueError, match=f"{path}:1: expected a JSON object"):
             load_predictions(path)
+
+
+class TestComposeOnce:
+    def test_each_distinct_string_composed_once(self, tmp_path, monkeypatch):
+        # Three P1 triples share the subject aa; P1 and P2 share bb and cc.
+        rows = [triple_row("aa", "bb"), triple_row("aa", "cc"), triple_row("aa", "dd"),
+                triple_row("ee", "bb", "P2"), triple_row("ff", "cc", "P2")]
+        ds = make_dataset(tmp_path, rows, [TEMPLATE, dict(TEMPLATE, relation="P2")])
+        cands = build_candidates(ds)
+        words = ["aa", "bb", "cc", "dd", "ee", "ff"]
+        vocab = make_vocab(words)
+        table = make_table({w: [i + 1.0, 1.0] for i, w in enumerate(words)})
+        expected = rank_static(table, vocab, ds, cands)
+
+        calls = []
+
+        original = ranking.compose
+
+        def counting(table, tokens):
+            calls.append(tuple(tokens))
+            return original(table, tokens)
+
+        monkeypatch.setattr(ranking, "compose", counting)
+        predictions = rank_static(table, vocab, ds, cands)
+        assert sorted(calls) == [(w,) for w in words]
+        assert [(p.triple_id, p.ranked, p.flags) for p in predictions] == \
+            [(p.triple_id, p.ranked, p.flags) for p in expected]
