@@ -36,7 +36,7 @@ class RunContext:
                 self.config = json.load(f)
             if not isinstance(self.config, dict):
                 raise ValueError(f"{args.config}: config must be a JSON object")
-        for key in sorted(args.flags.keys() & self.config.keys()):  # must fit the type=
+        for key in sorted(args.flags.keys() & self.config.keys()):  # typed like its flag
             flag, value = args.flags[key], self.config[key]
             items = value if flag.nargs and isinstance(value, list) else [value]
             kinds = int if flag.type is int else (int, float)

@@ -12,8 +12,8 @@ logger = logging.getLogger(__name__)
 SUBJECT_SLOT = "[X]"
 OBJECT_SLOT = "[Y]"
 MASK = "[MASK]"
-# A surrogate code point in a str has no UTF-8 encoding.
-NOT_UTF8 = re.compile("[\ud800-\udfff]")
+# A str holding a surrogate code point has no UTF-8 encoding.
+_SURROGATE = re.compile("[\ud800-\udfff]")
 
 
 @dataclass(frozen=True)
@@ -28,7 +28,7 @@ class Triple:
     def __post_init__(self):
         for name in ("id", "subject", "relation_id", "object"):
             value = getattr(self, name)
-            if not isinstance(value, str) or not value or NOT_UTF8.search(value):
+            if not isinstance(value, str) or not value or _SURROGATE.search(value):
                 raise ValueError(f"triple field {name} must be a non-empty UTF-8 string")
 
 
@@ -121,7 +121,7 @@ def _read_jsonl(path, *fields, text=()):
                 raise ValueError(f"{path}:{lineno}: missing field {exc}") from None
             for name in text:
                 value = row.get(name, "")
-                if not isinstance(value, str) or NOT_UTF8.search(value):
+                if not isinstance(value, str) or _SURROGATE.search(value):
                     raise ValueError(f"{path}:{lineno}: {name} must be a UTF-8 string, "
                                      f"got {value!r}")
             yield lineno, row, values
