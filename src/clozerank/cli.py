@@ -13,12 +13,7 @@ import json
 import sys
 from pathlib import Path
 
-from . import embeddings, energy, kb, metrics, ranking, wordpiece
-
-
-def _write_json(path: Path, obj, ensure_ascii: bool = False) -> None:
-    path.write_text(json.dumps(obj, ensure_ascii=ensure_ascii, indent=2, sort_keys=True)
-                    + "\n", encoding="utf-8")
+from . import embeddings, energy, jsonio, kb, metrics, ranking, wordpiece
 
 
 class RunContext:
@@ -30,12 +25,7 @@ class RunContext:
 
     def __init__(self, args):
         self.args = args
-        self.config = {}
-        if args.config is not None:
-            with open(args.config, "r", encoding="utf-8") as f:
-                self.config = json.load(f)
-            if not isinstance(self.config, dict):
-                raise ValueError(f"{args.config}: config must be a JSON object")
+        self.config = {} if args.config is None else jsonio.read_json(args.config)
         for key in sorted(args.flags.keys() & self.config.keys()):  # typed like its flag
             flag, value = args.flags[key], self.config[key]
             items = value if flag.nargs and isinstance(value, list) else [value]
@@ -78,7 +68,7 @@ class RunContext:
     def finish(self, settings: dict, inputs, outputs, message: str) -> int:
         command = self.args.command
         # Manifests escape non-ASCII paths; the other JSON artifacts keep them.
-        _write_json(self.out / f"{command.replace('-', '_')}_manifest.json", {
+        jsonio.write_json(self.out / f"{command.replace('-', '_')}_manifest.json", {
             "command": command,
             "config_checksum": self.checksum(settings),
             "settings": settings,
@@ -128,14 +118,10 @@ def cmd_tokenize(ctx: RunContext) -> int:
 
     settings = {"vocab": str(vocab_path), "input": str(text_path)}
     out_path = ctx.out / "tokens.jsonl"
-    with open(text_path, "r", encoding="utf-8") as fin, \
-            open(out_path, "w", encoding="utf-8") as fout:
-        for line in fin:
-            ids = wordpiece.tokenize(vocab, line)
-            fout.write(json.dumps({
-                "token_ids": ids,
-                "tokens": vocab.ids_to_tokens(ids),
-            }, ensure_ascii=False) + "\n")
+    with open(text_path, "r", encoding="utf-8") as fin:
+        ids_per_line = (wordpiece.tokenize(vocab, line) for line in fin)
+        jsonio.write_jsonl(out_path, ({"token_ids": ids, "tokens": vocab.ids_to_tokens(ids)}
+                                      for ids in ids_per_line))
     return ctx.finish(settings, [vocab_path, text_path], [out_path],
                       f"tokenized {text_path} -> {out_path}")
 
@@ -181,7 +167,7 @@ def cmd_build_candidates(ctx: RunContext) -> int:
 
     settings = {"inputs": [str(p) for p in inputs]}
     out_path = ctx.out / "candidates.json"
-    _write_json(out_path, {
+    jsonio.write_json(out_path, {
         "config_checksum": ctx.checksum(settings),
         "candidates": {rel: list(cset) for rel, cset in candidates.items()},
     })
@@ -237,7 +223,7 @@ def cmd_rank(ctx: RunContext) -> int:
     out_path = ctx.out / f"predictions_{mode}.jsonl"
     meta_path = ctx.out / f"predictions_{mode}.meta.json"
     ranking.save_predictions(predictions, out_path)
-    _write_json(meta_path, {
+    jsonio.write_json(meta_path, {
         "config_checksum": ctx.checksum(settings),
         "mode": mode,
         "n_predictions": len(predictions),
@@ -252,8 +238,7 @@ def cmd_stub_score(ctx: RunContext) -> int:
     lookup = None
     inputs = [manifest_path]
     if lookup_path is not None:
-        with open(lookup_path, "r", encoding="utf-8") as f:
-            lookup = json.load(f)
+        lookup = jsonio.read_json(lookup_path)
         inputs.append(lookup_path)
 
     settings = {"manifest": str(manifest_path),
@@ -334,7 +319,7 @@ def cmd_energy(ctx: RunContext) -> int:
     }
     payload["config_checksum"] = ctx.checksum(settings)
     out_path = ctx.out / "energy.json"
-    _write_json(out_path, payload)
+    jsonio.write_json(out_path, payload)
     return ctx.finish(settings, [], [out_path],
                       f"{payload['run']['energy_kwh']:.4f} kWh, "
                       f"{payload['run']['co2e']:.4f} CO2e -> {out_path}")

@@ -1,12 +1,11 @@
 """Subword-augmented skip-gram embeddings: training, composition, I/O."""
 
-import json
 from collections import Counter
-from dataclasses import dataclass
-from pathlib import Path
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from .jsonio import write_json
 from .wordpiece import SubwordVocab
 
 SERIALIZATION_DECIMALS = 5
@@ -48,18 +47,7 @@ class EmbedTrainConfig:
         return self.char_ngram_min > 0 and self.char_ngram_max > 0
 
     def to_dict(self) -> dict:
-        return {
-            "dim": self.dim,
-            "window": self.window,
-            "negatives": self.negatives,
-            "epochs": self.epochs,
-            "learning_rate": self.learning_rate,
-            "min_count": self.min_count,
-            "char_ngram_min": self.char_ngram_min,
-            "char_ngram_max": self.char_ngram_max,
-            "ngram_buckets": self.ngram_buckets,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
 
 class TableRowError(ValueError):
@@ -336,9 +324,4 @@ def import_external_table(path, expected_vocab: SubwordVocab | None = None) -> E
 
 
 def save_table_metadata(table: EmbeddingTable, path) -> None:
-    meta = dict(table.metadata)
-    meta["dim"] = table.dim
-    meta["count"] = len(table)
-    Path(path).write_text(
-        json.dumps(meta, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    write_json(path, {**table.metadata, "dim": table.dim, "count": len(table)}, ensure_ascii=True)

@@ -1,19 +1,16 @@
 """KB ingestion: triples, relation templates, typed candidate sets, queries."""
 
-import json
 import logging
-import operator
-import re
 from dataclasses import dataclass, field
 from pathlib import Path
+
+from .jsonio import is_utf8_text, read_jsonl
 
 logger = logging.getLogger(__name__)
 
 SUBJECT_SLOT = "[X]"
 OBJECT_SLOT = "[Y]"
 MASK = "[MASK]"
-# A str holding a surrogate code point has no UTF-8 encoding.
-_SURROGATE = re.compile("[\ud800-\udfff]")
 
 
 @dataclass(frozen=True)
@@ -28,7 +25,7 @@ class Triple:
     def __post_init__(self):
         for name in ("id", "subject", "relation_id", "object"):
             value = getattr(self, name)
-            if not isinstance(value, str) or not value or _SURROGATE.search(value):
+            if not is_utf8_text(value) or not value:
                 raise ValueError(f"triple field {name} must be a non-empty UTF-8 string")
 
 
@@ -95,38 +92,6 @@ class Dataset:
         return {t.id: t for t in self.triples()}
 
 
-def _read_jsonl(path, *fields, text=()):
-    """Yield (lineno, row, values) for each non-blank line of a JSONL file.
-
-    Every line must be a JSON object holding all of fields (two or more);
-    values is the tuple of those fields. The keys named in text must, where
-    present, hold strings that UTF-8 can encode. Errors name path:line.
-    """
-    pick = operator.itemgetter(*fields)
-    with open(path, "r", encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            if not line.strip():
-                continue
-            try:
-                row = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{path}:{lineno}: malformed JSON line: {exc}") from None
-            if not isinstance(row, dict):
-                raise ValueError(
-                    f"{path}:{lineno}: expected a JSON object, got {type(row).__name__}"
-                )
-            try:
-                values = pick(row)
-            except KeyError as exc:
-                raise ValueError(f"{path}:{lineno}: missing field {exc}") from None
-            for name in text:
-                value = row.get(name, "")
-                if not isinstance(value, str) or _SURROGATE.search(value):
-                    raise ValueError(f"{path}:{lineno}: {name} must be a UTF-8 string, "
-                                     f"got {value!r}")
-            yield lineno, row, values
-
-
 def ingest_dataset(triples_path, templates_path, language_tag: str = "en") -> Dataset:
     """Load triples and templates; every triple's relation must have a template.
 
@@ -135,7 +100,7 @@ def ingest_dataset(triples_path, templates_path, language_tag: str = "en") -> Da
     counting that relation's triples in file order.
     """
     relations: dict[str, RelationSpec] = {}
-    for lineno, _, (rel, template) in _read_jsonl(
+    for lineno, _, (rel, template) in read_jsonl(
             templates_path, "relation", "template", text=("relation", "template")):
         spec = RelationSpec(relation_id=rel, template=template)
         if spec.relation_id in relations:
@@ -147,7 +112,7 @@ def ingest_dataset(triples_path, templates_path, language_tag: str = "en") -> Da
     triples_by_relation: dict[str, list[Triple]] = {}
     seen_ids: set[str] = set()
     unknown: dict[str, int] = {}
-    for lineno, row, (rel, subject, obj) in _read_jsonl(
+    for lineno, row, (rel, subject, obj) in read_jsonl(
             triples_path, "predicate_id", "sub_label", "obj_label",
             text=("id", "predicate_id")):
         for name, label in (("sub_label", subject), ("obj_label", obj)):

@@ -5,11 +5,11 @@ as much as large ones. Bucket accuracies are the one deliberate exception:
 they pool triples across relations.
 """
 
-import json
 import math
 from collections import Counter, defaultdict
-from dataclasses import dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, fields
 
+from .jsonio import read_json, write_json
 from .kb import Dataset
 from .ranking import Prediction
 from .wordpiece import SubwordVocab, tokenize
@@ -121,38 +121,25 @@ class MetricsReport:
     metadata: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "per_relation": self.per_relation,
-            "macro_p1": self.macro_p1,
-            "macro_p5": self.macro_p5,
-            "p1_mf": self.p1_mf,
-            "relations_dropped_by_mf": self.relations_dropped_by_mf,
-            "entropy_bits": self.entropy_bits,
-            "avg_distinct_predictions": self.avg_distinct_predictions,
-            "buckets": {str(k): v for k, v in self.buckets.items()},
-            "metadata": self.metadata,
-        }
+        out = asdict(self)
+        out["buckets"] = {str(k): v for k, v in self.buckets.items()}
+        return out
 
     def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as f:
-            json.dump(self.to_dict(), f, ensure_ascii=False, indent=2, sort_keys=True)
-            f.write("\n")
+        write_json(path, self.to_dict())
 
     @classmethod
     def load(cls, path) -> "MetricsReport":
-        with open(path, "r", encoding="utf-8") as f:
-            raw = json.load(f)
-        return cls(
-            per_relation=raw["per_relation"],
-            macro_p1=raw["macro_p1"],
-            macro_p5=raw["macro_p5"],
-            p1_mf=raw["p1_mf"],
-            relations_dropped_by_mf=raw["relations_dropped_by_mf"],
-            entropy_bits=raw["entropy_bits"],
-            avg_distinct_predictions=raw["avg_distinct_predictions"],
-            buckets={int(k): v for k, v in raw.get("buckets", {}).items()},
-            metadata=raw.get("metadata", {}),
-        )
+        """Read a saved report; every field without a default is required."""
+        raw = read_json(path)
+        try:
+            required = {f.name: raw[f.name] for f in fields(cls)
+                        if f.default_factory is MISSING}
+        except KeyError as exc:
+            raise ValueError(f"{path}: missing key {exc}") from None
+        return cls(**required,
+                   buckets={int(k): v for k, v in raw.get("buckets", {}).items()},
+                   metadata=raw.get("metadata", {}))
 
 
 def compute_report(predictions: list[Prediction], dataset: Dataset,

@@ -1,7 +1,6 @@
 """Candidate ranking: static nearest-neighbor, frequency oracle, MLM adapter."""
 
 import hashlib
-import json
 import math
 from collections import Counter
 from dataclasses import dataclass, field
@@ -9,7 +8,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .embeddings import EmbeddingTable, compose
-from .kb import CandidateSet, Dataset, _read_jsonl, instantiate_query
+from .jsonio import read_jsonl, write_jsonl
+from .kb import CandidateSet, Dataset, instantiate_query
 from .wordpiece import UNK_TOKEN, SubwordVocab, tokenize
 
 
@@ -107,14 +107,13 @@ def export_mlm_manifest(dataset: Dataset, candidates: dict[str, CandidateSet],
     the scorer's vocabulary; rows whose candidate is [UNK]-only are flagged so
     the scorer can skip or special-case them. Returns the row count.
     """
-    rows = 0
-    with open(out_path, "w", encoding="utf-8") as f:
+    def rows():
         for rel in dataset.relation_ids:
             spec = dataset.relations[rel]
             for triple in dataset.triples_by_relation[rel]:
                 for cand in candidates[rel]:
                     token_ids = tokenize(scorer_vocab, cand)
-                    row = {
+                    yield {
                         "triple_id": triple.id,
                         "relation_id": rel,
                         "candidate": cand,
@@ -125,9 +124,7 @@ def export_mlm_manifest(dataset: Dataset, candidates: dict[str, CandidateSet],
                             i == scorer_vocab.unk_id for i in token_ids
                         ),
                     }
-                    f.write(json.dumps(row, ensure_ascii=False) + "\n")
-                    rows += 1
-    return rows
+    return write_jsonl(out_path, rows())
 
 
 @dataclass(frozen=True)
@@ -157,7 +154,7 @@ class MlmScoreRecord:
 
 def read_score_file(path) -> list[MlmScoreRecord]:
     records = []
-    for lineno, _, (triple_id, candidate, logprobs) in _read_jsonl(
+    for lineno, _, (triple_id, candidate, logprobs) in read_jsonl(
             path, "triple_id", "candidate", "token_logprobs"):
         try:
             records.append(MlmScoreRecord(triple_id, candidate, tuple(map(float, logprobs))))
@@ -169,7 +166,7 @@ def read_score_file(path) -> list[MlmScoreRecord]:
 def _check_manifest(manifest_path, by_pair: dict) -> None:
     """Every scored pair needs a manifest row with one mask id per log-prob."""
     unlisted = set(by_pair)
-    for lineno, _, (triple_id, cand, mask_ids) in _read_jsonl(
+    for lineno, _, (triple_id, cand, mask_ids) in read_jsonl(
             manifest_path, "triple_id", "candidate", "mask_token_ids"):
         key = (triple_id, cand)
         unlisted.discard(key)
@@ -243,7 +240,8 @@ def write_stub_scores(manifest_path, out_path, lookup=None) -> int:
 
     lookup maps triple_id -> {candidate: [log-probs]} (or (triple_id,
     candidate) tuples directly); pairs not covered get deterministic filler
-    values. Returns the number of rows written.
+    values. The output is created before the manifest is read. Returns the
+    number of rows written.
     """
     table: dict[tuple[str, str], list[float]] = {}
     for key, value in (lookup or {}).items():
@@ -253,9 +251,8 @@ def write_stub_scores(manifest_path, out_path, lookup=None) -> int:
             for cand, lps in value.items():
                 table[(key, cand)] = list(lps)
 
-    rows = 0
-    with open(out_path, "w", encoding="utf-8") as fout:
-        for lineno, _, (triple_id, cand, mask_ids) in _read_jsonl(
+    def rows():
+        for lineno, _, (triple_id, cand, mask_ids) in read_jsonl(
                 manifest_path, "triple_id", "candidate", "mask_token_ids"):
             key = (triple_id, cand)
             k = max(1, len(mask_ids))
@@ -265,27 +262,22 @@ def write_stub_scores(manifest_path, out_path, lookup=None) -> int:
             elif len(lps) != k:
                 raise ValueError(f"{manifest_path}:{lineno}: lookup for {key!r} has "
                                  f"{len(lps)} log-probs, manifest wants {k}")
-            fout.write(json.dumps({
-                "triple_id": key[0], "candidate": key[1], "token_logprobs": lps,
-            }, ensure_ascii=False) + "\n")
-            rows += 1
-    return rows
+            yield {"triple_id": triple_id, "candidate": cand, "token_logprobs": lps}
+    return write_jsonl(out_path, rows())
 
 
 def save_predictions(predictions, path) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        for pred in predictions:
-            f.write(json.dumps({
-                "triple_id": pred.triple_id,
-                "relation_id": pred.relation_id,
-                "ranked": [[c, s] for c, s in pred.ranked],
-                "flags": pred.flags,
-            }, ensure_ascii=False) + "\n")
+    write_jsonl(path, ({
+        "triple_id": pred.triple_id,
+        "relation_id": pred.relation_id,
+        "ranked": [[c, s] for c, s in pred.ranked],
+        "flags": pred.flags,
+    } for pred in predictions))
 
 
 def load_predictions(path) -> list[Prediction]:
     predictions = []
-    for lineno, row, (triple_id, relation_id, ranked) in _read_jsonl(
+    for lineno, row, (triple_id, relation_id, ranked) in read_jsonl(
             path, "triple_id", "relation_id", "ranked"):
         try:
             ranked = [(c, float(s)) for c, s in ranked]

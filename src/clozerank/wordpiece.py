@@ -1,10 +1,11 @@
 """Wordpiece vocabulary training and greedy longest-match tokenization."""
 
 import hashlib
-import json
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
+
+from .jsonio import write_json
 
 UNK_TOKEN = "[UNK]"
 MASK_TOKEN = "[MASK]"
@@ -30,11 +31,7 @@ class VocabTrainConfig:
             raise ValueError(f"max_word_length must be positive, got {self.max_word_length}")
 
     def to_dict(self) -> dict:
-        return {
-            "target_size": self.target_size,
-            "min_frequency": self.min_frequency,
-            "max_word_length": self.max_word_length,
-        }
+        return asdict(self)
 
 
 class SubwordVocab:
@@ -290,7 +287,4 @@ def save_vocab_with_sidecar(vocab: SubwordVocab, cfg: VocabTrainConfig,
     }
     if extra:
         sidecar.update(extra)
-    sidecar_path = Path(str(vocab_path) + ".json")
-    sidecar_path.write_text(
-        json.dumps(sidecar, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    write_json(f"{vocab_path}.json", sidecar, ensure_ascii=True)

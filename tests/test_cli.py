@@ -610,3 +610,51 @@ class TestUnencodableLabel:
                         "--output", out]) == 1
         assert cli_error(capsys)["message"].startswith(f"{triples}:1: ")
         assert not (out / "predictions_oracle.jsonl").exists()
+
+
+def evaluate_oracle_metrics(out):
+    """Rank the mini fixture with the oracle and evaluate it; return metrics.json."""
+    kb_args = ["--triples", MINI["triples"], "--templates", MINI["templates"]]
+    assert run_cli(["rank", "oracle", *kb_args, "--output", out]) == 0
+    assert run_cli(["evaluate", *kb_args, "--output", out,
+                    "--predictions", out / "predictions_oracle.jsonl"]) == 0
+    return out / "metrics.json"
+
+
+class TestJsonObjectFiles:
+    """--config, --lookup and report's metrics files must hold one JSON object."""
+
+    def run_with(self, tmp_path, role, path):
+        if role == "config":
+            argv = ["energy", "--config", path, "--watts", "618", "--hours", "5"]
+        elif role == "lookup":
+            manifest, _ = export_and_stub_score(tmp_path / "mlm")
+            argv = ["stub-score", "--manifest", manifest, "--lookup", path]
+        else:
+            argv = ["report", "--run", f"oracle={path}"]
+        return run_cli([*argv, "--output", tmp_path / "out"])
+
+    @pytest.mark.parametrize("role, content, problem", [
+        ("config", '{"watts": 618,', "malformed JSON"),
+        ("lookup", '{"P19#0": ', "malformed JSON"),
+        ("lookup", "[1, 2]", "expected a JSON object, got list"),
+        ("metrics", "{,}", "malformed JSON"),
+        ("metrics", '"metrics"', "expected a JSON object, got str"),
+    ], ids=["config-malformed", "lookup-malformed", "lookup-list", "metrics-malformed",
+            "metrics-str"])
+    def test_bad_file_names_its_path(self, tmp_path, capsys, role, content, problem):
+        path = tmp_path / f"{role}.json"
+        path.write_text(content, encoding="utf-8")
+        assert self.run_with(tmp_path, role, path) == 1
+        record = cli_error(capsys)
+        assert record["error"] == "ValueError"
+        assert record["message"].startswith(f"{path}: {problem}")
+
+    def test_metrics_file_missing_key(self, tmp_path, capsys):
+        metrics_path = evaluate_oracle_metrics(tmp_path / "eval")
+        report = read_json(metrics_path)
+        del report["per_relation"]
+        metrics_path.write_text(json.dumps(report), encoding="utf-8")
+        assert self.run_with(tmp_path, "metrics", metrics_path) == 1
+        assert cli_error(capsys)["message"] == f"{metrics_path}: missing key 'per_relation'"
+
