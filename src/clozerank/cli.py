@@ -15,6 +15,9 @@ from pathlib import Path
 
 from . import embeddings, energy, jsonio, kb, metrics, ranking, wordpiece
 
+# evaluate's "metrics" config object turns these metrics off with false.
+_METRIC_TOGGLES = ("p5", "mf", "diversity", "buckets")
+
 
 class RunContext:
     """One command run: its flags, config file and output directory.
@@ -28,12 +31,16 @@ class RunContext:
         self.config = {} if args.config is None else jsonio.read_json(args.config)
         for key in sorted(args.flags.keys() & self.config.keys()):  # typed like its flag
             flag, value = args.flags[key], self.config[key]
+            kind = flag.type or bool  # a store_true flag has no type
             items = value if flag.nargs and isinstance(value, list) else [value]
-            kinds = int if flag.type is int else (int, float)
-            if any(isinstance(v, bool) or not isinstance(v, kinds) for v in items):
+            kinds = {bool: bool, int: int, float: (int, float)}[kind]
+            # bool subclasses int, so true and false fit only a store_true flag.
+            if not items or any(isinstance(v, bool) != (kind is bool)
+                                or not isinstance(v, kinds) for v in items):
                 raise ValueError(f"{args.config}: config key {key!r} must be "
-                                 f"{flag.type.__name__}, like {flag.option_strings[0]}")
-            self.config[key] = list(map(flag.type, items)) if flag.nargs else flag.type(value)
+                                 f"{'one or more ' if flag.nargs else ''}{kind.__name__}, "
+                                 f"like {flag.option_strings[0]}")
+            self.config[key] = list(map(kind, items)) if flag.nargs else kind(value)
         self.out = Path(self.get("output", "."))
         self.out.mkdir(parents=True, exist_ok=True)
 
@@ -199,7 +206,7 @@ def cmd_rank(ctx: RunContext) -> int:
         vocab_path = ctx.require("vocab")
         table = embeddings.load_table(table_path)
         vocab = wordpiece.SubwordVocab.load(vocab_path)
-        exclude = bool(ctx.get("exclude_subject_match", False))
+        exclude = ctx.get("exclude_subject_match", False)
         settings.update({"table": str(table_path), "vocab": str(vocab_path),
                          "exclude_subject_match": exclude})
         inputs += [table_path, vocab_path]
@@ -254,13 +261,18 @@ def cmd_evaluate(ctx: RunContext) -> int:
     predictions = ranking.load_predictions(predictions_path)
     inputs.append(predictions_path)
 
-    toggles = dict(ctx.config.get("metrics", {}))
+    chosen = ctx.config.get("metrics", {})
+    if not (isinstance(chosen, dict) and chosen.keys() <= set(_METRIC_TOGGLES)
+            and all(isinstance(v, bool) for v in chosen.values())):
+        raise ValueError(f"{ctx.args.config}: config key 'metrics' must be an object "
+                         f"mapping some of {', '.join(_METRIC_TOGGLES)} to true or false")
+    toggles = {key: chosen.get(key, True) for key in _METRIC_TOGGLES}
     for key in ("p5", "mf", "diversity"):
-        if getattr(ctx.args, f"no_{key}", False):
+        if getattr(ctx.args, f"no_{key}"):
             toggles[key] = False
     vocab_path = ctx.get("vocab")
     vocab = None
-    if vocab_path is not None and toggles.get("buckets", True):
+    if vocab_path is not None and toggles["buckets"]:
         vocab = wordpiece.SubwordVocab.load(vocab_path)
         inputs.append(vocab_path)
 
@@ -268,14 +280,11 @@ def cmd_evaluate(ctx: RunContext) -> int:
         "inputs": [str(p) for p in inputs],
         "predictions": str(predictions_path),
         "vocab": str(vocab_path) if vocab_path else None,
-        "toggles": {k: bool(toggles.get(k, True))
-                    for k in ("p5", "mf", "diversity", "buckets")},
+        "toggles": toggles,
     }
     report = metrics.compute_report(
-        predictions, dataset, vocab=vocab,
-        with_p5=toggles.get("p5", True),
-        with_mf=toggles.get("mf", True),
-        with_diversity=toggles.get("diversity", True),
+        predictions, dataset, vocab=vocab, with_p5=toggles["p5"],
+        with_mf=toggles["mf"], with_diversity=toggles["diversity"],
     )
     report.metadata["config_checksum"] = ctx.checksum(settings)
     if vocab is not None:
@@ -470,7 +479,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_report)
 
     for p in sub.choices.values():
-        p.set_defaults(flags={a.dest: a for a in p._actions if a.type in (int, float)})
+        p.set_defaults(flags={a.dest: a for a in p._actions if a.type in (int, float)
+                              or isinstance(a, argparse._StoreTrueAction)})
     return parser
 
 

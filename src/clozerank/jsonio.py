@@ -15,7 +15,7 @@ _SURROGATE = re.compile("[\ud800-\udfff]")
 
 def is_utf8_text(value) -> bool:
     """Whether value is a str that UTF-8 can encode."""
-    return isinstance(value, str) and not _SURROGATE.search(value)
+    return isinstance(value, str) and (value.isascii() or not _SURROGATE.search(value))
 
 
 def read_jsonl(path, *fields, text=()):

@@ -88,9 +88,6 @@ class Dataset:
         for rel in self.relation_ids:
             yield from self.triples_by_relation[rel]
 
-    def triple_by_id(self) -> dict[str, Triple]:
-        return {t.id: t for t in self.triples()}
-
 
 def ingest_dataset(triples_path, templates_path, language_tag: str = "en") -> Dataset:
     """Load triples and templates; every triple's relation must have a template.

@@ -155,7 +155,8 @@ class MlmScoreRecord:
 def read_score_file(path) -> list[MlmScoreRecord]:
     records = []
     for lineno, _, (triple_id, candidate, logprobs) in read_jsonl(
-            path, "triple_id", "candidate", "token_logprobs"):
+            path, "triple_id", "candidate", "token_logprobs",
+            text=("triple_id", "candidate")):
         try:
             records.append(MlmScoreRecord(triple_id, candidate, tuple(map(float, logprobs))))
         except (TypeError, ValueError) as exc:
@@ -167,7 +168,8 @@ def _check_manifest(manifest_path, by_pair: dict) -> None:
     """Every scored pair needs a manifest row with one mask id per log-prob."""
     unlisted = set(by_pair)
     for lineno, _, (triple_id, cand, mask_ids) in read_jsonl(
-            manifest_path, "triple_id", "candidate", "mask_token_ids"):
+            manifest_path, "triple_id", "candidate", "mask_token_ids",
+            text=("triple_id", "candidate")):
         key = (triple_id, cand)
         unlisted.discard(key)
         rec = by_pair.get(key)
@@ -247,13 +249,18 @@ def write_stub_scores(manifest_path, out_path, lookup=None) -> int:
     for key, value in (lookup or {}).items():
         if isinstance(key, tuple):
             table[key] = list(value)
-        else:
-            for cand, lps in value.items():
-                table[(key, cand)] = list(lps)
+            continue
+        if not isinstance(value, dict) or not all(isinstance(lps, list)
+                                                  for lps in value.values()):
+            raise ValueError(f"lookup entry {key!r} must map each candidate to a "
+                             f"list of log-probs, got {value!r}")
+        for cand, lps in value.items():
+            table[(key, cand)] = list(lps)
 
     def rows():
         for lineno, _, (triple_id, cand, mask_ids) in read_jsonl(
-                manifest_path, "triple_id", "candidate", "mask_token_ids"):
+                manifest_path, "triple_id", "candidate", "mask_token_ids",
+                text=("triple_id", "candidate")):
             key = (triple_id, cand)
             k = max(1, len(mask_ids))
             lps = table.get(key)
@@ -278,10 +285,13 @@ def save_predictions(predictions, path) -> None:
 def load_predictions(path) -> list[Prediction]:
     predictions = []
     for lineno, row, (triple_id, relation_id, ranked) in read_jsonl(
-            path, "triple_id", "relation_id", "ranked"):
+            path, "triple_id", "relation_id", "ranked", text=("triple_id", "relation_id")):
         try:
-            ranked = [(c, float(s)) for c, s in ranked]
+            pairs = [(c, float(s)) for c, s in ranked if type(c) is str]
         except (TypeError, ValueError) as exc:
             raise ValueError(f"{path}:{lineno}: malformed prediction: {exc}") from None
-        predictions.append(Prediction(triple_id, relation_id, ranked, row.get("flags", {})))
+        if not pairs or len(pairs) != len(ranked):
+            raise ValueError(f"{path}:{lineno}: ranked must be a non-empty list of "
+                             "[label, score] pairs with string labels")
+        predictions.append(Prediction(triple_id, relation_id, pairs, row.get("flags", {})))
     return predictions

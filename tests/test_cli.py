@@ -612,15 +612,6 @@ class TestUnencodableLabel:
         assert not (out / "predictions_oracle.jsonl").exists()
 
 
-def evaluate_oracle_metrics(out):
-    """Rank the mini fixture with the oracle and evaluate it; return metrics.json."""
-    kb_args = ["--triples", MINI["triples"], "--templates", MINI["templates"]]
-    assert run_cli(["rank", "oracle", *kb_args, "--output", out]) == 0
-    assert run_cli(["evaluate", *kb_args, "--output", out,
-                    "--predictions", out / "predictions_oracle.jsonl"]) == 0
-    return out / "metrics.json"
-
-
 class TestJsonObjectFiles:
     """--config, --lookup and report's metrics files must hold one JSON object."""
 
@@ -651,10 +642,86 @@ class TestJsonObjectFiles:
         assert record["message"].startswith(f"{path}: {problem}")
 
     def test_metrics_file_missing_key(self, tmp_path, capsys):
-        metrics_path = evaluate_oracle_metrics(tmp_path / "eval")
+        metrics_path = evaluate(tmp_path / "eval", rank_static(tmp_path / "eval"))
         report = read_json(metrics_path)
         del report["per_relation"]
         metrics_path.write_text(json.dumps(report), encoding="utf-8")
         assert self.run_with(tmp_path, "metrics", metrics_path) == 1
         assert cli_error(capsys)["message"] == f"{metrics_path}: missing key 'per_relation'"
 
+    @pytest.mark.parametrize("value", [5, {"french": -0.5}, {"french": "-0.5"}],
+                             ids=["number", "candidate-number", "candidate-str"])
+    def test_lookup_value_must_map_candidates_to_lists(self, tmp_path, capsys, value):
+        lookup = tmp_path / "lookup.json"
+        lookup.write_text(json.dumps({"P103#0": value}), encoding="utf-8")
+        assert self.run_with(tmp_path, "lookup", lookup) == 1
+        record = cli_error(capsys)
+        assert record["error"] == "ValueError"
+        assert "lookup entry 'P103#0'" in record["message"]
+
+
+def rewrite_first_row(path, **changes):
+    rows = path.read_text(encoding="utf-8").splitlines()
+    rows[0] = json.dumps({**json.loads(rows[0]), **changes})
+    path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+
+
+class TestLabelTypesInRankingFiles:
+    """Score, manifest and prediction rows reject mistyped labels with path:1:."""
+
+    @pytest.mark.parametrize("command, target, changes", [
+        ("rank-mlm", "scores", {"triple_id": ["P103#0"]}),
+        ("rank-mlm", "manifest", {"candidate": ["french"]}),
+        ("stub-score", "manifest", {"candidate": ["french"]}),
+        ("evaluate", "predictions", {"triple_id": ["P103#0"]}),
+        ("evaluate", "predictions", {"ranked": []}),
+        ("evaluate", "predictions", {"ranked": [[1, 0.5]]}),
+    ], ids=["scores-triple_id", "rank-manifest-candidate", "stub-manifest-candidate",
+            "predictions-triple_id", "predictions-empty-ranked", "predictions-int-label"])
+    def test_mistyped_row_names_path_and_line(self, tmp_path, capsys, command, target,
+                                              changes):
+        kb_args = ["--triples", MINI["triples"], "--templates", MINI["templates"]]
+        paths = {}
+        paths["manifest"], paths["scores"] = export_and_stub_score(tmp_path / "mlm")
+        assert run_cli(["rank", "oracle", *kb_args, "--output", tmp_path / "oracle"]) == 0
+        paths["predictions"] = tmp_path / "oracle" / "predictions_oracle.jsonl"
+        rewrite_first_row(paths[target], **changes)
+        argv = {
+            "rank-mlm": ["rank", "mlm", *kb_args, "--scores", paths["scores"],
+                         "--manifest", paths["manifest"]],
+            "stub-score": ["stub-score", "--manifest", paths["manifest"]],
+            "evaluate": ["evaluate", *kb_args, "--predictions", paths["predictions"]],
+        }[command]
+        assert run_cli([*argv, "--output", tmp_path / "out"]) == 1
+        record = cli_error(capsys)
+        assert record["error"] == "ValueError"
+        assert record["message"].startswith(f"{paths[target]}:1: ")
+
+
+class TestConfigValueShapes:
+    """Boolean flags, the metrics toggles and list flags type their config values."""
+
+    @pytest.mark.parametrize("command, key, value", [
+        ("rank-static", "exclude_subject_match", "false"),
+        ("evaluate", "metrics", 5),
+        ("evaluate", "metrics", {"p5": "no"}),
+        ("evaluate", "metrics", {"p6": False}),
+        ("build-vocab", "vocab_sizes", []),
+    ], ids=["exclude-str", "metrics-number", "metrics-str-toggle", "metrics-unknown-key",
+            "vocab-sizes-empty"])
+    def test_value_rejected_with_path_and_key(self, tmp_path, capsys, command, key, value):
+        kb_args = ["--triples", MINI["triples"], "--templates", MINI["templates"]]
+        assert run_cli(["rank", "oracle", *kb_args, "--output", tmp_path / "oracle"]) == 0
+        argv = {
+            "rank-static": ["rank", "static", *kb_args, "--table", MINI["table"],
+                            "--vocab", MINI["vocab"]],
+            "evaluate": ["evaluate", *kb_args, "--predictions",
+                         tmp_path / "oracle" / "predictions_oracle.jsonl"],
+            "build-vocab": ["build-vocab", "--corpus", MINI["vocab"]],
+        }[command]
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({key: value}), encoding="utf-8")
+        assert run_cli([*argv, "--config", config, "--output", tmp_path / "out"]) == 1
+        record = cli_error(capsys)
+        assert record["error"] == "ValueError"
+        assert record["message"].startswith(f"{config}: config key {key!r} must be")
