@@ -68,7 +68,10 @@ class RunContext:
         inputs = [triples, templates]
         subset = self.get("subset")
         if subset is not None:
-            dataset, _ = kb.apply_subset(dataset, kb.read_subset_ids(subset))
+            dataset, unknown = kb.apply_subset(dataset, kb.read_subset_ids(subset))
+            if unknown:
+                print(f"subset list has {unknown} ids not present in the dataset",
+                      file=sys.stderr)
             inputs.append(subset)
         return dataset, inputs
 
@@ -343,7 +346,11 @@ def _parse_run_spec(spec: str) -> tuple[str, str, str | None]:
 
 
 def cmd_report(ctx: RunContext) -> int:
-    specs = list(ctx.args.run or []) + [str(s) for s in ctx.config.get("runs", [])]
+    runs = ctx.config.get("runs", [])
+    if not (isinstance(runs, list) and all(isinstance(s, str) for s in runs)):
+        raise ValueError(f"{ctx.args.config}: config key 'runs' must be a list of "
+                         "NAME=metrics.json[,uhn.json] strings")
+    specs = list(ctx.args.run or []) + runs
     if not specs:
         raise ValueError("no runs given; pass --run NAME=metrics.json[,uhn.json]")
 

@@ -1,12 +1,33 @@
 """Subword-augmented skip-gram embeddings: training, composition, I/O."""
 
+from __future__ import annotations
+
+import importlib.util
+import sys
 from collections import Counter
 from dataclasses import asdict, dataclass
 
-import numpy as np
-
 from .jsonio import write_json
 from .wordpiece import SubwordVocab
+
+
+def _lazy_import(name: str):
+    """Module name, whose import runs on its first attribute access."""
+    if name in sys.modules:
+        return sys.modules[name]
+    spec = importlib.util.find_spec(name)
+    if spec is None:
+        raise ImportError(f"No module named {name!r}", name=name)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+# The package's only numpy handle, so commands that touch no vector skip numpy's
+# import. Private, so that walking the public attributes does not load it.
+_np = _lazy_import("numpy")
 
 SERIALIZATION_DECIMALS = 5
 
@@ -70,11 +91,11 @@ class EmbeddingTable:
         for row, token in enumerate(tokens):
             if self.entries.setdefault(token, row) != row:
                 raise TableRowError(row, f"duplicate token {token!r}")
-        self.matrix = np.ascontiguousarray(
-            np.zeros((0, dim)) if matrix is None else matrix, dtype=np.float32)
+        self.matrix = _np.ascontiguousarray(
+            _np.zeros((0, dim)) if matrix is None else matrix, dtype=_np.float32)
         if self.matrix.shape != (len(self), dim):
             raise ValueError(f"matrix shape {self.matrix.shape} is not ({len(self)}, {dim})")
-        bad = np.flatnonzero(~np.isfinite(self.matrix).all(axis=1))
+        bad = _np.flatnonzero(~_np.isfinite(self.matrix).all(axis=1))
         if bad.size:
             token = list(self.entries)[bad[0]]
             raise TableRowError(int(bad[0]), f"vector for {token!r} contains NaN/Inf")
@@ -82,7 +103,7 @@ class EmbeddingTable:
     def add(self, token: str, vector) -> None:
         """Append one row. Copies the matrix: build large tables in one go instead."""
         grown = EmbeddingTable(self.dim, [*self.entries, token],
-                               np.vstack([self.matrix, vector]))
+                               _np.vstack([self.matrix, vector]))
         self.matrix, self.entries = grown.matrix, grown.entries
 
     def __contains__(self, token: str) -> bool:
@@ -91,14 +112,14 @@ class EmbeddingTable:
     def __len__(self) -> int:
         return len(self.entries)
 
-    def vector(self, token: str) -> np.ndarray:
+    def vector(self, token: str) -> _np.ndarray:
         return self.matrix[self.entries[token]]
 
     def scaled(self, factor: float) -> "EmbeddingTable":
         """New table with every vector multiplied by a positive scalar."""
         if factor <= 0:
             raise ValueError("scale factor must be positive")
-        return EmbeddingTable(self.dim, self.entries, self.matrix * np.float32(factor),
+        return EmbeddingTable(self.dim, self.entries, self.matrix * _np.float32(factor),
                               self.metadata)
 
 
@@ -106,7 +127,7 @@ class EmbeddingTable:
 class Composition:
     """Mean of piece vectors, with the pieces that had no table entry."""
 
-    vector: np.ndarray
+    vector: _np.ndarray
     missing: tuple[str, ...] = ()
 
     @property
@@ -125,7 +146,7 @@ def compose(table: EmbeddingTable, tokens) -> Composition:
     if not tokens:
         raise ValueError("cannot compose an empty token sequence")
     rows = [table.entries.get(tok) for tok in tokens]
-    total = np.zeros(table.dim, dtype=np.float64)
+    total = _np.zeros(table.dim, dtype=_np.float64)
     for vec in table.matrix[[row for row in rows if row is not None]]:
         total += vec
     missing = tuple(tok for tok, row in zip(tokens, rows) if row is None)
@@ -156,7 +177,7 @@ def char_ngram_buckets(token: str, nmin: int, nmax: int, buckets: int) -> list[i
 
 
 def _sigmoid(x):
-    return 1.0 / (1.0 + np.exp(-x, dtype=np.float64))
+    return 1.0 / (1.0 + _np.exp(-x, dtype=_np.float64))
 
 
 def train_static_embeddings(tokenized_corpus, vocab: SubwordVocab,
@@ -205,23 +226,23 @@ def train_static_embeddings(tokenized_corpus, vocab: SubwordVocab,
                 vocab.tokens[tid], cfg.char_ngram_min, cfg.char_ngram_max,
                 cfg.ngram_buckets,
             )
-        subword_rows.append(np.array(
+        subword_rows.append(_np.array(
             [row] + [n_tokens + bucket_row.setdefault(g, len(bucket_row)) for g in grams]
         ))
 
-    rng = np.random.default_rng(cfg.seed)
-    vec_in = rng.random((n_tokens + len(bucket_row), cfg.dim), dtype=np.float32)
-    vec_in -= np.float32(0.5)
-    vec_in *= np.float32(2.0 / cfg.dim)
-    vec_out = np.zeros((n_tokens, cfg.dim), dtype=np.float32)
+    rng = _np.random.default_rng(cfg.seed)
+    vec_in = rng.random((n_tokens + len(bucket_row), cfg.dim), dtype=_np.float32)
+    vec_in -= _np.float32(0.5)
+    vec_in *= _np.float32(2.0 / cfg.dim)
+    vec_out = _np.zeros((n_tokens, cfg.dim), dtype=_np.float32)
 
-    freq = np.array([counts[tid] for tid in kept_ids], dtype=np.float64)
+    freq = _np.array([counts[tid] for tid in kept_ids], dtype=_np.float64)
     noise = freq ** 0.75
-    noise_cdf = np.cumsum(noise / noise.sum())
+    noise_cdf = _np.cumsum(noise / noise.sum())
     noise_cdf[-1] = 1.0  # float cumsum can top out a hair below 1.0
 
     def draw(k):
-        return np.searchsorted(noise_cdf, rng.random(k))
+        return _np.searchsorted(noise_cdf, rng.random(k))
 
     filtered = [[row_of[t] for t in sent if t in row_of] for sent in sentences]
     filtered = [sent for sent in filtered if sent]
@@ -236,7 +257,7 @@ def train_static_embeddings(tokenized_corpus, vocab: SubwordVocab,
                 alpha = cfg.learning_rate * max(1e-4, 1.0 - processed / total_tokens)
                 processed += 1
                 b = int(rng.integers(1, cfg.window + 1))
-                ctx = np.array(sent[max(0, pos - b):pos] + sent[pos + 1:pos + b + 1])
+                ctx = _np.array(sent[max(0, pos - b):pos] + sent[pos + 1:pos + b + 1])
                 if ctx.size == 0:
                     continue
                 negs = draw((len(ctx), cfg.negatives))
@@ -245,21 +266,21 @@ def train_static_embeddings(tokenized_corpus, vocab: SubwordVocab,
                     if not clash.any():
                         break
                     negs[clash] = draw(int(clash.sum()))
-                targets = np.concatenate([ctx, negs.ravel()])
+                targets = _np.concatenate([ctx, negs.ravel()])
                 rows = subword_rows[center]
-                inv_rows = np.float32(1.0 / len(rows))
+                inv_rows = _np.float32(1.0 / len(rows))
                 hidden = vec_in[rows].sum(axis=0) * inv_rows
                 out = vec_out[targets]
                 err = _sigmoid(out @ hidden)
                 err[:len(ctx)] -= 1.0  # score minus label: 1 for contexts, 0 for negatives
-                g = (-alpha * err).astype(np.float32)
+                g = (-alpha * err).astype(_np.float32)
                 grad_h = g @ out
-                np.add.at(vec_out, targets, g[:, None] * hidden)
+                _np.add.at(vec_out, targets, g[:, None] * hidden)
                 vec_in[rows] += grad_h * inv_rows  # a row listed twice is updated once
 
-    means = np.empty((n_tokens, cfg.dim), dtype=np.float32)
+    means = _np.empty((n_tokens, cfg.dim), dtype=_np.float32)
     for row, rows in enumerate(subword_rows):
-        means[row] = vec_in[rows].mean(axis=0, dtype=np.float64)
+        means[row] = vec_in[rows].mean(axis=0, dtype=_np.float64)
     return EmbeddingTable(
         cfg.dim, [vocab.tokens[tid] for tid in kept_ids], means,
         metadata={"source": "trained", "config": cfg.to_dict()},
@@ -283,7 +304,7 @@ def save_table(table: EmbeddingTable, path) -> None:
 
 def load_table(path, source: str = "loaded") -> EmbeddingTable:
     # A value that overflows float32 becomes inf and is rejected as non-finite.
-    with open(path, "r", encoding="utf-8") as f, np.errstate(over="ignore"):
+    with open(path, "r", encoding="utf-8") as f, _np.errstate(over="ignore"):
         header = f.readline().split()
         if len(header) != 2:
             raise ValueError(f"{path}: malformed header {header!r}")
@@ -301,14 +322,14 @@ def load_table(path, source: str = "loaded") -> EmbeddingTable:
                     f"{path}:{lineno}: expected {dim} values, got {len(parts) - 1}"
                 )
             try:
-                rows.append(np.array([float(x) for x in parts[1:]], dtype=np.float32))
+                rows.append(_np.array([float(x) for x in parts[1:]], dtype=_np.float32))
             except ValueError:
                 raise ValueError(f"{path}:{lineno}: non-numeric vector value") from None
             tokens.append(parts[0])
     if len(tokens) != count:
         raise ValueError(f"{path}: header declares {count} rows, found {len(tokens)}")
     try:
-        return EmbeddingTable(dim, tokens, np.array(rows).reshape(count, dim),
+        return EmbeddingTable(dim, tokens, _np.array(rows).reshape(count, dim),
                               metadata={"source": source})
     except TableRowError as exc:
         raise ValueError(f"{path}:{exc.row + 2}: {exc}") from None

@@ -1,12 +1,9 @@
 """KB ingestion: triples, relation templates, typed candidate sets, queries."""
 
-import logging
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from .jsonio import is_utf8_text, read_jsonl
-
-logger = logging.getLogger(__name__)
 
 SUBJECT_SLOT = "[X]"
 OBJECT_SLOT = "[Y]"
@@ -151,8 +148,8 @@ def build_candidates(dataset: Dataset) -> dict[str, CandidateSet]:
 def apply_subset(dataset: Dataset, id_list) -> tuple[Dataset, int]:
     """Retain exactly the listed triple ids; drop relations left empty.
 
-    Returns the filtered dataset and the count of ids that matched nothing
-    (reported as a warning, never an error).
+    Returns the filtered dataset and the count of ids that matched nothing;
+    unknown ids are not an error, and reporting them is up to the caller.
     """
     wanted = set(id_list)
     kept: dict[str, list[Triple]] = {}
@@ -161,8 +158,6 @@ def apply_subset(dataset: Dataset, id_list) -> tuple[Dataset, int]:
         if selected:
             kept[rel] = selected
     unknown = len(wanted) - len({t.id for ts in kept.values() for t in ts})
-    if unknown:
-        logger.warning("subset list has %d ids not present in the dataset", unknown)
     return (
         Dataset(language=dataset.language, relations=dict(dataset.relations),
                 triples_by_relation=kept),

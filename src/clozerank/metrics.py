@@ -130,13 +130,28 @@ class MetricsReport:
 
     @classmethod
     def load(cls, path) -> "MetricsReport":
-        """Read a saved report; every field without a default is required."""
+        """Read a saved report; every field without a default is required.
+
+        per_relation must be an object and every other required field a
+        number, or null where the field allows None. Errors name path and key.
+        """
         raw = read_json(path)
-        try:
-            required = {f.name: raw[f.name] for f in fields(cls)
-                        if f.default_factory is MISSING}
-        except KeyError as exc:
-            raise ValueError(f"{path}: missing key {exc}") from None
+        required = {}
+        for f in fields(cls):
+            if f.default_factory is not MISSING:
+                continue
+            if f.name not in raw:
+                raise ValueError(f"{path}: missing key {f.name!r}")
+            value = required[f.name] = raw[f.name]
+            if f.name == "per_relation":
+                ok, kind = isinstance(value, dict), "an object"
+            else:
+                nullable = isinstance(None, f.type)  # true for a `T | None` field
+                ok = (value is None and nullable
+                      or isinstance(value, (int, float)) and not isinstance(value, bool))
+                kind = "a number or null" if nullable else "a number"
+            if not ok:
+                raise ValueError(f"{path}: key {f.name!r} must be {kind}, got {value!r}")
         return cls(**required,
                    buckets={int(k): v for k, v in raw.get("buckets", {}).items()},
                    metadata=raw.get("metadata", {}))

@@ -5,9 +5,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from .embeddings import EmbeddingTable, compose
+from .embeddings import EmbeddingTable, _np, compose
 from .jsonio import read_jsonl, write_jsonl
 from .kb import CandidateSet, Dataset, instantiate_query
 from .wordpiece import UNK_TOKEN, SubwordVocab, tokenize
@@ -41,9 +39,9 @@ def _composed(table: EmbeddingTable, vocab: SubwordVocab, text: str):
     """The mean piece vector of text, its norm, and whether any piece is OOV."""
     tokens = vocab.ids_to_tokens(tokenize(vocab, text))
     if not tokens:
-        return np.zeros(table.dim, dtype=np.float64), 0.0, True
+        return _np.zeros(table.dim, dtype=_np.float64), 0.0, True
     comp = compose(table, tokens)
-    return comp.vector, float(np.linalg.norm(comp.vector)), comp.flagged or UNK_TOKEN in tokens
+    return comp.vector, float(_np.linalg.norm(comp.vector)), comp.flagged or UNK_TOKEN in tokens
 
 
 def rank_static(table: EmbeddingTable, vocab: SubwordVocab, dataset: Dataset,
@@ -72,7 +70,7 @@ def rank_static(table: EmbeddingTable, vocab: SubwordVocab, dataset: Dataset,
                 # Zero-norm compositions get a fixed floor score instead of NaN.
                 zero = qn == 0.0 or cn == 0.0
                 zero_norm = zero_norm or zero
-                scores[cand] = -1.0 if zero else float(np.dot(q, c)) / (qn * cn)
+                scores[cand] = -1.0 if zero else float(_np.dot(q, c)) / (qn * cn)
             predictions.append(Prediction(
                 triple_id=triple.id,
                 relation_id=rel,
@@ -164,19 +162,28 @@ def read_score_file(path) -> list[MlmScoreRecord]:
     return records
 
 
-def _check_manifest(manifest_path, by_pair: dict) -> None:
-    """Every scored pair needs a manifest row with one mask id per log-prob."""
-    unlisted = set(by_pair)
+def _read_manifest(manifest_path):
+    """Yield (lineno, triple_id, candidate, mask count) for each manifest row."""
     for lineno, _, (triple_id, cand, mask_ids) in read_jsonl(
             manifest_path, "triple_id", "candidate", "mask_token_ids",
             text=("triple_id", "candidate")):
+        if type(mask_ids) is not list or not all(type(i) is int for i in mask_ids):
+            raise ValueError(f"{manifest_path}:{lineno}: mask_token_ids must be a list "
+                             f"of integers, got {mask_ids!r}")
+        yield lineno, triple_id, cand, len(mask_ids)
+
+
+def _check_manifest(manifest_path, by_pair: dict) -> None:
+    """Every scored pair needs a manifest row with one mask id per log-prob."""
+    unlisted = set(by_pair)
+    for lineno, triple_id, cand, masks in _read_manifest(manifest_path):
         key = (triple_id, cand)
         unlisted.discard(key)
         rec = by_pair.get(key)
-        if rec is not None and len(rec.token_logprobs) != len(mask_ids):
+        if rec is not None and len(rec.token_logprobs) != masks:
             raise ValueError(
                 f"{manifest_path}:{lineno}: score length {len(rec.token_logprobs)} "
-                f"for {key!r} does not match manifest mask count {len(mask_ids)}"
+                f"for {key!r} does not match manifest mask count {masks}"
             )
     if unlisted:
         shown = ", ".join(repr(p) for p in sorted(unlisted)[:10])
@@ -258,11 +265,9 @@ def write_stub_scores(manifest_path, out_path, lookup=None) -> int:
             table[(key, cand)] = list(lps)
 
     def rows():
-        for lineno, _, (triple_id, cand, mask_ids) in read_jsonl(
-                manifest_path, "triple_id", "candidate", "mask_token_ids",
-                text=("triple_id", "candidate")):
+        for lineno, triple_id, cand, masks in _read_manifest(manifest_path):
             key = (triple_id, cand)
-            k = max(1, len(mask_ids))
+            k = max(1, masks)
             lps = table.get(key)
             if lps is None:
                 lps = [_stub_logprob(*key, i) for i in range(k)]

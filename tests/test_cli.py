@@ -725,3 +725,73 @@ class TestConfigValueShapes:
         record = cli_error(capsys)
         assert record["error"] == "ValueError"
         assert record["message"].startswith(f"{config}: config key {key!r} must be")
+
+
+class TestManifestMaskIds:
+    """mask_token_ids must be a list of integers; anything else names path:line."""
+
+    @pytest.mark.parametrize("value", [5, [True], ["3"]], ids=["int", "bool", "str"])
+    @pytest.mark.parametrize("command", ["stub-score", "rank-mlm"])
+    def test_mistyped_mask_ids_rejected(self, tmp_path, capsys, command, value):
+        manifest, scores = export_and_stub_score(tmp_path / "mlm")
+        rewrite_first_row(manifest, mask_token_ids=value)
+        argv = {
+            "stub-score": ["stub-score", "--manifest", manifest],
+            "rank-mlm": ["rank", "mlm", "--triples", MINI["triples"],
+                         "--templates", MINI["templates"], "--scores", scores,
+                         "--manifest", manifest],
+        }[command]
+        assert run_cli([*argv, "--output", tmp_path / "out"]) == 1
+        record = cli_error(capsys)
+        assert record["error"] == "ValueError"
+        assert record["message"].startswith(f"{manifest}:1: mask_token_ids must be a list")
+
+
+class TestReportInputTypes:
+    """report checks the field types of its metrics files and its runs key."""
+
+    @pytest.mark.parametrize("key, value, expected", [
+        ("macro_p1", "x", "must be a number, got 'x'"),
+        ("macro_p1", None, "must be a number, got None"),
+        ("macro_p5", True, "must be a number or null, got True"),
+        ("per_relation", [], "must be an object, got []"),
+    ], ids=["str", "null-not-allowed", "bool", "per-relation-list"])
+    def test_mistyped_metrics_field(self, tmp_path, capsys, key, value, expected):
+        metrics_path = evaluate(tmp_path / "eval", rank_static(tmp_path / "eval"))
+        metrics_path.write_text(json.dumps({**read_json(metrics_path), key: value}),
+                                encoding="utf-8")
+        assert run_cli(["report", "--run", f"static={metrics_path}",
+                        "--output", tmp_path / "out"]) == 1
+        record = cli_error(capsys)
+        assert record["error"] == "ValueError"
+        assert record["message"] == f"{metrics_path}: key {key!r} {expected}"
+
+    def test_disabled_metrics_load_as_null(self, tmp_path):
+        preds = rank_static(tmp_path / "eval")
+        metrics_path = evaluate(tmp_path / "eval", preds,
+                                extra=["--no-p5", "--no-mf", "--no-diversity"])
+        assert run_cli(["report", "--run", f"static={metrics_path}",
+                        "--output", tmp_path / "out"]) == 0
+
+    @pytest.mark.parametrize("runs", ["abc", [5]], ids=["str", "int-list"])
+    def test_runs_must_be_a_list_of_strings(self, tmp_path, capsys, runs):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"runs": runs}), encoding="utf-8")
+        assert run_cli(["report", "--config", config, "--output", tmp_path / "out"]) == 1
+        record = cli_error(capsys)
+        assert record["error"] == "ValueError"
+        assert record["message"].startswith(f"{config}: config key 'runs' must be a list")
+
+
+class TestUnknownSubsetIds:
+    def test_count_reported_on_stderr(self, tmp_path, capsys):
+        subset = tmp_path / "ids.txt"
+        subset.write_text("P19#0\nnope\nzilch\n", encoding="utf-8")
+        assert run_cli(["rank", "oracle", "--triples", MINI["triples"],
+                        "--templates", MINI["templates"], "--subset", subset,
+                        "--output", tmp_path / "out"]) == 0
+        err = capsys.readouterr().err
+        assert "subset list has 2 ids not present in the dataset" in err
+        rows = (tmp_path / "out" / "predictions_oracle.jsonl").read_text(
+            encoding="utf-8").splitlines()
+        assert len(rows) == 1
