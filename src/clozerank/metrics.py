@@ -2,7 +2,8 @@
 
 All relation-level aggregates are unweighted means, so small relations count
 as much as large ones. Bucket accuracies are the one deliberate exception:
-they pool triples across relations.
+they pool triples across relations. Every metric reads only each triple's
+top-1 label and the position of its gold object in the ranking.
 """
 
 import math
@@ -15,7 +16,8 @@ from .ranking import Prediction
 from .wordpiece import SubwordVocab, tokenize
 
 
-def _by_triple(predictions: list[Prediction], dataset: Dataset) -> dict[str, Prediction]:
+def _outcomes(predictions: list[Prediction], dataset: Dataset) -> dict[str, tuple[str, float]]:
+    """Triple id -> (top-1, gold's 0-based rank or inf, a miss at any k); rest ignored."""
     by_id = {}
     for pred in predictions:
         if pred.triple_id in by_id:
@@ -25,7 +27,19 @@ def _by_triple(predictions: list[Prediction], dataset: Dataset) -> dict[str, Pre
     if missing:
         shown = ", ".join(repr(m) for m in missing[:10])
         raise ValueError(f"{len(missing)} triples have no prediction: {shown}")
-    return by_id
+    outcomes = {}
+    for t in dataset.triples():
+        labels = [cand for cand, _ in by_id[t.id].ranked]
+        outcomes[t.id] = labels[0], labels.index(t.object) if t.object in labels else math.inf
+    return outcomes
+
+
+def _precision_at_k(outcomes: dict, dataset: Dataset, k: int) -> tuple[dict[str, float], float]:
+    per_relation = {}
+    for rel in dataset.relation_ids:
+        triples = dataset.triples_by_relation[rel]
+        per_relation[rel] = sum(1 for t in triples if outcomes[t.id][1] < k) / len(triples)
+    return per_relation, sum(per_relation.values()) / len(per_relation)
 
 
 def precision_at_k(predictions: list[Prediction], dataset: Dataset,
@@ -33,20 +47,24 @@ def precision_at_k(predictions: list[Prediction], dataset: Dataset,
     """Per-relation hit rate of the gold object in the top k, plus its macro mean."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    by_id = _by_triple(predictions, dataset)
-    per_relation = {}
-    for rel in dataset.relation_ids:
-        triples = dataset.triples_by_relation[rel]
-        hits = sum(1 for t in triples if t.object in by_id[t.id].top_k(k))
-        per_relation[rel] = hits / len(triples)
-    macro = sum(per_relation.values()) / len(per_relation)
-    return per_relation, macro
+    return _precision_at_k(_outcomes(predictions, dataset), dataset, k)
 
 
 def most_frequent_object(dataset: Dataset, relation_id: str) -> str:
     """The relation's most common gold object, ties going to the smaller label."""
     freq = Counter(t.object for t in dataset.triples_by_relation[relation_id])
     return min(freq, key=lambda obj: (-freq[obj], obj))
+
+
+def _p1_mf(outcomes: dict, dataset: Dataset) -> tuple[float | None, int]:
+    per_relation = []
+    for rel in dataset.relation_ids:
+        mf = most_frequent_object(dataset, rel)
+        kept = [t for t in dataset.triples_by_relation[rel] if t.object != mf]
+        if kept:
+            per_relation.append(sum(1 for t in kept if outcomes[t.id][1] == 0) / len(kept))
+    dropped = len(dataset.relation_ids) - len(per_relation)
+    return (sum(per_relation) / len(per_relation) if per_relation else None), dropped
 
 
 def p1_excluding_most_frequent(predictions: list[Prediction],
@@ -56,29 +74,17 @@ def p1_excluding_most_frequent(predictions: list[Prediction],
     Relations left with nothing are skipped; the count of such relations is
     returned alongside the score.
     """
-    by_id = _by_triple(predictions, dataset)
-    per_relation = []
-    dropped = 0
-    for rel in dataset.relation_ids:
-        mf = most_frequent_object(dataset, rel)
-        kept = [t for t in dataset.triples_by_relation[rel] if t.object != mf]
-        if not kept:
-            dropped += 1
-            continue
-        hits = sum(1 for t in kept if by_id[t.id].top1 == t.object)
-        per_relation.append(hits / len(kept))
-    if not per_relation:
+    score, dropped = _p1_mf(_outcomes(predictions, dataset), dataset)
+    if score is None:
         raise ValueError("every relation was emptied by the most-frequent filter")
-    return sum(per_relation) / len(per_relation), dropped
+    return score, dropped
 
 
-def diversity(predictions: list[Prediction], dataset: Dataset) -> tuple[float, float]:
-    """(base-2 entropy of the pooled top-1 distribution, mean distinct top-1 per relation)."""
-    by_id = _by_triple(predictions, dataset)
+def _diversity(outcomes: dict, dataset: Dataset) -> tuple[float, float]:
     pooled = Counter()
     distinct_counts = []
     for rel in dataset.relation_ids:
-        tops = [by_id[t.id].top1 for t in dataset.triples_by_relation[rel]]
+        tops = [outcomes[t.id][0] for t in dataset.triples_by_relation[rel]]
         pooled.update(tops)
         distinct_counts.append(len(set(tops)))
     total = sum(pooled.values())
@@ -89,16 +95,18 @@ def diversity(predictions: list[Prediction], dataset: Dataset) -> tuple[float, f
     return entropy, sum(distinct_counts) / len(distinct_counts)
 
 
-def bucket_by_subject_length(predictions: list[Prediction], dataset: Dataset,
-                             vocab: SubwordVocab) -> dict[int, dict]:
-    """Micro p@1 grouped by how many pieces the subject tokenizes into."""
-    by_id = _by_triple(predictions, dataset)
+def diversity(predictions: list[Prediction], dataset: Dataset) -> tuple[float, float]:
+    """(base-2 entropy of the pooled top-1 distribution, mean distinct top-1 per relation)."""
+    return _diversity(_outcomes(predictions, dataset), dataset)
+
+
+def _buckets(outcomes: dict, dataset: Dataset, vocab: SubwordVocab) -> dict[int, dict]:
     hits = defaultdict(int)
     totals = defaultdict(int)
     for triple in dataset.triples():
         length = len(tokenize(vocab, triple.subject))
         totals[length] += 1
-        if by_id[triple.id].top1 == triple.object:
+        if outcomes[triple.id][1] == 0:
             hits[length] += 1
     return {
         length: {"n": totals[length], "p1": hits[length] / totals[length]}
@@ -106,9 +114,15 @@ def bucket_by_subject_length(predictions: list[Prediction], dataset: Dataset,
     }
 
 
+def bucket_by_subject_length(predictions: list[Prediction], dataset: Dataset,
+                             vocab: SubwordVocab) -> dict[int, dict]:
+    """Micro p@1 grouped by how many pieces the subject tokenizes into."""
+    return _buckets(_outcomes(predictions, dataset), dataset, vocab)
+
+
 @dataclass
 class MetricsReport:
-    """Full evaluation results; fields for disabled metrics hold None."""
+    """Full evaluation results; fields for disabled or undefined metrics hold None."""
 
     per_relation: dict[str, dict]
     macro_p1: float
@@ -161,24 +175,11 @@ def compute_report(predictions: list[Prediction], dataset: Dataset,
                    vocab: SubwordVocab = None, with_p5: bool = True,
                    with_mf: bool = True, with_diversity: bool = True) -> MetricsReport:
     """Full evaluation over one prediction set; buckets need a vocabulary."""
-    p1_by_rel, macro_p1 = precision_at_k(predictions, dataset, 1)
-    macro_p5 = None
-    p5_by_rel = {}
-    if with_p5:
-        p5_by_rel, macro_p5 = precision_at_k(predictions, dataset, 5)
-    p1_mf = dropped = None
-    if with_mf:
-        # degenerate datasets (one object per relation everywhere) leave the
-        # filtered metric undefined; report None rather than refusing outright
-        survivors = [rel for rel in dataset.relation_ids
-                     if len({t.object for t in dataset.triples_by_relation[rel]}) > 1]
-        if survivors:
-            p1_mf, dropped = p1_excluding_most_frequent(predictions, dataset)
-        else:
-            dropped = len(dataset.relation_ids)
-    entropy = avg_distinct = None
-    if with_diversity:
-        entropy, avg_distinct = diversity(predictions, dataset)
+    outcomes = _outcomes(predictions, dataset)
+    p1_by_rel, macro_p1 = _precision_at_k(outcomes, dataset, 1)
+    p5_by_rel, macro_p5 = _precision_at_k(outcomes, dataset, 5) if with_p5 else ({}, None)
+    p1_mf, dropped = _p1_mf(outcomes, dataset) if with_mf else (None, None)
+    entropy, avg_distinct = _diversity(outcomes, dataset) if with_diversity else (None, None)
     per_relation = {}
     for rel in dataset.relation_ids:
         row = {
@@ -188,9 +189,7 @@ def compute_report(predictions: list[Prediction], dataset: Dataset,
         if with_p5:
             row["p_at_5"] = p5_by_rel[rel]
         per_relation[rel] = row
-    buckets = {}
-    if vocab is not None:
-        buckets = bucket_by_subject_length(predictions, dataset, vocab)
+    buckets = _buckets(outcomes, dataset, vocab) if vocab is not None else {}
     return MetricsReport(
         per_relation=per_relation,
         macro_p1=macro_p1,

@@ -211,28 +211,25 @@ def rank_mlm(score_path, dataset: Dataset, candidates: dict[str, CandidateSet],
     if manifest_path is not None:
         _check_manifest(manifest_path, by_pair)
 
-    expected = set()
+    # One pass pairs every expected pair with its row; rows left over are extra.
+    predictions, missing = [], []
     for rel in dataset.relation_ids:
         for triple in dataset.triples_by_relation[rel]:
+            scores = {}
             for cand in candidates[rel]:
-                expected.add((triple.id, cand))
-    missing = sorted(expected - set(by_pair))
+                rec = by_pair.pop((triple.id, cand), None)
+                if rec is None:
+                    missing.append((triple.id, cand))
+                else:
+                    scores[cand] = rec.score
+            predictions.append(Prediction(triple.id, rel, _rank_items(scores),
+                                          {"query_oov": False}))
     if missing:
-        shown = ", ".join(repr(m) for m in missing[:10])
+        shown = ", ".join(repr(m) for m in sorted(missing)[:10])
         raise ValueError(f"{len(missing)} (triple, candidate) pairs unscored: {shown}")
-    extra = sorted(set(by_pair) - expected)
-    if extra:
-        shown = ", ".join(repr(e) for e in extra[:10])
-        raise ValueError(f"{len(extra)} score rows match no (triple, candidate) pair: {shown}")
-
-    predictions = []
-    for rel in dataset.relation_ids:
-        for triple in dataset.triples_by_relation[rel]:
-            scores = {c: by_pair[(triple.id, c)].score for c in candidates[rel]}
-            predictions.append(Prediction(
-                triple_id=triple.id, relation_id=rel,
-                ranked=_rank_items(scores), flags={"query_oov": False},
-            ))
+    if by_pair:
+        shown = ", ".join(repr(e) for e in sorted(by_pair)[:10])
+        raise ValueError(f"{len(by_pair)} score rows match no (triple, candidate) pair: {shown}")
     return predictions
 
 

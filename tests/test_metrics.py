@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from clozerank.embeddings import EmbeddingTable
-from clozerank.kb import build_candidates
+from clozerank.kb import apply_subset, build_candidates
 from clozerank.metrics import (
     MetricsReport,
     bucket_by_subject_length,
@@ -199,6 +199,19 @@ class TestBuckets:
             [pred("P1#0", "P1", ["o1"])], ds, vocab)
         assert buckets == {1: {"n": 1, "p1": 1.0}}
 
+    def test_ranking_without_gold_is_a_miss(self, tmp_path):
+        # --exclude-subject-match drops the gold object when it equals the subject
+        rows = [triple_row("aa", "aa"), triple_row("bb", "cc"), triple_row("dd", "cc")]
+        ds = make_dataset(tmp_path, rows, [template()])
+        preds = [pred("P1#0", "P1", ["cc"]), pred("P1#1", "P1", ["cc", "aa"]),
+                 pred("P1#2", "P1", ["aa"])]
+        assert precision_at_k(preds, ds, 1)[1] == pytest.approx(1 / 3)
+        assert precision_at_k(preds, ds, 5)[1] == pytest.approx(1 / 3)
+        # mf is cc, so only the aa triple is kept, and its gold is absent
+        assert p1_excluding_most_frequent(preds, ds) == (0.0, 0)
+        buckets = bucket_by_subject_length(preds, ds, self.whole_word_vocab(["aa"]))
+        assert buckets == {1: {"n": 3, "p1": pytest.approx(1 / 3)}}
+
 
 def instance_pieces(tmp_path, seed):
     """Materialize a random instance as dataset, table, vocab, and oracle views."""
@@ -293,6 +306,18 @@ class TestReport:
         assert report.buckets == {}
         for row in report.per_relation.values():
             assert "p_at_5" not in row
+
+    def test_predictions_outside_the_dataset_are_ignored(self, tmp_path):
+        rows = [triple_row("s1", "aa"), triple_row("s2", "bb", "P2")]
+        full = make_dataset(tmp_path, rows, [template(), template("P2")])
+        subset, _ = apply_subset(full, ["P1#0"])
+        preds = [pred("P1#0", "P1", ["aa", "bb"]), pred("P2#0", "P2", ["cc"])]
+        report = compute_report(preds, subset)
+        assert report.per_relation == {"P1": {"n_triples": 1, "p_at_1": 1.0,
+                                              "p_at_5": 1.0}}
+        assert report.metadata["n_triples"] == 1
+        assert report.entropy_bits == 0.0
+        assert report.relations_dropped_by_mf == 1
 
     def test_per_relation_tsv_layout(self, mini_dataset, mini_vocab, mini_table):
         preds = rank_static(mini_table, mini_vocab, mini_dataset,

@@ -289,6 +289,15 @@ class TestMlmRanking:
         with pytest.raises(ValueError, match="ghost"):
             rank_mlm(scores, ds, cands)
 
+    def test_unscored_pair_reported_before_extra_row(self, tmp_path):
+        ds, cands = self.setup_single(tmp_path)
+        scores = write_scores(tmp_path / "s.jsonl", [
+            ("P1#0", "aa", [-0.5]), ("ghost", "aa", [-1.0]),
+        ])
+        with pytest.raises(ValueError, match=r"^1 \(triple, candidate\) pairs unscored: "
+                                             r"\('P1#0', 'bb'\)$"):
+            rank_mlm(scores, ds, cands)
+
     def test_manifest_mask_count_cross_check(self, tmp_path):
         ds, cands = self.setup_single(tmp_path)
         manifest = tmp_path / "m.jsonl"
