@@ -271,7 +271,7 @@ def cmd_evaluate(ctx: RunContext) -> int:
                          f"mapping some of {', '.join(_METRIC_TOGGLES)} to true or false")
     toggles = {key: chosen.get(key, True) for key in _METRIC_TOGGLES}
     for key in ("p5", "mf", "diversity"):
-        if getattr(ctx.args, f"no_{key}"):
+        if ctx.get(f"no_{key}", False):
             toggles[key] = False
     vocab_path = ctx.get("vocab")
     vocab = None
@@ -464,9 +464,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--templates")
     p.add_argument("--subset")
     p.add_argument("--vocab", help="enables subject-length buckets")
-    p.add_argument("--no-p5", action="store_true")
-    p.add_argument("--no-mf", action="store_true")
-    p.add_argument("--no-diversity", action="store_true")
+    p.add_argument("--no-p5", action="store_true", default=None)
+    p.add_argument("--no-mf", action="store_true", default=None)
+    p.add_argument("--no-diversity", action="store_true", default=None)
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("energy", parents=[common],

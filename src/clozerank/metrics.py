@@ -120,6 +120,10 @@ def bucket_by_subject_length(predictions: list[Prediction], dataset: Dataset,
     return _buckets(_outcomes(predictions, dataset), dataset, vocab)
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 @dataclass
 class MetricsReport:
     """Full evaluation results; fields for disabled or undefined metrics hold None."""
@@ -147,7 +151,10 @@ class MetricsReport:
         """Read a saved report; every field without a default is required.
 
         per_relation must be an object and every other required field a
-        number, or null where the field allows None. Errors name path and key.
+        number, or null where the field allows None. buckets, if present,
+        maps decimal integers to an integer n and a number p1; metadata is
+        an object whose vocab_size, if present, is an integer. Errors name
+        path and key.
         """
         raw = read_json(path)
         required = {}
@@ -161,14 +168,26 @@ class MetricsReport:
                 ok, kind = isinstance(value, dict), "an object"
             else:
                 nullable = isinstance(None, f.type)  # true for a `T | None` field
-                ok = (value is None and nullable
-                      or isinstance(value, (int, float)) and not isinstance(value, bool))
+                ok = value is None and nullable or _is_number(value)
                 kind = "a number or null" if nullable else "a number"
             if not ok:
                 raise ValueError(f"{path}: key {f.name!r} must be {kind}, got {value!r}")
-        return cls(**required,
-                   buckets={int(k): v for k, v in raw.get("buckets", {}).items()},
-                   metadata=raw.get("metadata", {}))
+        buckets = raw.get("buckets", {})
+        if not isinstance(buckets, dict):
+            raise ValueError(f"{path}: key 'buckets' must be an object, got {buckets!r}")
+        for length, row in buckets.items():
+            if not (length.isdecimal() and isinstance(row, dict) and type(row.get("n")) is int
+                    and _is_number(row.get("p1"))):
+                raise ValueError(f"{path}: key 'buckets' must map decimal integers to "
+                                 f"{{n: integer, p1: number}}, got {length!r}: {row!r}")
+        metadata = raw.get("metadata", {})
+        if not isinstance(metadata, dict):
+            raise ValueError(f"{path}: key 'metadata' must be an object, got {metadata!r}")
+        if "vocab_size" in metadata and type(metadata["vocab_size"]) is not int:
+            raise ValueError(f"{path}: key 'metadata.vocab_size' must be an integer, "
+                             f"got {metadata['vocab_size']!r}")
+        return cls(**required, buckets={int(k): v for k, v in buckets.items()},
+                   metadata=metadata)
 
 
 def compute_report(predictions: list[Prediction], dataset: Dataset,

@@ -5,7 +5,7 @@ from collections import Counter
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
-from .jsonio import write_json
+from .jsonio import read_json, write_json
 
 UNK_TOKEN = "[UNK]"
 MASK_TOKEN = "[MASK]"
@@ -98,9 +98,21 @@ class SubwordVocab:
         Path(path).write_text("".join(t + "\n" for t in self.tokens), encoding="utf-8")
 
     @classmethod
-    def load(cls, path, max_word_length: int = 100) -> "SubwordVocab":
+    def load(cls, path, max_word_length: int | None = None) -> "SubwordVocab":
+        """Read one token per line.
+
+        max_word_length defaults to the config.max_word_length recorded in
+        the <path>.json sidecar that build-vocab writes, else to 100.
+        """
         lines = Path(path).read_text(encoding="utf-8").splitlines()
-        return cls(lines, max_word_length=max_word_length)
+        sidecar = Path(f"{path}.json")
+        if max_word_length is None and sidecar.is_file():
+            config = read_json(sidecar).get("config")
+            max_word_length = config.get("max_word_length") if isinstance(config, dict) else None
+            if type(max_word_length) is not int or max_word_length <= 0:
+                raise ValueError(f"{sidecar}: key 'config.max_word_length' must be a "
+                                 f"positive integer, got {max_word_length!r}")
+        return cls(lines, max_word_length=100 if max_word_length is None else max_word_length)
 
 
 def _word_symbols(word: str) -> list[str]:

@@ -83,6 +83,19 @@ class TestBuildVocab:
                         "--target-size", "7", "--output", out]) == 0
         assert (out / "vocab_7.txt").exists()
 
+    def test_tokenize_keeps_the_trained_max_word_length(self, tmp_path):
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_text("ab ba abab\n", encoding="utf-8")
+        text = tmp_path / "text.txt"
+        text.write_text("abababab\n", encoding="utf-8")
+        out = tmp_path / "out"
+        assert run_cli(["build-vocab", "--corpus", corpus, "--target-size", "8",
+                        "--max-word-length", "3", "--output", out]) == 0
+        assert run_cli(["tokenize", "--vocab", out / "vocab_8.txt",
+                        "--input", text, "--output", out]) == 0
+        row = json.loads((out / "tokens.jsonl").read_text(encoding="utf-8"))
+        assert row["tokens"] == ["[UNK]"]
+
 
 class TestTokenize:
     def test_rows_carry_ids_and_tokens(self, tmp_path):
@@ -215,6 +228,17 @@ class TestStaticPipeline:
         assert report["macro_p5"] is None
         assert report["p1_mf"] is None
         assert report["entropy_bits"] is None
+
+
+    def test_metric_toggles_from_config_keys(self, tmp_path):
+        preds_path = rank_static(tmp_path)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"no_p5": True, "no_mf": True, "no_diversity": False}),
+                          encoding="utf-8")
+        report = read_json(evaluate(tmp_path, preds_path, extra=["--config", config]))
+        assert report["macro_p5"] is None
+        assert report["p1_mf"] is None
+        assert report["entropy_bits"] is not None
 
 
 class TestOraclePipeline:
@@ -765,6 +789,25 @@ class TestReportInputTypes:
         record = cli_error(capsys)
         assert record["error"] == "ValueError"
         assert record["message"] == f"{metrics_path}: key {key!r} {expected}"
+
+    @pytest.mark.parametrize("key, value, expected", [
+        ("buckets", {"x": {"n": 1, "p1": 0.5}}, "must map decimal integers to "
+         "{n: integer, p1: number}, got 'x': {'n': 1, 'p1': 0.5}"),
+        ("buckets", {"1": {"n": 1.5, "p1": 0.5}}, "must map decimal integers to "
+         "{n: integer, p1: number}, got '1': {'n': 1.5, 'p1': 0.5}"),
+        ("metadata", [1], "must be an object, got [1]"),
+        ("metadata", {"vocab_size": {"a": 1}}, "must be an integer, got {'a': 1}"),
+    ], ids=["bucket-key", "bucket-n", "metadata-list", "vocab-size-object"])
+    def test_mistyped_buckets_or_metadata(self, tmp_path, capsys, key, value, expected):
+        metrics_path = evaluate(tmp_path / "eval", rank_static(tmp_path / "eval"))
+        metrics_path.write_text(json.dumps({**read_json(metrics_path), key: value}),
+                                encoding="utf-8")
+        assert run_cli(["report", "--run", f"static={metrics_path}",
+                        "--output", tmp_path / "out"]) == 1
+        record = cli_error(capsys)
+        assert record["error"] == "ValueError"
+        shown = "metadata.vocab_size" if "vocab_size" in value else key
+        assert record["message"] == f"{metrics_path}: key {shown!r} {expected}"
 
     def test_disabled_metrics_load_as_null(self, tmp_path):
         preds = rank_static(tmp_path / "eval")

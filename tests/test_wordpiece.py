@@ -236,6 +236,29 @@ class TestVocabIO:
         assert len(sidecar["corpus_sha256"]) == 64
         assert sidecar["size"] == vocab.size
 
+    def test_load_takes_max_word_length_from_sidecar(self, tmp_path):
+        cfg = VocabTrainConfig(target_size=8, max_word_length=3)
+        vocab = train_wordpiece(["ab ba abab"], cfg)
+        path = tmp_path / "vocab.txt"
+        save_vocab_with_sidecar(vocab, cfg, path)
+        assert tokenize(vocab, "abababab") == [vocab.unk_id]
+        assert tokenize(SubwordVocab.load(path), "abababab") == [vocab.unk_id]
+        assert SubwordVocab.load(path, max_word_length=50).max_word_length == 50
+        (tmp_path / "vocab.txt.json").unlink()
+        assert SubwordVocab.load(path).max_word_length == 100
+
+    @pytest.mark.parametrize("value", [0, "3", True, None], ids=["zero", "str", "bool", "null"])
+    def test_bad_sidecar_max_word_length_names_sidecar(self, tmp_path, value):
+        path = tmp_path / "vocab.txt"
+        path.write_text("[UNK]\n[MASK]\na\n", encoding="utf-8")
+        sidecar = tmp_path / "vocab.txt.json"
+        sidecar.write_text(json.dumps({"config": {"max_word_length": value}}),
+                           encoding="utf-8")
+        with pytest.raises(ValueError) as err:
+            SubwordVocab.load(path)
+        assert str(err.value).startswith(
+            f"{sidecar}: key 'config.max_word_length' must be a positive integer")
+
     def test_duplicate_token_rejected(self):
         with pytest.raises(ValueError):
             SubwordVocab(list(SPECIAL_TOKENS) + ["a", "a"])
