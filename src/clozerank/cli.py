@@ -103,14 +103,16 @@ def cmd_build_vocab(ctx: RunContext) -> int:
         "min_frequency": min_frequency, "max_word_length": max_word_length,
     }
     checksum = ctx.checksum(settings)
+    cfgs = [wordpiece.VocabTrainConfig(target_size=size, min_frequency=min_frequency,
+                                       max_word_length=max_word_length) for size in sizes]
+    # Train once: the target only decides when merging stops, so every
+    # smaller vocabulary is a prefix of the largest.
+    with open(corpus, "r", encoding="utf-8") as f:
+        trained = wordpiece.train_wordpiece(f, max(cfgs, key=lambda c: c.target_size))
+    vocabs = [trained.prefix(cfg.target_size) for cfg in cfgs]
     outputs, lines = [], []
-    for size in sizes:
-        cfg = wordpiece.VocabTrainConfig(
-            target_size=size, min_frequency=min_frequency,
-            max_word_length=max_word_length,
-        )
-        with open(corpus, "r", encoding="utf-8") as f:
-            vocab = wordpiece.train_wordpiece(f, cfg)
+    for cfg, vocab in zip(cfgs, vocabs):
+        size = cfg.target_size
         vocab_path = ctx.out / f"vocab_{size}.txt"
         wordpiece.save_vocab_with_sidecar(
             vocab, cfg, vocab_path, corpus_path=corpus,

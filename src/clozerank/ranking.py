@@ -51,7 +51,8 @@ def rank_static(table: EmbeddingTable, vocab: SubwordVocab, dataset: Dataset,
 
     The template plays no part: the only signal is the subject string. With
     exclude_subject_match a candidate identical to the subject is dropped
-    from that triple's ranking. Each distinct string is composed once.
+    from that triple's ranking; a triple left with no candidate raises
+    ValueError. Each distinct string is composed once.
     """
     strings = {t.subject for t in dataset.triples()}
     for rel in dataset.relation_ids:
@@ -71,6 +72,9 @@ def rank_static(table: EmbeddingTable, vocab: SubwordVocab, dataset: Dataset,
                 zero = qn == 0.0 or cn == 0.0
                 zero_norm = zero_norm or zero
                 scores[cand] = -1.0 if zero else float(_np.dot(q, c)) / (qn * cn)
+            if not scores:
+                raise ValueError(f"triple {triple.id!r} of relation {rel!r} has no candidate "
+                                 f"left once its subject is excluded")
             predictions.append(Prediction(
                 triple_id=triple.id,
                 relation_id=rel,

@@ -1,6 +1,7 @@
 """Wordpiece vocabulary training and greedy longest-match tokenization."""
 
 import hashlib
+import heapq
 from collections import Counter
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -87,6 +88,18 @@ class SubwordVocab:
     def __contains__(self, token: str) -> bool:
         return token in self.token_to_id
 
+    def prefix(self, size: int) -> "SubwordVocab":
+        """The first size tokens: the vocabulary that training on the same
+        corpus to target_size=size gives, cut from one trained further.
+
+        Every merged token is at least two characters long, so the tokens of
+        one character (after the continuation marker) are the alphabet.
+        """
+        base_size = sum(tok in SPECIAL_TOKENS or len(tok.removeprefix(CONTINUATION)) == 1
+                        for tok in self.tokens)
+        _check_target_size(size, base_size)
+        return SubwordVocab(self.tokens[:size], max_word_length=self.max_word_length)
+
     def id_for(self, token: str) -> int:
         return self.token_to_id[token]
 
@@ -119,8 +132,9 @@ def _word_symbols(word: str) -> list[str]:
     return [word[0]] + [CONTINUATION + ch for ch in word[1:]]
 
 
-def _merge_string(left: str, right: str) -> str:
-    return left + right[len(CONTINUATION):]
+def _check_target_size(target_size: int, base_size: int) -> None:
+    if target_size < base_size:
+        raise ValueError(f"target_size {target_size} below alphabet+specials ({base_size})")
 
 
 def train_wordpiece(corpus, cfg: VocabTrainConfig) -> SubwordVocab:
@@ -129,8 +143,10 @@ def train_wordpiece(corpus, cfg: VocabTrainConfig) -> SubwordVocab:
     Words are whitespace-split, no normalization or lowercasing. The merge
     loop repeatedly joins the adjacent symbol pair maximizing
     freq(ab) / (freq(a) * freq(b)) over the current segmentations, with ties
-    broken by the lexicographically smaller merged string, until the
-    vocabulary reaches cfg.target_size or no pairs remain.
+    broken by the lexicographically smaller merged string, then by the pair
+    that entered the pair counts first, until the vocabulary reaches
+    cfg.target_size or no pairs remain. The target only decides when to
+    stop, so a smaller vocabulary is a prefix of a larger one.
     """
     word_freq: Counter[str] = Counter()
     for line in corpus:
@@ -156,54 +172,66 @@ def train_wordpiece(corpus, cfg: VocabTrainConfig) -> SubwordVocab:
 
     alphabet = sorted({sym for seg in segmentations for sym in seg})
     base_size = len(SPECIAL_TOKENS) + len(alphabet)
-    if cfg.target_size < base_size:
-        raise ValueError(
-            f"target_size {cfg.target_size} below alphabet+specials ({base_size})"
-        )
+    _check_target_size(cfg.target_size, base_size)
 
     tokens = list(SPECIAL_TOKENS) + alphabet
     vocab_set = set(tokens)
 
     token_freq: Counter[str] = Counter()
-    pair_freq: Counter[tuple[str, str]] = Counter()
+    pair_freq: dict[tuple[str, str], int] = {}
     pair_words: dict[tuple[str, str], set[int]] = {}
     for idx, (seg, f) in enumerate(zip(segmentations, freqs)):
         for sym in seg:
             token_freq[sym] += f
         for pair in zip(seg, seg[1:]):
-            pair_freq[pair] += f
+            pair_freq[pair] = pair_freq.get(pair, 0) + f
             pair_words.setdefault(pair, set()).add(idx)
 
-    # Word-initial merges that would collide with the continuation marker
-    # (e.g. "#" + "###") are never eligible.
-    blocked: set[tuple[str, str]] = set()
+    # The best pair sits on a lazy max-heap of (-score, merged, seq, pair).
+    # seq numbers the pairs in the order they (re-)entered pair_freq, which
+    # breaks ties between pairs with one score and one merged string. A
+    # fresh entry is pushed whenever a pair's score or seq changes, so an
+    # entry is stale, and dropped on pop, unless it equals its pair's entry now.
+    pair_seq = {pair: seq for seq, pair in enumerate(pair_freq)}
+    next_seq = len(pair_seq)
+    # Symbol -> pairs holding it; dead pairs are dropped when a set is read.
+    sym_pairs: dict[str, set[tuple[str, str]]] = {}
 
-    while len(tokens) < cfg.target_size and pair_freq:
-        best_pair = None
-        best_score = -1.0
-        best_merged = None
-        for pair, count in pair_freq.items():
-            if pair in blocked:
-                continue
-            score = count / (token_freq[pair[0]] * token_freq[pair[1]])
-            if score < best_score:
-                continue
-            merged = _merge_string(*pair)
-            if score > best_score or merged < best_merged:
-                best_pair, best_score, best_merged = pair, score, merged
-        if best_pair is None:
-            break
-        if not best_pair[0].startswith(CONTINUATION) and best_merged.startswith(
-            CONTINUATION
-        ):
-            blocked.add(best_pair)
+    def index(pairs):
+        for pair in pairs:
+            sym_pairs.setdefault(pair[0], set()).add(pair)
+            sym_pairs.setdefault(pair[1], set()).add(pair)
+
+    def live_pairs(sym):
+        live = sym_pairs.pop(sym, set()) & pair_freq.keys()
+        if live:
+            sym_pairs[sym] = live
+        return live
+
+    def entries(pairs):
+        return [(-(pair_freq[p] / (token_freq[p[0]] * token_freq[p[1]])),
+                 p[0] + p[1][len(CONTINUATION):], pair_seq[p], p) for p in pairs]
+
+    index(pair_freq)
+    heap = entries(pair_freq)
+    heapq.heapify(heap)
+
+    while len(tokens) < cfg.target_size and heap:
+        top = heapq.heappop(heap)
+        best_merged, best_pair = top[1], top[3]
+        if best_pair not in pair_freq or entries((best_pair,))[0] != top:
+            continue
+        left, right = best_pair
+        # Word-initial merges that would collide with the continuation marker
+        # (e.g. "#" + "###") are never eligible.
+        if not left.startswith(CONTINUATION) and best_merged.startswith(CONTINUATION):
             continue
 
         if best_merged not in vocab_set:
             tokens.append(best_merged)
             vocab_set.add(best_merged)
 
-        left, right = best_pair
+        entered = []
         for idx in sorted(pair_words[best_pair]):
             seg = segmentations[idx]
             f = freqs[idx]
@@ -213,6 +241,7 @@ def train_wordpiece(corpus, cfg: VocabTrainConfig) -> SubwordVocab:
                 pair_freq[pair] -= f
                 if pair_freq[pair] <= 0:
                     del pair_freq[pair]
+                    del pair_seq[pair]
                 words = pair_words.get(pair)
                 if words is not None:
                     words.discard(idx)
@@ -231,8 +260,29 @@ def train_wordpiece(corpus, cfg: VocabTrainConfig) -> SubwordVocab:
             for sym in new_seg:
                 token_freq[sym] += f
             for pair in zip(new_seg, new_seg[1:]):
-                pair_freq[pair] += f
+                if pair in pair_freq:
+                    pair_freq[pair] += f
+                else:
+                    pair_freq[pair] = f
+                    pair_seq[pair] = next_seq
+                    next_seq += 1
+                    entered.append(pair)
                 pair_words.setdefault(pair, set()).add(idx)
+
+        # Only the counts of left, right and best_merged changed, so only
+        # pairs holding one of them, or with a new seq, need a fresh entry.
+        index(entered)
+        touched = set(entered).union(*map(live_pairs, (left, right, best_merged)))
+        for item in entries(touched & pair_freq.keys()):
+            heapq.heappush(heap, item)
+        # Stale entries and dead pairs would otherwise pile up: keep the heap
+        # and the symbol index O(live pairs).
+        if len(heap) > 2 * len(pair_freq) + 1024:
+            heap.clear()
+            heap.extend(entries(pair_freq))
+            heapq.heapify(heap)
+            for sym in list(sym_pairs):
+                live_pairs(sym)
 
     return SubwordVocab(tokens, max_word_length=cfg.max_word_length)
 

@@ -1,6 +1,8 @@
 import hashlib
 import json
 import math
+import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -838,3 +840,66 @@ class TestUnknownSubsetIds:
         rows = (tmp_path / "out" / "predictions_oracle.jsonl").read_text(
             encoding="utf-8").splitlines()
         assert len(rows) == 1
+
+
+def write_sweep_corpus(tmp_path):
+    rng = random.Random(5)
+    lexicon = ["".join(rng.choice("abcdefgh") for _ in range(rng.randint(2, 7)))
+               for _ in range(300)]
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text("".join(" ".join(rng.choices(lexicon, k=9)) + "\n"
+                              for _ in range(60)), encoding="utf-8")
+    return corpus
+
+
+class TestVocabSizesSweep:
+    """--vocab-sizes trains once and cuts each vocabulary from the largest."""
+
+    @pytest.mark.parametrize("extra", [(), ("--min-frequency", "2")], ids=["all", "min-freq-2"])
+    def test_each_size_matches_a_separate_run(self, tmp_path, extra):
+        corpus = write_sweep_corpus(tmp_path)
+        sizes = ["300", "40", "100000", "120"]
+        sweep = tmp_path / "sweep"
+        assert run_cli(["build-vocab", "--corpus", corpus, "--vocab-sizes", *sizes,
+                        *extra, "--output", sweep]) == 0
+        checksum = read_json(sweep / "build_vocab_manifest.json")["config_checksum"]
+        for size in sizes:
+            alone = tmp_path / f"alone_{size}"
+            assert run_cli(["build-vocab", "--corpus", corpus, "--target-size", size,
+                            *extra, "--output", alone]) == 0
+            name = f"vocab_{size}.txt"
+            assert (sweep / name).read_bytes() == (alone / name).read_bytes()
+            # The sidecars differ only in the checksum of each run's settings.
+            swept, single = read_json(sweep / f"{name}.json"), read_json(alone / f"{name}.json")
+            assert swept.pop("config_checksum") == checksum
+            single.pop("config_checksum")
+            assert swept == single
+
+    def test_size_below_alphabet_fails_before_writing(self, tmp_path, capsys):
+        corpus = write_sweep_corpus(tmp_path)
+        out = tmp_path / "out"
+        assert run_cli(["build-vocab", "--corpus", corpus, "--vocab-sizes", "300", "3",
+                        "--output", out]) == 1
+        record = cli_error(capsys)
+        assert record["error"] == "ValueError"
+        assert re.fullmatch(r"target_size 3 below alphabet\+specials \(\d+\)",
+                            record["message"])
+        assert not list(out.glob("vocab_*"))
+
+
+class TestExcludeSubjectLeavesNoCandidate:
+    def test_rank_static_fails_without_writing(self, tmp_path, capsys):
+        triples = tmp_path / "triples.jsonl"
+        triples.write_text(
+            '{"sub_label": "paris", "obj_label": "paris", "predicate_id": "P19"}\n'
+            '{"sub_label": "rome", "obj_label": "paris", "predicate_id": "P19"}\n',
+            encoding="utf-8")
+        out = tmp_path / "out"
+        assert run_cli(["rank", "static", "--triples", triples,
+                        "--templates", MINI["templates"], "--table", MINI["table"],
+                        "--vocab", MINI["vocab"], "--exclude-subject-match",
+                        "--output", out]) == 1
+        record = cli_error(capsys)
+        assert record["error"] == "ValueError"
+        assert "'P19#0'" in record["message"] and "'P19'" in record["message"]
+        assert not (out / "predictions_static.jsonl").exists()

@@ -1,5 +1,6 @@
 import json
 import random
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -15,6 +16,7 @@ from clozerank.wordpiece import (
     tokenize,
     train_wordpiece,
 )
+from wordpiece_scan import scan_train_wordpiece
 
 N_SPECIALS = len(SPECIAL_TOKENS)
 
@@ -278,3 +280,161 @@ class TestVocabIO:
             VocabTrainConfig(target_size=10, min_frequency=0)
         with pytest.raises(ValueError):
             VocabTrainConfig(target_size=10, max_word_length=0)
+
+
+def zipf_corpus(seed, n_words=800, n_lines=120, letters="abcdefghijklmnoprstuvwxyz"):
+    """Zipfian lines over a random lexicon, shaped like the benchmark corpora."""
+    rng = random.Random(seed)
+    lexicon = sorted({"".join(rng.choice(letters) for _ in range(rng.randint(3, 9)))
+                      for _ in range(n_words)})
+    rng.shuffle(lexicon)
+    weights = [1.0 / (rank + 1) for rank in range(len(lexicon))]
+    return [" ".join(rng.choices(lexicon, weights, k=rng.randint(8, 14)))
+            for _ in range(n_lines)]
+
+
+def hash_corpus(seed):
+    """Words over {#, a, b}: word-initial "#" + "###" style merges get blocked."""
+    rng = random.Random(seed)
+    return [" ".join("".join(rng.choice("#ab") for _ in range(rng.randint(1, 6)))
+                     for _ in range(8)) for _ in range(60)]
+
+
+# "aaaa baaa bcaaa": merging "bc" + "##a" takes ("##a", "##a") to zero in
+# bcaaa and back, so the pair re-enters the counts within one merge.
+REPEATED_LETTERS = ["aaaa baaa bcaaa", "aaaa baaa bcaaa aaaa aa a aaaaaaa ab ba"]
+
+# ("##a", "##aa#") and the blocked ("#", "###aaa#") both merge to "##aaa#"
+# and tie on score: the blocked pair must lose its turn, not the merge.
+BLOCKED_TIE = ("#a#aa #a#aa #a#aa #a# #a# #a# a### #aa#a#a #aa#a#a aaaaaa# aaaaaa# "
+               "aa aa aa ##a ##a #a### #a### aa#a#a ##a ##a ##a ## ##aaa# ##aaa# "
+               "##aaa# ##aa ##aa ##aa")
+
+
+class TestHeapTrainerMatchesScan:
+    """The heap trainer gives exactly the tokens of the full-scan reference."""
+
+    @pytest.mark.parametrize("corpus, cfg", [
+        *[(zipf_corpus(seed), VocabTrainConfig(target_size=900)) for seed in (1, 7, 11)],
+        (hash_corpus(3), VocabTrainConfig(target_size=10**6)),
+        (hash_corpus(4), VocabTrainConfig(target_size=10**6)),
+        ([BLOCKED_TIE], VocabTrainConfig(target_size=10**6)),
+        (zipf_corpus(5), VocabTrainConfig(target_size=600, min_frequency=3)),
+        (zipf_corpus(5), VocabTrainConfig(target_size=600, max_word_length=4)),
+        (zipf_corpus(6, n_words=150, n_lines=30), VocabTrainConfig(target_size=10**6)),
+        *[([line], VocabTrainConfig(target_size=10**6)) for line in REPEATED_LETTERS],
+    ], ids=["zipf-1", "zipf-7", "zipf-11", "hash-3", "hash-4", "blocked-tie", "min-frequency-3",
+            "max-word-length-4", "past-exhaustion", "repeated-letters",
+            "repeated-letters-mixed"])
+    def test_same_tokens_as_scan_reference(self, corpus, cfg):
+        expected, _ = scan_train_wordpiece(corpus, cfg)
+        assert train_wordpiece(corpus, cfg).tokens == expected
+
+    def test_hash_corpora_exercise_the_blocked_rule(self):
+        for corpus in (hash_corpus(3), hash_corpus(4), [BLOCKED_TIE]):
+            _, blocked = scan_train_wordpiece(corpus, VocabTrainConfig(target_size=10**6))
+            assert blocked
+
+    def test_past_exhaustion_merges_everything(self):
+        corpus = zipf_corpus(6, n_words=150, n_lines=30)
+        vocab = train_wordpiece(corpus, VocabTrainConfig(target_size=10**6))
+        assert vocab.size < 10**6
+        for word in {w for line in corpus for w in line.split()}:
+            assert vocab.ids_to_tokens(tokenize(vocab, word)) == [word]
+
+    def test_peak_memory_within_reference(self):
+        # The heap holds at most 2 x live pairs + 1024 entries, about 0.7 MB
+        # over the scan's peak here. That grows with the live pairs and the
+        # scan's own peak with the words, so on much smaller corpora the
+        # ratio exceeds the bound (2.4x on 80 lines). Without the rebuild
+        # the heap grows by about 60 entries a merge, and 200 merges cross it.
+        corpus = zipf_corpus(11, n_words=5000, n_lines=1000)
+        cfg = VocabTrainConfig(target_size=2 + 49 + 200)
+        peaks = []
+        for train in (lambda: scan_train_wordpiece(corpus, cfg),
+                      lambda: train_wordpiece(corpus, cfg)):
+            tracemalloc.start()
+            try:
+                train()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        scan_peak, heap_peak = peaks
+        assert heap_peak <= 1.5 * scan_peak, (heap_peak, scan_peak)
+
+
+def brute_force_merge_order(word_freq):
+    """Every merge to exhaustion, each chosen by re-scoring all pairs from scratch.
+
+    The key is brute_force_best_merge's (-score, merged). Two distinct pairs
+    sharing the best key fail the test: the key alone cannot order them.
+    """
+    segs = {w: [w[0]] + [CONTINUATION + ch for ch in w[1:]] for w in word_freq}
+    merges = []
+    while True:
+        sym_freq = Counter()
+        pair_freq = Counter()
+        for word, n in word_freq.items():
+            for sym in segs[word]:
+                sym_freq[sym] += n
+            for a, b in zip(segs[word], segs[word][1:]):
+                pair_freq[(a, b)] += n
+        by_key = {}
+        for (a, b), n in pair_freq.items():
+            merged = a + b[len(CONTINUATION):]
+            if not a.startswith(CONTINUATION) and merged.startswith(CONTINUATION):
+                continue
+            score = n / (sym_freq[a] * sym_freq[b])
+            by_key.setdefault((-score, merged), []).append((a, b))
+        if not by_key:
+            return merges
+        key = min(by_key)
+        if len(by_key[key]) > 1:
+            pytest.fail(f"pairs {by_key[key]} tie on key {key}")
+        (left, right), = by_key[key]
+        merges.append(key[1])
+        for word, seg in segs.items():
+            new_seg, i = [], 0
+            while i < len(seg):
+                if i + 1 < len(seg) and seg[i] == left and seg[i + 1] == right:
+                    new_seg.append(key[1])
+                    i += 2
+                else:
+                    new_seg.append(seg[i])
+                    i += 1
+            segs[word] = new_seg
+
+
+class TestFullMergeOrder:
+    @pytest.mark.parametrize("corpus", [
+        random_corpus(random.Random(23)),
+        random_corpus(random.Random(29), n_lines=25, letters="abc"),
+        hash_corpus(3),
+        REPEATED_LETTERS[:1],
+        [" ".join(w for w, n in {"abab": 4, "abc": 3, "bc": 5, "cab": 2}.items()
+                  for _ in range(n))],
+    ], ids=["abcde", "abc", "hash", "repeated-letters", "first-merge-corpus"])
+    def test_every_merge_matches_brute_force(self, corpus):
+        word_freq = Counter(w for line in corpus for w in line.split())
+        alphabet = sorted({sym for w in word_freq
+                           for sym in [w[0]] + [CONTINUATION + ch for ch in w[1:]]})
+        expected = list(SPECIAL_TOKENS) + alphabet
+        for merged in brute_force_merge_order(word_freq):
+            if merged not in expected:
+                expected.append(merged)
+        vocab = train_wordpiece(corpus, VocabTrainConfig(target_size=10**6))
+        assert vocab.tokens == expected
+
+
+class TestPrefix:
+    def test_smaller_target_is_a_prefix(self):
+        corpus = zipf_corpus(7)
+        full = train_wordpiece(corpus, VocabTrainConfig(target_size=10**6))
+        for size in (60, 300, 600, full.size, 10**6):
+            trained = train_wordpiece(corpus, VocabTrainConfig(target_size=size))
+            assert full.prefix(size).tokens == trained.tokens
+
+    def test_prefix_below_alphabet_rejected(self):
+        vocab = train_wordpiece(["abc"], VocabTrainConfig(target_size=50))
+        with pytest.raises(ValueError, match=r"target_size 4 below alphabet\+specials \(5\)"):
+            vocab.prefix(4)
