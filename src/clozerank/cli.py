@@ -8,6 +8,7 @@ artifacts: nothing here embeds timestamps or machine state.
 """
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -15,25 +16,24 @@ from pathlib import Path
 
 from . import embeddings, energy, jsonio, kb, metrics, ranking, wordpiece
 
-# evaluate's "metrics" config object turns these metrics off with false.
-_METRIC_TOGGLES = ("p5", "mf", "diversity", "buckets")
-
 
 class RunContext:
     """One command run: its flags, config file and output directory.
 
-    A setting is the flag if given, else the config key, else the default.
-    finish() writes the <command>_manifest.json every command leaves behind.
+    A setting is the flag if given, else the same-named config key typed like
+    the flag, else the default. finish() writes the command's manifest.
     """
 
     def __init__(self, args):
         self.args = args
         self.config = {} if args.config is None else jsonio.read_json(args.config)
+        self.digest = functools.cache(wordpiece.corpus_checksum)  # hash each file once
         for key in sorted(args.flags.keys() & self.config.keys()):  # typed like its flag
             flag, value = args.flags[key], self.config[key]
-            kind = flag.type or bool  # a store_true flag has no type
+            # Neither a store_true flag (nargs 0) nor a string flag has a type.
+            kind = flag.type or (bool if flag.nargs == 0 else str)
             items = value if flag.nargs and isinstance(value, list) else [value]
-            kinds = {bool: bool, int: int, float: (int, float)}[kind]
+            kinds = (int, float) if kind is float else kind
             # bool subclasses int, so true and false fit only a store_true flag.
             if not items or any(isinstance(v, bool) != (kind is bool)
                                 or not isinstance(v, kinds) for v in items):
@@ -47,6 +47,10 @@ class RunContext:
     def get(self, key, default=None):
         value = getattr(self.args, key, None)
         return value if value is not None else self.config.get(key, default)
+
+    def given(self, *keys) -> dict:
+        """The settings among keys that a flag or the config sets."""
+        return {key: self.get(key) for key in keys if self.get(key) is not None}
 
     def require(self, key):
         value = self.get(key)
@@ -82,7 +86,7 @@ class RunContext:
             "command": command,
             "config_checksum": self.checksum(settings),
             "settings": settings,
-            "inputs": {p: wordpiece.corpus_checksum(p) for p in sorted(set(map(str, inputs)))},
+            "inputs": {p: self.digest(p) for p in sorted(set(map(str, inputs)))},
             "outputs": sorted(str(o) for o in outputs),
         }, ensure_ascii=True)
         print(message)
@@ -91,23 +95,16 @@ class RunContext:
 
 def cmd_build_vocab(ctx: RunContext) -> int:
     corpus = ctx.require("corpus")
-    sizes = ctx.get("vocab_sizes")
-    if sizes is None:
-        sizes = [ctx.require("target_size")]
-    sizes = [int(s) for s in sizes]
-    min_frequency = int(ctx.get("min_frequency", 1))
-    max_word_length = int(ctx.get("max_word_length", 100))
+    sizes = ctx.get("vocab_sizes") or [ctx.require("target_size")]
+    given = ctx.given("min_frequency", "max_word_length")
+    cfgs = [wordpiece.VocabTrainConfig(target_size=size, **given) for size in sizes]
 
-    settings = {
-        "corpus": str(corpus), "vocab_sizes": sizes,
-        "min_frequency": min_frequency, "max_word_length": max_word_length,
-    }
+    settings = {"corpus": corpus, "vocab_sizes": sizes, "min_frequency": cfgs[0].min_frequency,
+                "max_word_length": cfgs[0].max_word_length}
     checksum = ctx.checksum(settings)
-    cfgs = [wordpiece.VocabTrainConfig(target_size=size, min_frequency=min_frequency,
-                                       max_word_length=max_word_length) for size in sizes]
     # Train once: the target only decides when merging stops, so every
     # smaller vocabulary is a prefix of the largest.
-    with open(corpus, "r", encoding="utf-8") as f:
+    with jsonio.open_text(corpus) as f:
         trained = wordpiece.train_wordpiece(f, max(cfgs, key=lambda c: c.target_size))
     vocabs = [trained.prefix(cfg.target_size) for cfg in cfgs]
     outputs, lines = [], []
@@ -115,8 +112,8 @@ def cmd_build_vocab(ctx: RunContext) -> int:
         size = cfg.target_size
         vocab_path = ctx.out / f"vocab_{size}.txt"
         wordpiece.save_vocab_with_sidecar(
-            vocab, cfg, vocab_path, corpus_path=corpus,
-            extra={"config_checksum": checksum},
+            vocab, cfg, vocab_path,
+            extra={"config_checksum": checksum, "corpus_sha256": ctx.digest(corpus)},
         )
         outputs += [vocab_path, Path(str(vocab_path) + ".json")]
         lines.append(f"vocab_{size}: {vocab.size} tokens -> {vocab_path}")
@@ -128,9 +125,9 @@ def cmd_tokenize(ctx: RunContext) -> int:
     text_path = ctx.require("input")
     vocab = wordpiece.SubwordVocab.load(vocab_path)
 
-    settings = {"vocab": str(vocab_path), "input": str(text_path)}
+    settings = {"vocab": vocab_path, "input": text_path}
     out_path = ctx.out / "tokens.jsonl"
-    with open(text_path, "r", encoding="utf-8") as fin:
+    with jsonio.open_text(text_path) as fin:
         ids_per_line = (wordpiece.tokenize(vocab, line) for line in fin)
         jsonio.write_jsonl(out_path, ({"token_ids": ids, "tokens": vocab.ids_to_tokens(ids)}
                                       for ids in ids_per_line))
@@ -147,20 +144,18 @@ _EMBED_FIELDS = {"lr": "learning_rate", "hash_buckets": "ngram_buckets"}
 
 def cmd_train_embeddings(ctx: RunContext) -> int:
     if "embed" in ctx.config:
-        raise ValueError("config key 'embed' is not read: move its keys to the top "
-                         "level, under the flag names (dim, lr, hash_buckets, ...)")
+        raise ValueError(f"{ctx.args.config}: config key 'embed' must be replaced by its "
+                         "keys at the top level, under the flag names (dim, lr, ...)")
     vocab_path = ctx.require("vocab")
     corpus = ctx.require("corpus")
     vocab = wordpiece.SubwordVocab.load(vocab_path)
-    values = {_EMBED_FIELDS.get(key, key): ctx.get(key) for key in _EMBED_SETTINGS}
-    cfg = embeddings.EmbedTrainConfig(**{k: v for k, v in values.items() if v is not None})
-    workers = int(ctx.get("workers", 1))
+    cfg = embeddings.EmbedTrainConfig(**{_EMBED_FIELDS.get(key, key): value for key, value
+                                         in ctx.given(*_EMBED_SETTINGS).items()})
+    workers = ctx.get("workers", 1)
 
-    settings = {
-        "vocab": str(vocab_path), "corpus": str(corpus),
-        "embed": cfg.to_dict(), "workers": workers,
-    }
-    with open(corpus, "r", encoding="utf-8") as f:
+    settings = {"vocab": vocab_path, "corpus": corpus, "embed": cfg.to_dict(),
+                "workers": workers}
+    with jsonio.open_text(corpus) as f:
         tokenized = [wordpiece.tokenize(vocab, line) for line in f]
     table = embeddings.train_static_embeddings(tokenized, vocab, cfg, workers=workers)
     table.metadata["config_checksum"] = ctx.checksum(settings)
@@ -177,7 +172,7 @@ def cmd_build_candidates(ctx: RunContext) -> int:
     dataset, inputs = ctx.dataset()
     candidates = kb.build_candidates(dataset)
 
-    settings = {"inputs": [str(p) for p in inputs]}
+    settings = {"inputs": list(inputs)}
     out_path = ctx.out / "candidates.json"
     jsonio.write_json(out_path, {
         "config_checksum": ctx.checksum(settings),
@@ -193,7 +188,7 @@ def cmd_export_manifest(ctx: RunContext) -> int:
     vocab = wordpiece.SubwordVocab.load(vocab_path)
     candidates = kb.build_candidates(dataset)
 
-    settings = {"inputs": [str(p) for p in inputs], "vocab": str(vocab_path)}
+    settings = {"inputs": list(inputs), "vocab": vocab_path}
     out_path = ctx.out / "mlm_manifest.jsonl"
     rows = ranking.export_mlm_manifest(dataset, candidates, vocab, out_path)
     return ctx.finish(settings, inputs + [vocab_path], [out_path],
@@ -205,32 +200,27 @@ def cmd_rank(ctx: RunContext) -> int:
     candidates = kb.build_candidates(dataset)
     mode = ctx.args.mode
 
-    settings = {"mode": mode, "inputs": [str(p) for p in inputs]}
+    settings = {"mode": mode, "inputs": list(inputs)}
     if mode == "static":
         table_path = ctx.require("table")
         vocab_path = ctx.require("vocab")
         table = embeddings.load_table(table_path)
         vocab = wordpiece.SubwordVocab.load(vocab_path)
         exclude = ctx.get("exclude_subject_match", False)
-        settings.update({"table": str(table_path), "vocab": str(vocab_path),
+        settings.update({"table": table_path, "vocab": vocab_path,
                          "exclude_subject_match": exclude})
         inputs += [table_path, vocab_path]
         predictions = ranking.rank_static(table, vocab, dataset, candidates,
                                           exclude_subject_match=exclude)
     elif mode == "oracle":
         predictions = ranking.rank_oracle(dataset, candidates)
-    elif mode == "mlm":
+    else:  # mlm
         score_path = ctx.require("scores")
         manifest_path = ctx.get("manifest")
-        settings.update({"scores": str(score_path),
-                         "manifest": str(manifest_path) if manifest_path else None})
-        inputs.append(score_path)
-        if manifest_path:
-            inputs.append(manifest_path)
+        settings.update({"scores": score_path, "manifest": manifest_path})
+        inputs += [p for p in (score_path, manifest_path) if p is not None]
         predictions = ranking.rank_mlm(score_path, dataset, candidates,
                                        manifest_path=manifest_path)
-    else:
-        raise ValueError(f"unknown rank mode {mode!r}")
 
     out_path = ctx.out / f"predictions_{mode}.jsonl"
     meta_path = ctx.out / f"predictions_{mode}.meta.json"
@@ -245,48 +235,34 @@ def cmd_rank(ctx: RunContext) -> int:
 
 
 def cmd_stub_score(ctx: RunContext) -> int:
-    manifest_path = ctx.require("manifest")
-    lookup_path = ctx.get("lookup")
-    lookup = None
-    inputs = [manifest_path]
-    if lookup_path is not None:
-        lookup = jsonio.read_json(lookup_path)
-        inputs.append(lookup_path)
+    manifest_path, lookup_path = ctx.require("manifest"), ctx.get("lookup")
+    lookup = None if lookup_path is None else ranking.read_lookup(lookup_path)
+    inputs = [p for p in (manifest_path, lookup_path) if p is not None]
 
-    settings = {"manifest": str(manifest_path),
-                "lookup": str(lookup_path) if lookup_path else None}
+    settings = {"manifest": manifest_path, "lookup": lookup_path}
     out_path = ctx.out / "stub_scores.jsonl"
     rows = ranking.write_stub_scores(manifest_path, out_path, lookup=lookup)
     return ctx.finish(settings, inputs, [out_path], f"{rows} score rows -> {out_path}")
 
 
 def cmd_evaluate(ctx: RunContext) -> int:
+    if "metrics" in ctx.config:
+        raise ValueError(f"{ctx.args.config}: config key 'metrics' must be replaced by "
+                         "no_p5, no_mf, no_diversity; buckets follow --vocab")
     dataset, inputs = ctx.dataset()
     predictions_path = ctx.require("predictions")
     predictions = ranking.load_predictions(predictions_path)
     inputs.append(predictions_path)
 
-    chosen = ctx.config.get("metrics", {})
-    if not (isinstance(chosen, dict) and chosen.keys() <= set(_METRIC_TOGGLES)
-            and all(isinstance(v, bool) for v in chosen.values())):
-        raise ValueError(f"{ctx.args.config}: config key 'metrics' must be an object "
-                         f"mapping some of {', '.join(_METRIC_TOGGLES)} to true or false")
-    toggles = {key: chosen.get(key, True) for key in _METRIC_TOGGLES}
-    for key in ("p5", "mf", "diversity"):
-        if ctx.get(f"no_{key}", False):
-            toggles[key] = False
+    toggles = {key: not ctx.get(f"no_{key}") for key in ("p5", "mf", "diversity")}
     vocab_path = ctx.get("vocab")
     vocab = None
-    if vocab_path is not None and toggles["buckets"]:
+    if vocab_path is not None:
         vocab = wordpiece.SubwordVocab.load(vocab_path)
         inputs.append(vocab_path)
 
-    settings = {
-        "inputs": [str(p) for p in inputs],
-        "predictions": str(predictions_path),
-        "vocab": str(vocab_path) if vocab_path else None,
-        "toggles": toggles,
-    }
+    settings = {"inputs": list(inputs), "predictions": predictions_path, "vocab": vocab_path,
+                "language": dataset.language, "toggles": toggles}
     report = metrics.compute_report(
         predictions, dataset, vocab=vocab, with_p5=toggles["p5"],
         with_mf=toggles["mf"], with_diversity=toggles["diversity"],
@@ -309,28 +285,21 @@ def cmd_evaluate(ctx: RunContext) -> int:
 
 
 def cmd_energy(ctx: RunContext) -> int:
-    watts = float(ctx.require("watts"))
-    hours = float(ctx.require("hours"))
-    pue = float(ctx.get("pue", energy.DEFAULT_PUE))
-    intensity = float(ctx.get("carbon_intensity", energy.DEFAULT_CARBON_INTENSITY))
-    run = energy.EnergyInput(watts, hours, pue=pue, carbon_intensity=intensity)
+    factors = ctx.given("pue", "carbon_intensity")
+    run = energy.EnergyInput(ctx.require("watts"), ctx.require("hours"), **factors)
     payload = {"run": energy.footprint(run)}
 
-    baseline_watts = ctx.get("baseline_watts")
-    baseline_hours = ctx.get("baseline_hours")
+    baseline_watts, baseline_hours = ctx.get("baseline_watts"), ctx.get("baseline_hours")
     if (baseline_watts is None) != (baseline_hours is None):
         raise ValueError("baseline needs both --baseline-watts and --baseline-hours")
     if baseline_watts is not None:
-        baseline = energy.EnergyInput(float(baseline_watts), float(baseline_hours),
-                                      pue=pue, carbon_intensity=intensity)
+        baseline = energy.EnergyInput(baseline_watts, baseline_hours, **factors)
         payload["baseline"] = energy.footprint(baseline)
         payload["ratios"] = energy.footprint_ratio(run, baseline)
 
-    settings = {
-        "watts": watts, "hours": hours, "pue": pue, "carbon_intensity": intensity,
-        "baseline_watts": float(baseline_watts) if baseline_watts is not None else None,
-        "baseline_hours": float(baseline_hours) if baseline_hours is not None else None,
-    }
+    settings = {"watts": run.power_watts, "hours": run.hours, "pue": run.pue,
+                "carbon_intensity": run.carbon_intensity,
+                "baseline_watts": baseline_watts, "baseline_hours": baseline_hours}
     payload["config_checksum"] = ctx.checksum(settings)
     out_path = ctx.out / "energy.json"
     jsonio.write_json(out_path, payload)
@@ -380,6 +349,11 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="JSON config file; flags override it")
     common.add_argument("--output", help="output directory (default .)")
+    kb_inputs = argparse.ArgumentParser(add_help=False, parents=[common])
+    kb_inputs.add_argument("--triples")
+    kb_inputs.add_argument("--templates")
+    kb_inputs.add_argument("--subset", help="file of triple ids to keep, one per line")
+    kb_inputs.add_argument("--language", help="language tag of the KB (default en)")
 
     parser = argparse.ArgumentParser(
         prog="clozerank",
@@ -391,10 +365,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("build-vocab", parents=[common],
                        help="train wordpiece vocabularies from a corpus")
     p.add_argument("--corpus")
-    p.add_argument("--target-size", dest="target_size", type=int)
-    p.add_argument("--vocab-sizes", dest="vocab_sizes", type=int, nargs="+")
-    p.add_argument("--min-frequency", dest="min_frequency", type=int)
-    p.add_argument("--max-word-length", dest="max_word_length", type=int)
+    p.add_argument("--target-size", type=int)
+    p.add_argument("--vocab-sizes", type=int, nargs="+")
+    p.add_argument("--min-frequency", type=int)
+    p.add_argument("--max-word-length", type=int)
     p.set_defaults(func=cmd_build_vocab)
 
     p = sub.add_parser("tokenize", parents=[common],
@@ -412,43 +386,30 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--negatives", type=int)
     p.add_argument("--epochs", type=int)
     p.add_argument("--lr", type=float)
-    p.add_argument("--min-count", dest="min_count", type=int)
-    p.add_argument("--char-ngram-min", dest="char_ngram_min", type=int)
-    p.add_argument("--char-ngram-max", dest="char_ngram_max", type=int)
-    p.add_argument("--hash-buckets", dest="hash_buckets", type=int)
+    p.add_argument("--min-count", type=int)
+    p.add_argument("--char-ngram-min", type=int)
+    p.add_argument("--char-ngram-max", type=int)
+    p.add_argument("--hash-buckets", type=int)
     p.add_argument("--workers", type=int,
                    help="only 1 is accepted: training is single-threaded")
     p.add_argument("--seed", type=int, help="training seed")
-    p.add_argument("--deterministic", action="store_true",
-                   help="accepted for compatibility; a no-op, since training is "
-                        "already single-threaded and deterministic")
     p.set_defaults(func=cmd_train_embeddings)
 
-    p = sub.add_parser("build-candidates", parents=[common],
+    p = sub.add_parser("build-candidates", parents=[kb_inputs],
                        help="emit per-relation candidate sets")
-    p.add_argument("--triples")
-    p.add_argument("--templates")
-    p.add_argument("--subset")
     p.set_defaults(func=cmd_build_candidates)
 
-    p = sub.add_parser("export-manifest", parents=[common],
+    p = sub.add_parser("export-manifest", parents=[kb_inputs],
                        help="emit (triple, candidate) rows for an external scorer")
-    p.add_argument("--triples")
-    p.add_argument("--templates")
-    p.add_argument("--subset")
     p.add_argument("--vocab")
     p.set_defaults(func=cmd_export_manifest)
 
-    p = sub.add_parser("rank", parents=[common],
+    p = sub.add_parser("rank", parents=[kb_inputs],
                        help="rank candidates per triple")
     p.add_argument("mode", choices=["static", "oracle", "mlm"])
-    p.add_argument("--triples")
-    p.add_argument("--templates")
-    p.add_argument("--subset")
     p.add_argument("--table")
     p.add_argument("--vocab")
-    p.add_argument("--exclude-subject-match", dest="exclude_subject_match",
-                   action="store_true", default=None)
+    p.add_argument("--exclude-subject-match", action="store_true", default=None)
     p.add_argument("--scores")
     p.add_argument("--manifest")
     p.set_defaults(func=cmd_rank)
@@ -459,12 +420,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lookup")
     p.set_defaults(func=cmd_stub_score)
 
-    p = sub.add_parser("evaluate", parents=[common],
+    p = sub.add_parser("evaluate", parents=[kb_inputs],
                        help="compute the metric suite over predictions")
     p.add_argument("--predictions")
-    p.add_argument("--triples")
-    p.add_argument("--templates")
-    p.add_argument("--subset")
     p.add_argument("--vocab", help="enables subject-length buckets")
     p.add_argument("--no-p5", action="store_true", default=None)
     p.add_argument("--no-mf", action="store_true", default=None)
@@ -476,9 +434,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--watts", type=float)
     p.add_argument("--hours", type=float)
     p.add_argument("--pue", type=float)
-    p.add_argument("--carbon-intensity", dest="carbon_intensity", type=float)
-    p.add_argument("--baseline-watts", dest="baseline_watts", type=float)
-    p.add_argument("--baseline-hours", dest="baseline_hours", type=float)
+    p.add_argument("--carbon-intensity", type=float)
+    p.add_argument("--baseline-watts", type=float)
+    p.add_argument("--baseline-hours", type=float)
     p.set_defaults(func=cmd_energy)
 
     p = sub.add_parser("report", parents=[common],
@@ -487,9 +445,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="NAME=metrics.json[,uhn_metrics.json]; repeatable")
     p.set_defaults(func=cmd_report)
 
+    # Every optional store flag types the config key of the same name.
     for p in sub.choices.values():
-        p.set_defaults(flags={a.dest: a for a in p._actions if a.type in (int, float)
-                              or isinstance(a, argparse._StoreTrueAction)})
+        p.set_defaults(flags={a.dest: a for a in p._actions if a.option_strings and isinstance(
+            a, (argparse._StoreAction, argparse._StoreTrueAction))})
     return parser
 
 

@@ -7,7 +7,7 @@ import sys
 from collections import Counter
 from dataclasses import asdict, dataclass
 
-from .jsonio import write_json
+from .jsonio import open_text, write_json
 from .wordpiece import SubwordVocab
 
 
@@ -304,7 +304,7 @@ def save_table(table: EmbeddingTable, path) -> None:
 
 def load_table(path, source: str = "loaded") -> EmbeddingTable:
     # A value that overflows float32 becomes inf and is rejected as non-finite.
-    with open(path, "r", encoding="utf-8") as f, _np.errstate(over="ignore"):
+    with open_text(path) as f, _np.errstate(over="ignore"):
         header = f.readline().split()
         if len(header) != 2:
             raise ValueError(f"{path}: malformed header {header!r}")

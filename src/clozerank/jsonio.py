@@ -7,6 +7,7 @@ JSONL files hold one compact object per line. Read errors name path[:line].
 import json
 import operator
 import re
+from contextlib import contextmanager
 from pathlib import Path
 
 # A str holding a surrogate code point has no UTF-8 encoding.
@@ -18,6 +19,25 @@ def is_utf8_text(value) -> bool:
     return isinstance(value, str) and (value.isascii() or not _SURROGATE.search(value))
 
 
+@contextmanager
+def open_text(path):
+    """Open a UTF-8 text file for reading; bytes that are not UTF-8 name path:line."""
+    with open(path, "r", encoding="utf-8") as f:
+        try:
+            yield f
+            return
+        except UnicodeDecodeError as exc:
+            error = exc
+    # Rescan only on error; no UTF-8 character holds a newline byte.
+    with open(path, "rb") as f:
+        for lineno, line in enumerate(f, start=1):
+            try:
+                line.decode("utf-8")
+            except UnicodeDecodeError:
+                raise ValueError(f"{path}:{lineno}: not UTF-8 text") from None
+    raise error
+
+
 def read_jsonl(path, *fields, text=()):
     """Yield (lineno, row, values) for each non-blank line of a JSONL file.
 
@@ -26,7 +46,7 @@ def read_jsonl(path, *fields, text=()):
     present, hold strings that UTF-8 can encode. Errors name path:line.
     """
     pick = operator.itemgetter(*fields)
-    with open(path, "r", encoding="utf-8") as f:
+    with open_text(path) as f:
         for lineno, line in enumerate(f, start=1):
             if not line.strip():
                 continue

@@ -1,9 +1,8 @@
 """KB ingestion: triples, relation templates, typed candidate sets, queries."""
 
 from dataclasses import dataclass, field
-from pathlib import Path
 
-from .jsonio import is_utf8_text, read_jsonl
+from .jsonio import is_utf8_text, open_text, read_jsonl
 
 SUBJECT_SLOT = "[X]"
 OBJECT_SLOT = "[Y]"
@@ -166,12 +165,8 @@ def apply_subset(dataset: Dataset, id_list) -> tuple[Dataset, int]:
 
 
 def read_subset_ids(path) -> list[str]:
-    ids = []
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        line = line.strip()
-        if line:
-            ids.append(line)
-    return ids
+    with open_text(path) as f:
+        return [line.strip() for line in f.read().splitlines() if line.strip()]
 
 
 def instantiate_query(spec: RelationSpec, subject: str, mask_count: int = 1) -> str:

@@ -6,7 +6,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from .embeddings import EmbeddingTable, _np, compose
-from .jsonio import read_jsonl, write_jsonl
+from .jsonio import read_json, read_jsonl, write_jsonl
 from .kb import CandidateSet, Dataset, instantiate_query
 from .wordpiece import UNK_TOKEN, SubwordVocab, tokenize
 
@@ -155,15 +155,26 @@ class MlmScoreRecord:
 
 
 def read_score_file(path) -> list[MlmScoreRecord]:
-    records = []
+    return list(_scores_by_pair(path).values())
+
+
+def _scores_by_pair(path) -> dict[tuple[str, str], MlmScoreRecord]:
+    """Read a score file; each (triple_id, candidate) pair may have one row only."""
+    by_pair = {}
     for lineno, _, (triple_id, candidate, logprobs) in read_jsonl(
             path, "triple_id", "candidate", "token_logprobs",
             text=("triple_id", "candidate")):
+        key = (triple_id, candidate)
+        if key in by_pair:  # rescan for the first row only on error
+            first = next(n for n, _, pair in read_jsonl(path, "triple_id", "candidate")
+                         if pair == key)
+            raise ValueError(f"{path}:{lineno}: duplicate score row for {key!r} "
+                             f"(first at line {first})")
         try:
-            records.append(MlmScoreRecord(triple_id, candidate, tuple(map(float, logprobs))))
+            by_pair[key] = MlmScoreRecord(triple_id, candidate, tuple(map(float, logprobs)))
         except (TypeError, ValueError) as exc:
             raise ValueError(f"{path}:{lineno}: malformed score row: {exc}") from None
-    return records
+    return by_pair
 
 
 def _read_manifest(manifest_path):
@@ -205,12 +216,7 @@ def rank_mlm(score_path, dataset: Dataset, candidates: dict[str, CandidateSet],
     once; row order is irrelevant. A manifest, if given, must hold a row for
     every scored pair with as many mask ids as the pair has log-probs.
     """
-    by_pair: dict[tuple[str, str], MlmScoreRecord] = {}
-    for rec in read_score_file(score_path):
-        key = (rec.triple_id, rec.candidate)
-        if key in by_pair:
-            raise ValueError(f"duplicate score row for {key!r}")
-        by_pair[key] = rec
+    by_pair = _scores_by_pair(score_path)
 
     if manifest_path is not None:
         _check_manifest(manifest_path, by_pair)
@@ -245,25 +251,41 @@ def _stub_logprob(triple_id: str, candidate: str, position: int) -> float:
     return -0.01 - 7.99 * unit
 
 
-def write_stub_scores(manifest_path, out_path, lookup=None) -> int:
-    """Generate a valid score file from a manifest without any external model.
-
-    lookup maps triple_id -> {candidate: [log-probs]} (or (triple_id,
-    candidate) tuples directly); pairs not covered get deterministic filler
-    values. The output is created before the manifest is read. Returns the
-    number of rows written.
-    """
-    table: dict[tuple[str, str], list[float]] = {}
-    for key, value in (lookup or {}).items():
-        if isinstance(key, tuple):
-            table[key] = list(value)
-            continue
+def _lookup_table(lookup: dict) -> dict[tuple[str, str], list[float]]:
+    table = {}
+    for key, value in lookup.items():
         if not isinstance(value, dict) or not all(isinstance(lps, list)
                                                   for lps in value.values()):
             raise ValueError(f"lookup entry {key!r} must map each candidate to a "
                              f"list of log-probs, got {value!r}")
         for cand, lps in value.items():
-            table[(key, cand)] = list(lps)
+            try:
+                rec = MlmScoreRecord(key, cand, tuple(map(float, lps)))
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"lookup entry {key!r}: {exc}") from None
+            table[(key, cand)] = list(rec.token_logprobs)
+    return table
+
+
+def read_lookup(path) -> dict:
+    """Read a stub-score lookup file (see write_stub_scores); errors name the path."""
+    lookup = read_json(path)
+    try:
+        _lookup_table(lookup)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    return lookup
+
+
+def write_stub_scores(manifest_path, out_path, lookup=None) -> int:
+    """Generate a valid score file from a manifest without any external model.
+
+    lookup maps triple_id -> {candidate: [log-probs]}, each log-prob finite
+    and <= 0 as in a score row; pairs not covered get deterministic filler
+    values. The output is created before the manifest is read. Returns the
+    number of rows written.
+    """
+    table = _lookup_table(lookup or {})
 
     def rows():
         for lineno, triple_id, cand, masks in _read_manifest(manifest_path):

@@ -6,7 +6,7 @@ from collections import Counter
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
-from .jsonio import read_json, write_json
+from .jsonio import open_text, read_json, write_json
 
 UNK_TOKEN = "[UNK]"
 MASK_TOKEN = "[MASK]"
@@ -117,7 +117,8 @@ class SubwordVocab:
         max_word_length defaults to the config.max_word_length recorded in
         the <path>.json sidecar that build-vocab writes, else to 100.
         """
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
+        with open_text(path) as f:
+            lines = f.read().splitlines()
         sidecar = Path(f"{path}.json")
         if max_word_length is None and sidecar.is_file():
             config = read_json(sidecar).get("config")

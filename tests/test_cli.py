@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from clozerank import wordpiece
 from clozerank.cli import main
 from clozerank.wordpiece import SubwordVocab
 
@@ -76,6 +77,21 @@ class TestBuildVocab:
         digest = hashlib.sha256(corpus.read_bytes()).hexdigest()
         assert manifest["inputs"][str(corpus)] == digest
         assert manifest["command"] == "build-vocab"
+
+    def test_sweep_hashes_the_corpus_once(self, tmp_path, monkeypatch):
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_text("ab ab ab b\nab cab bc\nbc bc cab\n", encoding="utf-8")
+        calls = []
+        checksum = wordpiece.corpus_checksum
+        monkeypatch.setattr(wordpiece, "corpus_checksum",
+                            lambda path: calls.append(path) or checksum(path))
+        out = tmp_path / "out"
+        assert run_cli(["build-vocab", "--corpus", corpus,
+                        "--vocab-sizes", "8", "9", "10", "--output", out]) == 0
+        assert calls == [str(corpus)]
+        digest = read_json(out / "build_vocab_manifest.json")["inputs"][str(corpus)]
+        for size in (8, 9, 10):
+            assert read_json(out / f"vocab_{size}.txt.json")["corpus_sha256"] == digest
 
     def test_target_size_single(self, tmp_path):
         corpus = tmp_path / "corpus.txt"
@@ -152,8 +168,7 @@ class TestTrainEmbeddings:
         vocab, corpus = write_tiny_training_setup(tmp_path)
         out1, out2 = tmp_path / "a", tmp_path / "b"
         for out in (out1, out2):
-            assert run_cli(self.train_args(vocab, corpus, out,
-                                           extra=["--deterministic"])) == 0
+            assert run_cli(self.train_args(vocab, corpus, out)) == 0
         assert (out1 / "embeddings.vec").read_bytes() \
             == (out2 / "embeddings.vec").read_bytes()
 
@@ -576,6 +591,19 @@ class TestCommonOptions:
         assert exc.value.code == 2
         assert "--seed" in capsys.readouterr().err
 
+    def test_deterministic_is_not_a_flag(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["train-embeddings", "--deterministic"])
+        assert exc.value.code == 2
+        assert "--deterministic" in capsys.readouterr().err
+
+    def test_language_reaches_metrics_and_checksum(self, tmp_path):
+        preds_path = rank_static(tmp_path)
+        en = read_json(evaluate(tmp_path / "en", preds_path))
+        de = read_json(evaluate(tmp_path / "de", preds_path, extra=["--language", "de"]))
+        assert (en["metadata"]["language"], de["metadata"]["language"]) == ("en", "de")
+        assert en["metadata"]["config_checksum"] != de["metadata"]["config_checksum"]
+
 
 class TestConfigTypes:
     """Config values must have the type of the flag with the same name."""
@@ -685,6 +713,15 @@ class TestJsonObjectFiles:
         assert record["error"] == "ValueError"
         assert "lookup entry 'P103#0'" in record["message"]
 
+    @pytest.mark.parametrize("logprobs", [["x"], [0.5], []], ids=["str", "positive", "empty"])
+    def test_lookup_logprobs_follow_the_score_row_rule(self, tmp_path, capsys, logprobs):
+        lookup = tmp_path / "lookup.json"
+        lookup.write_text(json.dumps({"P19#0": {"rome": logprobs}}), encoding="utf-8")
+        assert self.run_with(tmp_path, "lookup", lookup) == 1
+        record = cli_error(capsys)
+        assert record["error"] == "ValueError"
+        assert record["message"].startswith(f"{lookup}: lookup entry 'P19#0'")
+
 
 def rewrite_first_row(path, **changes):
     rows = path.read_text(encoding="utf-8").splitlines()
@@ -725,7 +762,7 @@ class TestLabelTypesInRankingFiles:
 
 
 class TestConfigValueShapes:
-    """Boolean flags, the metrics toggles and list flags type their config values."""
+    """Boolean, string and list flags type their config values; 'metrics' is retired."""
 
     @pytest.mark.parametrize("command, key, value", [
         ("rank-static", "exclude_subject_match", "false"),
@@ -733,8 +770,11 @@ class TestConfigValueShapes:
         ("evaluate", "metrics", {"p5": "no"}),
         ("evaluate", "metrics", {"p6": False}),
         ("build-vocab", "vocab_sizes", []),
+        ("build-vocab", "corpus", 0),
+        ("evaluate", "triples", ["x"]),
+        ("evaluate", "metrics", {"p5": False}),
     ], ids=["exclude-str", "metrics-number", "metrics-str-toggle", "metrics-unknown-key",
-            "vocab-sizes-empty"])
+            "vocab-sizes-empty", "corpus-int", "triples-list", "metrics-once-valid"])
     def test_value_rejected_with_path_and_key(self, tmp_path, capsys, command, key, value):
         kb_args = ["--triples", MINI["triples"], "--templates", MINI["templates"]]
         assert run_cli(["rank", "oracle", *kb_args, "--output", tmp_path / "oracle"]) == 0
@@ -751,6 +791,7 @@ class TestConfigValueShapes:
         record = cli_error(capsys)
         assert record["error"] == "ValueError"
         assert record["message"].startswith(f"{config}: config key {key!r} must be")
+        assert not list((tmp_path / "out").glob("*"))
 
 
 class TestManifestMaskIds:
@@ -903,3 +944,50 @@ class TestExcludeSubjectLeavesNoCandidate:
         assert record["error"] == "ValueError"
         assert "'P19#0'" in record["message"] and "'P19'" in record["message"]
         assert not (out / "predictions_static.jsonl").exists()
+
+
+class TestDuplicateScoreRow:
+    def test_repeated_pair_names_both_lines(self, tmp_path, capsys):
+        manifest, scores = export_and_stub_score(tmp_path / "mlm")
+        rows = scores.read_text(encoding="utf-8").splitlines()
+        scores.write_text("\n".join(rows + rows[:1]) + "\n", encoding="utf-8")
+        assert run_cli(["rank", "mlm", "--triples", MINI["triples"],
+                        "--templates", MINI["templates"], "--scores", scores,
+                        "--output", tmp_path / "out"]) == 1
+        assert cli_error(capsys)["message"] == (
+            f"{scores}:{len(rows) + 1}: duplicate score row for ('P103#0', 'french') "
+            "(first at line 1)")
+
+
+class TestNonUtf8Input:
+    """Every text input names path:LINE of its first line that is not UTF-8."""
+
+    @pytest.mark.parametrize("command, role", [
+        ("build-vocab", "corpus"), ("train-embeddings", "corpus"), ("tokenize", "input"),
+        ("tokenize", "vocab"), ("rank-oracle", "templates"), ("rank-oracle", "subset"),
+        ("rank-static", "table"),
+    ])
+    def test_bad_line_named(self, tmp_path, capsys, command, role):
+        text = tmp_path / "text.txt"
+        text.write_text("anna maria\nkenji\nanna\n", encoding="utf-8")
+        paths = {"corpus": text, "input": text, "vocab": Path(MINI["vocab"]),
+                 "table": Path(MINI["table"]), "templates": Path(MINI["templates"]),
+                 "subset": Path(MINI["uhn_ids"])}
+        lines = paths[role].read_bytes().splitlines(keepends=True)
+        lines[1] = b"\xff" + lines[1]
+        bad = paths[role] = tmp_path / f"bad_{role}"
+        bad.write_bytes(b"".join(lines))
+        kb_args = ["--triples", MINI["triples"], "--templates", paths["templates"]]
+        argv = {
+            "build-vocab": ["build-vocab", "--corpus", paths["corpus"], "--target-size", "8"],
+            "train-embeddings": ["train-embeddings", "--vocab", paths["vocab"],
+                                 "--corpus", paths["corpus"], "--dim", "8"],
+            "tokenize": ["tokenize", "--vocab", paths["vocab"], "--input", paths["input"]],
+            "rank-oracle": ["rank", "oracle", *kb_args, "--subset", paths["subset"]],
+            "rank-static": ["rank", "static", *kb_args, "--table", paths["table"],
+                            "--vocab", paths["vocab"]],
+        }[command]
+        assert run_cli([*argv, "--output", tmp_path / "out"]) == 1
+        record = cli_error(capsys)
+        assert record["error"] == "ValueError"
+        assert record["message"] == f"{bad}:2: not UTF-8 text"

@@ -322,8 +322,7 @@ class TestCompactTrainer:
         args = ["train-embeddings", "--vocab", str(vocab), "--corpus", str(corpus),
                 "--dim", "8", "--epochs", "1", "--min-count", "1", "--seed", "3"]
         ok = tmp_path / "ok"
-        assert cli_main(args + ["--output", str(ok), "--workers", "1",
-                                "--deterministic"]) == 0
+        assert cli_main(args + ["--output", str(ok), "--workers", "1"]) == 0
         assert (ok / "embeddings.vec").exists()
         capsys.readouterr()
         bad = tmp_path / "bad"

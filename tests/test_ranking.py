@@ -347,14 +347,6 @@ class TestStubScorer:
         for lp in rows["bb"]:
             assert -8.0 <= lp <= -0.01
 
-    def test_tuple_keyed_lookup(self, tmp_path):
-        manifest = self.make_manifest(tmp_path)
-        out = tmp_path / "scores.jsonl"
-        write_stub_scores(manifest, out, lookup={("t1", "bb"): [-1.0, -2.0]})
-        rows = {r["candidate"]: r["token_logprobs"]
-                for r in map(json.loads, out.read_text().splitlines())}
-        assert rows["bb"] == [-1.0, -2.0]
-
     def test_wrong_length_lookup_rejected(self, tmp_path):
         manifest = self.make_manifest(tmp_path)
         with pytest.raises(ValueError, match="log-probs"):
