@@ -100,12 +100,6 @@ class EmbeddingTable:
             token = list(self.entries)[bad[0]]
             raise TableRowError(int(bad[0]), f"vector for {token!r} contains NaN/Inf")
 
-    def add(self, token: str, vector) -> None:
-        """Append one row. Copies the matrix: build large tables in one go instead."""
-        grown = EmbeddingTable(self.dim, [*self.entries, token],
-                               _np.vstack([self.matrix, vector]))
-        self.matrix, self.entries = grown.matrix, grown.entries
-
     def __contains__(self, token: str) -> bool:
         return token in self.entries
 
@@ -123,24 +117,12 @@ class EmbeddingTable:
                               self.metadata)
 
 
-@dataclass
-class Composition:
-    """Mean of piece vectors, with the pieces that had no table entry."""
+def compose(table: EmbeddingTable, tokens) -> tuple[_np.ndarray, tuple[str, ...]]:
+    """(Arithmetic mean of the token vectors in float64, tokens absent from the table).
 
-    vector: _np.ndarray
-    missing: tuple[str, ...] = ()
-
-    @property
-    def flagged(self) -> bool:
-        return bool(self.missing)
-
-
-def compose(table: EmbeddingTable, tokens) -> Composition:
-    """Arithmetic mean of the token vectors, in float64.
-
-    Tokens absent from the table contribute a zero vector and are reported in
-    the result instead of raising; candidate strings may contain rare pieces.
-    The present rows are summed in token order, starting from +0.0.
+    Absent tokens contribute a zero vector and are returned instead of
+    raising; candidate strings may contain rare pieces. The present rows are
+    summed in token order, starting from +0.0.
     """
     tokens = list(tokens)
     if not tokens:
@@ -150,7 +132,7 @@ def compose(table: EmbeddingTable, tokens) -> Composition:
     for vec in table.matrix[[row for row in rows if row is not None]]:
         total += vec
     missing = tuple(tok for tok, row in zip(tokens, rows) if row is None)
-    return Composition(total / len(tokens), missing)
+    return total / len(tokens), missing
 
 
 def _fnv1a(data: bytes) -> int:
@@ -295,14 +277,14 @@ def save_table(table: EmbeddingTable, path) -> None:
                 f"cannot save token {token!r}: tokens must be non-empty "
                 "and contain no whitespace"
             )
+    row_format = "%s" + f" %.{SERIALIZATION_DECIMALS}f" * table.dim + "\n"
     with open(path, "w", encoding="utf-8") as f:
         f.write(f"{len(table)} {table.dim}\n")
         for token, vec in zip(table.entries, table.matrix):
-            values = " ".join(f"{v:.{SERIALIZATION_DECIMALS}f}" for v in vec)
-            f.write(f"{token} {values}\n")
+            f.write(row_format % (token, *vec.tolist()))
 
 
-def load_table(path, source: str = "loaded") -> EmbeddingTable:
+def load_table(path) -> EmbeddingTable:
     # A value that overflows float32 becomes inf and is rejected as non-finite.
     with open_text(path) as f, _np.errstate(over="ignore"):
         header = f.readline().split()
@@ -330,18 +312,9 @@ def load_table(path, source: str = "loaded") -> EmbeddingTable:
         raise ValueError(f"{path}: header declares {count} rows, found {len(tokens)}")
     try:
         return EmbeddingTable(dim, tokens, _np.array(rows).reshape(count, dim),
-                              metadata={"source": source})
+                              metadata={"source": "loaded"})
     except TableRowError as exc:
         raise ValueError(f"{path}:{exc.row + 2}: {exc}") from None
-
-
-def import_external_table(path, expected_vocab: SubwordVocab | None = None) -> EmbeddingTable:
-    """Load a table produced by an external tool, e.g. per-layer PLM averages."""
-    table = load_table(path, source="imported")
-    if expected_vocab is not None:
-        covered = sum(1 for t in expected_vocab.tokens if t in table.entries)
-        table.metadata["vocab_coverage"] = covered / expected_vocab.size
-    return table
 
 
 def save_table_metadata(table: EmbeddingTable, path) -> None:

@@ -57,6 +57,7 @@ def most_frequent_object(dataset: Dataset, relation_id: str) -> str:
 
 
 def _p1_mf(outcomes: dict, dataset: Dataset) -> tuple[float | None, int]:
+    """(Macro p@1 without each relation's most frequent object, relations left empty)."""
     per_relation = []
     for rel in dataset.relation_ids:
         mf = most_frequent_object(dataset, rel)
@@ -67,20 +68,8 @@ def _p1_mf(outcomes: dict, dataset: Dataset) -> tuple[float | None, int]:
     return (sum(per_relation) / len(per_relation) if per_relation else None), dropped
 
 
-def p1_excluding_most_frequent(predictions: list[Prediction],
-                               dataset: Dataset) -> tuple[float, int]:
-    """Macro p@1 after dropping each relation's most-frequent-object triples.
-
-    Relations left with nothing are skipped; the count of such relations is
-    returned alongside the score.
-    """
-    score, dropped = _p1_mf(_outcomes(predictions, dataset), dataset)
-    if score is None:
-        raise ValueError("every relation was emptied by the most-frequent filter")
-    return score, dropped
-
-
 def _diversity(outcomes: dict, dataset: Dataset) -> tuple[float, float]:
+    """(Base-2 entropy of the pooled top-1 labels, mean distinct top-1 per relation)."""
     pooled = Counter()
     distinct_counts = []
     for rel in dataset.relation_ids:
@@ -95,12 +84,8 @@ def _diversity(outcomes: dict, dataset: Dataset) -> tuple[float, float]:
     return entropy, sum(distinct_counts) / len(distinct_counts)
 
 
-def diversity(predictions: list[Prediction], dataset: Dataset) -> tuple[float, float]:
-    """(base-2 entropy of the pooled top-1 distribution, mean distinct top-1 per relation)."""
-    return _diversity(_outcomes(predictions, dataset), dataset)
-
-
 def _buckets(outcomes: dict, dataset: Dataset, vocab: SubwordVocab) -> dict[int, dict]:
+    """Micro p@1 grouped by how many pieces the subject tokenizes into."""
     hits = defaultdict(int)
     totals = defaultdict(int)
     for triple in dataset.triples():
@@ -112,12 +97,6 @@ def _buckets(outcomes: dict, dataset: Dataset, vocab: SubwordVocab) -> dict[int,
         length: {"n": totals[length], "p1": hits[length] / totals[length]}
         for length in sorted(totals)
     }
-
-
-def bucket_by_subject_length(predictions: list[Prediction], dataset: Dataset,
-                             vocab: SubwordVocab) -> dict[int, dict]:
-    """Micro p@1 grouped by how many pieces the subject tokenizes into."""
-    return _buckets(_outcomes(predictions, dataset), dataset, vocab)
 
 
 def _is_number(value) -> bool:

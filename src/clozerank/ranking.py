@@ -27,9 +27,6 @@ class Prediction:
     def top1(self) -> str:
         return self.ranked[0][0]
 
-    def top_k(self, k: int) -> list[str]:
-        return [cand for cand, _ in self.ranked[:k]]
-
 
 def _rank_items(scores: dict[str, float]) -> list[tuple[str, float]]:
     return sorted(scores.items(), key=lambda item: (-item[1], item[0]))
@@ -40,8 +37,8 @@ def _composed(table: EmbeddingTable, vocab: SubwordVocab, text: str):
     tokens = vocab.ids_to_tokens(tokenize(vocab, text))
     if not tokens:
         return _np.zeros(table.dim, dtype=_np.float64), 0.0, True
-    comp = compose(table, tokens)
-    return comp.vector, float(_np.linalg.norm(comp.vector)), comp.flagged or UNK_TOKEN in tokens
+    vector, missing = compose(table, tokens)
+    return vector, float(_np.linalg.norm(vector)), bool(missing) or UNK_TOKEN in tokens
 
 
 def rank_static(table: EmbeddingTable, vocab: SubwordVocab, dataset: Dataset,
@@ -154,6 +151,13 @@ class MlmScoreRecord:
         return sum(self.token_logprobs) / len(self.token_logprobs)
 
 
+def _logprobs(value) -> tuple[float, ...]:
+    """token_logprobs as floats: a JSON list of numbers, not bools or strings."""
+    if type(value) is not list or not all(type(lp) in (int, float) for lp in value):
+        raise ValueError(f"token_logprobs must be a list of numbers, got {value!r}")
+    return tuple(map(float, value))
+
+
 def read_score_file(path) -> list[MlmScoreRecord]:
     return list(_scores_by_pair(path).values())
 
@@ -171,8 +175,8 @@ def _scores_by_pair(path) -> dict[tuple[str, str], MlmScoreRecord]:
             raise ValueError(f"{path}:{lineno}: duplicate score row for {key!r} "
                              f"(first at line {first})")
         try:
-            by_pair[key] = MlmScoreRecord(triple_id, candidate, tuple(map(float, logprobs)))
-        except (TypeError, ValueError) as exc:
+            by_pair[key] = MlmScoreRecord(triple_id, candidate, _logprobs(logprobs))
+        except (OverflowError, ValueError) as exc:
             raise ValueError(f"{path}:{lineno}: malformed score row: {exc}") from None
     return by_pair
 
@@ -254,14 +258,13 @@ def _stub_logprob(triple_id: str, candidate: str, position: int) -> float:
 def _lookup_table(lookup: dict) -> dict[tuple[str, str], list[float]]:
     table = {}
     for key, value in lookup.items():
-        if not isinstance(value, dict) or not all(isinstance(lps, list)
-                                                  for lps in value.values()):
+        if not isinstance(value, dict):
             raise ValueError(f"lookup entry {key!r} must map each candidate to a "
                              f"list of log-probs, got {value!r}")
         for cand, lps in value.items():
             try:
-                rec = MlmScoreRecord(key, cand, tuple(map(float, lps)))
-            except (TypeError, ValueError) as exc:
+                rec = MlmScoreRecord(key, cand, _logprobs(lps))
+            except (OverflowError, ValueError) as exc:
                 raise ValueError(f"lookup entry {key!r}: {exc}") from None
             table[(key, cand)] = list(rec.token_logprobs)
     return table

@@ -111,22 +111,23 @@ class SubwordVocab:
         Path(path).write_text("".join(t + "\n" for t in self.tokens), encoding="utf-8")
 
     @classmethod
-    def load(cls, path, max_word_length: int | None = None) -> "SubwordVocab":
+    def load(cls, path) -> "SubwordVocab":
         """Read one token per line.
 
-        max_word_length defaults to the config.max_word_length recorded in
-        the <path>.json sidecar that build-vocab writes, else to 100.
+        max_word_length is the config.max_word_length recorded in the
+        <path>.json sidecar that build-vocab writes, else 100.
         """
         with open_text(path) as f:
             lines = f.read().splitlines()
         sidecar = Path(f"{path}.json")
-        if max_word_length is None and sidecar.is_file():
+        max_word_length = 100
+        if sidecar.is_file():
             config = read_json(sidecar).get("config")
             max_word_length = config.get("max_word_length") if isinstance(config, dict) else None
             if type(max_word_length) is not int or max_word_length <= 0:
                 raise ValueError(f"{sidecar}: key 'config.max_word_length' must be a "
                                  f"positive integer, got {max_word_length!r}")
-        return cls(lines, max_word_length=100 if max_word_length is None else max_word_length)
+        return cls(lines, max_word_length=max_word_length)
 
 
 def _word_symbols(word: str) -> list[str]:
@@ -338,15 +339,15 @@ def corpus_checksum(path) -> str:
 
 
 def save_vocab_with_sidecar(vocab: SubwordVocab, cfg: VocabTrainConfig,
-                            vocab_path, corpus_path=None, extra: dict = None) -> None:
-    """Write vocab.txt plus a JSON sidecar with config and corpus checksum."""
+                            vocab_path, extra: dict = None) -> None:
+    """Write vocab.txt plus a JSON sidecar; extra may carry the corpus_sha256."""
     vocab.save(vocab_path)
     sidecar = {
         "config": cfg.to_dict(),
         "size": vocab.size,
         "specials": list(SPECIAL_TOKENS),
         "normalization": "none",
-        "corpus_sha256": corpus_checksum(corpus_path) if corpus_path else None,
+        "corpus_sha256": None,
     }
     if extra:
         sidecar.update(extra)

@@ -713,7 +713,8 @@ class TestJsonObjectFiles:
         assert record["error"] == "ValueError"
         assert "lookup entry 'P103#0'" in record["message"]
 
-    @pytest.mark.parametrize("logprobs", [["x"], [0.5], []], ids=["str", "positive", "empty"])
+    @pytest.mark.parametrize("logprobs", [["x"], [0.5], [], [False], ["-1.5"]],
+                             ids=["str", "positive", "empty", "bool", "numeric-str"])
     def test_lookup_logprobs_follow_the_score_row_rule(self, tmp_path, capsys, logprobs):
         lookup = tmp_path / "lookup.json"
         lookup.write_text(json.dumps({"P19#0": {"rome": logprobs}}), encoding="utf-8")
@@ -730,17 +731,25 @@ def rewrite_first_row(path, **changes):
 
 
 class TestLabelTypesInRankingFiles:
-    """Score, manifest and prediction rows reject mistyped labels with path:1:."""
+    """Score, manifest and prediction rows reject mistyped labels and log-probs with path:1:."""
 
     @pytest.mark.parametrize("command, target, changes", [
         ("rank-mlm", "scores", {"triple_id": ["P103#0"]}),
+        ("rank-mlm", "scores", {"token_logprobs": "00"}),
+        ("rank-mlm", "scores", {"token_logprobs": [False]}),
+        ("rank-mlm", "scores", {"token_logprobs": ["-1.5"]}),
+        ("rank-mlm-no-manifest", "scores", {"token_logprobs": "00"}),
+        ("rank-mlm-no-manifest", "scores", {"token_logprobs": [-10 ** 400]}),
         ("rank-mlm", "manifest", {"candidate": ["french"]}),
         ("stub-score", "manifest", {"candidate": ["french"]}),
         ("evaluate", "predictions", {"triple_id": ["P103#0"]}),
         ("evaluate", "predictions", {"ranked": []}),
         ("evaluate", "predictions", {"ranked": [[1, 0.5]]}),
-    ], ids=["scores-triple_id", "rank-manifest-candidate", "stub-manifest-candidate",
-            "predictions-triple_id", "predictions-empty-ranked", "predictions-int-label"])
+    ], ids=["scores-triple_id", "scores-logprobs-str", "scores-logprobs-bool",
+            "scores-logprobs-numeric-str", "no-manifest-logprobs-str",
+            "no-manifest-logprobs-huge-int", "rank-manifest-candidate",
+            "stub-manifest-candidate", "predictions-triple_id", "predictions-empty-ranked",
+            "predictions-int-label"])
     def test_mistyped_row_names_path_and_line(self, tmp_path, capsys, command, target,
                                               changes):
         kb_args = ["--triples", MINI["triples"], "--templates", MINI["templates"]]
@@ -752,6 +761,7 @@ class TestLabelTypesInRankingFiles:
         argv = {
             "rank-mlm": ["rank", "mlm", *kb_args, "--scores", paths["scores"],
                          "--manifest", paths["manifest"]],
+            "rank-mlm-no-manifest": ["rank", "mlm", *kb_args, "--scores", paths["scores"]],
             "stub-score": ["stub-score", "--manifest", paths["manifest"]],
             "evaluate": ["evaluate", *kb_args, "--predictions", paths["predictions"]],
         }[command]

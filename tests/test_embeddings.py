@@ -11,7 +11,6 @@ from clozerank.embeddings import (
     EmbedTrainConfig,
     char_ngram_buckets,
     compose,
-    import_external_table,
     load_table,
     save_table,
     train_static_embeddings,
@@ -24,10 +23,8 @@ from conftest import FIXTURES, write_jsonl
 
 
 def make_table(entries, dim):
-    table = EmbeddingTable(dim)
-    for token, vec in entries.items():
-        table.add(token, np.array(vec, dtype=np.float32))
-    return table
+    return EmbeddingTable(dim, list(entries),
+                          np.array(list(entries.values()), dtype=np.float32).reshape(-1, dim))
 
 
 def make_vocab(words):
@@ -67,17 +64,17 @@ class TestConfig:
 class TestCompose:
     def test_single_token_is_identity(self):
         table = make_table({"a": [1.5, -2.0, 3.0]}, 3)
-        out = compose(table, ["a"])
-        assert np.array_equal(out.vector, np.array([1.5, -2.0, 3.0]))
-        assert not out.flagged
+        vector, missing = compose(table, ["a"])
+        assert np.array_equal(vector, np.array([1.5, -2.0, 3.0]))
+        assert missing == ()
 
     def test_mean_of_two(self):
         table = make_table({"a": [1, 0], "b": [0, 1]}, 2)
-        assert np.array_equal(compose(table, ["a", "b"]).vector, [0.5, 0.5])
+        assert np.array_equal(compose(table, ["a", "b"])[0], [0.5, 0.5])
 
     def test_mean_of_three(self):
         table = make_table({"a": [2, 2], "b": [0, 0], "c": [4, -2]}, 2)
-        assert np.array_equal(compose(table, ["a", "b", "c"]).vector, [2.0, 0.0])
+        assert np.array_equal(compose(table, ["a", "b", "c"])[0], [2.0, 0.0])
 
     def test_empty_sequence_rejected(self):
         table = make_table({"a": [1, 0]}, 2)
@@ -86,18 +83,17 @@ class TestCompose:
 
     def test_missing_token_becomes_zero_and_flags(self):
         table = make_table({"a": [2, 4]}, 2)
-        out = compose(table, ["a", "nope"])
-        assert np.array_equal(out.vector, [1.0, 2.0])
-        assert out.flagged
-        assert out.missing == ("nope",)
+        vector, missing = compose(table, ["a", "nope"])
+        assert np.array_equal(vector, [1.0, 2.0])
+        assert missing == ("nope",)
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(5)
         entries = {f"t{i}": rng.normal(size=4) for i in range(6)}
         table = make_table(entries, 4)
         tokens = list(entries)
-        fwd = compose(table, tokens).vector
-        rev = compose(table, tokens[::-1]).vector
+        fwd, _ = compose(table, tokens)
+        rev, _ = compose(table, tokens[::-1])
         assert np.allclose(fwd, rev, atol=1e-12)
 
     def test_scale_equivariance(self):
@@ -106,8 +102,8 @@ class TestCompose:
         table = make_table(entries, 3)
         for alpha in (0.5, 2.0, 7.0):
             scaled = table.scaled(alpha)
-            a = compose(scaled, list(entries)).vector
-            b = alpha * compose(table, list(entries)).vector
+            a = compose(scaled, list(entries))[0]
+            b = alpha * compose(table, list(entries))[0]
             assert np.allclose(a, b, rtol=1e-6)
 
 
@@ -121,6 +117,16 @@ class TestTableIO:
         assert len(loaded) == len(table)
         for token in table.entries:
             assert np.max(np.abs(loaded.vector(token) - table.vector(token))) <= 1e-5
+
+    def test_saved_text_is_pinned(self, tmp_path):
+        # -0.0 keeps its sign; float32 0.000025 and 0.300005 lie just below a
+        # fifth-decimal boundary and 0.123455 just above it.
+        table = make_table({"a": [-0.0, 1e-6, 0.000025, 0.123455],
+                            "##b": [0.300005, 987.654321, -1000.0, -0.5]}, 4)
+        path = tmp_path / "pinned.vec"
+        save_table(table, path)
+        assert path.read_bytes() == (b"2 4\na -0.00000 0.00000 0.00002 0.12346\n"
+                                     b"##b 0.30000 987.65430 -1000.00000 -0.50000\n")
 
     def test_header_count_mismatch_rejected(self, tmp_path):
         path = tmp_path / "bad.vec"
@@ -165,26 +171,16 @@ class TestImport:
     def test_imported_table_is_usable(self, tmp_path):
         path = tmp_path / "hand.vec"
         path.write_text("2 4\nalpha 1 0 0 0\nbeta 0 1 0 0\n", encoding="utf-8")
-        table = import_external_table(path)
-        assert table.metadata["source"] == "imported"
-        out = compose(table, ["alpha", "beta"])
-        assert np.array_equal(out.vector, [0.5, 0.5, 0.0, 0.0])
-
-    def test_coverage_fraction(self, tmp_path):
-        words = [f"w{i}" for i in range(8)]
-        vocab = make_vocab(words)  # 8 words + 2 specials = size 10
-        path = tmp_path / "part.vec"
-        rows = "\n".join(f"w{i} 1 0" for i in range(7))
-        path.write_text(f"7 2\n{rows}\n", encoding="utf-8")
-        table = import_external_table(path, expected_vocab=vocab)
-        assert table.metadata["vocab_coverage"] == pytest.approx(0.7)
+        table = load_table(path)
+        assert table.metadata["source"] == "loaded"
+        vector, _ = compose(table, ["alpha", "beta"])
+        assert np.array_equal(vector, [0.5, 0.5, 0.0, 0.0])
 
     def test_per_layer_files_import_independently(self, tmp_path):
         for layer in range(13):
             path = tmp_path / f"layer{layer:02d}.vec"
             path.write_text(f"1 2\nonly {layer} 1\n", encoding="utf-8")
-        tables = [import_external_table(tmp_path / f"layer{i:02d}.vec")
-                  for i in range(13)]
+        tables = [load_table(tmp_path / f"layer{i:02d}.vec") for i in range(13)]
         assert [t.vector("only")[0] for t in tables] == list(range(13))
 
 
@@ -432,24 +428,19 @@ class TestNgramHashing:
 
 class TestTableValidation:
     def test_dimension_mismatch_rejected(self):
-        table = EmbeddingTable(3)
         with pytest.raises(ValueError):
-            table.add("a", np.zeros(2, dtype=np.float32))
+            EmbeddingTable(3, ["a"], np.zeros((1, 2), dtype=np.float32))
 
     def test_nan_rejected(self):
-        table = EmbeddingTable(2)
         with pytest.raises(ValueError):
-            table.add("a", np.array([1.0, math.nan], dtype=np.float32))
+            EmbeddingTable(2, ["a"], np.array([[1.0, math.nan]], dtype=np.float32))
 
     def test_duplicate_rejected(self):
-        table = EmbeddingTable(2)
-        table.add("a", np.zeros(2, dtype=np.float32))
         with pytest.raises(ValueError):
-            table.add("a", np.ones(2, dtype=np.float32))
+            EmbeddingTable(2, ["a", "a"], np.zeros((2, 2), dtype=np.float32))
 
     def test_scaling_requires_positive_factor(self):
-        table = EmbeddingTable(2)
-        table.add("a", np.ones(2, dtype=np.float32))
+        table = make_table({"a": [1.0, 1.0]}, 2)
         with pytest.raises(ValueError):
             table.scaled(0.0)
 

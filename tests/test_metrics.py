@@ -8,12 +8,9 @@ from clozerank.embeddings import EmbeddingTable
 from clozerank.kb import apply_subset, build_candidates
 from clozerank.metrics import (
     MetricsReport,
-    bucket_by_subject_length,
     buckets_tsv,
     compute_report,
-    diversity,
     most_frequent_object,
-    p1_excluding_most_frequent,
     per_relation_tsv,
     precision_at_k,
 )
@@ -102,9 +99,9 @@ class TestMostFrequentFilter:
         always_aa = [pred(t.id, "P1", ["aa", "bb"]) for t in ds.triples()]
         _, p1 = precision_at_k(always_aa, ds, 1)
         assert p1 == pytest.approx(2 / 3)
-        p1_mf, dropped = p1_excluding_most_frequent(always_aa, ds)
-        assert p1_mf == 0.0
-        assert dropped == 0
+        report = compute_report(always_aa, ds)
+        assert report.p1_mf == 0.0
+        assert report.relations_dropped_by_mf == 0
 
     def test_perfect_predictor_survives(self, tmp_path):
         rows = [triple_row("s1", "aa"), triple_row("s2", "aa"),
@@ -112,32 +109,31 @@ class TestMostFrequentFilter:
         ds = make_dataset(tmp_path, rows, [template()])
         by_id = {t.id: t.object for t in ds.triples()}
         perfect = [pred(tid, "P1", [obj]) for tid, obj in by_id.items()]
-        p1_mf, _ = p1_excluding_most_frequent(perfect, ds)
-        assert p1_mf == 1.0
+        assert compute_report(perfect, ds).p1_mf == 1.0
 
     def test_frequency_tie_picks_smaller_label(self, tmp_path):
         rows = [triple_row("s1", "bb"), triple_row("s2", "aa")]
         ds = make_dataset(tmp_path, rows, [template()])
         assert most_frequent_object(ds, "P1") == "aa"
-        p1_mf, _ = p1_excluding_most_frequent(
-            [pred("P1#0", "P1", ["bb"]), pred("P1#1", "P1", ["bb"])], ds)
-        assert p1_mf == 1.0  # only the bb triple remains, and it is correct
+        report = compute_report([pred("P1#0", "P1", ["bb"]), pred("P1#1", "P1", ["bb"])], ds)
+        assert report.p1_mf == 1.0  # only the bb triple remains, and it is correct
 
     def test_single_object_relation_is_dropped(self, tmp_path):
         rows = [triple_row("s1", "aa"), triple_row("s2", "aa"),
                 triple_row("s3", "bb", "P2"), triple_row("s4", "cc", "P2")]
         ds = make_dataset(tmp_path, rows, [template(), template("P2")])
         preds = [pred(t.id, t.relation_id, [t.object]) for t in ds.triples()]
-        p1_mf, dropped = p1_excluding_most_frequent(preds, ds)
-        assert dropped == 1
-        assert p1_mf == 1.0  # P2 alone: mf=bb leaves the cc triple, a hit
+        report = compute_report(preds, ds)
+        assert report.relations_dropped_by_mf == 1
+        assert report.p1_mf == 1.0  # P2 alone: mf=bb leaves the cc triple, a hit
 
-    def test_every_relation_dropped_is_an_error(self, tmp_path):
+    def test_every_relation_dropped_leaves_p1_mf_none(self, tmp_path):
         rows = [triple_row("s1", "aa"), triple_row("s2", "aa")]
         ds = make_dataset(tmp_path, rows, [template()])
         preds = [pred(t.id, "P1", ["aa"]) for t in ds.triples()]
-        with pytest.raises(ValueError):
-            p1_excluding_most_frequent(preds, ds)
+        report = compute_report(preds, ds)
+        assert report.p1_mf is None
+        assert report.relations_dropped_by_mf == 1
 
 
 class TestDiversity:
@@ -145,23 +141,23 @@ class TestDiversity:
         rows = [triple_row(f"s{i}", "aa") for i in range(4)]
         ds = make_dataset(tmp_path, rows, [template()])
         preds = [pred(t.id, "P1", ["aa", "bb"]) for t in ds.triples()]
-        entropy, avg_distinct = diversity(preds, ds)
-        assert entropy == 0.0
-        assert avg_distinct == 1.0
+        report = compute_report(preds, ds)
+        assert report.entropy_bits == 0.0
+        assert report.avg_distinct_predictions == 1.0
 
     def test_uniform_over_four_labels(self, tmp_path):
         rows = [triple_row(f"s{i}", f"o{i}") for i in range(4)]
         ds = make_dataset(tmp_path, rows, [template()])
         preds = [pred(t.id, "P1", [t.object]) for t in ds.triples()]
-        entropy, avg_distinct = diversity(preds, ds)
-        assert entropy == 2.0
-        assert avg_distinct == 4.0
+        report = compute_report(preds, ds)
+        assert report.entropy_bits == 2.0
+        assert report.avg_distinct_predictions == 4.0
 
     def test_entropy_bounded_by_label_count(self, mini_dataset, mini_vocab,
                                             mini_table):
         preds = rank_static(mini_table, mini_vocab, mini_dataset,
                             build_candidates(mini_dataset))
-        entropy, _ = diversity(preds, mini_dataset)
+        entropy = compute_report(preds, mini_dataset).entropy_bits
         labels = {p.top1 for p in preds}
         assert 0.0 <= entropy <= math.log2(len(labels)) + 1e-12
 
@@ -177,8 +173,7 @@ class TestBuckets:
         vocab = self.whole_word_vocab(["aa", "bb", "cc"])
         preds = [pred(t.id, "P1", [t.object]) for t in ds.triples()]
         preds[1] = pred("P1#1", "P1", ["wrong"])
-        buckets = bucket_by_subject_length(preds, ds, vocab)
-        assert buckets == {
+        assert compute_report(preds, ds, vocab=vocab).buckets == {
             1: {"n": 2, "p1": 0.5},
             2: {"n": 1, "p1": 1.0},
             3: {"n": 1, "p1": 1.0},
@@ -189,15 +184,13 @@ class TestBuckets:
         ds = make_dataset(tmp_path, rows, [template(), template("P2")])
         vocab = self.whole_word_vocab(["aa", "bb"])
         preds = [pred("P1#0", "P1", ["o1"]), pred("P2#0", "P2", ["nope"])]
-        buckets = bucket_by_subject_length(preds, ds, vocab)
-        assert buckets == {1: {"n": 2, "p1": 0.5}}
+        assert compute_report(preds, ds, vocab=vocab).buckets == {1: {"n": 2, "p1": 0.5}}
 
     def test_unknown_word_still_counts_one_piece(self, tmp_path):
         ds = make_dataset(tmp_path, [triple_row("zq", "o1")], [template()])
         vocab = self.whole_word_vocab(["aa"])
-        buckets = bucket_by_subject_length(
-            [pred("P1#0", "P1", ["o1"])], ds, vocab)
-        assert buckets == {1: {"n": 1, "p1": 1.0}}
+        report = compute_report([pred("P1#0", "P1", ["o1"])], ds, vocab=vocab)
+        assert report.buckets == {1: {"n": 1, "p1": 1.0}}
 
     def test_ranking_without_gold_is_a_miss(self, tmp_path):
         # --exclude-subject-match drops the gold object when it equals the subject
@@ -208,9 +201,9 @@ class TestBuckets:
         assert precision_at_k(preds, ds, 1)[1] == pytest.approx(1 / 3)
         assert precision_at_k(preds, ds, 5)[1] == pytest.approx(1 / 3)
         # mf is cc, so only the aa triple is kept, and its gold is absent
-        assert p1_excluding_most_frequent(preds, ds) == (0.0, 0)
-        buckets = bucket_by_subject_length(preds, ds, self.whole_word_vocab(["aa"]))
-        assert buckets == {1: {"n": 3, "p1": pytest.approx(1 / 3)}}
+        report = compute_report(preds, ds, vocab=self.whole_word_vocab(["aa"]))
+        assert (report.p1_mf, report.relations_dropped_by_mf) == (0.0, 0)
+        assert report.buckets == {1: {"n": 3, "p1": pytest.approx(1 / 3)}}
 
 
 def instance_pieces(tmp_path, seed):
@@ -220,10 +213,9 @@ def instance_pieces(tmp_path, seed):
                       name=f"inst{seed}")
     vocab = SubwordVocab(list(SPECIAL_TOKENS)
                          + sorted(w for w, ok in inst["in_table"].items() if ok))
-    table = EmbeddingTable(inst["dim"])
-    for word, ok in inst["in_table"].items():
-        if ok:
-            table.add(word, np.array(inst["vectors"][word], dtype=np.float32))
+    words = [w for w, ok in inst["in_table"].items() if ok]
+    table = EmbeddingTable(inst["dim"], words, np.array(
+        [inst["vectors"][w] for w in words], dtype=np.float32).reshape(-1, inst["dim"]))
     return inst, ds, vocab, table
 
 

@@ -12,6 +12,7 @@ from clozerank.wordpiece import (
     UNK_TOKEN,
     SubwordVocab,
     VocabTrainConfig,
+    corpus_checksum,
     save_vocab_with_sidecar,
     tokenize,
     train_wordpiece,
@@ -225,17 +226,23 @@ class TestVocabIO:
         assert lines[vocab.mask_id] == MASK_TOKEN
 
     def test_sidecar_records_config_and_checksum(self, tmp_path):
-        corpus_path = tmp_path / "corpus.txt"
-        corpus_path.write_text("ab ab b\n", encoding="utf-8")
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_text("ab ab b\n", encoding="utf-8")
         cfg = VocabTrainConfig(target_size=20)
-        with open(corpus_path, encoding="utf-8") as f:
+        with open(corpus, encoding="utf-8") as f:
             vocab = train_wordpiece(f, cfg)
         vocab_path = tmp_path / "vocab.txt"
-        save_vocab_with_sidecar(vocab, cfg, vocab_path, corpus_path=corpus_path)
+        save_vocab_with_sidecar(vocab, cfg, vocab_path)
+        sidecar = json.loads((tmp_path / "vocab.txt.json").read_text(encoding="utf-8"))
+        assert sidecar["corpus_sha256"] is None
+        digest = corpus_checksum(corpus)
+        save_vocab_with_sidecar(vocab, cfg, vocab_path,
+                                extra={"corpus_sha256": digest})
         sidecar = json.loads((tmp_path / "vocab.txt.json").read_text(encoding="utf-8"))
         assert sidecar["config"]["target_size"] == 20
         assert sidecar["normalization"] == "none"
-        assert len(sidecar["corpus_sha256"]) == 64
+        assert sidecar["corpus_sha256"] == digest
+        assert len(digest) == 64
         assert sidecar["size"] == vocab.size
 
     def test_load_takes_max_word_length_from_sidecar(self, tmp_path):
@@ -245,7 +252,6 @@ class TestVocabIO:
         save_vocab_with_sidecar(vocab, cfg, path)
         assert tokenize(vocab, "abababab") == [vocab.unk_id]
         assert tokenize(SubwordVocab.load(path), "abababab") == [vocab.unk_id]
-        assert SubwordVocab.load(path, max_word_length=50).max_word_length == 50
         (tmp_path / "vocab.txt.json").unlink()
         assert SubwordVocab.load(path).max_word_length == 100
 
