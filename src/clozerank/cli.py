@@ -21,13 +21,18 @@ class RunContext:
     """One command run: its flags, config file and output directory.
 
     A setting is the flag if given, else the same-named config key typed like
-    the flag, else the default. finish() writes the command's manifest.
+    the flag, else the default. A config key must name a flag of some command,
+    so one config file can serve several. finish() writes the command's manifest.
     """
 
     def __init__(self, args):
         self.args = args
         self.config = {} if args.config is None else jsonio.read_json(args.config)
         self.digest = functools.cache(wordpiece.corpus_checksum)  # hash each file once
+        unknown = sorted(self.config.keys() - args.config_keys)
+        if unknown:
+            raise ValueError(f"{args.config}: config key {unknown[0]!r} must be a setting "
+                             "of a clozerank command")
         for key in sorted(args.flags.keys() & self.config.keys()):  # typed like its flag
             flag, value = args.flags[key], self.config[key]
             # Neither a store_true flag (nargs 0) nor a string flag has a type.
@@ -95,11 +100,11 @@ class RunContext:
 
 def cmd_build_vocab(ctx: RunContext) -> int:
     corpus = ctx.require("corpus")
-    sizes = ctx.get("vocab_sizes") or [ctx.require("target_size")]
+    sizes = ctx.require("target_size")
     given = ctx.given("min_frequency", "max_word_length")
     cfgs = [wordpiece.VocabTrainConfig(target_size=size, **given) for size in sizes]
 
-    settings = {"corpus": corpus, "vocab_sizes": sizes, "min_frequency": cfgs[0].min_frequency,
+    settings = {"corpus": corpus, "target_size": sizes, "min_frequency": cfgs[0].min_frequency,
                 "max_word_length": cfgs[0].max_word_length}
     checksum = ctx.checksum(settings)
     # Train once: the target only decides when merging stops, so every
@@ -143,9 +148,6 @@ _EMBED_FIELDS = {"lr": "learning_rate", "hash_buckets": "ngram_buckets"}
 
 
 def cmd_train_embeddings(ctx: RunContext) -> int:
-    if "embed" in ctx.config:
-        raise ValueError(f"{ctx.args.config}: config key 'embed' must be replaced by its "
-                         "keys at the top level, under the flag names (dim, lr, ...)")
     vocab_path = ctx.require("vocab")
     corpus = ctx.require("corpus")
     vocab = wordpiece.SubwordVocab.load(vocab_path)
@@ -246,15 +248,11 @@ def cmd_stub_score(ctx: RunContext) -> int:
 
 
 def cmd_evaluate(ctx: RunContext) -> int:
-    if "metrics" in ctx.config:
-        raise ValueError(f"{ctx.args.config}: config key 'metrics' must be replaced by "
-                         "no_p5, no_mf, no_diversity; buckets follow --vocab")
     dataset, inputs = ctx.dataset()
     predictions_path = ctx.require("predictions")
     predictions = ranking.load_predictions(predictions_path)
     inputs.append(predictions_path)
 
-    toggles = {key: not ctx.get(f"no_{key}") for key in ("p5", "mf", "diversity")}
     vocab_path = ctx.get("vocab")
     vocab = None
     if vocab_path is not None:
@@ -262,11 +260,8 @@ def cmd_evaluate(ctx: RunContext) -> int:
         inputs.append(vocab_path)
 
     settings = {"inputs": list(inputs), "predictions": predictions_path, "vocab": vocab_path,
-                "language": dataset.language, "toggles": toggles}
-    report = metrics.compute_report(
-        predictions, dataset, vocab=vocab, with_p5=toggles["p5"],
-        with_mf=toggles["mf"], with_diversity=toggles["diversity"],
-    )
+                "language": dataset.language}
+    report = metrics.compute_report(predictions, dataset, vocab=vocab)
     report.metadata["config_checksum"] = ctx.checksum(settings)
     if vocab is not None:
         report.metadata["vocab_size"] = vocab.size
@@ -317,14 +312,7 @@ def _parse_run_spec(spec: str) -> tuple[str, str, str | None]:
 
 
 def cmd_report(ctx: RunContext) -> int:
-    runs = ctx.config.get("runs", [])
-    if not (isinstance(runs, list) and all(isinstance(s, str) for s in runs)):
-        raise ValueError(f"{ctx.args.config}: config key 'runs' must be a list of "
-                         "NAME=metrics.json[,uhn.json] strings")
-    specs = list(ctx.args.run or []) + runs
-    if not specs:
-        raise ValueError("no runs given; pass --run NAME=metrics.json[,uhn.json]")
-
+    specs = ctx.require("run")
     inputs = []
     lines = ["model\tvocab_size\tp1\tp1_uhn"]
     for spec in specs:
@@ -339,7 +327,7 @@ def cmd_report(ctx: RunContext) -> int:
             p1_uhn = f"{uhn.macro_p1:.4f}"
         lines.append(f"{name}\t{vocab_size}\t{full.macro_p1:.4f}\t{p1_uhn}")
 
-    settings = {"runs": specs}
+    settings = {"run": specs}
     out_path = ctx.out / "report.tsv"
     out_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return ctx.finish(settings, inputs, [out_path], f"{len(specs)} rows -> {out_path}")
@@ -365,8 +353,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("build-vocab", parents=[common],
                        help="train wordpiece vocabularies from a corpus")
     p.add_argument("--corpus")
-    p.add_argument("--target-size", type=int)
-    p.add_argument("--vocab-sizes", type=int, nargs="+")
+    p.add_argument("--target-size", type=int, nargs="+",
+                   help="one or more sizes; training runs once, to the largest")
     p.add_argument("--min-frequency", type=int)
     p.add_argument("--max-word-length", type=int)
     p.set_defaults(func=cmd_build_vocab)
@@ -424,9 +412,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="compute the metric suite over predictions")
     p.add_argument("--predictions")
     p.add_argument("--vocab", help="enables subject-length buckets")
-    p.add_argument("--no-p5", action="store_true", default=None)
-    p.add_argument("--no-mf", action="store_true", default=None)
-    p.add_argument("--no-diversity", action="store_true", default=None)
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("energy", parents=[common],
@@ -441,14 +426,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("report", parents=[common],
                        help="combine evaluation runs into one results table")
-    p.add_argument("--run", action="append",
+    p.add_argument("--run", action="extend", nargs="+",
                    help="NAME=metrics.json[,uhn_metrics.json]; repeatable")
     p.set_defaults(func=cmd_report)
 
-    # Every optional store flag types the config key of the same name.
-    for p in sub.choices.values():
-        p.set_defaults(flags={a.dest: a for a in p._actions if a.option_strings and isinstance(
-            a, (argparse._StoreAction, argparse._StoreTrueAction))})
+    # Every optional flag but --help and --config types the config key of the
+    # same name, and a config key must name such a flag of some command.
+    flags = {p: {a.dest: a for a in p._actions
+                 if a.option_strings and a.dest not in ("help", "config")}
+             for p in sub.choices.values()}
+    config_keys = set().union(*flags.values())
+    for p, own in flags.items():
+        p.set_defaults(flags=own, config_keys=config_keys)
     return parser
 
 

@@ -19,6 +19,11 @@ def is_utf8_text(value) -> bool:
     return isinstance(value, str) and (value.isascii() or not _SURROGATE.search(value))
 
 
+def is_number(value) -> bool:
+    """Whether a value parsed from JSON is a number: an int or a float, not a bool."""
+    return type(value) in (int, float)
+
+
 @contextmanager
 def open_text(path):
     """Open a UTF-8 text file for reading; bytes that are not UTF-8 name path:line."""
@@ -52,7 +57,7 @@ def read_jsonl(path, *fields, text=()):
                 continue
             try:
                 row = json.loads(line)
-            except json.JSONDecodeError as exc:
+            except ValueError as exc:  # also an integer too long to convert
                 raise ValueError(f"{path}:{lineno}: malformed JSON line: {exc}") from None
             if not isinstance(row, dict):
                 raise ValueError(

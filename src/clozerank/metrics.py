@@ -10,7 +10,7 @@ import math
 from collections import Counter, defaultdict
 from dataclasses import MISSING, asdict, dataclass, field, fields
 
-from .jsonio import read_json, write_json
+from .jsonio import is_number, read_json, write_json
 from .kb import Dataset
 from .ranking import Prediction
 from .wordpiece import SubwordVocab, tokenize
@@ -99,13 +99,9 @@ def _buckets(outcomes: dict, dataset: Dataset, vocab: SubwordVocab) -> dict[int,
     }
 
 
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
 @dataclass
 class MetricsReport:
-    """Full evaluation results; fields for disabled or undefined metrics hold None."""
+    """Full evaluation results; a metric that is undefined, or off in an older file, holds None."""
 
     per_relation: dict[str, dict]
     macro_p1: float
@@ -147,7 +143,7 @@ class MetricsReport:
                 ok, kind = isinstance(value, dict), "an object"
             else:
                 nullable = isinstance(None, f.type)  # true for a `T | None` field
-                ok = value is None and nullable or _is_number(value)
+                ok = value is None and nullable or is_number(value)
                 kind = "a number or null" if nullable else "a number"
             if not ok:
                 raise ValueError(f"{path}: key {f.name!r} must be {kind}, got {value!r}")
@@ -156,7 +152,7 @@ class MetricsReport:
             raise ValueError(f"{path}: key 'buckets' must be an object, got {buckets!r}")
         for length, row in buckets.items():
             if not (length.isdecimal() and isinstance(row, dict) and type(row.get("n")) is int
-                    and _is_number(row.get("p1"))):
+                    and is_number(row.get("p1"))):
                 raise ValueError(f"{path}: key 'buckets' must map decimal integers to "
                                  f"{{n: integer, p1: number}}, got {length!r}: {row!r}")
         metadata = raw.get("metadata", {})
@@ -170,23 +166,18 @@ class MetricsReport:
 
 
 def compute_report(predictions: list[Prediction], dataset: Dataset,
-                   vocab: SubwordVocab = None, with_p5: bool = True,
-                   with_mf: bool = True, with_diversity: bool = True) -> MetricsReport:
+                   vocab: SubwordVocab = None) -> MetricsReport:
     """Full evaluation over one prediction set; buckets need a vocabulary."""
     outcomes = _outcomes(predictions, dataset)
     p1_by_rel, macro_p1 = _precision_at_k(outcomes, dataset, 1)
-    p5_by_rel, macro_p5 = _precision_at_k(outcomes, dataset, 5) if with_p5 else ({}, None)
-    p1_mf, dropped = _p1_mf(outcomes, dataset) if with_mf else (None, None)
-    entropy, avg_distinct = _diversity(outcomes, dataset) if with_diversity else (None, None)
-    per_relation = {}
-    for rel in dataset.relation_ids:
-        row = {
-            "n_triples": len(dataset.triples_by_relation[rel]),
-            "p_at_1": p1_by_rel[rel],
-        }
-        if with_p5:
-            row["p_at_5"] = p5_by_rel[rel]
-        per_relation[rel] = row
+    p5_by_rel, macro_p5 = _precision_at_k(outcomes, dataset, 5)
+    p1_mf, dropped = _p1_mf(outcomes, dataset)
+    entropy, avg_distinct = _diversity(outcomes, dataset)
+    per_relation = {
+        rel: {"n_triples": len(dataset.triples_by_relation[rel]),
+              "p_at_1": p1_by_rel[rel], "p_at_5": p5_by_rel[rel]}
+        for rel in dataset.relation_ids
+    }
     buckets = _buckets(outcomes, dataset, vocab) if vocab is not None else {}
     return MetricsReport(
         per_relation=per_relation,

@@ -6,7 +6,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from .embeddings import EmbeddingTable, _np, compose
-from .jsonio import read_json, read_jsonl, write_jsonl
+from .jsonio import is_number, read_json, read_jsonl, write_jsonl
 from .kb import CandidateSet, Dataset, instantiate_query
 from .wordpiece import UNK_TOKEN, SubwordVocab, tokenize
 
@@ -153,7 +153,7 @@ class MlmScoreRecord:
 
 def _logprobs(value) -> tuple[float, ...]:
     """token_logprobs as floats: a JSON list of numbers, not bools or strings."""
-    if type(value) is not list or not all(type(lp) in (int, float) for lp in value):
+    if type(value) is not list or not all(map(is_number, value)):
         raise ValueError(f"token_logprobs must be a list of numbers, got {value!r}")
     return tuple(map(float, value))
 
@@ -308,7 +308,7 @@ def save_predictions(predictions, path) -> None:
     write_jsonl(path, ({
         "triple_id": pred.triple_id,
         "relation_id": pred.relation_id,
-        "ranked": [[c, s] for c, s in pred.ranked],
+        "ranked": pred.ranked,  # json writes each (label, score) tuple as an array
         "flags": pred.flags,
     } for pred in predictions))
 
@@ -317,12 +317,15 @@ def load_predictions(path) -> list[Prediction]:
     predictions = []
     for lineno, row, (triple_id, relation_id, ranked) in read_jsonl(
             path, "triple_id", "relation_id", "ranked", text=("triple_id", "relation_id")):
+        # Only a two-element list unpacks into a string and a number: a JSON
+        # string or object yields strings. Any other entry is dropped or raises.
         try:
-            pairs = [(c, float(s)) for c, s in ranked if type(c) is str]
-        except (TypeError, ValueError) as exc:
+            pairs = [(label, float(score)) for label, score in ranked
+                     if type(label) is str and is_number(score)]
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ValueError(f"{path}:{lineno}: malformed prediction: {exc}") from None
         if not pairs or len(pairs) != len(ranked):
             raise ValueError(f"{path}:{lineno}: ranked must be a non-empty list of "
-                             "[label, score] pairs with string labels")
+                             "[label, score] pairs of a string and a number")
         predictions.append(Prediction(triple_id, relation_id, pairs, row.get("flags", {})))
     return predictions

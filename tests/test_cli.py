@@ -65,7 +65,7 @@ class TestBuildVocab:
         corpus.write_text("ab ab ab b\nab cab bc\nbc bc cab\n", encoding="utf-8")
         out = tmp_path / "out"
         assert run_cli(["build-vocab", "--corpus", corpus,
-                        "--vocab-sizes", "8", "10", "--output", out]) == 0
+                        "--target-size", "8", "10", "--output", out]) == 0
         manifest = read_json(out / "build_vocab_manifest.json")
         for size in (8, 10):
             vocab_path = out / f"vocab_{size}.txt"
@@ -87,7 +87,7 @@ class TestBuildVocab:
                             lambda path: calls.append(path) or checksum(path))
         out = tmp_path / "out"
         assert run_cli(["build-vocab", "--corpus", corpus,
-                        "--vocab-sizes", "8", "9", "10", "--output", out]) == 0
+                        "--target-size", "8", "9", "10", "--output", out]) == 0
         assert calls == [str(corpus)]
         digest = read_json(out / "build_vocab_manifest.json")["inputs"][str(corpus)]
         for size in (8, 9, 10):
@@ -237,26 +237,6 @@ class TestStaticPipeline:
                                     subset=MINI["uhn_ids"]))
         assert report["macro_p1"] == STATIC_UHN_MACRO_P1
 
-    def test_metric_toggles(self, tmp_path):
-        preds_path = rank_static(tmp_path)
-        report = read_json(evaluate(tmp_path, preds_path,
-                                    extra=["--no-p5", "--no-mf",
-                                           "--no-diversity"]))
-        assert report["macro_p5"] is None
-        assert report["p1_mf"] is None
-        assert report["entropy_bits"] is None
-
-
-    def test_metric_toggles_from_config_keys(self, tmp_path):
-        preds_path = rank_static(tmp_path)
-        config = tmp_path / "config.json"
-        config.write_text(json.dumps({"no_p5": True, "no_mf": True, "no_diversity": False}),
-                          encoding="utf-8")
-        report = read_json(evaluate(tmp_path, preds_path, extra=["--config", config]))
-        assert report["macro_p5"] is None
-        assert report["p1_mf"] is None
-        assert report["entropy_bits"] is not None
-
 
 class TestOraclePipeline:
     def test_oracle_macro(self, tmp_path):
@@ -389,6 +369,17 @@ class TestConfigFile:
         assert payload["run"]["power_watts"] == 618
         assert payload["run"]["hours"] == 2
 
+    def test_one_config_serves_several_commands(self, tmp_path):
+        # table and vocab are rank flags; evaluate accepts them and reads vocab.
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({key: MINI[key] for key in
+                                      ("triples", "templates", "table", "vocab")}),
+                          encoding="utf-8")
+        assert run_cli(["rank", "static", "--config", config, "--output", tmp_path]) == 0
+        assert run_cli(["evaluate", "--config", config, "--output", tmp_path,
+                        "--predictions", tmp_path / "predictions_static.jsonl"]) == 0
+        assert read_json(tmp_path / "metrics.json")["macro_p1"] == STATIC_MACRO_P1
+
     def test_non_object_config_rejected(self, tmp_path, capsys):
         config = tmp_path / "config.json"
         config.write_text("[1, 2]", encoding="utf-8")
@@ -436,7 +427,7 @@ class TestManifestContract:
             "build-vocab", "tokenize", "train-embeddings", "build-candidates",
             "export-manifest", "stub-score", "rank", "evaluate", "energy", "report")}
         commands = [
-            ["build-vocab", "--corpus", corpus, "--vocab-sizes", "8", "10"],
+            ["build-vocab", "--corpus", corpus, "--target-size", "8", "10"],
             ["tokenize", "--vocab", MINI["vocab"], "--input", corpus],
             ["train-embeddings", "--vocab", vocab, "--corpus", train_corpus,
              "--dim", "8", "--epochs", "1", "--min-count", "1", "--seed", "3"],
@@ -575,14 +566,6 @@ class TestTrainEmbeddingsConfig:
         assert meta["config"]["seed"] == 5
         assert meta["config"]["ngram_buckets"] == 64
 
-    def test_nested_embed_config_rejected(self, tmp_path, capsys):
-        vocab, corpus = write_tiny_training_setup(tmp_path)
-        config = tmp_path / "config.json"
-        config.write_text(json.dumps({"embed": {"dim": 8}}), encoding="utf-8")
-        assert run_cli(["train-embeddings", "--config", config, "--vocab", vocab,
-                        "--corpus", corpus, "--output", tmp_path]) == 1
-        assert "top level" in cli_error(capsys)["message"]
-
 
 class TestCommonOptions:
     def test_seed_belongs_to_train_embeddings_only(self, capsys):
@@ -627,10 +610,10 @@ class TestConfigTypes:
         corpus = tmp_path / "corpus.txt"
         corpus.write_text("anna maria\n" * 5, encoding="utf-8")
         config = tmp_path / "config.json"
-        config.write_text(json.dumps({"corpus": str(corpus), "vocab_sizes": [9, "12"]}),
+        config.write_text(json.dumps({"corpus": str(corpus), "target_size": [9, "12"]}),
                           encoding="utf-8")
         assert run_cli(["build-vocab", "--config", config, "--output", tmp_path]) == 1
-        assert "config key 'vocab_sizes'" in cli_error(capsys)["message"]
+        assert "config key 'target_size'" in cli_error(capsys)["message"]
 
     def test_integer_lr_checksum_matches_flag(self, tmp_path):
         vocab, corpus = write_tiny_training_setup(tmp_path)
@@ -745,11 +728,16 @@ class TestLabelTypesInRankingFiles:
         ("evaluate", "predictions", {"triple_id": ["P103#0"]}),
         ("evaluate", "predictions", {"ranked": []}),
         ("evaluate", "predictions", {"ranked": [[1, 0.5]]}),
+        ("evaluate", "predictions", {"ranked": ["x5"]}),
+        ("evaluate", "predictions", {"ranked": [["y", "2.5"]]}),
+        ("evaluate", "predictions", {"ranked": [["z", True]]}),
+        ("evaluate", "predictions", {"ranked": [["z", 10 ** 400]]}),
     ], ids=["scores-triple_id", "scores-logprobs-str", "scores-logprobs-bool",
             "scores-logprobs-numeric-str", "no-manifest-logprobs-str",
             "no-manifest-logprobs-huge-int", "rank-manifest-candidate",
             "stub-manifest-candidate", "predictions-triple_id", "predictions-empty-ranked",
-            "predictions-int-label"])
+            "predictions-int-label", "predictions-str-entry", "predictions-str-score",
+            "predictions-bool-score", "predictions-huge-score"])
     def test_mistyped_row_names_path_and_line(self, tmp_path, capsys, command, target,
                                               changes):
         kb_args = ["--triples", MINI["triples"], "--templates", MINI["templates"]]
@@ -772,7 +760,8 @@ class TestLabelTypesInRankingFiles:
 
 
 class TestConfigValueShapes:
-    """Boolean, string and list flags type their config values; 'metrics' is retired."""
+    """Boolean, string and list flags type their config values; a key no flag names
+    (a typo, or a retired key such as 'metrics', 'embed' or 'no_p5') is rejected."""
 
     @pytest.mark.parametrize("command, key, value", [
         ("rank-static", "exclude_subject_match", "false"),
@@ -783,8 +772,17 @@ class TestConfigValueShapes:
         ("build-vocab", "corpus", 0),
         ("evaluate", "triples", ["x"]),
         ("evaluate", "metrics", {"p5": False}),
+        ("train-embeddings", "epoch", 3),
+        ("train-embeddings", "embed", {"dim": 8}),
+        ("report", "runs", ["oracle=metrics.json"]),
+        ("report", "run", [5]),
+        ("evaluate", "no_p5", True),
+        ("build-vocab", "target_size", []),
+        ("evaluate", "config", "other.json"),
     ], ids=["exclude-str", "metrics-number", "metrics-str-toggle", "metrics-unknown-key",
-            "vocab-sizes-empty", "corpus-int", "triples-list", "metrics-once-valid"])
+            "vocab-sizes-empty", "corpus-int", "triples-list", "metrics-once-valid",
+            "epoch-unknown", "embed-nested", "runs-unknown", "run-int-list", "no-p5-retired",
+            "target-size-empty", "config-in-config"])
     def test_value_rejected_with_path_and_key(self, tmp_path, capsys, command, key, value):
         kb_args = ["--triples", MINI["triples"], "--templates", MINI["templates"]]
         assert run_cli(["rank", "oracle", *kb_args, "--output", tmp_path / "oracle"]) == 0
@@ -794,6 +792,9 @@ class TestConfigValueShapes:
             "evaluate": ["evaluate", *kb_args, "--predictions",
                          tmp_path / "oracle" / "predictions_oracle.jsonl"],
             "build-vocab": ["build-vocab", "--corpus", MINI["vocab"]],
+            "train-embeddings": ["train-embeddings", "--vocab", MINI["vocab"],
+                                 "--corpus", MINI["vocab"]],
+            "report": ["report", "--run", f"oracle={tmp_path / 'oracle' / 'metrics.json'}"],
         }[command]
         config = tmp_path / "config.json"
         config.write_text(json.dumps({key: value}), encoding="utf-8")
@@ -825,7 +826,7 @@ class TestManifestMaskIds:
 
 
 class TestReportInputTypes:
-    """report checks the field types of its metrics files and its runs key."""
+    """report checks the field types of its metrics files."""
 
     @pytest.mark.parametrize("key, value, expected", [
         ("macro_p1", "x", "must be a number, got 'x'"),
@@ -863,20 +864,14 @@ class TestReportInputTypes:
         assert record["message"] == f"{metrics_path}: {expected}"
 
     def test_disabled_metrics_load_as_null(self, tmp_path):
-        preds = rank_static(tmp_path / "eval")
-        metrics_path = evaluate(tmp_path / "eval", preds,
-                                extra=["--no-p5", "--no-mf", "--no-diversity"])
+        # Older metrics files hold null for the metrics evaluate could turn off.
+        metrics_path = evaluate(tmp_path / "eval", rank_static(tmp_path / "eval"))
+        off = dict.fromkeys(["macro_p5", "p1_mf", "relations_dropped_by_mf", "entropy_bits",
+                             "avg_distinct_predictions"])
+        metrics_path.write_text(json.dumps({**read_json(metrics_path), **off}),
+                                encoding="utf-8")
         assert run_cli(["report", "--run", f"static={metrics_path}",
                         "--output", tmp_path / "out"]) == 0
-
-    @pytest.mark.parametrize("runs", ["abc", [5]], ids=["str", "int-list"])
-    def test_runs_must_be_a_list_of_strings(self, tmp_path, capsys, runs):
-        config = tmp_path / "config.json"
-        config.write_text(json.dumps({"runs": runs}), encoding="utf-8")
-        assert run_cli(["report", "--config", config, "--output", tmp_path / "out"]) == 1
-        record = cli_error(capsys)
-        assert record["error"] == "ValueError"
-        assert record["message"].startswith(f"{config}: config key 'runs' must be a list")
 
 
 class TestUnknownSubsetIds:
@@ -904,14 +899,14 @@ def write_sweep_corpus(tmp_path):
 
 
 class TestVocabSizesSweep:
-    """--vocab-sizes trains once and cuts each vocabulary from the largest."""
+    """--target-size with several sizes trains once and cuts each from the largest."""
 
     @pytest.mark.parametrize("extra", [(), ("--min-frequency", "2")], ids=["all", "min-freq-2"])
     def test_each_size_matches_a_separate_run(self, tmp_path, extra):
         corpus = write_sweep_corpus(tmp_path)
         sizes = ["300", "40", "100000", "120"]
         sweep = tmp_path / "sweep"
-        assert run_cli(["build-vocab", "--corpus", corpus, "--vocab-sizes", *sizes,
+        assert run_cli(["build-vocab", "--corpus", corpus, "--target-size", *sizes,
                         *extra, "--output", sweep]) == 0
         checksum = read_json(sweep / "build_vocab_manifest.json")["config_checksum"]
         for size in sizes:
@@ -929,7 +924,7 @@ class TestVocabSizesSweep:
     def test_size_below_alphabet_fails_before_writing(self, tmp_path, capsys):
         corpus = write_sweep_corpus(tmp_path)
         out = tmp_path / "out"
-        assert run_cli(["build-vocab", "--corpus", corpus, "--vocab-sizes", "300", "3",
+        assert run_cli(["build-vocab", "--corpus", corpus, "--target-size", "300", "3",
                         "--output", out]) == 1
         record = cli_error(capsys)
         assert record["error"] == "ValueError"

@@ -376,11 +376,16 @@ class TestInputLocations:
                                  FIXTURES / "mini_templates.jsonl")
         cands = build_candidates(dataset)
         manifest = tmp_path / "manifest.jsonl"
-        manifest.write_text("{not json\n", encoding="utf-8")
         scores = tmp_path / "scores.jsonl"
-        scores.write_text("", encoding="utf-8")
-        with pytest.raises(ValueError, match=f"{manifest}:1: malformed JSON"):
-            rank_mlm(scores, dataset, cands, manifest_path=manifest)
+        # An integer over the interpreter's 4300-digit limit is malformed JSON too.
+        huge = '{"triple_id": "P19#0", "candidate": "rome", "token_logprobs": [-%s]}' % (
+            "1" * 5001)
+        for bad, manifest_line, score_line in [(manifest, "{not json", ""),
+                                               (scores, "", huge)]:
+            manifest.write_text(manifest_line + "\n", encoding="utf-8")
+            scores.write_text(score_line + "\n", encoding="utf-8")
+            with pytest.raises(ValueError, match=f"{bad}:1: malformed JSON line"):
+                rank_mlm(scores, dataset, cands, manifest_path=manifest)
 
     @pytest.mark.parametrize("token", ["", "two words", "tab\there", "nl\n"])
     def test_unsaveable_token_rejected_by_name(self, tmp_path, token):

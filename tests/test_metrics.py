@@ -285,20 +285,6 @@ class TestReport:
         assert raw["metadata"]["bucket_aggregation"] == "micro"
         assert raw["metadata"]["language"] == "en"
 
-    def test_disabled_metrics_are_none(self, mini_dataset, mini_vocab, mini_table):
-        preds = rank_static(mini_table, mini_vocab, mini_dataset,
-                            build_candidates(mini_dataset))
-        report = compute_report(preds, mini_dataset, with_p5=False,
-                                with_mf=False, with_diversity=False)
-        assert report.macro_p5 is None
-        assert report.p1_mf is None
-        assert report.relations_dropped_by_mf is None
-        assert report.entropy_bits is None
-        assert report.avg_distinct_predictions is None
-        assert report.buckets == {}
-        for row in report.per_relation.values():
-            assert "p_at_5" not in row
-
     def test_predictions_outside_the_dataset_are_ignored(self, tmp_path):
         rows = [triple_row("s1", "aa"), triple_row("s2", "bb", "P2")]
         full = make_dataset(tmp_path, rows, [template(), template("P2")])
@@ -323,7 +309,9 @@ class TestReport:
     def test_tsv_marks_absent_p5(self, mini_dataset, mini_vocab, mini_table):
         preds = rank_static(mini_table, mini_vocab, mini_dataset,
                             build_candidates(mini_dataset))
-        report = compute_report(preds, mini_dataset, with_p5=False)
+        report = compute_report(preds, mini_dataset)
+        for row in report.per_relation.values():  # as in a file written with p@5 off
+            del row["p_at_5"]
         for line in per_relation_tsv(report).splitlines()[1:]:
             assert line.endswith("\t-")
 
