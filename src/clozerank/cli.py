@@ -63,11 +63,6 @@ class RunContext:
             raise ValueError(f"missing required setting {key!r} (flag or config)")
         return value
 
-    def checksum(self, settings: dict) -> str:
-        payload = json.dumps({"command": self.args.command, "settings": settings},
-                             sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()
-
     def dataset(self):
         """The KB named by triples/templates, cut to subset; with its input paths."""
         triples = self.require("triples")
@@ -85,11 +80,14 @@ class RunContext:
         return dataset, inputs
 
     def finish(self, settings: dict, inputs, outputs, message: str) -> int:
+        """Write the manifest, the run's one record of its settings and inputs."""
         command = self.args.command
+        canonical = json.dumps({"command": command, "settings": settings},
+                               sort_keys=True, separators=(",", ":"))
         # Manifests escape non-ASCII paths; the other JSON artifacts keep them.
         jsonio.write_json(self.out / f"{command.replace('-', '_')}_manifest.json", {
             "command": command,
-            "config_checksum": self.checksum(settings),
+            "config_checksum": hashlib.sha256(canonical.encode("utf-8")).hexdigest(),
             "settings": settings,
             "inputs": {p: self.digest(p) for p in sorted(set(map(str, inputs)))},
             "outputs": sorted(str(o) for o in outputs),
@@ -101,12 +99,14 @@ class RunContext:
 def cmd_build_vocab(ctx: RunContext) -> int:
     corpus = ctx.require("corpus")
     sizes = ctx.require("target_size")
+    repeated = next((size for size in sizes if sizes.count(size) > 1), None)
+    if repeated is not None:
+        raise ValueError(f"target_size {repeated} is given more than once")
     given = ctx.given("min_frequency", "max_word_length")
     cfgs = [wordpiece.VocabTrainConfig(target_size=size, **given) for size in sizes]
 
     settings = {"corpus": corpus, "target_size": sizes, "min_frequency": cfgs[0].min_frequency,
                 "max_word_length": cfgs[0].max_word_length}
-    checksum = ctx.checksum(settings)
     # Train once: the target only decides when merging stops, so every
     # smaller vocabulary is a prefix of the largest.
     with jsonio.open_text(corpus) as f:
@@ -116,10 +116,8 @@ def cmd_build_vocab(ctx: RunContext) -> int:
     for cfg, vocab in zip(cfgs, vocabs):
         size = cfg.target_size
         vocab_path = ctx.out / f"vocab_{size}.txt"
-        wordpiece.save_vocab_with_sidecar(
-            vocab, cfg, vocab_path,
-            extra={"config_checksum": checksum, "corpus_sha256": ctx.digest(corpus)},
-        )
+        wordpiece.save_vocab_with_sidecar(vocab, cfg, vocab_path,
+                                          corpus_sha256=ctx.digest(corpus))
         outputs += [vocab_path, Path(str(vocab_path) + ".json")]
         lines.append(f"vocab_{size}: {vocab.size} tokens -> {vocab_path}")
     return ctx.finish(settings, [corpus], outputs, "\n".join(lines))
@@ -160,13 +158,10 @@ def cmd_train_embeddings(ctx: RunContext) -> int:
     with jsonio.open_text(corpus) as f:
         tokenized = [wordpiece.tokenize(vocab, line) for line in f]
     table = embeddings.train_static_embeddings(tokenized, vocab, cfg, workers=workers)
-    table.metadata["config_checksum"] = ctx.checksum(settings)
 
     table_path = ctx.out / "embeddings.vec"
-    meta_path = ctx.out / "embeddings.vec.json"
     embeddings.save_table(table, table_path)
-    embeddings.save_table_metadata(table, meta_path)
-    return ctx.finish(settings, [vocab_path, corpus], [table_path, meta_path],
+    return ctx.finish(settings, [vocab_path, corpus], [table_path],
                       f"trained {len(table)} vectors (dim {table.dim}) -> {table_path}")
 
 
@@ -177,7 +172,6 @@ def cmd_build_candidates(ctx: RunContext) -> int:
     settings = {"inputs": list(inputs)}
     out_path = ctx.out / "candidates.json"
     jsonio.write_json(out_path, {
-        "config_checksum": ctx.checksum(settings),
         "candidates": {rel: list(cset) for rel, cset in candidates.items()},
     })
     return ctx.finish(settings, inputs, [out_path],
@@ -225,14 +219,8 @@ def cmd_rank(ctx: RunContext) -> int:
                                        manifest_path=manifest_path)
 
     out_path = ctx.out / f"predictions_{mode}.jsonl"
-    meta_path = ctx.out / f"predictions_{mode}.meta.json"
     ranking.save_predictions(predictions, out_path)
-    jsonio.write_json(meta_path, {
-        "config_checksum": ctx.checksum(settings),
-        "mode": mode,
-        "n_predictions": len(predictions),
-    })
-    return ctx.finish(settings, inputs, [out_path, meta_path],
+    return ctx.finish(settings, inputs, [out_path],
                       f"{len(predictions)} predictions -> {out_path}")
 
 
@@ -262,7 +250,6 @@ def cmd_evaluate(ctx: RunContext) -> int:
     settings = {"inputs": list(inputs), "predictions": predictions_path, "vocab": vocab_path,
                 "language": dataset.language}
     report = metrics.compute_report(predictions, dataset, vocab=vocab)
-    report.metadata["config_checksum"] = ctx.checksum(settings)
     if vocab is not None:
         report.metadata["vocab_size"] = vocab.size
 
@@ -295,7 +282,6 @@ def cmd_energy(ctx: RunContext) -> int:
     settings = {"watts": run.power_watts, "hours": run.hours, "pue": run.pue,
                 "carbon_intensity": run.carbon_intensity,
                 "baseline_watts": baseline_watts, "baseline_hours": baseline_hours}
-    payload["config_checksum"] = ctx.checksum(settings)
     out_path = ctx.out / "energy.json"
     jsonio.write_json(out_path, payload)
     return ctx.finish(settings, [], [out_path],

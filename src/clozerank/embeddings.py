@@ -7,7 +7,7 @@ import sys
 from collections import Counter
 from dataclasses import asdict, dataclass
 
-from .jsonio import open_text, write_json
+from .jsonio import open_text
 from .wordpiece import SubwordVocab
 
 
@@ -82,11 +82,10 @@ class TableRowError(ValueError):
 class EmbeddingTable:
     """Token string -> d-dimensional vector store: row entries[token] of matrix."""
 
-    def __init__(self, dim: int, tokens=(), matrix=None, metadata=None):
+    def __init__(self, dim: int, tokens=(), matrix=None):
         if dim <= 0:
             raise ValueError(f"dim must be positive, got {dim}")
         self.dim = dim
-        self.metadata: dict = dict(metadata or {})
         self.entries: dict[str, int] = {}
         for row, token in enumerate(tokens):
             if self.entries.setdefault(token, row) != row:
@@ -113,8 +112,7 @@ class EmbeddingTable:
         """New table with every vector multiplied by a positive scalar."""
         if factor <= 0:
             raise ValueError("scale factor must be positive")
-        return EmbeddingTable(self.dim, self.entries, self.matrix * _np.float32(factor),
-                              self.metadata)
+        return EmbeddingTable(self.dim, self.entries, self.matrix * _np.float32(factor))
 
 
 def compose(table: EmbeddingTable, tokens) -> tuple[_np.ndarray, tuple[str, ...]]:
@@ -175,12 +173,11 @@ def train_static_embeddings(tokenized_corpus, vocab: SubwordVocab,
     scales with the kept tokens, not with cfg.ngram_buckets.
 
     Training is single-threaded and bitwise deterministic for a fixed seed;
-    workers is accepted for compatibility, and workers > 1 is rejected.
+    workers is accepted for compatibility, and any value but 1 is rejected.
     """
-    if workers > 1:
-        raise ValueError(
-            "workers > 1 is not supported: training is single-threaded and deterministic"
-        )
+    if workers != 1:
+        raise ValueError(f"workers must be 1: training is single-threaded and "
+                         f"deterministic, got {workers}")
     sentences = [list(s) for s in tokenized_corpus]
     counts: Counter[int] = Counter()
     for sent in sentences:
@@ -263,10 +260,7 @@ def train_static_embeddings(tokenized_corpus, vocab: SubwordVocab,
     means = _np.empty((n_tokens, cfg.dim), dtype=_np.float32)
     for row, rows in enumerate(subword_rows):
         means[row] = vec_in[rows].mean(axis=0, dtype=_np.float64)
-    return EmbeddingTable(
-        cfg.dim, [vocab.tokens[tid] for tid in kept_ids], means,
-        metadata={"source": "trained", "config": cfg.to_dict()},
-    )
+    return EmbeddingTable(cfg.dim, [vocab.tokens[tid] for tid in kept_ids], means)
 
 
 def save_table(table: EmbeddingTable, path) -> None:
@@ -311,11 +305,6 @@ def load_table(path) -> EmbeddingTable:
     if len(tokens) != count:
         raise ValueError(f"{path}: header declares {count} rows, found {len(tokens)}")
     try:
-        return EmbeddingTable(dim, tokens, _np.array(rows).reshape(count, dim),
-                              metadata={"source": "loaded"})
+        return EmbeddingTable(dim, tokens, _np.array(rows).reshape(count, dim))
     except TableRowError as exc:
         raise ValueError(f"{path}:{exc.row + 2}: {exc}") from None
-
-
-def save_table_metadata(table: EmbeddingTable, path) -> None:
-    write_json(path, {**table.metadata, "dim": table.dim, "count": len(table)}, ensure_ascii=True)

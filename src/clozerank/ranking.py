@@ -314,9 +314,16 @@ def save_predictions(predictions, path) -> None:
 
 
 def load_predictions(path) -> list[Prediction]:
-    predictions = []
+    """Read a predictions file; each triple may have one row only."""
+    predictions, seen = [], set()
     for lineno, row, (triple_id, relation_id, ranked) in read_jsonl(
             path, "triple_id", "relation_id", "ranked", text=("triple_id", "relation_id")):
+        if triple_id in seen:  # rescan for the first row only on error
+            first = next(n for n, _, (tid, _) in read_jsonl(path, "triple_id", "relation_id")
+                         if tid == triple_id)
+            raise ValueError(f"{path}:{lineno}: duplicate prediction for triple "
+                             f"{triple_id!r} (first at line {first})")
+        seen.add(triple_id)
         # Only a two-element list unpacks into a string and a number: a JSON
         # string or object yields strings. Any other entry is dropped or raises.
         try:

@@ -339,16 +339,13 @@ def corpus_checksum(path) -> str:
 
 
 def save_vocab_with_sidecar(vocab: SubwordVocab, cfg: VocabTrainConfig,
-                            vocab_path, extra: dict = None) -> None:
-    """Write vocab.txt plus a JSON sidecar; extra may carry the corpus_sha256."""
+                            vocab_path, corpus_sha256: str | None = None) -> None:
+    """Write vocab.txt plus a JSON sidecar recording cfg and the corpus digest."""
     vocab.save(vocab_path)
-    sidecar = {
+    write_json(f"{vocab_path}.json", {
         "config": cfg.to_dict(),
         "size": vocab.size,
         "specials": list(SPECIAL_TOKENS),
         "normalization": "none",
-        "corpus_sha256": None,
-    }
-    if extra:
-        sidecar.update(extra)
-    write_json(f"{vocab_path}.json", sidecar, ensure_ascii=True)
+        "corpus_sha256": corpus_sha256,
+    }, ensure_ascii=True)

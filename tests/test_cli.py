@@ -71,7 +71,6 @@ class TestBuildVocab:
             vocab_path = out / f"vocab_{size}.txt"
             assert vocab_path.exists()
             sidecar = read_json(out / f"vocab_{size}.txt.json")
-            assert sidecar["config_checksum"] == manifest["config_checksum"]
             assert sidecar["size"] == len(
                 vocab_path.read_text(encoding="utf-8").splitlines())
         digest = hashlib.sha256(corpus.read_bytes()).hexdigest()
@@ -151,18 +150,17 @@ class TestTrainEmbeddings:
         assert run_cli(self.train_args(vocab, corpus, out)) == 0
         header = (out / "embeddings.vec").read_text(encoding="utf-8").splitlines()[0]
         assert header == "2 8"
-        meta = read_json(out / "embeddings.vec.json")
-        assert meta["dim"] == 8
-        assert meta["count"] == 2
-        assert meta["config_checksum"]
-        assert meta["config"]["learning_rate"] == 0.05
+        manifest = read_json(out / "train_embeddings_manifest.json")
+        assert manifest["outputs"] == [str(out / "embeddings.vec")]
+        assert manifest["settings"]["embed"]["learning_rate"] == 0.05
 
     def test_lr_flag_reaches_the_trainer(self, tmp_path):
         vocab, corpus = write_tiny_training_setup(tmp_path)
         out = tmp_path / "out"
         assert run_cli(self.train_args(vocab, corpus, out,
                                        extra=["--lr", "0.1"])) == 0
-        assert read_json(out / "embeddings.vec.json")["config"]["learning_rate"] == 0.1
+        manifest = read_json(out / "train_embeddings_manifest.json")
+        assert manifest["settings"]["embed"]["learning_rate"] == 0.1
 
     def test_deterministic_runs_are_byte_identical(self, tmp_path):
         vocab, corpus = write_tiny_training_setup(tmp_path)
@@ -184,7 +182,7 @@ class TestBuildCandidates:
             "P106": ["actor", "singer", "writer"],
             "P19": ["berlin", "paris", "rome"],
         }
-        assert payload["config_checksum"]
+        assert list(payload) == ["candidates"]
 
 
 class TestStaticPipeline:
@@ -192,9 +190,8 @@ class TestStaticPipeline:
         preds_path = rank_static(tmp_path)
         rows = preds_path.read_text(encoding="utf-8").splitlines()
         assert len(rows) == 18
-        meta = read_json(tmp_path / "predictions_static.meta.json")
-        assert meta["n_predictions"] == 18
         manifest = read_json(tmp_path / "rank_manifest.json")
+        assert manifest["outputs"] == [str(preds_path)]
         for path in (MINI["triples"], MINI["templates"], MINI["table"],
                      MINI["vocab"]):
             assert path in manifest["inputs"]
@@ -219,7 +216,6 @@ class TestStaticPipeline:
         assert report["entropy_bits"] == pytest.approx(entropy, abs=1e-12)
         assert report["avg_distinct_predictions"] == 3.0
         assert report["metadata"]["vocab_size"] == 24
-        assert report["metadata"]["config_checksum"]
         assert (tmp_path / "per_relation.tsv").exists()
         assert (tmp_path / "buckets.tsv").exists()
 
@@ -290,7 +286,6 @@ class TestEnergyCommand:
                                                                   abs=1e-3)
         assert payload["ratios"]["kwh_ratio"] == pytest.approx(
             4.8822 / 1502.95762, rel=1e-6)
-        assert payload["config_checksum"]
         assert (tmp_path / "energy_manifest.json").exists()
 
     def test_run_without_baseline(self, tmp_path):
@@ -448,11 +443,11 @@ class TestManifestContract:
             assert run_cli([*argv, "--output", out[argv[0]]]) == 0, argv
         return out
 
-    def test_manifests_and_embedded_checksums(self, tmp_path):
+    def test_manifests_and_output_directories(self, tmp_path):
         out = self.run_all(tmp_path)
-        checksums = {}
         for command, out_dir in out.items():
-            manifest = read_json(out_dir / f"{command.replace('-', '_')}_manifest.json")
+            manifest_path = out_dir / f"{command.replace('-', '_')}_manifest.json"
+            manifest = read_json(manifest_path)
             assert manifest["command"] == command
             payload = json.dumps({"command": command, "settings": manifest["settings"]},
                                  sort_keys=True, separators=(",", ":"))
@@ -460,25 +455,11 @@ class TestManifestContract:
             assert manifest["config_checksum"] == expected, command
             for path, digest in manifest["inputs"].items():
                 assert digest == sha256_file(path), (command, path)
-            for path in manifest["outputs"]:
-                assert Path(path).exists(), (command, path)
-            checksums[command] = expected
-
-        embedded = {
-            "build-vocab": [out["build-vocab"] / "vocab_8.txt.json",
-                            out["build-vocab"] / "vocab_10.txt.json"],
-            "train-embeddings": [out["train-embeddings"] / "embeddings.vec.json"],
-            "build-candidates": [out["build-candidates"] / "candidates.json"],
-            "rank": [out["rank"] / "predictions_mlm.meta.json"],
-            "evaluate": [out["evaluate"] / "metrics.json"],
-            "energy": [out["energy"] / "energy.json"],
-        }
-        for command, paths in embedded.items():
-            for path in paths:
-                payload = read_json(path)
-                found = payload.get("config_checksum",
-                                    payload.get("metadata", {}).get("config_checksum"))
-                assert found == checksums[command], (command, path)
+            # The directory holds the manifest and what it lists, each listed once.
+            outputs = manifest["outputs"]
+            assert len(set(outputs)) == len(outputs), command
+            assert sorted(map(str, out_dir.iterdir())) \
+                == sorted([str(manifest_path), *outputs]), command
 
 
 def cli_error(capsys):
@@ -562,9 +543,10 @@ class TestTrainEmbeddingsConfig:
         table = (tmp_path / "config" / "embeddings.vec").read_bytes()
         assert table.splitlines()[0] == b"2 8"
         assert table == (tmp_path / "flags" / "embeddings.vec").read_bytes()
-        meta = read_json(tmp_path / "config" / "embeddings.vec.json")
-        assert meta["config"]["seed"] == 5
-        assert meta["config"]["ngram_buckets"] == 64
+        manifest = read_json(tmp_path / "config" / "train_embeddings_manifest.json")
+        embed = manifest["settings"]["embed"]
+        assert embed["seed"] == 5
+        assert embed["ngram_buckets"] == 64
 
 
 class TestCommonOptions:
@@ -585,7 +567,8 @@ class TestCommonOptions:
         en = read_json(evaluate(tmp_path / "en", preds_path))
         de = read_json(evaluate(tmp_path / "de", preds_path, extra=["--language", "de"]))
         assert (en["metadata"]["language"], de["metadata"]["language"]) == ("en", "de")
-        assert en["metadata"]["config_checksum"] != de["metadata"]["config_checksum"]
+        en, de = (read_json(tmp_path / lang / "evaluate_manifest.json") for lang in ("en", "de"))
+        assert en["config_checksum"] != de["config_checksum"]
 
 
 class TestConfigTypes:
@@ -908,18 +891,12 @@ class TestVocabSizesSweep:
         sweep = tmp_path / "sweep"
         assert run_cli(["build-vocab", "--corpus", corpus, "--target-size", *sizes,
                         *extra, "--output", sweep]) == 0
-        checksum = read_json(sweep / "build_vocab_manifest.json")["config_checksum"]
         for size in sizes:
             alone = tmp_path / f"alone_{size}"
             assert run_cli(["build-vocab", "--corpus", corpus, "--target-size", size,
                             *extra, "--output", alone]) == 0
-            name = f"vocab_{size}.txt"
-            assert (sweep / name).read_bytes() == (alone / name).read_bytes()
-            # The sidecars differ only in the checksum of each run's settings.
-            swept, single = read_json(sweep / f"{name}.json"), read_json(alone / f"{name}.json")
-            assert swept.pop("config_checksum") == checksum
-            single.pop("config_checksum")
-            assert swept == single
+            for name in (f"vocab_{size}.txt", f"vocab_{size}.txt.json"):
+                assert (sweep / name).read_bytes() == (alone / name).read_bytes()
 
     def test_size_below_alphabet_fails_before_writing(self, tmp_path, capsys):
         corpus = write_sweep_corpus(tmp_path)
@@ -931,6 +908,23 @@ class TestVocabSizesSweep:
         assert re.fullmatch(r"target_size 3 below alphabet\+specials \(\d+\)",
                             record["message"])
         assert not list(out.glob("vocab_*"))
+
+    @pytest.mark.parametrize("route", ["flag", "config"])
+    def test_repeated_size_fails_before_writing(self, tmp_path, capsys, route):
+        corpus = write_sweep_corpus(tmp_path)
+        out = tmp_path / "out"
+        if route == "flag":
+            argv = ["--corpus", corpus, "--target-size", "120", "40", "40"]
+        else:
+            config = tmp_path / "config.json"
+            config.write_text(json.dumps({"corpus": str(corpus), "target_size": [120, 40, 40]}),
+                              encoding="utf-8")
+            argv = ["--config", config]
+        assert run_cli(["build-vocab", *argv, "--output", out]) == 1
+        record = cli_error(capsys)
+        assert record["error"] == "ValueError"
+        assert record["message"] == "target_size 40 is given more than once"
+        assert not list(out.glob("*"))
 
 
 class TestExcludeSubjectLeavesNoCandidate:
@@ -962,6 +956,20 @@ class TestDuplicateScoreRow:
         assert cli_error(capsys)["message"] == (
             f"{scores}:{len(rows) + 1}: duplicate score row for ('P103#0', 'french') "
             "(first at line 1)")
+
+
+class TestDuplicatePrediction:
+    def test_repeated_triple_names_both_lines(self, tmp_path, capsys):
+        preds = rank_static(tmp_path)
+        rows = preds.read_text(encoding="utf-8").splitlines()
+        preds.write_text("\n".join(rows + rows[:1]) + "\n", encoding="utf-8")
+        out = tmp_path / "out"
+        assert run_cli(["evaluate", "--predictions", preds, "--triples", MINI["triples"],
+                        "--templates", MINI["templates"], "--output", out]) == 1
+        assert cli_error(capsys)["message"] == (
+            f"{preds}:{len(rows) + 1}: duplicate prediction for triple 'P103#0' "
+            "(first at line 1)")
+        assert not (out / "metrics.json").exists()
 
 
 class TestNonUtf8Input:

@@ -172,7 +172,6 @@ class TestImport:
         path = tmp_path / "hand.vec"
         path.write_text("2 4\nalpha 1 0 0 0\nbeta 0 1 0 0\n", encoding="utf-8")
         table = load_table(path)
-        assert table.metadata["source"] == "loaded"
         vector, _ = compose(table, ["alpha", "beta"])
         assert np.array_equal(vector, [0.5, 0.5, 0.0, 0.0])
 
@@ -307,7 +306,7 @@ class TestCompactTrainer:
     def test_multiple_workers_rejected(self):
         vocab = make_vocab(["t1", "t2"])
         corpus = [[vocab.id_for("t1"), vocab.id_for("t2")]] * 3
-        with pytest.raises(ValueError, match="workers > 1 is not supported"):
+        with pytest.raises(ValueError, match="workers must be 1"):
             train_static_embeddings(corpus, vocab, self.cfg(), workers=2)
 
     def test_cli_accepts_one_worker_and_rejects_two(self, tmp_path, capsys):
@@ -326,8 +325,30 @@ class TestCompactTrainer:
         record = json.loads(capsys.readouterr().err)
         assert record["command"] == "train-embeddings"
         assert record["error"] == "ValueError"
-        assert "workers > 1 is not supported" in record["message"]
+        assert "workers must be 1" in record["message"]
         assert not (bad / "embeddings.vec").exists()
+
+    @pytest.mark.parametrize("route", ["flag", "config"])
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_cli_rejects_workers_below_one(self, tmp_path, capsys, route, workers):
+        vocab = tmp_path / "vocab.txt"
+        vocab.write_text("[UNK]\n[MASK]\nt1\nt2\n", encoding="utf-8")
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_text("t1 t2\n" * 10, encoding="utf-8")
+        out = tmp_path / "out"
+        args = ["train-embeddings", "--vocab", str(vocab), "--corpus", str(corpus),
+                "--dim", "8", "--epochs", "1", "--min-count", "1", "--output", str(out)]
+        if route == "flag":
+            args += ["--workers", str(workers)]
+        else:
+            config = tmp_path / "config.json"
+            config.write_text(json.dumps({"workers": workers}), encoding="utf-8")
+            args += ["--config", str(config)]
+        assert cli_main(args) == 1
+        record = json.loads(capsys.readouterr().err)
+        assert record["message"] == ("workers must be 1: training is single-threaded and "
+                                     f"deterministic, got {workers}")
+        assert not (out / "embeddings.vec").exists()
 
 
 class TestInputLocations:

@@ -236,8 +236,7 @@ class TestVocabIO:
         sidecar = json.loads((tmp_path / "vocab.txt.json").read_text(encoding="utf-8"))
         assert sidecar["corpus_sha256"] is None
         digest = corpus_checksum(corpus)
-        save_vocab_with_sidecar(vocab, cfg, vocab_path,
-                                extra={"corpus_sha256": digest})
+        save_vocab_with_sidecar(vocab, cfg, vocab_path, corpus_sha256=digest)
         sidecar = json.loads((tmp_path / "vocab.txt.json").read_text(encoding="utf-8"))
         assert sidecar["config"]["target_size"] == 20
         assert sidecar["normalization"] == "none"
