@@ -8,6 +8,7 @@ artifacts: nothing here embeds timestamps or machine state.
 """
 
 import argparse
+import dataclasses
 import functools
 import hashlib
 import json
@@ -22,13 +23,15 @@ class RunContext:
 
     A setting is the flag if given, else the same-named config key typed like
     the flag, else the default. A config key must name a flag of some command,
-    so one config file can serve several. finish() writes the command's manifest.
+    so one config file can serve several. The manifest that finish() writes
+    lists every path read through input() or vocab() and written through output().
     """
 
     def __init__(self, args):
         self.args = args
         self.config = {} if args.config is None else jsonio.read_json(args.config)
         self.digest = functools.cache(wordpiece.corpus_checksum)  # hash each file once
+        self.settings, self.inputs, self.outputs = {}, [], []
         unknown = sorted(self.config.keys() - args.config_keys)
         if unknown:
             raise ValueError(f"{args.config}: config key {unknown[0]!r} must be a setting "
@@ -46,8 +49,6 @@ class RunContext:
                                  f"{'one or more ' if flag.nargs else ''}{kind.__name__}, "
                                  f"like {flag.option_strings[0]}")
             self.config[key] = list(map(kind, items)) if flag.nargs else kind(value)
-        self.out = Path(self.get("output", "."))
-        self.out.mkdir(parents=True, exist_ok=True)
 
     def get(self, key, default=None):
         value = getattr(self.args, key, None)
@@ -63,41 +64,66 @@ class RunContext:
             raise ValueError(f"missing required setting {key!r} (flag or config)")
         return value
 
+    def input(self, key, required=True):
+        """The path setting key, recorded in the settings and, if set, hashed."""
+        path = self.settings[key] = self.require(key) if required else self.get(key)
+        if path is not None:
+            self.inputs.append(path)
+        return path
+
+    def vocab(self, required=True):
+        """The vocabulary the vocab setting names, or None; its sidecar is an input too."""
+        path = self.input("vocab", required)
+        if path is None:
+            return None
+        vocab = wordpiece.SubwordVocab.load(path)
+        if vocab.sidecar is not None:
+            self.inputs.append(vocab.sidecar)
+        return vocab
+
+    def output(self, name: str) -> Path:
+        """The path of artifact name under --output, which is created on first use."""
+        out = Path(self.get("output", "."))
+        out.mkdir(parents=True, exist_ok=True)
+        self.outputs.append(out / name)
+        return out / name
+
     def dataset(self):
-        """The KB named by triples/templates, cut to subset; with its input paths."""
-        triples = self.require("triples")
-        templates = self.require("templates")
-        dataset = kb.ingest_dataset(triples, templates,
+        """The KB named by triples/templates, cut to subset."""
+        dataset = kb.ingest_dataset(self.input("triples"), self.input("templates"),
                                     language_tag=self.get("language", "en"))
-        inputs = [triples, templates]
-        subset = self.get("subset")
+        subset = self.input("subset", required=False)
         if subset is not None:
             dataset, unknown = kb.apply_subset(dataset, kb.read_subset_ids(subset))
             if unknown:
                 print(f"subset list has {unknown} ids not present in the dataset",
                       file=sys.stderr)
-            inputs.append(subset)
-        return dataset, inputs
+        return dataset
 
-    def finish(self, settings: dict, inputs, outputs, message: str) -> int:
-        """Write the manifest, the run's one record of its settings and inputs."""
+    def finish(self, message: str, **settings) -> int:
+        """Write the manifest, the run's one record of its settings and inputs.
+
+        settings are those that name no path; input() recorded the others.
+        """
         command = self.args.command
+        settings = {**self.settings, **settings}
         canonical = json.dumps({"command": command, "settings": settings},
                                sort_keys=True, separators=(",", ":"))
+        outputs = sorted(map(str, self.outputs))
         # Manifests escape non-ASCII paths; the other JSON artifacts keep them.
-        jsonio.write_json(self.out / f"{command.replace('-', '_')}_manifest.json", {
+        jsonio.write_json(self.output(f"{command.replace('-', '_')}_manifest.json"), {
             "command": command,
             "config_checksum": hashlib.sha256(canonical.encode("utf-8")).hexdigest(),
             "settings": settings,
-            "inputs": {p: self.digest(p) for p in sorted(set(map(str, inputs)))},
-            "outputs": sorted(str(o) for o in outputs),
+            "inputs": {p: self.digest(p) for p in sorted(set(map(str, self.inputs)))},
+            "outputs": outputs,
         }, ensure_ascii=True)
         print(message)
         return 0
 
 
 def cmd_build_vocab(ctx: RunContext) -> int:
-    corpus = ctx.require("corpus")
+    corpus = ctx.input("corpus")
     sizes = ctx.require("target_size")
     repeated = next((size for size in sizes if sizes.count(size) > 1), None)
     if repeated is not None:
@@ -105,37 +131,33 @@ def cmd_build_vocab(ctx: RunContext) -> int:
     given = ctx.given("min_frequency", "max_word_length")
     cfgs = [wordpiece.VocabTrainConfig(target_size=size, **given) for size in sizes]
 
-    settings = {"corpus": corpus, "target_size": sizes, "min_frequency": cfgs[0].min_frequency,
-                "max_word_length": cfgs[0].max_word_length}
     # Train once: the target only decides when merging stops, so every
     # smaller vocabulary is a prefix of the largest.
     with jsonio.open_text(corpus) as f:
         trained = wordpiece.train_wordpiece(f, max(cfgs, key=lambda c: c.target_size))
     vocabs = [trained.prefix(cfg.target_size) for cfg in cfgs]
-    outputs, lines = [], []
+    lines = []
     for cfg, vocab in zip(cfgs, vocabs):
-        size = cfg.target_size
-        vocab_path = ctx.out / f"vocab_{size}.txt"
+        name = f"vocab_{cfg.target_size}.txt"
+        vocab_path = ctx.output(name)
+        ctx.output(f"{name}.json")  # the sidecar
         wordpiece.save_vocab_with_sidecar(vocab, cfg, vocab_path,
                                           corpus_sha256=ctx.digest(corpus))
-        outputs += [vocab_path, Path(str(vocab_path) + ".json")]
-        lines.append(f"vocab_{size}: {vocab.size} tokens -> {vocab_path}")
-    return ctx.finish(settings, [corpus], outputs, "\n".join(lines))
+        lines.append(f"vocab_{cfg.target_size}: {vocab.size} tokens -> {vocab_path}")
+    return ctx.finish("\n".join(lines), target_size=sizes,
+                      min_frequency=cfgs[0].min_frequency,
+                      max_word_length=cfgs[0].max_word_length)
 
 
 def cmd_tokenize(ctx: RunContext) -> int:
-    vocab_path = ctx.require("vocab")
-    text_path = ctx.require("input")
-    vocab = wordpiece.SubwordVocab.load(vocab_path)
-
-    settings = {"vocab": vocab_path, "input": text_path}
-    out_path = ctx.out / "tokens.jsonl"
+    vocab = ctx.vocab()
+    text_path = ctx.input("input")
     with jsonio.open_text(text_path) as fin:
+        out_path = ctx.output("tokens.jsonl")
         ids_per_line = (wordpiece.tokenize(vocab, line) for line in fin)
         jsonio.write_jsonl(out_path, ({"token_ids": ids, "tokens": vocab.ids_to_tokens(ids)}
                                       for ids in ids_per_line))
-    return ctx.finish(settings, [vocab_path, text_path], [out_path],
-                      f"tokenized {text_path} -> {out_path}")
+    return ctx.finish(f"tokenized {text_path} -> {out_path}")
 
 
 # train-embeddings settings, under their flag names; two map to a differently
@@ -146,124 +168,85 @@ _EMBED_FIELDS = {"lr": "learning_rate", "hash_buckets": "ngram_buckets"}
 
 
 def cmd_train_embeddings(ctx: RunContext) -> int:
-    vocab_path = ctx.require("vocab")
-    corpus = ctx.require("corpus")
-    vocab = wordpiece.SubwordVocab.load(vocab_path)
+    vocab = ctx.vocab()
+    corpus = ctx.input("corpus")
     cfg = embeddings.EmbedTrainConfig(**{_EMBED_FIELDS.get(key, key): value for key, value
                                          in ctx.given(*_EMBED_SETTINGS).items()})
     workers = ctx.get("workers", 1)
-
-    settings = {"vocab": vocab_path, "corpus": corpus, "embed": cfg.to_dict(),
-                "workers": workers}
     with jsonio.open_text(corpus) as f:
-        tokenized = [wordpiece.tokenize(vocab, line) for line in f]
-    table = embeddings.train_static_embeddings(tokenized, vocab, cfg, workers=workers)
+        table = embeddings.train_static_embeddings(
+            (wordpiece.tokenize(vocab, line) for line in f), vocab, cfg, workers=workers)
 
-    table_path = ctx.out / "embeddings.vec"
+    table_path = ctx.output("embeddings.vec")
     embeddings.save_table(table, table_path)
-    return ctx.finish(settings, [vocab_path, corpus], [table_path],
-                      f"trained {len(table)} vectors (dim {table.dim}) -> {table_path}")
+    return ctx.finish(f"trained {len(table)} vectors (dim {table.dim}) -> {table_path}",
+                      embed=dataclasses.asdict(cfg), workers=workers)
 
 
 def cmd_build_candidates(ctx: RunContext) -> int:
-    dataset, inputs = ctx.dataset()
-    candidates = kb.build_candidates(dataset)
-
-    settings = {"inputs": list(inputs)}
-    out_path = ctx.out / "candidates.json"
+    candidates = kb.build_candidates(ctx.dataset())
+    out_path = ctx.output("candidates.json")
     jsonio.write_json(out_path, {
         "candidates": {rel: list(cset) for rel, cset in candidates.items()},
     })
-    return ctx.finish(settings, inputs, [out_path],
-                      f"{len(candidates)} candidate sets -> {out_path}")
+    return ctx.finish(f"{len(candidates)} candidate sets -> {out_path}")
 
 
 def cmd_export_manifest(ctx: RunContext) -> int:
-    dataset, inputs = ctx.dataset()
-    vocab_path = ctx.require("vocab")
-    vocab = wordpiece.SubwordVocab.load(vocab_path)
-    candidates = kb.build_candidates(dataset)
-
-    settings = {"inputs": list(inputs), "vocab": vocab_path}
-    out_path = ctx.out / "mlm_manifest.jsonl"
-    rows = ranking.export_mlm_manifest(dataset, candidates, vocab, out_path)
-    return ctx.finish(settings, inputs + [vocab_path], [out_path],
-                      f"{rows} scoring rows -> {out_path}")
+    dataset = ctx.dataset()
+    vocab = ctx.vocab()
+    out_path = ctx.output("mlm_manifest.jsonl")
+    rows = ranking.export_mlm_manifest(dataset, kb.build_candidates(dataset), vocab, out_path)
+    return ctx.finish(f"{rows} scoring rows -> {out_path}")
 
 
 def cmd_rank(ctx: RunContext) -> int:
-    dataset, inputs = ctx.dataset()
+    dataset = ctx.dataset()
     candidates = kb.build_candidates(dataset)
     mode = ctx.args.mode
-
-    settings = {"mode": mode, "inputs": list(inputs)}
+    settings = {"mode": mode}
     if mode == "static":
-        table_path = ctx.require("table")
-        vocab_path = ctx.require("vocab")
-        table = embeddings.load_table(table_path)
-        vocab = wordpiece.SubwordVocab.load(vocab_path)
+        table = embeddings.load_table(ctx.input("table"))
+        vocab = ctx.vocab()
         exclude = ctx.get("exclude_subject_match", False)
-        settings.update({"table": table_path, "vocab": vocab_path,
-                         "exclude_subject_match": exclude})
-        inputs += [table_path, vocab_path]
+        settings["exclude_subject_match"] = exclude
         predictions = ranking.rank_static(table, vocab, dataset, candidates,
                                           exclude_subject_match=exclude)
     elif mode == "oracle":
         predictions = ranking.rank_oracle(dataset, candidates)
     else:  # mlm
-        score_path = ctx.require("scores")
-        manifest_path = ctx.get("manifest")
-        settings.update({"scores": score_path, "manifest": manifest_path})
-        inputs += [p for p in (score_path, manifest_path) if p is not None]
-        predictions = ranking.rank_mlm(score_path, dataset, candidates,
-                                       manifest_path=manifest_path)
+        predictions = ranking.rank_mlm(ctx.input("scores"), dataset, candidates,
+                                       manifest_path=ctx.input("manifest", required=False))
 
-    out_path = ctx.out / f"predictions_{mode}.jsonl"
+    out_path = ctx.output(f"predictions_{mode}.jsonl")
     ranking.save_predictions(predictions, out_path)
-    return ctx.finish(settings, inputs, [out_path],
-                      f"{len(predictions)} predictions -> {out_path}")
+    return ctx.finish(f"{len(predictions)} predictions -> {out_path}", **settings)
 
 
 def cmd_stub_score(ctx: RunContext) -> int:
-    manifest_path, lookup_path = ctx.require("manifest"), ctx.get("lookup")
+    manifest_path, lookup_path = ctx.input("manifest"), ctx.input("lookup", required=False)
     lookup = None if lookup_path is None else ranking.read_lookup(lookup_path)
-    inputs = [p for p in (manifest_path, lookup_path) if p is not None]
-
-    settings = {"manifest": manifest_path, "lookup": lookup_path}
-    out_path = ctx.out / "stub_scores.jsonl"
+    out_path = ctx.output("stub_scores.jsonl")
     rows = ranking.write_stub_scores(manifest_path, out_path, lookup=lookup)
-    return ctx.finish(settings, inputs, [out_path], f"{rows} score rows -> {out_path}")
+    return ctx.finish(f"{rows} score rows -> {out_path}")
 
 
 def cmd_evaluate(ctx: RunContext) -> int:
-    dataset, inputs = ctx.dataset()
-    predictions_path = ctx.require("predictions")
-    predictions = ranking.load_predictions(predictions_path)
-    inputs.append(predictions_path)
-
-    vocab_path = ctx.get("vocab")
-    vocab = None
-    if vocab_path is not None:
-        vocab = wordpiece.SubwordVocab.load(vocab_path)
-        inputs.append(vocab_path)
-
-    settings = {"inputs": list(inputs), "predictions": predictions_path, "vocab": vocab_path,
-                "language": dataset.language}
+    dataset = ctx.dataset()
+    predictions = ranking.load_predictions(ctx.input("predictions"))
+    vocab = ctx.vocab(required=False)
     report = metrics.compute_report(predictions, dataset, vocab=vocab)
     if vocab is not None:
         report.metadata["vocab_size"] = vocab.size
 
-    report_path = ctx.out / "metrics.json"
+    report_path = ctx.output("metrics.json")
     report.save(report_path)
-    rel_path = ctx.out / "per_relation.tsv"
-    rel_path.write_text(metrics.per_relation_tsv(report), encoding="utf-8")
-    outputs = [report_path, rel_path]
+    ctx.output("per_relation.tsv").write_text(metrics.per_relation_tsv(report),
+                                              encoding="utf-8")
     if report.buckets:
-        bucket_path = ctx.out / "buckets.tsv"
-        bucket_path.write_text(metrics.buckets_tsv(report), encoding="utf-8")
-        outputs.append(bucket_path)
-    return ctx.finish(settings, inputs, outputs,
-                      f"macro p1 {report.macro_p1:.4f} -> {report_path}")
+        ctx.output("buckets.tsv").write_text(metrics.buckets_tsv(report), encoding="utf-8")
+    return ctx.finish(f"macro p1 {report.macro_p1:.4f} -> {report_path}",
+                      language=dataset.language)
 
 
 def cmd_energy(ctx: RunContext) -> int:
@@ -279,14 +262,13 @@ def cmd_energy(ctx: RunContext) -> int:
         payload["baseline"] = energy.footprint(baseline)
         payload["ratios"] = energy.footprint_ratio(run, baseline)
 
-    settings = {"watts": run.power_watts, "hours": run.hours, "pue": run.pue,
-                "carbon_intensity": run.carbon_intensity,
-                "baseline_watts": baseline_watts, "baseline_hours": baseline_hours}
-    out_path = ctx.out / "energy.json"
+    out_path = ctx.output("energy.json")
     jsonio.write_json(out_path, payload)
-    return ctx.finish(settings, [], [out_path],
-                      f"{payload['run']['energy_kwh']:.4f} kWh, "
-                      f"{payload['run']['co2e']:.4f} CO2e -> {out_path}")
+    return ctx.finish(f"{payload['run']['energy_kwh']:.4f} kWh, "
+                      f"{payload['run']['co2e']:.4f} CO2e -> {out_path}",
+                      watts=run.power_watts, hours=run.hours, pue=run.pue,
+                      carbon_intensity=run.carbon_intensity,
+                      baseline_watts=baseline_watts, baseline_hours=baseline_hours)
 
 
 def _parse_run_spec(spec: str) -> tuple[str, str, str | None]:
@@ -299,24 +281,22 @@ def _parse_run_spec(spec: str) -> tuple[str, str, str | None]:
 
 def cmd_report(ctx: RunContext) -> int:
     specs = ctx.require("run")
-    inputs = []
     lines = ["model\tvocab_size\tp1\tp1_uhn"]
     for spec in specs:
         name, full_path, uhn_path = _parse_run_spec(spec)
         full = metrics.MetricsReport.load(full_path)
-        inputs.append(full_path)
+        ctx.inputs.append(full_path)
         vocab_size = full.metadata.get("vocab_size", "-")
         p1_uhn = "-"
         if uhn_path:
             uhn = metrics.MetricsReport.load(uhn_path)
-            inputs.append(uhn_path)
+            ctx.inputs.append(uhn_path)
             p1_uhn = f"{uhn.macro_p1:.4f}"
         lines.append(f"{name}\t{vocab_size}\t{full.macro_p1:.4f}\t{p1_uhn}")
 
-    settings = {"run": specs}
-    out_path = ctx.out / "report.tsv"
+    out_path = ctx.output("report.tsv")
     out_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    return ctx.finish(settings, inputs, [out_path], f"{len(specs)} rows -> {out_path}")
+    return ctx.finish(f"{len(specs)} rows -> {out_path}", run=specs)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -5,9 +5,9 @@ from __future__ import annotations
 import importlib.util
 import sys
 from collections import Counter
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
-from .jsonio import open_text
+from .jsonio import RowError, open_text
 from .wordpiece import SubwordVocab
 
 
@@ -67,17 +67,6 @@ class EmbedTrainConfig:
     def ngrams_enabled(self) -> bool:
         return self.char_ngram_min > 0 and self.char_ngram_max > 0
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-
-class TableRowError(ValueError):
-    """A table row that fails validation; row is its index in the matrix."""
-
-    def __init__(self, row: int, message: str):
-        super().__init__(message)
-        self.row = row
-
 
 class EmbeddingTable:
     """Token string -> d-dimensional vector store: row entries[token] of matrix."""
@@ -89,7 +78,7 @@ class EmbeddingTable:
         self.entries: dict[str, int] = {}
         for row, token in enumerate(tokens):
             if self.entries.setdefault(token, row) != row:
-                raise TableRowError(row, f"duplicate token {token!r}")
+                raise RowError(row, f"duplicate token {token!r}")
         self.matrix = _np.ascontiguousarray(
             _np.zeros((0, dim)) if matrix is None else matrix, dtype=_np.float32)
         if self.matrix.shape != (len(self), dim):
@@ -97,10 +86,7 @@ class EmbeddingTable:
         bad = _np.flatnonzero(~_np.isfinite(self.matrix).all(axis=1))
         if bad.size:
             token = list(self.entries)[bad[0]]
-            raise TableRowError(int(bad[0]), f"vector for {token!r} contains NaN/Inf")
-
-    def __contains__(self, token: str) -> bool:
-        return token in self.entries
+            raise RowError(int(bad[0]), f"vector for {token!r} contains NaN/Inf")
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -306,5 +292,5 @@ def load_table(path) -> EmbeddingTable:
         raise ValueError(f"{path}: header declares {count} rows, found {len(tokens)}")
     try:
         return EmbeddingTable(dim, tokens, _np.array(rows).reshape(count, dim))
-    except TableRowError as exc:
+    except RowError as exc:
         raise ValueError(f"{path}:{exc.row + 2}: {exc}") from None

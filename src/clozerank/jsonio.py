@@ -24,6 +24,15 @@ def is_number(value) -> bool:
     return type(value) in (int, float)
 
 
+class RowError(ValueError):
+    """A rejected row of a table or vocabulary; row is its 0-based index, which
+    the reader of the file turns into path:LINE."""
+
+    def __init__(self, row: int, message: str):
+        super().__init__(message)
+        self.row = row
+
+
 @contextmanager
 def open_text(path):
     """Open a UTF-8 text file for reading; bytes that are not UTF-8 name path:line."""

@@ -109,9 +109,9 @@ def export_mlm_manifest(dataset: Dataset, candidates: dict[str, CandidateSet],
     def rows():
         for rel in dataset.relation_ids:
             spec = dataset.relations[rel]
+            pieces = [(cand, tokenize(scorer_vocab, cand)) for cand in candidates[rel]]
             for triple in dataset.triples_by_relation[rel]:
-                for cand in candidates[rel]:
-                    token_ids = tokenize(scorer_vocab, cand)
+                for cand, token_ids in pieces:
                     yield {
                         "triple_id": triple.id,
                         "relation_id": rel,

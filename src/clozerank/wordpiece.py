@@ -3,10 +3,10 @@
 import hashlib
 import heapq
 from collections import Counter
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
-from .jsonio import open_text, read_json, write_json
+from .jsonio import RowError, open_text, read_json, write_json
 
 UNK_TOKEN = "[UNK]"
 MASK_TOKEN = "[MASK]"
@@ -31,9 +31,6 @@ class VocabTrainConfig:
         if self.max_word_length <= 0:
             raise ValueError(f"max_word_length must be positive, got {self.max_word_length}")
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 class SubwordVocab:
     """Token inventory with continuation-marked subwords and special tokens.
@@ -46,20 +43,17 @@ class SubwordVocab:
         self.tokens: list[str] = list(tokens)
         self.token_to_id: dict[str, int] = {}
         self.max_word_length = max_word_length
+        self.sidecar: str | None = None  # the <path>.json that load() read, if any
         for i, tok in enumerate(self.tokens):
-            if tok in self.token_to_id:
-                raise ValueError(f"duplicate token {tok!r}")
-            self.token_to_id[tok] = i
+            if not tok:
+                raise RowError(i, "empty token in vocabulary")
+            if tok == CONTINUATION:
+                raise RowError(i, f"continuation token {tok!r} has no content")
+            if self.token_to_id.setdefault(tok, i) != i:
+                raise RowError(i, f"duplicate token {tok!r}")
         for special in SPECIAL_TOKENS:
             if special not in self.token_to_id:
                 raise ValueError(f"missing special token {special!r}")
-        for tok in self.tokens:
-            if tok in SPECIAL_TOKENS:
-                continue
-            if not tok:
-                raise ValueError("empty token in vocabulary")
-            if tok.startswith(CONTINUATION) and len(tok) <= len(CONTINUATION):
-                raise ValueError(f"continuation token {tok!r} has no content")
         self.unk_id = self.token_to_id[UNK_TOKEN]
         self.mask_id = self.token_to_id[MASK_TOKEN]
         # Longest-match search only needs tokens bucketed by surface form.
@@ -81,12 +75,6 @@ class SubwordVocab:
     @property
     def size(self) -> int:
         return len(self.tokens)
-
-    def __len__(self) -> int:
-        return len(self.tokens)
-
-    def __contains__(self, token: str) -> bool:
-        return token in self.token_to_id
 
     def prefix(self, size: int) -> "SubwordVocab":
         """The first size tokens: the vocabulary that training on the same
@@ -112,22 +100,29 @@ class SubwordVocab:
 
     @classmethod
     def load(cls, path) -> "SubwordVocab":
-        """Read one token per line.
+        """Read one token per line; errors name path:LINE, or path for a missing special.
 
         max_word_length is the config.max_word_length recorded in the
-        <path>.json sidecar that build-vocab writes, else 100.
+        <path>.json sidecar that build-vocab writes, else 100. The loaded
+        vocabulary's sidecar attribute names that file when it was read.
         """
         with open_text(path) as f:
             lines = f.read().splitlines()
-        sidecar = Path(f"{path}.json")
+        sidecar = f"{path}.json" if Path(f"{path}.json").is_file() else None
         max_word_length = 100
-        if sidecar.is_file():
+        if sidecar is not None:
             config = read_json(sidecar).get("config")
             max_word_length = config.get("max_word_length") if isinstance(config, dict) else None
             if type(max_word_length) is not int or max_word_length <= 0:
                 raise ValueError(f"{sidecar}: key 'config.max_word_length' must be a "
                                  f"positive integer, got {max_word_length!r}")
-        return cls(lines, max_word_length=max_word_length)
+        try:
+            vocab = cls(lines, max_word_length=max_word_length)
+        except ValueError as exc:
+            where = f"{path}:{exc.row + 1}" if isinstance(exc, RowError) else path
+            raise ValueError(f"{where}: {exc}") from None
+        vocab.sidecar = sidecar
+        return vocab
 
 
 def _word_symbols(word: str) -> list[str]:
@@ -343,7 +338,7 @@ def save_vocab_with_sidecar(vocab: SubwordVocab, cfg: VocabTrainConfig,
     """Write vocab.txt plus a JSON sidecar recording cfg and the corpus digest."""
     vocab.save(vocab_path)
     write_json(f"{vocab_path}.json", {
-        "config": cfg.to_dict(),
+        "config": asdict(cfg),
         "size": vocab.size,
         "specials": list(SPECIAL_TOKENS),
         "normalization": "none",

@@ -323,6 +323,14 @@ class TestReportCommand:
         record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert record["command"] == "report"
 
+    @pytest.mark.parametrize("spec", ["static", "=metrics.json", "static="])
+    def test_spec_needs_name_and_path(self, tmp_path, capsys, spec):
+        out = tmp_path / "out"
+        assert run_cli(["report", "--run", spec, "--output", out]) == 1
+        assert cli_error(capsys)["message"] == (
+            f"run spec {spec!r} must look like NAME=metrics.json[,uhn.json]")
+        assert not out.exists()
+
 
 class TestErrorHandling:
     def test_missing_input_yields_json_error(self, tmp_path, capsys):
@@ -460,6 +468,18 @@ class TestManifestContract:
             assert len(set(outputs)) == len(outputs), command
             assert sorted(map(str, out_dir.iterdir())) \
                 == sorted([str(manifest_path), *outputs]), command
+
+    def test_path_settings_are_named_and_hashed(self, tmp_path):
+        out = self.run_all(tmp_path)
+        for command, out_dir in out.items():
+            manifest = read_json(out_dir / f"{command.replace('-', '_')}_manifest.json")
+            settings = manifest["settings"]
+            assert "inputs" not in settings, command
+            paths = {v for v in settings.values() if isinstance(v, str) and Path(v).is_file()}
+            assert paths <= manifest["inputs"].keys(), command
+        kb_settings = read_json(out["build-candidates"] / "build_candidates_manifest.json")
+        assert {key: kb_settings["settings"][key] for key in ("triples", "templates", "subset")} \
+            == {key: MINI[key] for key in ("triples", "templates")} | {"subset": MINI["uhn_ids"]}
 
 
 def cli_error(capsys):
@@ -835,7 +855,8 @@ class TestReportInputTypes:
         ("metadata", [1], "key 'metadata' must be an object, got [1]"),
         ("metadata", {"vocab_size": {"a": 1}},
          "key 'metadata.vocab_size' must be an integer, got {'a': 1}"),
-    ], ids=["bucket-key", "bucket-n", "metadata-list", "vocab-size-object"])
+        ("buckets", [1], "key 'buckets' must be an object, got [1]"),
+    ], ids=["bucket-key", "bucket-n", "metadata-list", "vocab-size-object", "buckets-list"])
     def test_mistyped_buckets_or_metadata(self, tmp_path, capsys, key, value, expected):
         metrics_path = evaluate(tmp_path / "eval", rank_static(tmp_path / "eval"))
         metrics_path.write_text(json.dumps({**read_json(metrics_path), key: value}),
@@ -1004,3 +1025,67 @@ class TestNonUtf8Input:
         record = cli_error(capsys)
         assert record["error"] == "ValueError"
         assert record["message"] == f"{bad}:2: not UTF-8 text"
+
+
+class TestManifestRecordsWhatRuns:
+    """The manifest lists what the run read, and a rejected run writes nothing."""
+
+    def test_vocab_sidecar_is_an_input(self, tmp_path):
+        vocab = tmp_path / "vocab.txt"
+        vocab.write_bytes(Path(MINI["vocab"]).read_bytes())
+        sidecar = tmp_path / "vocab.txt.json"
+        listed = []
+        for max_word_length in (100, 4):
+            sidecar.write_text(json.dumps({"config": {"max_word_length": max_word_length}}),
+                               encoding="utf-8")
+            out = tmp_path / f"mwl_{max_word_length}"
+            assert run_cli(["rank", "static", "--triples", MINI["triples"],
+                            "--templates", MINI["templates"], "--table", MINI["table"],
+                            "--vocab", vocab, "--output", out]) == 0
+            inputs = read_json(out / "rank_manifest.json")["inputs"]
+            assert inputs[str(sidecar)] == sha256_file(sidecar)
+            listed.append(inputs)
+        assert listed[0] != listed[1]
+
+    @pytest.mark.parametrize("command", ["target-size-repeated", "dim-zero", "workers-zero"])
+    def test_rejected_setting_tokenizes_and_creates_nothing(self, tmp_path, capsys,
+                                                            monkeypatch, command):
+        vocab, corpus = write_tiny_training_setup(tmp_path)
+        calls = []
+        tokenize = wordpiece.tokenize
+        monkeypatch.setattr(wordpiece, "tokenize",
+                            lambda *args: calls.append(args) or tokenize(*args))
+        out = tmp_path / "out"
+        argv = {
+            "target-size-repeated": ["build-vocab", "--corpus", corpus,
+                                     "--target-size", "40", "40"],
+            "dim-zero": ["train-embeddings", "--vocab", vocab, "--corpus", corpus,
+                         "--dim", "0"],
+            "workers-zero": ["train-embeddings", "--vocab", vocab, "--corpus", corpus,
+                             "--workers", "0"],
+        }[command]
+        assert run_cli([*argv, "--output", out]) == 1
+        assert cli_error(capsys)["error"] == "ValueError"
+        assert calls == []
+        assert not out.exists()
+
+
+class TestVocabularyFileLocations:
+    """A bad vocabulary line names path:LINE; a missing special names the path."""
+
+    @pytest.mark.parametrize("edit, problem", [
+        (lambda lines: lines[:5] + [""] + lines[5:], ":6: empty token in vocabulary"),
+        (lambda lines: lines + ["carla"], ":25: duplicate token 'carla'"),
+        (lambda lines: lines + ["##"], ":25: continuation token '##' has no content"),
+        (lambda lines: lines[:1] + lines[2:], ": missing special token '[MASK]'"),
+    ], ids=["blank", "repeated", "bare-continuation", "no-mask"])
+    def test_rank_static_names_the_line(self, tmp_path, capsys, edit, problem):
+        lines = Path(MINI["vocab"]).read_text(encoding="utf-8").splitlines()
+        vocab = tmp_path / "vocab.txt"
+        vocab.write_text("".join(line + "\n" for line in edit(lines)), encoding="utf-8")
+        assert run_cli(["rank", "static", "--triples", MINI["triples"],
+                        "--templates", MINI["templates"], "--table", MINI["table"],
+                        "--vocab", vocab, "--output", tmp_path / "out"]) == 1
+        record = cli_error(capsys)
+        assert record["error"] == "ValueError"
+        assert record["message"] == f"{vocab}{problem}"

@@ -166,6 +166,18 @@ class TestTableIO:
         with pytest.raises(ValueError):
             load_table(path)
 
+    @pytest.mark.parametrize("header, problem", [
+        ("x 8", "malformed header ['x', '8']"),
+        ("-1 8", "invalid header values -1 8"),
+        ("3 0", "invalid header values 3 0"),
+    ], ids=["count-not-int", "count-negative", "dim-zero"])
+    def test_bad_header_values_name_path(self, tmp_path, header, problem):
+        path = tmp_path / "bad.vec"
+        path.write_text(f"{header}\na 1 2\n", encoding="utf-8")
+        with pytest.raises(ValueError) as err:
+            load_table(path)
+        assert str(err.value) == f"{path}: {problem}"
+
 
 class TestImport:
     def test_imported_table_is_usable(self, tmp_path):

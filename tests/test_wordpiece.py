@@ -75,6 +75,14 @@ class TestTraining:
         with pytest.raises(ValueError):
             train_wordpiece(["abc"], VocabTrainConfig(target_size=N_SPECIALS + 2))
 
+    @pytest.mark.parametrize("cfg", [
+        VocabTrainConfig(target_size=10, min_frequency=2),
+        VocabTrainConfig(target_size=10, max_word_length=2),
+    ], ids=["min-frequency", "max-word-length"])
+    def test_no_word_retained_rejected(self, cfg):
+        with pytest.raises(ValueError, match="no words retained"):
+            train_wordpiece(["abc bcd cde"], cfg)
+
     def test_min_frequency_filters_words(self):
         corpus = ["aa aa aa zz"]
         vocab = train_wordpiece(corpus, VocabTrainConfig(target_size=50, min_frequency=2))
