@@ -6,6 +6,7 @@ JSONL files hold one compact object per line. Read errors name path[:line].
 
 import json
 import operator
+import os
 import re
 from contextlib import contextmanager
 from pathlib import Path
@@ -85,12 +86,22 @@ def read_jsonl(path, *fields, text=()):
 
 
 def write_jsonl(path, rows) -> int:
-    """Write each row as one JSON line, opening path before the first; return the count."""
-    count = 0
-    with open(path, "w", encoding="utf-8") as f:
-        for row in rows:
-            f.write(json.dumps(row, ensure_ascii=False) + "\n")
-            count += 1
+    """Write each row as one JSON line and return the count.
+
+    The lines go to path.part, which replaces path only after the last row,
+    so rows that fail part way leave path as it was and no .part behind.
+    """
+    count, part = 0, f"{path}.part"
+    f = open(part, "w", encoding="utf-8")
+    try:
+        with f:
+            for row in rows:
+                f.write(json.dumps(row, ensure_ascii=False) + "\n")
+                count += 1
+    except BaseException:
+        os.remove(part)
+        raise
+    os.replace(part, path)
     return count
 
 

@@ -3,10 +3,10 @@
 from dataclasses import dataclass, field
 
 from .jsonio import is_utf8_text, open_text, read_jsonl
+from .wordpiece import MASK_TOKEN
 
 SUBJECT_SLOT = "[X]"
 OBJECT_SLOT = "[Y]"
-MASK = "[MASK]"
 
 
 @dataclass(frozen=True)
@@ -173,5 +173,5 @@ def instantiate_query(spec: RelationSpec, subject: str, mask_count: int = 1) -> 
     """Fill the template: subject into [X], mask_count [MASK] tokens into [Y]."""
     if mask_count < 1:
         raise ValueError(f"mask_count must be >= 1, got {mask_count}")
-    masks = " ".join([MASK] * mask_count)
+    masks = " ".join([MASK_TOKEN] * mask_count)
     return spec.template.replace(SUBJECT_SLOT, subject).replace(OBJECT_SLOT, masks)

@@ -117,11 +117,9 @@ def export_mlm_manifest(dataset: Dataset, candidates: dict[str, CandidateSet],
                         "relation_id": rel,
                         "candidate": cand,
                         "query_text": instantiate_query(spec, triple.subject,
-                                                        max(1, len(token_ids))),
+                                                        len(token_ids)),
                         "mask_token_ids": token_ids,
-                        "candidate_oov": bool(token_ids) and all(
-                            i == scorer_vocab.unk_id for i in token_ids
-                        ),
+                        "candidate_oov": all(i == scorer_vocab.unk_id for i in token_ids),
                     }
     return write_jsonl(out_path, rows())
 
@@ -134,36 +132,24 @@ class MlmScoreRecord:
     candidate: str
     token_logprobs: tuple[float, ...]
 
-    def __post_init__(self):
-        if not self.token_logprobs:
-            raise ValueError(
-                f"empty token_logprobs for ({self.triple_id!r}, {self.candidate!r})"
-            )
-        for lp in self.token_logprobs:
-            if not math.isfinite(lp) or lp > 0:
-                raise ValueError(
-                    f"log-prob {lp!r} for ({self.triple_id!r}, {self.candidate!r}) "
-                    "must be finite and <= 0"
-                )
-
-    @property
-    def score(self) -> float:
-        return sum(self.token_logprobs) / len(self.token_logprobs)
-
 
 def _logprobs(value) -> tuple[float, ...]:
-    """token_logprobs as floats: a JSON list of numbers, not bools or strings."""
-    if type(value) is not list or not all(map(is_number, value)):
-        raise ValueError(f"token_logprobs must be a list of numbers, got {value!r}")
-    return tuple(map(float, value))
+    """token_logprobs as floats: a non-empty JSON list of numbers, each finite and <= 0."""
+    if type(value) is not list or not value or not all(map(is_number, value)):
+        raise ValueError(f"token_logprobs must be a non-empty list of numbers, got {value!r}")
+    lps = tuple(map(float, value))
+    for lp in lps:
+        if not math.isfinite(lp) or lp > 0:
+            raise ValueError(f"log-prob {lp!r} must be finite and <= 0")
+    return lps
 
 
 def read_score_file(path) -> list[MlmScoreRecord]:
-    return list(_scores_by_pair(path).values())
+    return [MlmScoreRecord(*key, lps) for key, lps in _scores_by_pair(path).items()]
 
 
-def _scores_by_pair(path) -> dict[tuple[str, str], MlmScoreRecord]:
-    """Read a score file; each (triple_id, candidate) pair may have one row only."""
+def _scores_by_pair(path) -> dict[tuple[str, str], tuple[float, ...]]:
+    """Read a score file into each pair's log-probs; a pair may have one row only."""
     by_pair = {}
     for lineno, _, (triple_id, candidate, logprobs) in read_jsonl(
             path, "triple_id", "candidate", "token_logprobs",
@@ -175,7 +161,7 @@ def _scores_by_pair(path) -> dict[tuple[str, str], MlmScoreRecord]:
             raise ValueError(f"{path}:{lineno}: duplicate score row for {key!r} "
                              f"(first at line {first})")
         try:
-            by_pair[key] = MlmScoreRecord(triple_id, candidate, _logprobs(logprobs))
+            by_pair[key] = _logprobs(logprobs)
         except (OverflowError, ValueError) as exc:
             raise ValueError(f"{path}:{lineno}: malformed score row: {exc}") from None
     return by_pair
@@ -186,9 +172,9 @@ def _read_manifest(manifest_path):
     for lineno, _, (triple_id, cand, mask_ids) in read_jsonl(
             manifest_path, "triple_id", "candidate", "mask_token_ids",
             text=("triple_id", "candidate")):
-        if type(mask_ids) is not list or not all(type(i) is int for i in mask_ids):
+        if not (type(mask_ids) is list and mask_ids and all(type(i) is int for i in mask_ids)):
             raise ValueError(f"{manifest_path}:{lineno}: mask_token_ids must be a list "
-                             f"of integers, got {mask_ids!r}")
+                             f"of one or more integers, got {mask_ids!r}")
         yield lineno, triple_id, cand, len(mask_ids)
 
 
@@ -198,10 +184,10 @@ def _check_manifest(manifest_path, by_pair: dict) -> None:
     for lineno, triple_id, cand, masks in _read_manifest(manifest_path):
         key = (triple_id, cand)
         unlisted.discard(key)
-        rec = by_pair.get(key)
-        if rec is not None and len(rec.token_logprobs) != masks:
+        lps = by_pair.get(key)
+        if lps is not None and len(lps) != masks:
             raise ValueError(
-                f"{manifest_path}:{lineno}: score length {len(rec.token_logprobs)} "
+                f"{manifest_path}:{lineno}: score length {len(lps)} "
                 f"for {key!r} does not match manifest mask count {masks}"
             )
     if unlisted:
@@ -231,11 +217,11 @@ def rank_mlm(score_path, dataset: Dataset, candidates: dict[str, CandidateSet],
         for triple in dataset.triples_by_relation[rel]:
             scores = {}
             for cand in candidates[rel]:
-                rec = by_pair.pop((triple.id, cand), None)
-                if rec is None:
+                lps = by_pair.pop((triple.id, cand), None)
+                if lps is None:
                     missing.append((triple.id, cand))
                 else:
-                    scores[cand] = rec.score
+                    scores[cand] = sum(lps) / len(lps)
             predictions.append(Prediction(triple.id, rel, _rank_items(scores),
                                           {"query_oov": False}))
     if missing:
@@ -255,7 +241,7 @@ def _stub_logprob(triple_id: str, candidate: str, position: int) -> float:
     return -0.01 - 7.99 * unit
 
 
-def _lookup_table(lookup: dict) -> dict[tuple[str, str], list[float]]:
+def _lookup_table(lookup: dict) -> dict[tuple[str, str], tuple[float, ...]]:
     table = {}
     for key, value in lookup.items():
         if not isinstance(value, dict):
@@ -263,10 +249,9 @@ def _lookup_table(lookup: dict) -> dict[tuple[str, str], list[float]]:
                              f"list of log-probs, got {value!r}")
         for cand, lps in value.items():
             try:
-                rec = MlmScoreRecord(key, cand, _logprobs(lps))
+                table[(key, cand)] = _logprobs(lps)
             except (OverflowError, ValueError) as exc:
-                raise ValueError(f"lookup entry {key!r}: {exc}") from None
-            table[(key, cand)] = list(rec.token_logprobs)
+                raise ValueError(f"lookup entry {key!r}, candidate {cand!r}: {exc}") from None
     return table
 
 
@@ -285,21 +270,20 @@ def write_stub_scores(manifest_path, out_path, lookup=None) -> int:
 
     lookup maps triple_id -> {candidate: [log-probs]}, each log-prob finite
     and <= 0 as in a score row; pairs not covered get deterministic filler
-    values. The output is created before the manifest is read. Returns the
-    number of rows written.
+    values. A manifest that fails part way leaves out_path as it was. Returns
+    the number of rows written.
     """
     table = _lookup_table(lookup or {})
 
     def rows():
         for lineno, triple_id, cand, masks in _read_manifest(manifest_path):
             key = (triple_id, cand)
-            k = max(1, masks)
             lps = table.get(key)
             if lps is None:
-                lps = [_stub_logprob(*key, i) for i in range(k)]
-            elif len(lps) != k:
+                lps = [_stub_logprob(*key, i) for i in range(masks)]
+            elif len(lps) != masks:
                 raise ValueError(f"{manifest_path}:{lineno}: lookup for {key!r} has "
-                                 f"{len(lps)} log-probs, manifest wants {k}")
+                                 f"{len(lps)} log-probs, manifest wants {masks}")
             yield {"triple_id": triple_id, "candidate": cand, "token_logprobs": lps}
     return write_jsonl(out_path, rows())
 

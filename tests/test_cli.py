@@ -809,9 +809,10 @@ class TestConfigValueShapes:
 
 
 class TestManifestMaskIds:
-    """mask_token_ids must be a list of integers; anything else names path:line."""
+    """mask_token_ids must be a list of one or more integers; anything else names path:line."""
 
-    @pytest.mark.parametrize("value", [5, [True], ["3"]], ids=["int", "bool", "str"])
+    @pytest.mark.parametrize("value", [5, [True], ["3"], []],
+                             ids=["int", "bool", "str", "empty"])
     @pytest.mark.parametrize("command", ["stub-score", "rank-mlm"])
     def test_mistyped_mask_ids_rejected(self, tmp_path, capsys, command, value):
         manifest, scores = export_and_stub_score(tmp_path / "mlm")
@@ -1025,6 +1026,41 @@ class TestNonUtf8Input:
         record = cli_error(capsys)
         assert record["error"] == "ValueError"
         assert record["message"] == f"{bad}:2: not UTF-8 text"
+
+
+class TestFailedWriteLeavesNoArtifact:
+    """A JSONL artifact appears only once its last row is written."""
+
+    def broken_manifest(self, tmp_path):
+        manifest, _ = export_and_stub_score(tmp_path / "good")
+        broken = tmp_path / "broken.jsonl"
+        lines = manifest.read_text(encoding="utf-8").splitlines(keepends=True)
+        broken.write_text(lines[0] + "{oops\n", encoding="utf-8")
+        return broken
+
+    def test_stub_score_on_bad_manifest_line(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run_cli(["stub-score", "--manifest", self.broken_manifest(tmp_path),
+                        "--output", out]) == 1
+        assert ":2: malformed JSON line" in cli_error(capsys)["message"]
+        assert sorted(out.iterdir()) == []
+
+    def test_tokenize_on_bad_input_line(self, tmp_path, capsys):
+        text = tmp_path / "text.txt"
+        text.write_bytes(b"anna maria\n\xffkenji\n")
+        out = tmp_path / "out"
+        assert run_cli(["tokenize", "--vocab", MINI["vocab"], "--input", text,
+                        "--output", out]) == 1
+        assert cli_error(capsys)["message"] == f"{text}:2: not UTF-8 text"
+        assert sorted(out.iterdir()) == []
+
+    def test_failed_rerun_keeps_the_good_run(self, tmp_path, capsys):
+        broken = self.broken_manifest(tmp_path)
+        good = tmp_path / "good"
+        before = {path.name: path.read_bytes() for path in good.iterdir()}
+        assert run_cli(["stub-score", "--manifest", broken, "--output", good]) == 1
+        assert cli_error(capsys)["error"] == "ValueError"
+        assert {path.name: path.read_bytes() for path in good.iterdir()} == before
 
 
 class TestManifestRecordsWhatRuns:

@@ -9,13 +9,13 @@ from clozerank import ranking
 from clozerank.embeddings import EmbeddingTable
 from clozerank.kb import CandidateSet, build_candidates
 from clozerank.ranking import (
-    MlmScoreRecord,
     Prediction,
     export_mlm_manifest,
     load_predictions,
     rank_mlm,
     rank_oracle,
     rank_static,
+    read_score_file,
     save_predictions,
     write_stub_scores,
 )
@@ -204,20 +204,25 @@ class TestManifestExport:
 
 
 class TestScoreRecords:
-    def test_score_is_mean_of_token_logprobs(self):
-        rec = MlmScoreRecord("t1", "aa", (-1.0, -3.0))
-        assert rec.score == -2.0
+    """read_score_file applies the one log-prob rule to every row."""
 
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            MlmScoreRecord("t1", "aa", ())
-        with pytest.raises(ValueError):
-            MlmScoreRecord("t1", "aa", (-1.0, 0.5))
-        with pytest.raises(ValueError):
-            MlmScoreRecord("t1", "aa", (math.nan,))
-        with pytest.raises(ValueError):
-            MlmScoreRecord("t1", "aa", (-math.inf,))
-        MlmScoreRecord("t1", "aa", (0.0,))  # certainty is allowed
+    def test_score_is_mean_of_token_logprobs(self, tmp_path):
+        ds = make_dataset(tmp_path, [triple_row("s1", "aa", "P1")], [TEMPLATE])
+        scores = write_scores(tmp_path / "s.jsonl", [("P1#0", "aa", [-1.0, -3.0])])
+        (rec,) = read_score_file(scores)
+        assert (rec.triple_id, rec.candidate, rec.token_logprobs) == ("P1#0", "aa", (-1.0, -3.0))
+        (pred,) = rank_mlm(scores, ds, {"P1": CandidateSet("P1", ("aa",))})
+        assert pred.ranked == [("aa", -2.0)]
+
+    def test_validation(self, tmp_path):
+        # json writes NaN and -Infinity, and Python's json reads them back.
+        for lps in ([], [-1.0, 0.5], [math.nan], [-math.inf]):
+            scores = write_scores(tmp_path / "s.jsonl", [("t1", "aa", lps)])
+            with pytest.raises(ValueError) as err:
+                read_score_file(scores)
+            assert str(err.value).startswith(f"{scores}:1: malformed score row")
+        scores = write_scores(tmp_path / "s.jsonl", [("t1", "aa", [0.0])])
+        assert read_score_file(scores)[0].token_logprobs == (0.0,)  # certainty is allowed
 
 
 def write_scores(path, rows):
