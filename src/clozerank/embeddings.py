@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import importlib.util
 import sys
-from collections import Counter
 from dataclasses import dataclass
 
 from .jsonio import RowError, open_text
@@ -143,7 +142,45 @@ def char_ngram_buckets(token: str, nmin: int, nmax: int, buckets: int) -> list[i
 
 
 def _sigmoid(x):
-    return 1.0 / (1.0 + _np.exp(-x, dtype=_np.float64))
+    # The tanh form overflows nowhere and gives exactly 0 and 1 at the limits.
+    return 0.5 + 0.5 * _np.tanh(0.5 * x)
+
+
+# The batch close rule of train_static_embeddings, set by measurement (the runs
+# are in CHANGES.md): on criterion 7's four-token corpus, 24 to 48 appearances
+# never diverged over 10 to 20 epochs, and on a vocab-300 Zipfian corpus (dim
+# 100, 5 epochs) batches of 256 centers went to NaN while 64 stayed finite.
+_BATCH_APPEARANCES = 44
+_BATCH_CENTERS = 64
+
+
+def _batch_bounds(corpus, row_limit: int, max_centers: int) -> list[int]:
+    """Batch starts, then len(corpus): no batch holds a row more than row_limit times."""
+    # back[p]: the position row_limit occurrences before p holding the same row, or -1.
+    by_row = _np.argsort(corpus, kind="stable")
+    back = _np.full(corpus.size, -1)
+    same = corpus[by_row[row_limit:]] == corpus[by_row[:-row_limit]]
+    back[by_row[row_limit:][same]] = by_row[:-row_limit][same]
+    bounds = [0]
+    while bounds[-1] < corpus.size:
+        start = bounds[-1]
+        over = _np.flatnonzero(back[start:start + max_centers] >= start)
+        bounds.append(start + int(over[0]) if over.size
+                      else min(start + max_centers, corpus.size))
+    return bounds
+
+
+def _groups(rows):
+    """(stable order sorting rows, each distinct row, where its run starts in that order).
+
+    matrix[distinct] += np.add.reduceat(values[order], starts, axis=0) adds
+    values to rows, summing a repeated row's values; np.add.at on 2-D values
+    would add one element at a time.
+    """
+    order = _np.argsort(rows, kind="stable")
+    rows = rows[order]
+    starts = _np.flatnonzero(_np.concatenate(([True], rows[1:] != rows[:-1])))
+    return order, rows[starts], starts
 
 
 def train_static_embeddings(tokenized_corpus, vocab: SubwordVocab,
@@ -152,11 +189,20 @@ def train_static_embeddings(tokenized_corpus, vocab: SubwordVocab,
 
     Tokens occurring at least cfg.min_count times receive vectors. A center
     token's hidden vector is the mean of its input rows (its own row plus its
-    hashed character n-gram rows). One batched step per center scores every
-    context token in its window and cfg.negatives unigram^0.75 samples per
-    context token. The stored vector for a token is the mean of its word row
-    and its n-gram rows. Only n-gram buckets in use get a row, so memory
-    scales with the kept tokens, not with cfg.ngram_buckets.
+    hashed character n-gram rows). Each center scores every context token in a
+    window of 1 to cfg.window tokens either side, cut at the ends of its line,
+    and cfg.negatives unigram^0.75 samples per context token.
+
+    Training takes one step per batch of consecutive center positions. A batch
+    closes before any kept row would appear more than _BATCH_APPEARANCES times
+    in it, a center position counting 1 + 2 * cfg.window appearances, or at
+    _BATCH_CENTERS centers. Every read in a batch sees the rows as they stood
+    before it, and the updates to a row listed more than once in a batch sum:
+    the exact gradient of the batch's loss.
+
+    The stored vector for a token is the mean of its word row and its n-gram
+    rows. Only n-gram buckets in use get a row, so memory scales with the kept
+    tokens, not with cfg.ngram_buckets.
 
     Training is single-threaded and bitwise deterministic for a fixed seed;
     workers is accepted for compatibility, and any value but 1 is rejected.
@@ -164,36 +210,50 @@ def train_static_embeddings(tokenized_corpus, vocab: SubwordVocab,
     if workers != 1:
         raise ValueError(f"workers must be 1: training is single-threaded and "
                          f"deterministic, got {workers}")
-    sentences = [list(s) for s in tokenized_corpus]
-    counts: Counter[int] = Counter()
-    for sent in sentences:
-        counts.update(sent)
-    if not counts:
+    lengths: list[int] = []
+
+    def token_ids():
+        for sent in tokenized_corpus:
+            lengths.append(len(sent))
+            yield from sent
+
+    ids = _np.fromiter(token_ids(), dtype=_np.int64)
+    if not ids.size:
         raise ValueError("tokenized corpus is empty")
-    if max(counts) >= vocab.size or min(counts) < 0:
+    if ids.max() >= vocab.size or ids.min() < 0:
         raise ValueError("token id out of range for the given vocabulary")
 
-    kept_ids = sorted(tid for tid, c in counts.items() if c >= cfg.min_count)
-    if not kept_ids:
+    counts = _np.bincount(ids, minlength=vocab.size)
+    kept_ids = _np.flatnonzero(counts >= cfg.min_count)
+    if not kept_ids.size:
         raise ValueError(f"no token reaches min_count={cfg.min_count}")
-    row_of = {tid: row for row, tid in enumerate(kept_ids)}
-    n_tokens = len(kept_ids)
+    n_tokens = kept_ids.size
+
+    # The corpus as one flat array of kept rows; line i is corpus[offsets[i]:offsets[i + 1]].
+    row_of = _np.full(vocab.size, -1)
+    row_of[kept_ids] = _np.arange(n_tokens)
+    corpus = row_of[ids]
+    kept = corpus >= 0
+    offsets = _np.concatenate(([0], _np.cumsum(kept)))[_np.cumsum([0] + lengths)]
+    corpus = corpus[kept]
+    del ids, kept
 
     # Input rows: one per kept token, then one per n-gram bucket in use,
     # numbered in order of first use. Tokens whose n-grams hash to the same
-    # bucket share its row, exactly as in the full bucket table.
+    # bucket share its row, exactly as in the full bucket table. Token row r
+    # reads in_rows[in_ptr[r]:in_ptr[r + 1]]: its own row, then its n-gram rows.
     bucket_row: dict[int, int] = {}
-    subword_rows = []
+    in_rows, in_ptr = [], [0]
     for row, tid in enumerate(kept_ids):
-        grams = []
+        in_rows.append(row)
         if cfg.ngrams_enabled:
-            grams = char_ngram_buckets(
-                vocab.tokens[tid], cfg.char_ngram_min, cfg.char_ngram_max,
-                cfg.ngram_buckets,
-            )
-        subword_rows.append(_np.array(
-            [row] + [n_tokens + bucket_row.setdefault(g, len(bucket_row)) for g in grams]
-        ))
+            grams = char_ngram_buckets(vocab.tokens[tid], cfg.char_ngram_min,
+                                       cfg.char_ngram_max, cfg.ngram_buckets)
+            in_rows.extend(n_tokens + bucket_row.setdefault(g, len(bucket_row))
+                           for g in grams)
+        in_ptr.append(len(in_rows))
+    in_rows, in_ptr = _np.array(in_rows), _np.array(in_ptr)
+    in_len = _np.diff(in_ptr)
 
     rng = _np.random.default_rng(cfg.seed)
     vec_in = rng.random((n_tokens + len(bucket_row), cfg.dim), dtype=_np.float32)
@@ -201,51 +261,79 @@ def train_static_embeddings(tokenized_corpus, vocab: SubwordVocab,
     vec_in *= _np.float32(2.0 / cfg.dim)
     vec_out = _np.zeros((n_tokens, cfg.dim), dtype=_np.float32)
 
-    freq = _np.array([counts[tid] for tid in kept_ids], dtype=_np.float64)
-    noise = freq ** 0.75
+    noise = counts[kept_ids].astype(_np.float64) ** 0.75
     noise_cdf = _np.cumsum(noise / noise.sum())
     noise_cdf[-1] = 1.0  # float cumsum can top out a hair below 1.0
 
     def draw(k):
         return _np.searchsorted(noise_cdf, rng.random(k))
 
-    filtered = [[row_of[t] for t in sent if t in row_of] for sent in sentences]
-    filtered = [sent for sent in filtered if sent]
-    total_tokens = sum(len(s) for s in filtered) * cfg.epochs
-    if total_tokens == 0:
-        raise ValueError("corpus has no trainable tokens")
-
+    bounds = _batch_bounds(corpus, max(1, _BATCH_APPEARANCES // (1 + 2 * cfg.window)),
+                           _BATCH_CENTERS)
+    shifts = _np.concatenate((_np.arange(-cfg.window, 0), _np.arange(1, cfg.window + 1)))
+    targets_per_pair = 1 + cfg.negatives
+    # The output rows of a batch's targets, then their updates: a step's largest array.
+    step_buffer = _np.empty(_BATCH_CENTERS * shifts.size * targets_per_pair * cfg.dim,
+                            dtype=_np.float32)
+    total_tokens = corpus.size * cfg.epochs
     processed = 0
     for _ in range(cfg.epochs):
-        for sent in filtered:
-            for pos, center in enumerate(sent):
-                alpha = cfg.learning_rate * max(1e-4, 1.0 - processed / total_tokens)
-                processed += 1
-                b = int(rng.integers(1, cfg.window + 1))
-                ctx = _np.array(sent[max(0, pos - b):pos] + sent[pos + 1:pos + b + 1])
-                if ctx.size == 0:
-                    continue
-                negs = draw((len(ctx), cfg.negatives))
-                while n_tokens > 1:
-                    clash = negs == ctx[:, None]
-                    if not clash.any():
-                        break
-                    negs[clash] = draw(int(clash.sum()))
-                targets = _np.concatenate([ctx, negs.ravel()])
-                rows = subword_rows[center]
-                inv_rows = _np.float32(1.0 / len(rows))
-                hidden = vec_in[rows].sum(axis=0) * inv_rows
-                out = vec_out[targets]
-                err = _sigmoid(out @ hidden)
-                err[:len(ctx)] -= 1.0  # score minus label: 1 for contexts, 0 for negatives
-                g = (-alpha * err).astype(_np.float32)
-                grad_h = g @ out
-                _np.add.at(vec_out, targets, g[:, None] * hidden)
-                vec_in[rows] += grad_h * inv_rows  # a row listed twice is updated once
+        for start, stop in zip(bounds, bounds[1:]):
+            alpha = cfg.learning_rate * max(1e-4, 1.0 - processed / total_tokens)
+            processed += stop - start
+            centers = _np.arange(start, stop)
+            line = _np.searchsorted(offsets, centers, side="right") - 1
+            reach = rng.integers(1, cfg.window + 1, size=centers.size)
+            pos = centers[:, None] + shifts
+            in_window = ((_np.abs(shifts) <= reach[:, None])
+                         & (pos >= offsets[line, None]) & (pos < offsets[line + 1, None]))
+            ctx = corpus[pos[in_window]]  # center-major, left to right
+            if not ctx.size:
+                continue
+            negs = draw((ctx.size, cfg.negatives))
+            while n_tokens > 1:
+                clash = negs == ctx[:, None]
+                if not clash.any():
+                    break
+                negs[clash] = draw(int(clash.sum()))
+            targets = _np.concatenate((ctx[:, None], negs), axis=1)
 
+            # The centers with a pair, and their input rows through the CSR.
+            pairs = in_window.sum(axis=1)
+            tok = corpus[start:stop][pairs > 0]
+            pairs = pairs[pairs > 0]
+            lens = in_len[tok]
+            seg = _np.cumsum(lens) - lens
+            rows = in_rows[_np.repeat(in_ptr[tok] - seg, lens) + _np.arange(lens.sum())]
+            inv_len = (1.0 / lens).astype(_np.float32)[:, None]
+            hidden = _np.add.reduceat(vec_in[rows], seg, axis=0) * inv_len
+            hidden = hidden[_np.repeat(_np.arange(tok.size), pairs)]
+
+            out = step_buffer[:targets.size * cfg.dim].reshape(*targets.shape, cfg.dim)
+            _np.take(vec_out, targets, axis=0, out=out)
+            g = _sigmoid(_np.einsum("ptd,pd->pt", out, hidden))
+            g[:, 0] -= 1.0  # score minus label: 1 for contexts, 0 for negatives
+            g *= -alpha
+            grad_h = _np.add.reduceat(_np.einsum("pt,ptd->pd", g, out),
+                                      _np.cumsum(pairs) - pairs, axis=0) * inv_len
+            # out is spent: its buffer takes the vec_out updates, in sorted order.
+            order, distinct, starts = _groups(targets.ravel())
+            updates = out.reshape(-1, cfg.dim)
+            _np.take(hidden, order // targets_per_pair, axis=0, out=updates)
+            updates *= g.ravel()[order, None]
+            vec_out[distinct] += _np.add.reduceat(updates, starts, axis=0)
+            order, distinct, starts = _groups(rows)
+            row_center = _np.repeat(_np.arange(tok.size), lens)
+            vec_in[distinct] += _np.add.reduceat(grad_h[row_center[order]], starts, axis=0)
+
+    # Each stored vector is the float64 mean of the token's input rows, summed
+    # _BATCH_CENTERS tokens at a time so that the gather stays batch-sized.
     means = _np.empty((n_tokens, cfg.dim), dtype=_np.float32)
-    for row, rows in enumerate(subword_rows):
-        means[row] = vec_in[rows].mean(axis=0, dtype=_np.float64)
+    for lo in range(0, n_tokens, _BATCH_CENTERS):
+        block = slice(lo, min(lo + _BATCH_CENTERS, n_tokens))
+        rows = in_rows[in_ptr[lo]:in_ptr[block.stop]]
+        means[block] = _np.add.reduceat(vec_in[rows], in_ptr[block] - in_ptr[lo], axis=0,
+                                        dtype=_np.float64) / in_len[block, None]
     return EmbeddingTable(cfg.dim, [vocab.tokens[tid] for tid in kept_ids], means)
 
 

@@ -1,6 +1,10 @@
+import dataclasses
+import itertools
 import json
 import math
+import random
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -17,7 +21,13 @@ from clozerank.embeddings import (
 )
 from clozerank.kb import build_candidates, ingest_dataset
 from clozerank.ranking import export_mlm_manifest, rank_mlm, write_stub_scores
-from clozerank.wordpiece import SPECIAL_TOKENS, SubwordVocab
+from clozerank.wordpiece import (
+    SPECIAL_TOKENS,
+    SubwordVocab,
+    VocabTrainConfig,
+    tokenize,
+    train_wordpiece,
+)
 
 from conftest import FIXTURES, write_jsonl
 
@@ -361,6 +371,140 @@ class TestCompactTrainer:
         assert record["message"] == ("workers must be 1: training is single-threaded and "
                                      f"deterministic, got {workers}")
         assert not (out / "embeddings.vec").exists()
+
+
+def zipfian_corpus(seed, lines, lexicon, vocab_size):
+    """Lines of 6 to 14 Zipf-drawn words over random letter words, and their vocab."""
+    rng = random.Random(seed)
+    words = sorted({"".join(rng.choice("abcdefghijklmnoprstuvwxyz")
+                            for _ in range(rng.randint(3, 9))) for _ in range(lexicon)})
+    rng.shuffle(words)
+    weights = list(itertools.accumulate(1.0 / (rank + 1) for rank in range(len(words))))
+    text = [" ".join(rng.choices(words, cum_weights=weights, k=rng.randint(6, 14)))
+            for _ in range(lines)]
+    vocab = train_wordpiece(iter(text), VocabTrainConfig(target_size=vocab_size))
+    return vocab, [tokenize(vocab, line) for line in text]
+
+
+class TestBatchedTrainer:
+    def test_sigmoid_is_exact_at_the_limits_without_warning(self):
+        from clozerank.embeddings import _sigmoid
+        x = np.array([-np.inf, -1e30, -1000.0, 0.0, 1000.0, 1e30, np.inf], dtype=np.float32)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _sigmoid(x).tolist() == [0.0, 0.0, 0.0, 0.5, 1.0, 1.0, 1.0]
+
+    @pytest.mark.parametrize("case", ["zipfian-vocab-300", "cooccurrence-10-epochs"])
+    def test_divergence_cases_stay_finite_without_warning(self, case):
+        # Batches of 256 centers took the Zipfian case's most frequent piece to NaN.
+        if case == "zipfian-vocab-300":
+            vocab, corpus = zipfian_corpus(2, lines=300, lexicon=800, vocab_size=300)
+            cfg = EmbedTrainConfig(dim=100, epochs=5, min_count=1, char_ngram_min=0,
+                                   char_ngram_max=0, seed=1)
+            seeds = [1]
+        else:
+            vocab = make_vocab(["aa", "bb", "cc", "dd"])
+            corpus = cooccurrence_corpus(vocab)
+            cfg = EmbedTrainConfig(dim=16, window=2, negatives=3, epochs=10, min_count=1,
+                                   char_ngram_min=0, char_ngram_max=0)
+            seeds = range(1, 6)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for seed in seeds:
+                table = train_static_embeddings(corpus, vocab, dataclasses.replace(cfg, seed=seed))
+                assert np.isfinite(table.matrix).all(), f"seed {seed}"
+
+    def test_batches_match_a_per_pair_reference(self):
+        # A six-token line is one batch per epoch. Every pair reads the rows as
+        # they stood before its batch and all updates sum: repeated targets, a
+        # token's repeated n-gram (the two "a" 1-grams of "aa") and buckets
+        # that the three tokens share. The draws follow the trainer's order.
+        vocab = make_vocab(["aa", "ab", "ba"])
+        line = [vocab.id_for(t) for t in ("aa", "ab", "ba", "aa", "ab", "ba")]
+        cfg = EmbedTrainConfig(dim=8, window=2, negatives=3, epochs=3, learning_rate=0.5,
+                               min_count=1, char_ngram_min=1, char_ngram_max=2,
+                               ngram_buckets=5, seed=11)
+        table = train_static_embeddings([line], vocab, cfg)
+
+        kept = sorted(set(line))
+        row_of = {tid: row for row, tid in enumerate(kept)}
+        buckets = {}
+        inputs = [[row] + [len(kept) + buckets.setdefault(b, len(buckets)) for b in
+                           char_ngram_buckets(vocab.tokens[tid], 1, 2, cfg.ngram_buckets)]
+                  for row, tid in enumerate(kept)]
+        assert any(len(set(rows)) < len(rows) for rows in inputs)
+        rng = np.random.default_rng(cfg.seed)
+        vec_in = rng.random((len(kept) + len(buckets), cfg.dim), dtype=np.float32)
+        vec_in = ((vec_in - np.float32(0.5)) * np.float32(2.0 / cfg.dim)).astype(np.float64)
+        initial = np.array([vec_in[rows].mean(axis=0) for rows in inputs])
+        vec_out = np.zeros((len(kept), cfg.dim))
+        noise = np.array([line.count(tid) for tid in kept], dtype=np.float64) ** 0.75
+        cdf = np.cumsum(noise / noise.sum())
+        cdf[-1] = 1.0
+        for epoch in range(cfg.epochs):
+            alpha = cfg.learning_rate * (1.0 - epoch / cfg.epochs)
+            reach = rng.integers(1, cfg.window + 1, size=len(line))
+            pairs = [(p, q) for p in range(len(line)) for q in range(len(line))
+                     if 0 < abs(q - p) <= reach[p]]
+            ctx = np.array([row_of[line[q]] for _, q in pairs])
+            negs = np.searchsorted(cdf, rng.random((len(pairs), cfg.negatives)))
+            while (negs == ctx[:, None]).any():
+                clash = negs == ctx[:, None]
+                negs[clash] = np.searchsorted(cdf, rng.random(int(clash.sum())))
+            new_in, new_out = vec_in.copy(), vec_out.copy()
+            for (p, _), context, noise_rows in zip(pairs, ctx, negs):
+                rows = inputs[row_of[line[p]]]
+                hidden = vec_in[rows].mean(axis=0)
+                grad_h = np.zeros(cfg.dim)
+                for target, label in [(context, 1.0)] + [(n, 0.0) for n in noise_rows]:
+                    score = 1.0 / (1.0 + np.exp(-vec_out[target] @ hidden))
+                    g = -alpha * (score - label)
+                    new_out[target] += g * hidden
+                    grad_h += g * vec_out[target]
+                for r in rows:
+                    new_in[r] += grad_h / len(rows)
+            vec_in, vec_out = new_in, new_out
+        expected = np.array([vec_in[rows].mean(axis=0) for rows in inputs])
+        assert list(table.entries) == ["aa", "ab", "ba"]
+        assert np.abs(expected - initial).max() > 1e-3
+        assert np.allclose(table.matrix, expected, rtol=0, atol=1e-6)
+
+    def test_windows_never_cross_a_line(self):
+        # One-token lines give no pairs, so no epoch changes the seeded draw.
+        vocab = make_vocab(["aa", "bb", "cc", "dd"])
+        ids = [vocab.id_for(t) for t in ("aa", "bb", "cc", "dd")]
+        corpus = [[ids[i % 4]] for i in range(0, 60, 3)] + [[ids[1]]] * 5
+        cfg = EmbedTrainConfig(dim=8, window=5, min_count=1, char_ngram_min=0,
+                               char_ngram_max=0, seed=3)
+        one = train_static_embeddings(corpus, vocab, dataclasses.replace(cfg, epochs=1))
+        three = train_static_embeddings(corpus, vocab, dataclasses.replace(cfg, epochs=3))
+        initial = np.random.default_rng(3).random((4, 8), dtype=np.float32)
+        initial -= np.float32(0.5)
+        initial *= np.float32(2.0 / 8)
+        assert list(one.entries) == ["aa", "bb", "cc", "dd"]
+        assert np.array_equal(one.matrix, three.matrix)
+        assert np.array_equal(one.matrix, initial)
+        hashed = dataclasses.replace(cfg, char_ngram_min=1, char_ngram_max=2)
+        assert np.array_equal(
+            train_static_embeddings(corpus, vocab, dataclasses.replace(hashed, epochs=1)).matrix,
+            train_static_embeddings(corpus, vocab, dataclasses.replace(hashed, epochs=3)).matrix)
+
+    def test_one_long_line_trains_in_bounded_memory(self):
+        # 4000 tokens over a 20k-token line rarely repeat, so only the center
+        # maximum keeps a batch small. Without it a batch here runs to about
+        # 2000 centers and the peak to about 15 MiB.
+        vocab = make_vocab([f"w{i}" for i in range(4000)])
+        line = (np.random.default_rng(5).integers(0, 4000, 20_000) + len(SPECIAL_TOKENS)).tolist()
+        cfg = EmbedTrainConfig(dim=16, epochs=1, min_count=1, char_ngram_min=0,
+                               char_ngram_max=0, seed=2)
+        tracemalloc.start()
+        try:
+            table = train_static_embeddings([line], vocab, cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.isfinite(table.matrix).all()
+        assert peak < 4 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MiB"
 
 
 class TestInputLocations:
