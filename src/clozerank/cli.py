@@ -265,7 +265,7 @@ def cmd_energy(ctx: RunContext) -> int:
     out_path = ctx.output("energy.json")
     jsonio.write_json(out_path, payload)
     return ctx.finish(f"{payload['run']['energy_kwh']:.4f} kWh, "
-                      f"{payload['run']['co2e']:.4f} CO2e -> {out_path}",
+                      f"{payload['run']['co2e']:.4f} lb CO2e -> {out_path}",
                       watts=run.power_watts, hours=run.hours, pue=run.pue,
                       carbon_intensity=run.carbon_intensity,
                       baseline_watts=baseline_watts, baseline_hours=baseline_hours)

@@ -1,32 +1,16 @@
-"""Subword-augmented skip-gram embeddings: training, composition, I/O."""
+"""Subword-augmented skip-gram embeddings: training, composition, I/O.
+
+Each function that touches an array imports numpy itself, so that commands
+that touch no vector never load it.
+"""
 
 from __future__ import annotations
 
-import importlib.util
-import sys
 from dataclasses import dataclass
 
 from .jsonio import RowError, open_text
 from .wordpiece import SubwordVocab
 
-
-def _lazy_import(name: str):
-    """Module name, whose import runs on its first attribute access."""
-    if name in sys.modules:
-        return sys.modules[name]
-    spec = importlib.util.find_spec(name)
-    if spec is None:
-        raise ImportError(f"No module named {name!r}", name=name)
-    spec.loader = importlib.util.LazyLoader(spec.loader)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[name] = module
-    spec.loader.exec_module(module)
-    return module
-
-
-# The package's only numpy handle, so commands that touch no vector skip numpy's
-# import. Private, so that walking the public attributes does not load it.
-_np = _lazy_import("numpy")
 
 SERIALIZATION_DECIMALS = 5
 
@@ -70,7 +54,8 @@ class EmbedTrainConfig:
 class EmbeddingTable:
     """Token string -> d-dimensional vector store: row entries[token] of matrix."""
 
-    def __init__(self, dim: int, tokens=(), matrix=None):
+    def __init__(self, dim: int, tokens, matrix):
+        import numpy as np
         if dim <= 0:
             raise ValueError(f"dim must be positive, got {dim}")
         self.dim = dim
@@ -78,11 +63,10 @@ class EmbeddingTable:
         for row, token in enumerate(tokens):
             if self.entries.setdefault(token, row) != row:
                 raise RowError(row, f"duplicate token {token!r}")
-        self.matrix = _np.ascontiguousarray(
-            _np.zeros((0, dim)) if matrix is None else matrix, dtype=_np.float32)
+        self.matrix = np.ascontiguousarray(matrix, dtype=np.float32)
         if self.matrix.shape != (len(self), dim):
             raise ValueError(f"matrix shape {self.matrix.shape} is not ({len(self)}, {dim})")
-        bad = _np.flatnonzero(~_np.isfinite(self.matrix).all(axis=1))
+        bad = np.flatnonzero(~np.isfinite(self.matrix).all(axis=1))
         if bad.size:
             token = list(self.entries)[bad[0]]
             raise RowError(int(bad[0]), f"vector for {token!r} contains NaN/Inf")
@@ -90,28 +74,30 @@ class EmbeddingTable:
     def __len__(self) -> int:
         return len(self.entries)
 
-    def vector(self, token: str) -> _np.ndarray:
+    def vector(self, token: str):
         return self.matrix[self.entries[token]]
 
     def scaled(self, factor: float) -> "EmbeddingTable":
         """New table with every vector multiplied by a positive scalar."""
+        import numpy as np
         if factor <= 0:
             raise ValueError("scale factor must be positive")
-        return EmbeddingTable(self.dim, self.entries, self.matrix * _np.float32(factor))
+        return EmbeddingTable(self.dim, self.entries, self.matrix * np.float32(factor))
 
 
-def compose(table: EmbeddingTable, tokens) -> tuple[_np.ndarray, tuple[str, ...]]:
+def compose(table: EmbeddingTable, tokens):
     """(Arithmetic mean of the token vectors in float64, tokens absent from the table).
 
     Absent tokens contribute a zero vector and are returned instead of
     raising; candidate strings may contain rare pieces. The present rows are
     summed in token order, starting from +0.0.
     """
+    import numpy as np
     tokens = list(tokens)
     if not tokens:
         raise ValueError("cannot compose an empty token sequence")
     rows = [table.entries.get(tok) for tok in tokens]
-    total = _np.zeros(table.dim, dtype=_np.float64)
+    total = np.zeros(table.dim, dtype=np.float64)
     for vec in table.matrix[[row for row in rows if row is not None]]:
         total += vec
     missing = tuple(tok for tok, row in zip(tokens, rows) if row is None)
@@ -142,8 +128,9 @@ def char_ngram_buckets(token: str, nmin: int, nmax: int, buckets: int) -> list[i
 
 
 def _sigmoid(x):
+    import numpy as np
     # The tanh form overflows nowhere and gives exactly 0 and 1 at the limits.
-    return 0.5 + 0.5 * _np.tanh(0.5 * x)
+    return 0.5 + 0.5 * np.tanh(0.5 * x)
 
 
 # The batch close rule of train_static_embeddings, set by measurement (the runs
@@ -156,15 +143,16 @@ _BATCH_CENTERS = 64
 
 def _batch_bounds(corpus, row_limit: int, max_centers: int) -> list[int]:
     """Batch starts, then len(corpus): no batch holds a row more than row_limit times."""
+    import numpy as np
     # back[p]: the position row_limit occurrences before p holding the same row, or -1.
-    by_row = _np.argsort(corpus, kind="stable")
-    back = _np.full(corpus.size, -1)
+    by_row = np.argsort(corpus, kind="stable")
+    back = np.full(corpus.size, -1)
     same = corpus[by_row[row_limit:]] == corpus[by_row[:-row_limit]]
     back[by_row[row_limit:][same]] = by_row[:-row_limit][same]
     bounds = [0]
     while bounds[-1] < corpus.size:
         start = bounds[-1]
-        over = _np.flatnonzero(back[start:start + max_centers] >= start)
+        over = np.flatnonzero(back[start:start + max_centers] >= start)
         bounds.append(start + int(over[0]) if over.size
                       else min(start + max_centers, corpus.size))
     return bounds
@@ -177,9 +165,10 @@ def _groups(rows):
     values to rows, summing a repeated row's values; np.add.at on 2-D values
     would add one element at a time.
     """
-    order = _np.argsort(rows, kind="stable")
+    import numpy as np
+    order = np.argsort(rows, kind="stable")
     rows = rows[order]
-    starts = _np.flatnonzero(_np.concatenate(([True], rows[1:] != rows[:-1])))
+    starts = np.flatnonzero(np.concatenate(([True], rows[1:] != rows[:-1])))
     return order, rows[starts], starts
 
 
@@ -207,6 +196,7 @@ def train_static_embeddings(tokenized_corpus, vocab: SubwordVocab,
     Training is single-threaded and bitwise deterministic for a fixed seed;
     workers is accepted for compatibility, and any value but 1 is rejected.
     """
+    import numpy as np
     if workers != 1:
         raise ValueError(f"workers must be 1: training is single-threaded and "
                          f"deterministic, got {workers}")
@@ -217,24 +207,24 @@ def train_static_embeddings(tokenized_corpus, vocab: SubwordVocab,
             lengths.append(len(sent))
             yield from sent
 
-    ids = _np.fromiter(token_ids(), dtype=_np.int64)
+    ids = np.fromiter(token_ids(), dtype=np.int64)
     if not ids.size:
         raise ValueError("tokenized corpus is empty")
     if ids.max() >= vocab.size or ids.min() < 0:
         raise ValueError("token id out of range for the given vocabulary")
 
-    counts = _np.bincount(ids, minlength=vocab.size)
-    kept_ids = _np.flatnonzero(counts >= cfg.min_count)
+    counts = np.bincount(ids, minlength=vocab.size)
+    kept_ids = np.flatnonzero(counts >= cfg.min_count)
     if not kept_ids.size:
         raise ValueError(f"no token reaches min_count={cfg.min_count}")
     n_tokens = kept_ids.size
 
     # The corpus as one flat array of kept rows; line i is corpus[offsets[i]:offsets[i + 1]].
-    row_of = _np.full(vocab.size, -1)
-    row_of[kept_ids] = _np.arange(n_tokens)
+    row_of = np.full(vocab.size, -1)
+    row_of[kept_ids] = np.arange(n_tokens)
     corpus = row_of[ids]
     kept = corpus >= 0
-    offsets = _np.concatenate(([0], _np.cumsum(kept)))[_np.cumsum([0] + lengths)]
+    offsets = np.concatenate(([0], np.cumsum(kept)))[np.cumsum([0] + lengths)]
     corpus = corpus[kept]
     del ids, kept
 
@@ -252,40 +242,40 @@ def train_static_embeddings(tokenized_corpus, vocab: SubwordVocab,
             in_rows.extend(n_tokens + bucket_row.setdefault(g, len(bucket_row))
                            for g in grams)
         in_ptr.append(len(in_rows))
-    in_rows, in_ptr = _np.array(in_rows), _np.array(in_ptr)
-    in_len = _np.diff(in_ptr)
+    in_rows, in_ptr = np.array(in_rows), np.array(in_ptr)
+    in_len = np.diff(in_ptr)
 
-    rng = _np.random.default_rng(cfg.seed)
-    vec_in = rng.random((n_tokens + len(bucket_row), cfg.dim), dtype=_np.float32)
-    vec_in -= _np.float32(0.5)
-    vec_in *= _np.float32(2.0 / cfg.dim)
-    vec_out = _np.zeros((n_tokens, cfg.dim), dtype=_np.float32)
+    rng = np.random.default_rng(cfg.seed)
+    vec_in = rng.random((n_tokens + len(bucket_row), cfg.dim), dtype=np.float32)
+    vec_in -= np.float32(0.5)
+    vec_in *= np.float32(2.0 / cfg.dim)
+    vec_out = np.zeros((n_tokens, cfg.dim), dtype=np.float32)
 
-    noise = counts[kept_ids].astype(_np.float64) ** 0.75
-    noise_cdf = _np.cumsum(noise / noise.sum())
+    noise = counts[kept_ids].astype(np.float64) ** 0.75
+    noise_cdf = np.cumsum(noise / noise.sum())
     noise_cdf[-1] = 1.0  # float cumsum can top out a hair below 1.0
 
     def draw(k):
-        return _np.searchsorted(noise_cdf, rng.random(k))
+        return np.searchsorted(noise_cdf, rng.random(k))
 
     bounds = _batch_bounds(corpus, max(1, _BATCH_APPEARANCES // (1 + 2 * cfg.window)),
                            _BATCH_CENTERS)
-    shifts = _np.concatenate((_np.arange(-cfg.window, 0), _np.arange(1, cfg.window + 1)))
+    shifts = np.concatenate((np.arange(-cfg.window, 0), np.arange(1, cfg.window + 1)))
     targets_per_pair = 1 + cfg.negatives
     # The output rows of a batch's targets, then their updates: a step's largest array.
-    step_buffer = _np.empty(_BATCH_CENTERS * shifts.size * targets_per_pair * cfg.dim,
-                            dtype=_np.float32)
+    step_buffer = np.empty(_BATCH_CENTERS * shifts.size * targets_per_pair * cfg.dim,
+                           dtype=np.float32)
     total_tokens = corpus.size * cfg.epochs
     processed = 0
     for _ in range(cfg.epochs):
         for start, stop in zip(bounds, bounds[1:]):
             alpha = cfg.learning_rate * max(1e-4, 1.0 - processed / total_tokens)
             processed += stop - start
-            centers = _np.arange(start, stop)
-            line = _np.searchsorted(offsets, centers, side="right") - 1
+            centers = np.arange(start, stop)
+            line = np.searchsorted(offsets, centers, side="right") - 1
             reach = rng.integers(1, cfg.window + 1, size=centers.size)
             pos = centers[:, None] + shifts
-            in_window = ((_np.abs(shifts) <= reach[:, None])
+            in_window = ((np.abs(shifts) <= reach[:, None])
                          & (pos >= offsets[line, None]) & (pos < offsets[line + 1, None]))
             ctx = corpus[pos[in_window]]  # center-major, left to right
             if not ctx.size:
@@ -296,44 +286,44 @@ def train_static_embeddings(tokenized_corpus, vocab: SubwordVocab,
                 if not clash.any():
                     break
                 negs[clash] = draw(int(clash.sum()))
-            targets = _np.concatenate((ctx[:, None], negs), axis=1)
+            targets = np.concatenate((ctx[:, None], negs), axis=1)
 
             # The centers with a pair, and their input rows through the CSR.
             pairs = in_window.sum(axis=1)
             tok = corpus[start:stop][pairs > 0]
             pairs = pairs[pairs > 0]
             lens = in_len[tok]
-            seg = _np.cumsum(lens) - lens
-            rows = in_rows[_np.repeat(in_ptr[tok] - seg, lens) + _np.arange(lens.sum())]
-            inv_len = (1.0 / lens).astype(_np.float32)[:, None]
-            hidden = _np.add.reduceat(vec_in[rows], seg, axis=0) * inv_len
-            hidden = hidden[_np.repeat(_np.arange(tok.size), pairs)]
+            seg = np.cumsum(lens) - lens
+            rows = in_rows[np.repeat(in_ptr[tok] - seg, lens) + np.arange(lens.sum())]
+            inv_len = (1.0 / lens).astype(np.float32)[:, None]
+            hidden = np.add.reduceat(vec_in[rows], seg, axis=0) * inv_len
+            hidden = hidden[np.repeat(np.arange(tok.size), pairs)]
 
             out = step_buffer[:targets.size * cfg.dim].reshape(*targets.shape, cfg.dim)
-            _np.take(vec_out, targets, axis=0, out=out)
-            g = _sigmoid(_np.einsum("ptd,pd->pt", out, hidden))
+            np.take(vec_out, targets, axis=0, out=out)
+            g = _sigmoid(np.einsum("ptd,pd->pt", out, hidden))
             g[:, 0] -= 1.0  # score minus label: 1 for contexts, 0 for negatives
             g *= -alpha
-            grad_h = _np.add.reduceat(_np.einsum("pt,ptd->pd", g, out),
-                                      _np.cumsum(pairs) - pairs, axis=0) * inv_len
+            grad_h = np.add.reduceat(np.einsum("pt,ptd->pd", g, out),
+                                     np.cumsum(pairs) - pairs, axis=0) * inv_len
             # out is spent: its buffer takes the vec_out updates, in sorted order.
             order, distinct, starts = _groups(targets.ravel())
             updates = out.reshape(-1, cfg.dim)
-            _np.take(hidden, order // targets_per_pair, axis=0, out=updates)
+            np.take(hidden, order // targets_per_pair, axis=0, out=updates)
             updates *= g.ravel()[order, None]
-            vec_out[distinct] += _np.add.reduceat(updates, starts, axis=0)
+            vec_out[distinct] += np.add.reduceat(updates, starts, axis=0)
             order, distinct, starts = _groups(rows)
-            row_center = _np.repeat(_np.arange(tok.size), lens)
-            vec_in[distinct] += _np.add.reduceat(grad_h[row_center[order]], starts, axis=0)
+            row_center = np.repeat(np.arange(tok.size), lens)
+            vec_in[distinct] += np.add.reduceat(grad_h[row_center[order]], starts, axis=0)
 
     # Each stored vector is the float64 mean of the token's input rows, summed
     # _BATCH_CENTERS tokens at a time so that the gather stays batch-sized.
-    means = _np.empty((n_tokens, cfg.dim), dtype=_np.float32)
+    means = np.empty((n_tokens, cfg.dim), dtype=np.float32)
     for lo in range(0, n_tokens, _BATCH_CENTERS):
         block = slice(lo, min(lo + _BATCH_CENTERS, n_tokens))
         rows = in_rows[in_ptr[lo]:in_ptr[block.stop]]
-        means[block] = _np.add.reduceat(vec_in[rows], in_ptr[block] - in_ptr[lo], axis=0,
-                                        dtype=_np.float64) / in_len[block, None]
+        means[block] = np.add.reduceat(vec_in[rows], in_ptr[block] - in_ptr[lo], axis=0,
+                                       dtype=np.float64) / in_len[block, None]
     return EmbeddingTable(cfg.dim, [vocab.tokens[tid] for tid in kept_ids], means)
 
 
@@ -353,8 +343,9 @@ def save_table(table: EmbeddingTable, path) -> None:
 
 
 def load_table(path) -> EmbeddingTable:
+    import numpy as np
     # A value that overflows float32 becomes inf and is rejected as non-finite.
-    with open_text(path) as f, _np.errstate(over="ignore"):
+    with open_text(path) as f, np.errstate(over="ignore"):
         header = f.readline().split()
         if len(header) != 2:
             raise ValueError(f"{path}: malformed header {header!r}")
@@ -372,13 +363,13 @@ def load_table(path) -> EmbeddingTable:
                     f"{path}:{lineno}: expected {dim} values, got {len(parts) - 1}"
                 )
             try:
-                rows.append(_np.array([float(x) for x in parts[1:]], dtype=_np.float32))
+                rows.append(np.array([float(x) for x in parts[1:]], dtype=np.float32))
             except ValueError:
                 raise ValueError(f"{path}:{lineno}: non-numeric vector value") from None
             tokens.append(parts[0])
     if len(tokens) != count:
         raise ValueError(f"{path}: header declares {count} rows, found {len(tokens)}")
     try:
-        return EmbeddingTable(dim, tokens, _np.array(rows).reshape(count, dim))
+        return EmbeddingTable(dim, tokens, np.array(rows).reshape(count, dim))
     except RowError as exc:
         raise ValueError(f"{path}:{exc.row + 2}: {exc}") from None

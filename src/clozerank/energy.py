@@ -2,7 +2,7 @@
 
 Draw and duration come from the hardware's spec sheet or a wall meter; the
 defaults for datacenter overhead (PUE 1.58) and grid carbon intensity
-(0.954 kg CO2e per kWh) follow the figures commonly used for US averages.
+(0.954 lb CO2e per kWh) follow the figures commonly used for US averages.
 """
 
 from dataclasses import dataclass

@@ -5,7 +5,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .embeddings import EmbeddingTable, _np, compose
+from .embeddings import EmbeddingTable, compose
 from .jsonio import is_number, read_json, read_jsonl, write_jsonl
 from .kb import CandidateSet, Dataset, instantiate_query
 from .wordpiece import UNK_TOKEN, SubwordVocab, tokenize
@@ -34,11 +34,12 @@ def _rank_items(scores: dict[str, float]) -> list[tuple[str, float]]:
 
 def _composed(table: EmbeddingTable, vocab: SubwordVocab, text: str):
     """The mean piece vector of text, its norm, and whether any piece is OOV."""
+    import numpy as np
     tokens = vocab.ids_to_tokens(tokenize(vocab, text))
     if not tokens:
-        return _np.zeros(table.dim, dtype=_np.float64), 0.0, True
+        return np.zeros(table.dim, dtype=np.float64), 0.0, True
     vector, missing = compose(table, tokens)
-    return vector, float(_np.linalg.norm(vector)), bool(missing) or UNK_TOKEN in tokens
+    return vector, float(np.linalg.norm(vector)), bool(missing) or UNK_TOKEN in tokens
 
 
 def rank_static(table: EmbeddingTable, vocab: SubwordVocab, dataset: Dataset,
@@ -51,6 +52,7 @@ def rank_static(table: EmbeddingTable, vocab: SubwordVocab, dataset: Dataset,
     from that triple's ranking; a triple left with no candidate raises
     ValueError. Each distinct string is composed once.
     """
+    import numpy as np
     strings = {t.subject for t in dataset.triples()}
     for rel in dataset.relation_ids:
         strings.update(candidates[rel])
@@ -68,7 +70,7 @@ def rank_static(table: EmbeddingTable, vocab: SubwordVocab, dataset: Dataset,
                 # Zero-norm compositions get a fixed floor score instead of NaN.
                 zero = qn == 0.0 or cn == 0.0
                 zero_norm = zero_norm or zero
-                scores[cand] = -1.0 if zero else float(_np.dot(q, c)) / (qn * cn)
+                scores[cand] = -1.0 if zero else float(np.dot(q, c)) / (qn * cn)
             if not scores:
                 raise ValueError(f"triple {triple.id!r} of relation {rel!r} has no candidate "
                                  f"left once its subject is excluded")

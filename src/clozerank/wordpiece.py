@@ -55,7 +55,6 @@ class SubwordVocab:
             if special not in self.token_to_id:
                 raise ValueError(f"missing special token {special!r}")
         self.unk_id = self.token_to_id[UNK_TOKEN]
-        self.mask_id = self.token_to_id[MASK_TOKEN]
         # Longest-match search only needs tokens bucketed by surface form.
         self._initial: set[str] = set()
         self._continuation: set[str] = set()

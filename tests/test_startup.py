@@ -1,4 +1,4 @@
-"""numpy loads on first use: commands that never touch a vector never import it.
+"""Functions that use numpy import it: commands that never touch a vector never load it.
 
 The test process has imported numpy long ago, so each check runs its commands
 in a fresh interpreter that imports clozerank from the same source tree.
@@ -10,10 +10,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-import pytest
-
 import clozerank
-from clozerank import embeddings
 from clozerank.cli import main
 
 from conftest import FIXTURES
@@ -23,17 +20,17 @@ KB_ARGS = ["--triples", str(FIXTURES / "mini_triples.jsonl"),
            "--templates", str(FIXTURES / "mini_templates.jsonl")]
 
 # Runs each argv list (JSON in argv[1]) through cli.main in order. Exits 4 if
-# importing the CLI loaded numpy.linalg, 3 on the first failing command, and
-# otherwise prints whether numpy.linalg is loaded after the commands.
+# importing the CLI put numpy in sys.modules, 3 on the first failing command,
+# and otherwise prints whether numpy is in sys.modules after the commands.
 SCRIPT = """
 import json, sys
 from clozerank.cli import main
-if "numpy.linalg" in sys.modules:
+if "numpy" in sys.modules:
     sys.exit(4)
 for argv in json.loads(sys.argv[1]):
     if main(argv) != 0:
         sys.exit(3)
-print("numpy.linalg" in sys.modules)
+print("numpy" in sys.modules)
 """
 
 
@@ -65,9 +62,3 @@ def test_rank_static_loads_numpy_and_matches_in_process_run(tmp_path):
     assert main([*argv, str(tmp_path / "in_process")]) == 0
     name = "predictions_static.jsonl"
     assert (tmp_path / "fresh" / name).read_bytes() == (tmp_path / "in_process" / name).read_bytes()
-
-
-def test_lazy_import_reuses_a_loaded_module_and_fails_like_import():
-    assert embeddings._lazy_import("json") is json
-    with pytest.raises(ImportError):
-        embeddings._lazy_import("clozerank_no_such_module")

@@ -231,7 +231,7 @@ class TestVocabIO:
         lines = path.read_text(encoding="utf-8").splitlines()
         assert lines == vocab.tokens
         assert lines[vocab.unk_id] == UNK_TOKEN
-        assert lines[vocab.mask_id] == MASK_TOKEN
+        assert lines[vocab.token_to_id[MASK_TOKEN]] == MASK_TOKEN
 
     def test_sidecar_records_config_and_checksum(self, tmp_path):
         corpus = tmp_path / "corpus.txt"
