@@ -74,9 +74,6 @@ class EmbeddingTable:
     def __len__(self) -> int:
         return len(self.entries)
 
-    def vector(self, token: str):
-        return self.matrix[self.entries[token]]
-
     def scaled(self, factor: float) -> "EmbeddingTable":
         """New table with every vector multiplied by a positive scalar."""
         import numpy as np

@@ -13,6 +13,8 @@ from pathlib import Path
 
 # A str holding a surrogate code point has no UTF-8 encoding.
 _SURROGATE = re.compile("[\ud800-\udfff]")
+# One encoder for every JSONL row: json.dumps with an argument builds a new one per call.
+_encode_row = json.JSONEncoder(ensure_ascii=False).encode
 
 
 def is_utf8_text(value) -> bool:
@@ -96,7 +98,7 @@ def write_jsonl(path, rows) -> int:
     try:
         with f:
             for row in rows:
-                f.write(json.dumps(row, ensure_ascii=False) + "\n")
+                f.write(_encode_row(row) + "\n")
                 count += 1
     except BaseException:
         os.remove(part)

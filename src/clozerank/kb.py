@@ -11,7 +11,12 @@ OBJECT_SLOT = "[Y]"
 
 @dataclass(frozen=True)
 class Triple:
-    """One (subject, relation, object) fact."""
+    """One (subject, relation, object) fact; each field a non-empty UTF-8 string.
+
+    ingest_dataset keys its dicts by id and relation_id before a Triple exists,
+    so its reader checks those two as UTF-8 text, and a Triple checks the
+    labels' encoding only.
+    """
 
     id: str
     subject: str
@@ -21,7 +26,7 @@ class Triple:
     def __post_init__(self):
         for name in ("id", "subject", "relation_id", "object"):
             value = getattr(self, name)
-            if not is_utf8_text(value) or not value:
+            if not value or name in ("subject", "object") and not is_utf8_text(value):
                 raise ValueError(f"triple field {name} must be a non-empty UTF-8 string")
 
 

@@ -47,40 +47,87 @@ def rank_static(table: EmbeddingTable, vocab: SubwordVocab, dataset: Dataset,
                 exclude_subject_match: bool = False) -> list[Prediction]:
     """Rank each relation's candidates by cosine to the composed subject.
 
-    The template plays no part: the only signal is the subject string. With
-    exclude_subject_match a candidate identical to the subject is dropped
-    from that triple's ranking; a triple left with no candidate raises
-    ValueError. Each distinct string is composed once.
+    The template plays no part: the only signal is the subject string. A
+    pair with a zero-norm composition scores the floor -1.0 instead of NaN.
+    With exclude_subject_match a candidate identical to the subject is
+    dropped from that triple's ranking; a triple left with no candidate
+    raises ValueError. Each distinct string is composed once.
     """
-    import numpy as np
     strings = {t.subject for t in dataset.triples()}
     for rel in dataset.relation_ids:
         strings.update(candidates[rel])
     composed = {text: _composed(table, vocab, text) for text in strings}
     predictions = []
     for rel in dataset.relation_ids:
-        cands = [(cand, *composed[cand][:2]) for cand in candidates[rel]]
-        for triple in dataset.triples_by_relation[rel]:
-            q, qn, query_oov = composed[triple.subject]
-            scores = {}
-            zero_norm = False
-            for cand, c, cn in cands:
-                if exclude_subject_match and cand == triple.subject:
-                    continue
-                # Zero-norm compositions get a fixed floor score instead of NaN.
-                zero = qn == 0.0 or cn == 0.0
-                zero_norm = zero_norm or zero
-                scores[cand] = -1.0 if zero else float(np.dot(q, c)) / (qn * cn)
-            if not scores:
+        triples = dataset.triples_by_relation[rel]
+        rankings = _rank_relation(candidates[rel].candidates, [t.subject for t in triples],
+                                  composed, exclude_subject_match)
+        for triple, (ranked, zero_norm) in zip(triples, rankings):
+            if not ranked:
                 raise ValueError(f"triple {triple.id!r} of relation {rel!r} has no candidate "
                                  f"left once its subject is excluded")
             predictions.append(Prediction(
                 triple_id=triple.id,
                 relation_id=rel,
-                ranked=_rank_items(scores),
-                flags={"query_oov": query_oov, "zero_norm": zero_norm},
+                ranked=ranked,
+                flags={"query_oov": composed[triple.subject][2], "zero_norm": zero_norm},
             ))
     return predictions
+
+
+def _rank_relation(labels, subjects, composed, exclude_subject_match):
+    """Yield (ranking, zero_norm) for each subject over one relation's sorted labels.
+
+    The cosines are one product of the distinct unit subject rows with the
+    distinct unit candidate rows. Candidates whose unit rows are bitwise
+    equal (copied or doubled vectors) share one column, so they tie exactly
+    and the stable sort breaks the tie by label. A zero-norm subject gets the
+    label-ordered floor ranking, and every -1.0 in a ranking is one float.
+    """
+    import numpy as np
+    floor = -1.0
+    vectors = np.array([composed[c][0] for c in labels])
+    norms = np.array([composed[c][1] for c in labels])
+    live = np.flatnonzero(norms)
+    column = {}  # adding +0.0 gives -0.0 and 0.0 one key
+    columns = [column.setdefault(row.tobytes(), len(column))
+               for row in vectors[live] / norms[live, None] + 0.0]
+    dim = vectors.shape[1]
+    distinct = np.frombuffer(b"".join(column), dtype=np.float64).reshape(len(column), dim)
+    # The candidate a live subject excludes has the subject's own nonzero
+    # composition, so every zero-norm candidate stays in that ranking.
+    any_zero = len(live) < len(labels)
+    position = {label: i for i, label in enumerate(labels)} if exclude_subject_match else {}
+
+    queries = list(dict.fromkeys(s for s in subjects if composed[s][1] != 0.0))
+    units = np.array([composed[s][0] for s in queries]).reshape(len(queries), dim)
+    units /= np.array([composed[s][1] for s in queries])[:, None]
+    scores = np.full((len(queries), len(labels)), floor)
+    scores[:, live] = (units @ distinct.T)[:, columns]
+    keys = -scores
+    for row, subject in enumerate(queries):
+        if subject in position:
+            keys[row, position[subject]] = np.inf
+    order = np.argsort(keys, axis=1, kind="stable")
+    ranked_scores = np.take_along_axis(scores, order, axis=1)
+    values = ranked_scores.astype(object)
+    values[ranked_scores == floor] = floor
+    names = np.array(labels, dtype=object)[order]
+
+    floor_ranking = [(label, floor) for label in labels]
+    rows = {subject: row for row, subject in enumerate(queries)}
+    for subject in subjects:
+        row = rows.get(subject)
+        if row is None:  # a zero-norm subject
+            ranked = list(floor_ranking)
+            if subject in position:
+                del ranked[position[subject]]
+            yield ranked, True
+        else:
+            ranked = list(zip(names[row].tolist(), values[row].tolist()))
+            if subject in position:
+                ranked.pop()  # the excluded candidate, sorted last
+            yield ranked, any_zero
 
 
 def rank_oracle(dataset: Dataset, candidates: dict[str, CandidateSet]) -> list[Prediction]:
@@ -311,12 +358,19 @@ def load_predictions(path) -> list[Prediction]:
                              f"{triple_id!r} (first at line {first})")
         seen.add(triple_id)
         # Only a two-element list unpacks into a string and a number: a JSON
-        # string or object yields strings. Any other entry is dropped or raises.
+        # string or object yields strings. save_predictions writes float
+        # scores, which the first pass keeps; a row holding an integer score
+        # or a malformed entry takes the second, which converts integers.
         try:
-            pairs = [(label, float(score)) for label, score in ranked
-                     if type(label) is str and is_number(score)]
-        except (TypeError, ValueError, OverflowError) as exc:
+            pairs = [(label, score) for label, score in ranked
+                     if type(label) is str and type(score) is float]
+            if len(pairs) != len(ranked):
+                pairs = [(label, float(score)) for label, score in ranked
+                         if type(label) is str and type(score) in (int, float)]
+        except OverflowError as exc:  # an integer too large for a float
             raise ValueError(f"{path}:{lineno}: malformed prediction: {exc}") from None
+        except (TypeError, ValueError):  # not a list, or an entry that is not two values
+            pairs = []
         if not pairs or len(pairs) != len(ranked):
             raise ValueError(f"{path}:{lineno}: ranked must be a non-empty list of "
                              "[label, score] pairs of a string and a number")

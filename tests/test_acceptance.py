@@ -287,13 +287,13 @@ def test_criterion_7_embedding_training_sanity(tmp_path, capsys):
 
     for seed in range(1, 6):
         table = train_static_embeddings(corpus, vocab, train_cfg(seed))
-        a, b, c = table.vector("aa"), table.vector("bb"), table.vector("cc")
+        a, b, c = (table.matrix[table.entries[t]] for t in ("aa", "bb", "cc"))
         assert cos(a, b) > cos(a, c), f"seed {seed}"
 
     first = train_static_embeddings(corpus, vocab, train_cfg(1), workers=1)
     second = train_static_embeddings(corpus, vocab, train_cfg(1), workers=1)
-    for token in first.entries:
-        assert np.array_equal(first.vector(token), second.vector(token))
+    for token, row in first.entries.items():
+        assert np.array_equal(first.matrix[row], second.matrix[second.entries[token]])
     path_a, path_b = tmp_path / "a.vec", tmp_path / "b.vec"
     save_table(first, path_a)
     save_table(second, path_b)

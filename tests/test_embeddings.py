@@ -125,8 +125,8 @@ class TestTableIO:
         save_table(table, path)
         loaded = load_table(path)
         assert len(loaded) == len(table)
-        for token in table.entries:
-            assert np.max(np.abs(loaded.vector(token) - table.vector(token))) <= 1e-5
+        for token, row in table.entries.items():
+            assert np.max(np.abs(loaded.matrix[loaded.entries[token]] - table.matrix[row])) <= 1e-5
 
     def test_saved_text_is_pinned(self, tmp_path):
         # -0.0 keeps its sign; float32 0.000025 and 0.300005 lie just below a
@@ -202,7 +202,7 @@ class TestImport:
             path = tmp_path / f"layer{layer:02d}.vec"
             path.write_text(f"1 2\nonly {layer} 1\n", encoding="utf-8")
         tables = [load_table(tmp_path / f"layer{i:02d}.vec") for i in range(13)]
-        assert [t.vector("only")[0] for t in tables] == list(range(13))
+        assert [t.matrix[t.entries["only"]][0] for t in tables] == list(range(13))
 
 
 def cooccurrence_corpus(vocab):
@@ -249,16 +249,15 @@ class TestTraining:
         corpus = cooccurrence_corpus(vocab)
         t1 = train_static_embeddings(corpus, vocab, self.small_cfg(seed=9))
         t2 = train_static_embeddings(corpus, vocab, self.small_cfg(seed=9))
-        for token in t1.entries:
-            assert np.array_equal(t1.vector(token), t2.vector(token))
+        for token, row in t1.entries.items():
+            assert np.array_equal(t1.matrix[row], t2.matrix[t2.entries[token]])
 
     def test_finite_vectors_across_seeds(self):
         vocab = make_vocab(["aa", "bb", "cc", "dd"])
         corpus = cooccurrence_corpus(vocab)
         for seed in range(1, 6):
             table = train_static_embeddings(corpus, vocab, self.small_cfg(seed=seed))
-            for token in table.entries:
-                assert np.all(np.isfinite(table.vector(token)))
+            assert np.all(np.isfinite(table.matrix))
 
     def test_cooccurring_tokens_end_up_closer(self):
         vocab = make_vocab(["aa", "bb", "cc", "dd"])
@@ -269,7 +268,7 @@ class TestTraining:
 
         for seed in range(1, 6):
             table = train_static_embeddings(corpus, vocab, self.small_cfg(seed=seed))
-            a, b, c = table.vector("aa"), table.vector("bb"), table.vector("cc")
+            a, b, c = (table.matrix[table.entries[t]] for t in ("aa", "bb", "cc"))
             assert cos(a, b) > cos(a, c), f"seed {seed}"
 
     def test_ngram_switch_changes_vectors(self):
@@ -278,8 +277,8 @@ class TestTraining:
         plain = train_static_embeddings(corpus, vocab, self.small_cfg())
         hashed = train_static_embeddings(
             corpus, vocab, self.small_cfg(char_ngram_min=1, char_ngram_max=2))
-        assert any(not np.array_equal(plain.vector(t), hashed.vector(t))
-                   for t in plain.entries)
+        assert any(not np.array_equal(plain.matrix[row], hashed.matrix[hashed.entries[t]])
+                   for t, row in plain.entries.items())
 
     def test_default_dim_accepted(self):
         vocab = make_vocab(["t1", "t2"])
@@ -319,11 +318,11 @@ class TestCompactTrainer:
         t2 = train_static_embeddings(corpus, vocab, self.cfg(ngram_buckets=1))
         wide = train_static_embeddings(corpus, vocab, self.cfg())
         assert sorted(t1.entries) == ["aa", "bb", "cc", "dd"]
-        for token in t1.entries:
-            assert np.all(np.isfinite(t1.vector(token)))
-            assert np.array_equal(t1.vector(token), t2.vector(token))
-        assert any(not np.array_equal(t1.vector(t), wide.vector(t))
-                   for t in t1.entries)
+        assert np.all(np.isfinite(t1.matrix))
+        for token, row in t1.entries.items():
+            assert np.array_equal(t1.matrix[row], t2.matrix[t2.entries[token]])
+        assert any(not np.array_equal(t1.matrix[row], wide.matrix[wide.entries[t]])
+                   for t, row in t1.entries.items())
 
     def test_multiple_workers_rejected(self):
         vocab = make_vocab(["t1", "t2"])
@@ -634,8 +633,6 @@ class TestMatrixTable:
         assert table.matrix.flags["C_CONTIGUOUS"]
         assert table.matrix.shape == (len(table), table.dim)
         assert sorted(table.entries.values()) == list(range(len(table)))
-        for token, row in table.entries.items():
-            assert np.array_equal(table.vector(token), table.matrix[row])
 
     def test_loaded_table_is_one_matrix(self):
         table = load_table(FIXTURES / "mini_table.vec")

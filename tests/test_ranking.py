@@ -19,9 +19,10 @@ from clozerank.ranking import (
     save_predictions,
     write_stub_scores,
 )
-from clozerank.wordpiece import SPECIAL_TOKENS, SubwordVocab
+from clozerank.wordpiece import SPECIAL_TOKENS, SubwordVocab, tokenize
 
 from conftest import make_dataset
+from test_metrics import instance_pieces
 
 TEMPLATE = {"relation": "P1", "template": "[X] maps to [Y] ."}
 
@@ -135,6 +136,113 @@ class TestStaticRanking:
         for pred in preds:
             labels = sorted(c for c, _ in pred.ranked)
             assert labels == list(cands[pred.relation_id].candidates)
+
+
+def scalar_scores(table, vocab, dataset, candidates):
+    """{triple_id: {label: score}} from float64 scalar arithmetic, pair by pair.
+
+    A string's vector is the mean of its pieces' rows, a piece absent from
+    the table counting as zero; a pair with a zero norm scores -1.0.
+    """
+    def mean_row(text):
+        tokens = vocab.ids_to_tokens(tokenize(vocab, text))
+        total = [0.0] * table.dim
+        for token in tokens:
+            if token in table.entries:
+                total = [a + float(b) for a, b in zip(total, table.matrix[table.entries[token]])]
+        return [x / max(len(tokens), 1) for x in total]
+
+    def cosine(q, c):
+        qn, cn = math.sqrt(sum(x * x for x in q)), math.sqrt(sum(x * x for x in c))
+        if qn == 0.0 or cn == 0.0:
+            return -1.0
+        return sum(a * b for a, b in zip(q, c)) / (qn * cn)
+
+    return {t.id: {c: cosine(mean_row(t.subject), mean_row(c))
+                   for c in candidates[t.relation_id]}
+            for t in dataset.triples()}
+
+
+class TestVectorisedScores:
+    """rank_static scores each relation with one matrix product."""
+
+    def assert_scores_match_scalar(self, table, vocab, dataset):
+        cands = build_candidates(dataset)
+        reference = scalar_scores(table, vocab, dataset, cands)
+        preds = rank_static(table, vocab, dataset, cands)
+        assert isinstance(preds, list)
+        for pred in preds:
+            expected = reference[pred.triple_id]
+            assert sorted(label for label, _ in pred.ranked) == sorted(expected)
+            for label, score in pred.ranked:
+                assert abs(score - expected[label]) <= 1e-12, (pred.triple_id, label)
+
+    def test_mini_fixture_scores_match_scalar_reference(self, mini_dataset, mini_vocab,
+                                                        mini_table):
+        self.assert_scores_match_scalar(mini_table, mini_vocab, mini_dataset)
+
+    def test_random_instance_scores_match_scalar_reference(self, tmp_path):
+        for seed in range(20):
+            _, ds, vocab, table = instance_pieces(tmp_path, seed)
+            self.assert_scores_match_scalar(table, vocab, ds)
+
+    # Shapes at which, on one OpenBLAS build, a gemm or gemv without the dedupe
+    # gave a row copied into the first and last columns different last bits;
+    # which shapes do so depends on the BLAS kernel.
+    @pytest.mark.parametrize("dim, n_candidates, n_subjects",
+                             [(8, 70, 1), (24, 130, 1), (100, 65, 3), (100, 70, 3)])
+    def test_copied_and_doubled_rows_tie_bitwise(self, tmp_path, dim, n_candidates,
+                                                 n_subjects):
+        rng = random.Random(dim * n_candidates)
+        labels = [f"c{i:03d}" for i in range(n_candidates)]
+        entries = {w: [rng.randint(0, 99) for _ in range(dim)] for w in labels}
+        base = entries[labels[0]]
+        tied = [labels[0], labels[1], labels[-2], labels[-1]]
+        entries[labels[1]] = entries[labels[-2]] = [2 * x for x in base]
+        entries[labels[-1]] = list(base)
+        subjects = [f"s{i}" for i in range(n_subjects)]
+        entries.update({s: [rng.randint(0, 99) for _ in range(dim)] for s in subjects})
+        ds = make_dataset(tmp_path, [triple_row(s, labels[0]) for s in subjects], [TEMPLATE])
+        cands = {"P1": CandidateSet("P1", tuple(labels))}
+        preds = rank_static(make_table(entries), make_vocab(entries), ds, cands)
+        assert len(preds) == n_subjects
+        for pred in preds:
+            at = [i for i, (label, _) in enumerate(pred.ranked) if label in tied]
+            assert [pred.ranked[i][0] for i in at] == tied
+            assert at == list(range(at[0], at[0] + len(tied)))
+            assert len({pred.ranked[i][1].hex() for i in at}) == 1
+
+    def test_zero_norm_flag_counts_only_the_candidates_left(self, tmp_path):
+        # An excluded candidate is the subject's own string: it is zero-norm
+        # only with the subject, whose floor sets the flag on its own.
+        entries = {"aa": [1, 0], "bb": [0, 1], "zz": [0, 0]}
+        rows = [triple_row("aa", "bb"), triple_row("zz", "aa"), triple_row("bb", "aa")]
+        ds = make_dataset(tmp_path, rows, [TEMPLATE])
+        cands = {"P1": CandidateSet("P1", ("aa", "bb", "zz"))}
+        preds = rank_static(make_table(entries), make_vocab(entries), ds, cands,
+                            exclude_subject_match=True)
+        got = {p.triple_id: (p.ranked, p.flags["zero_norm"]) for p in preds}
+        assert got["P1#0"] == ([("bb", 0.0), ("zz", -1.0)], True)
+        assert got["P1#1"] == ([("aa", -1.0), ("bb", -1.0)], True)
+        assert got["P1#2"] == ([("aa", 0.0), ("zz", -1.0)], True)
+        cands = {"P1": CandidateSet("P1", ("aa", "bb"))}
+        first, second, third = rank_static(make_table(entries), make_vocab(entries), ds,
+                                             cands, exclude_subject_match=True)
+        assert (first.ranked, first.flags["zero_norm"]) == ([("bb", 0.0)], False)
+        assert (second.ranked, second.flags["zero_norm"]) == (
+            [("aa", -1.0), ("bb", -1.0)], True)
+        assert (third.ranked, third.flags["zero_norm"]) == ([("aa", 0.0)], False)
+
+    def test_each_prediction_owns_its_ranking_list(self, tmp_path):
+        # Two triples share a subject, and two zero-norm subjects share the floor.
+        entries = {"aa": [1, 2], "bb": [2, 1], "cc": [3, 0], "yy": [0, 0], "zz": [0, 0]}
+        rows = [triple_row("aa", "bb"), triple_row("aa", "cc"), triple_row("yy", "bb"),
+                triple_row("zz", "cc")]
+        ds = make_dataset(tmp_path, rows, [TEMPLATE])
+        preds = rank_static(make_table(entries), make_vocab(entries), ds, build_candidates(ds))
+        assert preds[0].ranked == preds[1].ranked
+        assert preds[2].ranked == preds[3].ranked == [("bb", -1.0), ("cc", -1.0)]
+        assert len({id(p.ranked) for p in preds}) == 4
 
 
 class TestOracle:
@@ -387,6 +495,47 @@ class TestPredictionIO:
         path.write_text('"x"\n', encoding="utf-8")
         with pytest.raises(ValueError, match=f"{path}:1: expected a JSON object"):
             load_predictions(path)
+
+
+class TestPredictionReader:
+    """load_predictions rejects every malformed ranked field with path:LINE."""
+
+    def write(self, tmp_path, ranked):
+        path = tmp_path / "preds.jsonl"
+        good = {"triple_id": "t0", "relation_id": "P1", "ranked": [["aa", 0.5]]}
+        path.write_text(json.dumps(good) + "\n"
+                        + json.dumps(dict(good, triple_id="t1", ranked=ranked)) + "\n",
+                        encoding="utf-8")
+        return path
+
+    @pytest.mark.parametrize("ranked", [
+        [], "ab", 5, {"aa": 1.0},
+        ["ab"], [5], [{"a": 1, "b": 2}],
+        [["a", 1.0], ["b", 2.0, 3]], [["a", 1.0], ["b"]], [["a", 1.0], []],
+        [["a", 1.0], [1, 0.5]], [["a", 1.0], ["b", "2.5"]], [["a", 1.0], ["b", True]],
+        [["a", 1.0], ["b", None]], [["a", 1.0], "ab"], [["a", True]],
+    ], ids=["empty", "str", "number", "object", "str-entry", "number-entry",
+            "object-entry", "long-entry", "short-entry", "empty-entry", "int-label",
+            "str-score", "bool-score", "null-score", "two-char-entry", "only-bool-score"])
+    def test_malformed_ranked_names_path_and_line(self, tmp_path, ranked):
+        path = self.write(tmp_path, ranked)
+        with pytest.raises(ValueError) as err:
+            load_predictions(path)
+        assert str(err.value) == (f"{path}:2: ranked must be a non-empty list of "
+                                  "[label, score] pairs of a string and a number")
+
+    def test_huge_integer_score_names_path_and_line(self, tmp_path):
+        path = self.write(tmp_path, [["a", 10 ** 400]])
+        with pytest.raises(ValueError) as err:
+            load_predictions(path)
+        assert str(err.value) == (f"{path}:2: malformed prediction: "
+                                  "int too large to convert to float")
+
+    def test_scores_read_as_floats(self, tmp_path):
+        path = self.write(tmp_path, [["bb", 2], ["aa", -0.25], ["cc", 1e-300]])
+        _, pred = load_predictions(path)
+        assert pred.ranked == [("bb", 2.0), ("aa", -0.25), ("cc", 1e-300)]
+        assert [type(score) for _, score in pred.ranked] == [float] * 3
 
 
 class TestComposeOnce:
