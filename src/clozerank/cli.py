@@ -89,16 +89,20 @@ class RunContext:
         return out / name
 
     def dataset(self):
-        """The KB named by triples/templates, cut to subset."""
-        dataset = kb.ingest_dataset(self.input("triples"), self.input("templates"),
-                                    language_tag=self.get("language", "en"))
-        subset = self.input("subset", required=False)
+        """The KB cut to subset, and each kept relation's candidate set from the whole KB."""
+        triples = self.input("triples")
+        full = kb.ingest_dataset(triples, self.input("templates"),
+                                 language_tag=self.get("language", "en"))
+        dataset, subset = full, self.input("subset", required=False)
         if subset is not None:
-            dataset, unknown = kb.apply_subset(dataset, kb.read_subset_ids(subset))
+            dataset, unknown = kb.apply_subset(full, kb.read_subset_ids(subset))
             if unknown:
                 print(f"subset list has {unknown} ids not present in the dataset",
                       file=sys.stderr)
-        return dataset
+        if dataset.n_triples == 0:
+            raise ValueError(f"{subset or triples}: the run keeps no triple of the KB")
+        candidates = kb.build_candidates(full)
+        return dataset, {rel: candidates[rel] for rel in dataset.relation_ids}
 
     def finish(self, message: str, **settings) -> int:
         """Write the manifest, the run's one record of its settings and inputs.
@@ -184,7 +188,7 @@ def cmd_train_embeddings(ctx: RunContext) -> int:
 
 
 def cmd_build_candidates(ctx: RunContext) -> int:
-    candidates = kb.build_candidates(ctx.dataset())
+    _, candidates = ctx.dataset()
     out_path = ctx.output("candidates.json")
     jsonio.write_json(out_path, {
         "candidates": {rel: list(cset) for rel, cset in candidates.items()},
@@ -193,16 +197,15 @@ def cmd_build_candidates(ctx: RunContext) -> int:
 
 
 def cmd_export_manifest(ctx: RunContext) -> int:
-    dataset = ctx.dataset()
+    dataset, candidates = ctx.dataset()
     vocab = ctx.vocab()
     out_path = ctx.output("mlm_manifest.jsonl")
-    rows = ranking.export_mlm_manifest(dataset, kb.build_candidates(dataset), vocab, out_path)
+    rows = ranking.export_mlm_manifest(dataset, candidates, vocab, out_path)
     return ctx.finish(f"{rows} scoring rows -> {out_path}")
 
 
 def cmd_rank(ctx: RunContext) -> int:
-    dataset = ctx.dataset()
-    candidates = kb.build_candidates(dataset)
+    dataset, candidates = ctx.dataset()
     mode = ctx.args.mode
     settings = {"mode": mode}
     if mode == "static":
@@ -232,7 +235,7 @@ def cmd_stub_score(ctx: RunContext) -> int:
 
 
 def cmd_evaluate(ctx: RunContext) -> int:
-    dataset = ctx.dataset()
+    dataset, _ = ctx.dataset()
     predictions = ranking.load_predictions(ctx.input("predictions"))
     vocab = ctx.vocab(required=False)
     report = metrics.compute_report(predictions, dataset, vocab=vocab)

@@ -62,9 +62,6 @@ class CandidateSet:
                 "and lexicographically sorted"
             )
 
-    def __len__(self) -> int:
-        return len(self.candidates)
-
     def __iter__(self):
         return iter(self.candidates)
 

@@ -29,7 +29,11 @@ def _outcomes(predictions: list[Prediction], dataset: Dataset) -> dict[str, tupl
         raise ValueError(f"{len(missing)} triples have no prediction: {shown}")
     outcomes = {}
     for t in dataset.triples():
-        labels = [cand for cand, _ in by_id[t.id].ranked]
+        pred = by_id[t.id]
+        if pred.relation_id != t.relation_id:
+            raise ValueError(f"prediction for triple {t.id!r} names relation "
+                             f"{pred.relation_id!r}, but the KB files it under {t.relation_id!r}")
+        labels = [cand for cand, _ in pred.ranked]
         outcomes[t.id] = labels[0], labels.index(t.object) if t.object in labels else math.inf
     return outcomes
 

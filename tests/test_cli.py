@@ -893,6 +893,101 @@ class TestUnknownSubsetIds:
         assert len(rows) == 1
 
 
+def read_rows(path):
+    return [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+
+
+class TestSubsetKeepsTheOutputSpace:
+    """A --subset picks the triples a run ranks; each kept relation's candidate set
+    still holds the objects of all its triples in the KB."""
+
+    @pytest.fixture
+    def kb(self, tmp_path):
+        subset = tmp_path / "p19_0.txt"
+        subset.write_text("P19#0\n", encoding="utf-8")
+        return ["--triples", MINI["triples"], "--templates", MINI["templates"],
+                "--subset", subset]
+
+    def test_build_candidates(self, tmp_path, capsys, kb):
+        out = tmp_path / "out"
+        assert run_cli(["build-candidates", *kb, "--output", out]) == 0
+        assert read_json(out / "candidates.json")["candidates"] == {
+            "P19": ["berlin", "paris", "rome"]}
+        assert capsys.readouterr().out.startswith("1 candidate sets -> ")
+
+    def test_export_manifest(self, tmp_path, kb):
+        assert run_cli(["export-manifest", *kb, "--vocab", MINI["vocab"],
+                        "--output", tmp_path]) == 0
+        rows = read_rows(tmp_path / "mlm_manifest.jsonl")
+        assert [(row["triple_id"], row["candidate"]) for row in rows] == [
+            ("P19#0", "berlin"), ("P19#0", "paris"), ("P19#0", "rome")]
+
+    @pytest.mark.parametrize("mode", ["static", "oracle", "mlm"])
+    def test_rank(self, tmp_path, kb, mode):
+        extra = []
+        if mode == "static":
+            extra = ["--table", MINI["table"], "--vocab", MINI["vocab"]]
+        elif mode == "mlm":  # score the subset's own manifest
+            assert run_cli(["export-manifest", *kb, "--vocab", MINI["vocab"],
+                            "--output", tmp_path]) == 0
+            manifest = tmp_path / "mlm_manifest.jsonl"
+            assert run_cli(["stub-score", "--manifest", manifest, "--output", tmp_path]) == 0
+            extra = ["--scores", tmp_path / "stub_scores.jsonl", "--manifest", manifest]
+        assert run_cli(["rank", mode, *kb, *extra, "--output", tmp_path]) == 0
+        [row] = read_rows(tmp_path / f"predictions_{mode}.jsonl")
+        assert row["triple_id"] == "P19#0"
+        assert sorted(label for label, _ in row["ranked"]) == ["berlin", "paris", "rome"]
+
+
+class TestEmptyKbRejected:
+    """A KB left with no triple after --subset exits 1 naming the file, before --output."""
+
+    @pytest.mark.parametrize("empty", ["subset", "triples"])
+    @pytest.mark.parametrize("command", ["build-candidates", "export-manifest",
+                                         "rank oracle", "evaluate"])
+    def test_exits_1_naming_the_file(self, tmp_path, capsys, command, empty):
+        path = tmp_path / f"{empty}.txt"
+        if empty == "subset":
+            path.write_text("nope\n", encoding="utf-8")
+            kb = ["--triples", MINI["triples"], "--subset", path]
+        else:
+            path.write_text("", encoding="utf-8")
+            kb = ["--triples", path]
+        extra = ["--vocab", MINI["vocab"]] if command == "export-manifest" else []
+        if command == "evaluate":  # predictions of the whole KB
+            full = tmp_path / "full"
+            assert run_cli(["rank", "oracle", "--triples", MINI["triples"],
+                            "--templates", MINI["templates"], "--output", full]) == 0
+            extra = ["--predictions", full / "predictions_oracle.jsonl"]
+        out = tmp_path / "out"
+        assert run_cli([*command.split(), *kb, "--templates", MINI["templates"],
+                        *extra, "--output", out]) == 1
+        record = cli_error(capsys)
+        assert record["error"] == "ValueError"
+        assert record["message"].startswith(f"{path}: ")
+        assert not out.exists()
+
+
+class TestPredictionUnderAnotherRelation:
+    def test_evaluate_names_the_triple_and_both_relations(self, tmp_path, capsys):
+        assert run_cli(["rank", "oracle", "--triples", MINI["triples"],
+                        "--templates", MINI["templates"], "--output", tmp_path]) == 0
+        predictions = tmp_path / "predictions_oracle.jsonl"
+        rows = read_rows(predictions)
+        for row in rows:
+            if row["relation_id"] == "P19":
+                row["relation_id"] = "P999"
+        predictions.write_text("".join(json.dumps(row) + "\n" for row in rows),
+                               encoding="utf-8")
+        out = tmp_path / "out"
+        assert run_cli(["evaluate", "--predictions", predictions, "--triples", MINI["triples"],
+                        "--templates", MINI["templates"], "--output", out]) == 1
+        record = cli_error(capsys)
+        assert record["error"] == "ValueError"
+        assert all(name in record["message"] for name in ("'P19#0'", "'P999'", "'P19'"))
+        assert not (out / "metrics.json").exists()
+
+
 def write_sweep_corpus(tmp_path):
     rng = random.Random(5)
     lexicon = ["".join(rng.choice("abcdefgh") for _ in range(rng.randint(2, 7)))
