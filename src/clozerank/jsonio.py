@@ -87,18 +87,41 @@ def read_jsonl(path, *fields, text=()):
             yield lineno, row, values
 
 
-def write_jsonl(path, rows) -> int:
+def _sharing(rows, key):
+    """Encode rows; a row whose key list holds the previous row's entries reuses its text.
+
+    Entries are compared by identity, never ==: 0.0 == -0.0 and 1 == 1.0, but
+    each pair encodes differently. A reused line is joined as the encoder
+    writes an object with string keys.
+    """
+    previous = text = None
+    for row in rows:
+        value = row[key]
+        if (previous is None or len(value) != len(previous)
+                or not all(map(operator.is_, value, previous))):
+            previous, text = value, None
+            yield _encode_row(row)
+        else:
+            text = text or _encode_row(previous)
+            yield "{" + ", ".join(f"{_encode_row(k)}: {text if k == key else _encode_row(v)}"
+                                  for k, v in row.items()) + "}"
+
+
+def write_jsonl(path, rows, shared=None) -> int:
     """Write each row as one JSON line and return the count.
 
+    shared names a list field that runs of rows hold the same entries in: such
+    a row reuses the previous row's encoded text of it, with the same bytes.
     The lines go to path.part, which replaces path only after the last row,
     so rows that fail part way leave path as it was and no .part behind.
     """
     count, part = 0, f"{path}.part"
+    lines = map(_encode_row, rows) if shared is None else _sharing(rows, shared)
     f = open(part, "w", encoding="utf-8")
     try:
         with f:
-            for row in rows:
-                f.write(_encode_row(row) + "\n")
+            for line in lines:
+                f.write(line + "\n")
                 count += 1
     except BaseException:
         os.remove(part)

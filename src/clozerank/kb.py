@@ -92,7 +92,8 @@ def ingest_dataset(triples_path, templates_path, language_tag: str = "en") -> Da
 
     Triple rows are JSONL objects {id?, sub_label, obj_label, predicate_id};
     missing ids are synthesized as "<predicate_id>#<index>" with the index
-    counting that relation's triples in file order.
+    counting that relation's triples in file order. A given id, like a label,
+    must not be blank.
     """
     relations: dict[str, RelationSpec] = {}
     for lineno, _, (rel, template) in read_jsonl(
@@ -110,7 +111,7 @@ def ingest_dataset(triples_path, templates_path, language_tag: str = "en") -> Da
     for lineno, row, (rel, subject, obj) in read_jsonl(
             triples_path, "predicate_id", "sub_label", "obj_label",
             text=("id", "predicate_id")):
-        for name, label in (("sub_label", subject), ("obj_label", obj)):
+        for name, label in (("id", row.get("id")), ("sub_label", subject), ("obj_label", obj)):
             if isinstance(label, str) and not label.strip():
                 raise ValueError(f"{triples_path}:{lineno}: blank {name} {label!r}")
         if rel not in relations:

@@ -9,14 +9,17 @@ top-1 label and the position of its gold object in the ranking.
 import math
 from collections import Counter, defaultdict
 from dataclasses import MISSING, asdict, dataclass, field, fields
+from typing import TYPE_CHECKING
 
 from .jsonio import is_number, read_json, write_json
 from .kb import Dataset
-from .ranking import Prediction
 from .wordpiece import SubwordVocab, tokenize
 
+if TYPE_CHECKING:  # report reads metrics files and never loads ranking
+    from .ranking import Prediction
 
-def _outcomes(predictions: list[Prediction], dataset: Dataset) -> dict[str, tuple[str, float]]:
+
+def _outcomes(predictions: "list[Prediction]", dataset: Dataset) -> dict[str, tuple[str, float]]:
     """Triple id -> (top-1, gold's 0-based rank or inf, a miss at any k); rest ignored."""
     by_id = {}
     for pred in predictions:
@@ -46,7 +49,7 @@ def _precision_at_k(outcomes: dict, dataset: Dataset, k: int) -> tuple[dict[str,
     return per_relation, sum(per_relation.values()) / len(per_relation)
 
 
-def precision_at_k(predictions: list[Prediction], dataset: Dataset,
+def precision_at_k(predictions: "list[Prediction]", dataset: Dataset,
                    k: int) -> tuple[dict[str, float], float]:
     """Per-relation hit rate of the gold object in the top k, plus its macro mean."""
     if k < 1:
@@ -169,7 +172,7 @@ class MetricsReport:
                    metadata=metadata)
 
 
-def compute_report(predictions: list[Prediction], dataset: Dataset,
+def compute_report(predictions: "list[Prediction]", dataset: Dataset,
                    vocab: SubwordVocab = None) -> MetricsReport:
     """Full evaluation over one prediction set; buckets need a vocabulary."""
     outcomes = _outcomes(predictions, dataset)

@@ -336,12 +336,15 @@ def write_stub_scores(manifest_path, out_path, lookup=None) -> int:
 
 
 def save_predictions(predictions, path) -> None:
+    """Write one row per prediction; a ranking that holds the previous row's
+    (label, score) tuples, as rank oracle's and the zero-norm floor rankings
+    do, is encoded once."""
     write_jsonl(path, ({
         "triple_id": pred.triple_id,
         "relation_id": pred.relation_id,
         "ranked": pred.ranked,  # json writes each (label, score) tuple as an array
         "flags": pred.flags,
-    } for pred in predictions))
+    } for pred in predictions), shared="ranked")
 
 
 def load_predictions(path) -> list[Prediction]:

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import math
@@ -9,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from clozerank import wordpiece
+from clozerank import kb, wordpiece
 from clozerank.cli import main
 from clozerank.wordpiece import SubwordVocab
 
@@ -350,6 +351,33 @@ class TestErrorHandling:
                         "--output", tmp_path]) == 1
         record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert "table" in record["message"]
+
+
+class TestGarbageCollector:
+    """main runs a command with the cyclic collector off and then restores the caller's state."""
+
+    @pytest.mark.parametrize("caller_enabled", [True, False])
+    @pytest.mark.parametrize("fails", [False, True])
+    def test_collector_off_while_the_command_runs(self, tmp_path, monkeypatch,
+                                                  caller_enabled, fails):
+        seen, ingest = [], kb.ingest_dataset
+
+        def recording(*args, **kwargs):
+            seen.append(gc.isenabled())
+            if fails:
+                raise ValueError("ingest failed")
+            return ingest(*args, **kwargs)
+
+        monkeypatch.setattr(kb, "ingest_dataset", recording)
+        was_enabled = gc.isenabled()
+        gc.enable() if caller_enabled else gc.disable()
+        try:
+            code = run_cli(["build-candidates", "--triples", MINI["triples"],
+                            "--templates", MINI["templates"], "--output", tmp_path])
+            after = gc.isenabled()
+        finally:
+            gc.enable() if was_enabled else gc.disable()
+        assert (code, seen, after) == (1 if fails else 0, [False], caller_enabled)
 
 
 class TestConfigFile:

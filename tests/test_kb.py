@@ -238,6 +238,8 @@ class TestLabelTypes:
         ("obj_label", "\ud800x"),
         ("id", 7),
         ("id", "t\udc80"),
+        ("id", ""),
+        ("id", "  "),
     ])
     def test_triple_field_rejected_with_location(self, tmp_path, field, value):
         row = dict(triple_row("Ada", "P19", "London"), **{field: value})

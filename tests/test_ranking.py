@@ -484,6 +484,46 @@ class TestPredictionIO:
         assert [(p.triple_id, p.relation_id, p.ranked, p.flags) for p in loaded] \
             == [(p.triple_id, p.relation_id, p.ranked, p.flags) for p in preds]
 
+    @staticmethod
+    def shared_rankings():
+        """Rank oracle's rows: every triple of a relation holds the same tuples."""
+        ranked = [("ä", 2.0), ("b", 0.5), ("c", 0.0)]
+        return [list(ranked) for _ in range(3)], [{"query_oov": False}] * 3
+
+    @staticmethod
+    def floor_minus_one():
+        """Zero-norm floor rows; the second excludes its subject."""
+        floor = [(label, -1.0) for label in ("a", "b", "c")]
+        excluded = list(floor)
+        del excluded[1]
+        return [list(floor), excluded, list(floor)], [{"zero_norm": True}] * 3
+
+    @staticmethod
+    def equal_values_distinct_objects():
+        """0.0 == -0.0 and 1 == 1.0, but each encodes differently."""
+        return ([[("a", 0.0)], [("a", -0.0)], [("a", 1)], [("a", 1.0)]],
+                [{}] * 4)
+
+    @staticmethod
+    def one_ranking_different_flags():
+        ranked = [("a", 0.25), ("b", -1.0)]
+        return [ranked, ranked, ranked], [{"query_oov": False}, {"query_oov": True},
+                                          {"query_oov": True, "zero_norm": True}]
+
+    @pytest.mark.parametrize("case", ["shared_rankings", "floor_minus_one",
+                                      "equal_values_distinct_objects",
+                                      "one_ranking_different_flags"])
+    def test_reused_ranking_text_writes_exact_bytes(self, tmp_path, case):
+        rankings, flags = getattr(self, case)()
+        preds = [Prediction(f"t{i}", "P1", ranked, flags=dict(f))
+                 for i, (ranked, f) in enumerate(zip(rankings, flags))]
+        path = tmp_path / "preds.jsonl"
+        save_predictions(preds, path)
+        expected = "".join(json.dumps({"triple_id": p.triple_id, "relation_id": p.relation_id,
+                                       "ranked": p.ranked, "flags": p.flags},
+                                      ensure_ascii=False) + "\n" for p in preds)
+        assert path.read_text(encoding="utf-8") == expected
+
     def test_malformed_row_reports_line(self, tmp_path):
         path = tmp_path / "preds.jsonl"
         path.write_text('{"triple_id": "t1"}\n', encoding="utf-8")

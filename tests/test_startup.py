@@ -1,7 +1,9 @@
-"""Functions that use numpy import it: commands that never touch a vector never load it.
+"""Commands load only what they run: numpy, and the clozerank modules a command needs.
 
-The test process has imported numpy long ago, so each check runs its commands
-in a fresh interpreter that imports clozerank from the same source tree.
+Functions that use numpy import it, and each CLI command imports its own
+library modules. The test process has imported both long ago, so each check
+runs its commands in a fresh interpreter that imports clozerank from the same
+source tree.
 """
 
 import json
@@ -9,6 +11,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import clozerank
 from clozerank.cli import main
@@ -21,7 +25,8 @@ KB_ARGS = ["--triples", str(FIXTURES / "mini_triples.jsonl"),
 
 # Runs each argv list (JSON in argv[1]) through cli.main in order. Exits 4 if
 # importing the CLI put numpy in sys.modules, 3 on the first failing command,
-# and otherwise prints whether numpy is in sys.modules after the commands.
+# and otherwise prints, as JSON, whether numpy is in sys.modules after the
+# commands and which clozerank modules are.
 SCRIPT = """
 import json, sys
 from clozerank.cli import main
@@ -30,18 +35,21 @@ if "numpy" in sys.modules:
 for argv in json.loads(sys.argv[1]):
     if main(argv) != 0:
         sys.exit(3)
-print("numpy" in sys.modules)
+print(json.dumps({"numpy": "numpy" in sys.modules,
+                  "modules": [m for m in sys.modules if m.startswith("clozerank.")]}))
 """
 
 
-def run_fresh(commands) -> bool:
-    """Run commands in a new interpreter; return whether they loaded numpy."""
+def run_fresh(commands) -> dict:
+    """Run commands in a new interpreter; return whether they loaded numpy
+    ("numpy") and the set of clozerank modules loaded ("modules")."""
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-c", SCRIPT, json.dumps(commands)],
                           env={**os.environ, "PYTHONPATH": path},
                           capture_output=True, text=True)
     assert proc.returncode == 0, (proc.returncode, proc.stderr)
-    return proc.stdout.splitlines()[-1] == "True"
+    loaded = json.loads(proc.stdout.splitlines()[-1])
+    return {"numpy": loaded["numpy"], "modules": set(loaded["modules"])}
 
 
 def test_non_vector_pipeline_leaves_numpy_unloaded(tmp_path):
@@ -51,14 +59,40 @@ def test_non_vector_pipeline_leaves_numpy_unloaded(tmp_path):
         ["rank", "oracle", *KB_ARGS, "--output", out],
         ["evaluate", *KB_ARGS, "--predictions", f"{out}/predictions_oracle.jsonl",
          "--output", out],
-    ])
+    ])["numpy"]
     assert (tmp_path / "metrics.json").exists()
+
+
+# Per command: a module it runs, and the modules it must not load.
+COMMAND_MODULES = {
+    "build-vocab": ("wordpiece", ("kb", "ranking", "metrics", "embeddings", "energy")),
+    "tokenize": ("wordpiece", ("kb", "ranking", "metrics", "embeddings", "energy")),
+    "build-candidates": ("kb", ("ranking", "metrics", "embeddings")),
+    "rank oracle": ("ranking", ("metrics",)),
+}
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_MODULES))
+def test_command_loads_only_the_modules_it_runs(tmp_path, command):
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text("paris is big\nrome and paris\nberlin is old\n" * 5, encoding="utf-8")
+    argv = {
+        "build-vocab": ["build-vocab", "--corpus", str(corpus), "--target-size", "40"],
+        "tokenize": ["tokenize", "--vocab", str(FIXTURES / "mini_vocab.txt"),
+                     "--input", str(corpus)],
+        "build-candidates": ["build-candidates", *KB_ARGS],
+        "rank oracle": ["rank", "oracle", *KB_ARGS],
+    }[command]
+    loaded = run_fresh([[*argv, "--output", str(tmp_path / "out")]])["modules"]
+    runs, unused = COMMAND_MODULES[command]
+    assert f"clozerank.{runs}" in loaded
+    assert not loaded & {f"clozerank.{name}" for name in unused}, sorted(loaded)
 
 
 def test_rank_static_loads_numpy_and_matches_in_process_run(tmp_path):
     argv = ["rank", "static", *KB_ARGS, "--table", str(FIXTURES / "mini_table.vec"),
             "--vocab", str(FIXTURES / "mini_vocab.txt"), "--output"]
-    assert run_fresh([[*argv, str(tmp_path / "fresh")]])
+    assert run_fresh([[*argv, str(tmp_path / "fresh")]])["numpy"]
     assert main([*argv, str(tmp_path / "in_process")]) == 0
     name = "predictions_static.jsonl"
     assert (tmp_path / "fresh" / name).read_bytes() == (tmp_path / "in_process" / name).read_bytes()
