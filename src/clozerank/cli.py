@@ -183,9 +183,12 @@ def cmd_train_embeddings(ctx: RunContext) -> int:
     cfg = embeddings.EmbedTrainConfig(**{_EMBED_FIELDS.get(key, key): value for key, value
                                          in ctx.given(*_EMBED_SETTINGS).items()})
     workers = ctx.get("workers", 1)
+    if workers != 1:
+        raise ValueError(f"workers must be 1: training is single-threaded and "
+                         f"deterministic, got {workers}")
     with jsonio.open_text(corpus) as f:
         table = embeddings.train_static_embeddings(
-            (wordpiece.tokenize(vocab, line) for line in f), vocab, cfg, workers=workers)
+            (wordpiece.tokenize(vocab, line) for line in f), vocab, cfg)
 
     table_path = ctx.output("embeddings.vec")
     embeddings.save_table(table, table_path)
@@ -287,9 +290,9 @@ def cmd_energy(ctx: RunContext) -> int:
 
 def _parse_run_spec(spec: str) -> tuple[str, str, str | None]:
     name, _, paths = spec.partition("=")
-    if not name or not paths:
+    first, comma, second = paths.partition(",")
+    if not name or not first or comma and not second:
         raise ValueError(f"run spec {spec!r} must look like NAME=metrics.json[,uhn.json]")
-    first, _, second = paths.partition(",")
     return name, first, second or None
 
 

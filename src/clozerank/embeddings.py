@@ -74,13 +74,6 @@ class EmbeddingTable:
     def __len__(self) -> int:
         return len(self.entries)
 
-    def scaled(self, factor: float) -> "EmbeddingTable":
-        """New table with every vector multiplied by a positive scalar."""
-        import numpy as np
-        if factor <= 0:
-            raise ValueError("scale factor must be positive")
-        return EmbeddingTable(self.dim, self.entries, self.matrix * np.float32(factor))
-
 
 def compose(table: EmbeddingTable, tokens):
     """(Arithmetic mean of the token vectors in float64, tokens absent from the table).
@@ -170,7 +163,7 @@ def _groups(rows):
 
 
 def train_static_embeddings(tokenized_corpus, vocab: SubwordVocab,
-                            cfg: EmbedTrainConfig, workers: int = 1) -> EmbeddingTable:
+                            cfg: EmbedTrainConfig) -> EmbeddingTable:
     """Train skip-gram embeddings with negative sampling over token-id sequences.
 
     Tokens occurring at least cfg.min_count times receive vectors. A center
@@ -190,13 +183,9 @@ def train_static_embeddings(tokenized_corpus, vocab: SubwordVocab,
     rows. Only n-gram buckets in use get a row, so memory scales with the kept
     tokens, not with cfg.ngram_buckets.
 
-    Training is single-threaded and bitwise deterministic for a fixed seed;
-    workers is accepted for compatibility, and any value but 1 is rejected.
+    Training is single-threaded and bitwise deterministic for a fixed seed.
     """
     import numpy as np
-    if workers != 1:
-        raise ValueError(f"workers must be 1: training is single-threaded and "
-                         f"deterministic, got {workers}")
     lengths: list[int] = []
 
     def token_ids():

@@ -42,19 +42,12 @@ def _outcomes(predictions: "list[Prediction]", dataset: Dataset) -> dict[str, tu
 
 
 def _precision_at_k(outcomes: dict, dataset: Dataset, k: int) -> tuple[dict[str, float], float]:
+    """Per-relation hit rate of the gold object in the top k, plus its macro mean."""
     per_relation = {}
     for rel in dataset.relation_ids:
         triples = dataset.triples_by_relation[rel]
         per_relation[rel] = sum(1 for t in triples if outcomes[t.id][1] < k) / len(triples)
     return per_relation, sum(per_relation.values()) / len(per_relation)
-
-
-def precision_at_k(predictions: "list[Prediction]", dataset: Dataset,
-                   k: int) -> tuple[dict[str, float], float]:
-    """Per-relation hit rate of the gold object in the top k, plus its macro mean."""
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    return _precision_at_k(_outcomes(predictions, dataset), dataset, k)
 
 
 def most_frequent_object(dataset: Dataset, relation_id: str) -> str:

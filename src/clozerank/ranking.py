@@ -23,10 +23,6 @@ class Prediction:
     ranked: list[tuple[str, float]]
     flags: dict = field(default_factory=dict)
 
-    @property
-    def top1(self) -> str:
-        return self.ranked[0][0]
-
 
 def _rank_items(scores: dict[str, float]) -> list[tuple[str, float]]:
     return sorted(scores.items(), key=lambda item: (-item[1], item[0]))
@@ -171,15 +167,6 @@ def export_mlm_manifest(dataset: Dataset, candidates: dict[str, CandidateSet],
     return write_jsonl(out_path, rows())
 
 
-@dataclass(frozen=True)
-class MlmScoreRecord:
-    """Per-mask log probabilities for one (triple, candidate) pair."""
-
-    triple_id: str
-    candidate: str
-    token_logprobs: tuple[float, ...]
-
-
 def _logprobs(value) -> tuple[float, ...]:
     """token_logprobs as floats: a non-empty JSON list of numbers, each finite and <= 0."""
     if type(value) is not list or not value or not all(map(is_number, value)):
@@ -189,10 +176,6 @@ def _logprobs(value) -> tuple[float, ...]:
         if not math.isfinite(lp) or lp > 0:
             raise ValueError(f"log-prob {lp!r} must be finite and <= 0")
     return lps
-
-
-def read_score_file(path) -> list[MlmScoreRecord]:
-    return [MlmScoreRecord(*key, lps) for key, lps in _scores_by_pair(path).items()]
 
 
 def _scores_by_pair(path) -> dict[tuple[str, str], tuple[float, ...]]:
@@ -288,44 +271,38 @@ def _stub_logprob(triple_id: str, candidate: str, position: int) -> float:
     return -0.01 - 7.99 * unit
 
 
-def _lookup_table(lookup: dict) -> dict[tuple[str, str], tuple[float, ...]]:
+def read_lookup(path) -> dict[tuple[str, str], tuple[float, ...]]:
+    """Read a stub-score lookup file, one JSON object of triple_id -> {candidate:
+    [log-probs]}, into each (triple_id, candidate) pair's log-probs. Each log-prob
+    is finite and <= 0 as in a score row; every error names the path."""
     table = {}
-    for key, value in lookup.items():
+    for key, value in read_json(path).items():
         if not isinstance(value, dict):
-            raise ValueError(f"lookup entry {key!r} must map each candidate to a "
+            raise ValueError(f"{path}: lookup entry {key!r} must map each candidate to a "
                              f"list of log-probs, got {value!r}")
         for cand, lps in value.items():
             try:
                 table[(key, cand)] = _logprobs(lps)
             except (OverflowError, ValueError) as exc:
-                raise ValueError(f"lookup entry {key!r}, candidate {cand!r}: {exc}") from None
+                raise ValueError(f"{path}: lookup entry {key!r}, candidate {cand!r}: "
+                                 f"{exc}") from None
     return table
-
-
-def read_lookup(path) -> dict:
-    """Read a stub-score lookup file (see write_stub_scores); errors name the path."""
-    lookup = read_json(path)
-    try:
-        _lookup_table(lookup)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
-    return lookup
 
 
 def write_stub_scores(manifest_path, out_path, lookup=None) -> int:
     """Generate a valid score file from a manifest without any external model.
 
-    lookup maps triple_id -> {candidate: [log-probs]}, each log-prob finite
-    and <= 0 as in a score row; pairs not covered get deterministic filler
-    values. A manifest that fails part way leaves out_path as it was. Returns
-    the number of rows written.
+    lookup, as read_lookup returns it, maps (triple_id, candidate) to that
+    pair's log-probs; pairs not covered get deterministic filler values. A
+    manifest that fails part way leaves out_path as it was. Returns the number
+    of rows written.
     """
-    table = _lookup_table(lookup or {})
+    lookup = lookup or {}
 
     def rows():
         for lineno, triple_id, cand, masks in _read_manifest(manifest_path):
             key = (triple_id, cand)
-            lps = table.get(key)
+            lps = lookup.get(key)
             if lps is None:
                 lps = [_stub_logprob(*key, i) for i in range(masks)]
             elif len(lps) != masks:

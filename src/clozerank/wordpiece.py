@@ -87,9 +87,6 @@ class SubwordVocab:
         _check_target_size(size, base_size)
         return SubwordVocab(self.tokens[:size], max_word_length=self.max_word_length)
 
-    def id_for(self, token: str) -> int:
-        return self.token_to_id[token]
-
     def ids_to_tokens(self, ids) -> list[str]:
         return [self.tokens[i] for i in ids]
 

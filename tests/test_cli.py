@@ -126,7 +126,7 @@ class TestTokenize:
         rows = [json.loads(line) for line in
                 (out / "tokens.jsonl").read_text(encoding="utf-8").splitlines()]
         assert rows[0]["tokens"] == ["anna", "maria"]
-        assert rows[0]["token_ids"] == [vocab.id_for("anna"), vocab.id_for("maria")]
+        assert rows[0]["token_ids"] == [vocab.token_to_id[t] for t in ("anna", "maria")]
         assert rows[1]["tokens"] == ["kenji"]
 
 
@@ -170,6 +170,15 @@ class TestTrainEmbeddings:
             assert run_cli(self.train_args(vocab, corpus, out)) == 0
         assert (out1 / "embeddings.vec").read_bytes() \
             == (out2 / "embeddings.vec").read_bytes()
+
+    def test_min_count_above_every_piece_count_creates_nothing(self, tmp_path, capsys):
+        vocab, corpus = write_tiny_training_setup(tmp_path)  # each piece occurs 30 times
+        out = tmp_path / "out"
+        assert run_cli(self.train_args(vocab, corpus, out, extra=["--min-count", "31"])) == 1
+        record = cli_error(capsys)
+        assert (record["error"], record["message"]) == ("ValueError",
+                                                        "no token reaches min_count=31")
+        assert not out.exists()
 
 
 class TestBuildCandidates:
@@ -324,7 +333,8 @@ class TestReportCommand:
         record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert record["command"] == "report"
 
-    @pytest.mark.parametrize("spec", ["static", "=metrics.json", "static="])
+    @pytest.mark.parametrize("spec", ["static", "=metrics.json", "static=",
+                                      "static=,metrics.json", "static=metrics.json,"])
     def test_spec_needs_name_and_path(self, tmp_path, capsys, spec):
         out = tmp_path / "out"
         assert run_cli(["report", "--run", spec, "--output", out]) == 1
@@ -708,6 +718,8 @@ class TestJsonObjectFiles:
         record = cli_error(capsys)
         assert record["error"] == "ValueError"
         assert record["message"].startswith(f"{path}: {problem}")
+        if role == "lookup":
+            assert not (tmp_path / "out").exists()
 
     def test_metrics_file_missing_key(self, tmp_path, capsys):
         metrics_path = evaluate(tmp_path / "eval", rank_static(tmp_path / "eval"))
@@ -726,6 +738,7 @@ class TestJsonObjectFiles:
         record = cli_error(capsys)
         assert record["error"] == "ValueError"
         assert "lookup entry 'P103#0'" in record["message"]
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("logprobs", [["x"], [0.5], [], [False], ["-1.5"]],
                              ids=["str", "positive", "empty", "bool", "numeric-str"])
@@ -736,6 +749,7 @@ class TestJsonObjectFiles:
         record = cli_error(capsys)
         assert record["error"] == "ValueError"
         assert record["message"].startswith(f"{lookup}: lookup entry 'P19#0'")
+        assert not (tmp_path / "out").exists()
 
 
 def rewrite_first_row(path, **changes):
@@ -1206,7 +1220,8 @@ class TestManifestRecordsWhatRuns:
             listed.append(inputs)
         assert listed[0] != listed[1]
 
-    @pytest.mark.parametrize("command", ["target-size-repeated", "dim-zero", "workers-zero"])
+    @pytest.mark.parametrize("command", ["target-size-repeated", "dim-zero", "workers-zero",
+                                         "workers-two"])
     def test_rejected_setting_tokenizes_and_creates_nothing(self, tmp_path, capsys,
                                                             monkeypatch, command):
         vocab, corpus = write_tiny_training_setup(tmp_path)
@@ -1222,6 +1237,8 @@ class TestManifestRecordsWhatRuns:
                          "--dim", "0"],
             "workers-zero": ["train-embeddings", "--vocab", vocab, "--corpus", corpus,
                              "--workers", "0"],
+            "workers-two": ["train-embeddings", "--vocab", vocab, "--corpus", corpus,
+                            "--workers", "2"],
         }[command]
         assert run_cli([*argv, "--output", out]) == 1
         assert cli_error(capsys)["error"] == "ValueError"

@@ -111,7 +111,7 @@ class TestCompose:
         entries = {f"t{i}": rng.normal(size=3) for i in range(4)}
         table = make_table(entries, 3)
         for alpha in (0.5, 2.0, 7.0):
-            scaled = table.scaled(alpha)
+            scaled = EmbeddingTable(3, table.entries, table.matrix * np.float32(alpha))
             a = compose(scaled, list(entries))[0]
             b = alpha * compose(table, list(entries))[0]
             assert np.allclose(a, b, rtol=1e-6)
@@ -207,8 +207,8 @@ class TestImport:
 
 def cooccurrence_corpus(vocab):
     # aa and bb always share windows; cc and dd likewise; the pairs never mix.
-    ab = [vocab.id_for("aa"), vocab.id_for("bb")] * 5
-    cd = [vocab.id_for("cc"), vocab.id_for("dd")] * 5
+    ab = [vocab.token_to_id["aa"], vocab.token_to_id["bb"]] * 5
+    cd = [vocab.token_to_id["cc"], vocab.token_to_id["dd"]] * 5
     return [ab, cd] * 40
 
 
@@ -222,14 +222,14 @@ class TestTraining:
 
     def test_vocabulary_closure(self):
         vocab = make_vocab(["t1", "t2"])
-        corpus = [[vocab.id_for("t1"), vocab.id_for("t2")]]
+        corpus = [[vocab.token_to_id["t1"], vocab.token_to_id["t2"]]]
         table = train_static_embeddings(corpus, vocab, self.small_cfg())
         assert sorted(table.entries) == ["t1", "t2"]
 
     def test_min_count_excludes_rare_tokens(self):
         vocab = make_vocab(["t1", "t2", "t3"])
-        corpus = [[vocab.id_for("t1"), vocab.id_for("t2")]] * 5 \
-            + [[vocab.id_for("t3"), vocab.id_for("t1")]]
+        corpus = [[vocab.token_to_id["t1"], vocab.token_to_id["t2"]]] * 5 \
+            + [[vocab.token_to_id["t3"], vocab.token_to_id["t1"]]]
         table = train_static_embeddings(corpus, vocab, self.small_cfg(min_count=2))
         assert "t3" not in table.entries
         assert {"t1", "t2"} <= set(table.entries)
@@ -282,7 +282,7 @@ class TestTraining:
 
     def test_default_dim_accepted(self):
         vocab = make_vocab(["t1", "t2"])
-        corpus = [[vocab.id_for("t1"), vocab.id_for("t2")]] * 6
+        corpus = [[vocab.token_to_id["t1"], vocab.token_to_id["t2"]]] * 6
         cfg = EmbedTrainConfig(min_count=1, epochs=1, seed=1,
                                char_ngram_min=0, char_ngram_max=0)
         table = train_static_embeddings(corpus, vocab, cfg)
@@ -324,11 +324,22 @@ class TestCompactTrainer:
         assert any(not np.array_equal(t1.matrix[row], wide.matrix[wide.entries[t]])
                    for t, row in t1.entries.items())
 
-    def test_multiple_workers_rejected(self):
-        vocab = make_vocab(["t1", "t2"])
-        corpus = [[vocab.id_for("t1"), vocab.id_for("t2")]] * 3
-        with pytest.raises(ValueError, match="workers must be 1"):
-            train_static_embeddings(corpus, vocab, self.cfg(), workers=2)
+    def test_multiple_workers_rejected(self, tmp_path, capsys):
+        # The trainer takes no worker count; a config asking for two is
+        # refused before any training or output.
+        vocab = tmp_path / "vocab.txt"
+        vocab.write_text("[UNK]\n[MASK]\nt1\nt2\n", encoding="utf-8")
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_text("t1 t2\n" * 3, encoding="utf-8")
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"workers": 2}), encoding="utf-8")
+        out = tmp_path / "out"
+        assert cli_main(["train-embeddings", "--vocab", str(vocab), "--corpus", str(corpus),
+                         "--config", str(config), "--output", str(out)]) == 1
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"] == "ValueError"
+        assert "workers must be 1" in record["message"]
+        assert not out.exists()
 
     def test_cli_accepts_one_worker_and_rejects_two(self, tmp_path, capsys):
         vocab = tmp_path / "vocab.txt"
@@ -419,7 +430,7 @@ class TestBatchedTrainer:
         # token's repeated n-gram (the two "a" 1-grams of "aa") and buckets
         # that the three tokens share. The draws follow the trainer's order.
         vocab = make_vocab(["aa", "ab", "ba"])
-        line = [vocab.id_for(t) for t in ("aa", "ab", "ba", "aa", "ab", "ba")]
+        line = [vocab.token_to_id[t] for t in ("aa", "ab", "ba", "aa", "ab", "ba")]
         cfg = EmbedTrainConfig(dim=8, window=2, negatives=3, epochs=3, learning_rate=0.5,
                                min_count=1, char_ngram_min=1, char_ngram_max=2,
                                ngram_buckets=5, seed=11)
@@ -471,7 +482,7 @@ class TestBatchedTrainer:
     def test_windows_never_cross_a_line(self):
         # One-token lines give no pairs, so no epoch changes the seeded draw.
         vocab = make_vocab(["aa", "bb", "cc", "dd"])
-        ids = [vocab.id_for(t) for t in ("aa", "bb", "cc", "dd")]
+        ids = [vocab.token_to_id[t] for t in ("aa", "bb", "cc", "dd")]
         corpus = [[ids[i % 4]] for i in range(0, 60, 3)] + [[ids[1]]] * 5
         cfg = EmbedTrainConfig(dim=8, window=5, min_count=1, char_ngram_min=0,
                                char_ngram_max=0, seed=3)
@@ -620,10 +631,9 @@ class TestTableValidation:
         with pytest.raises(ValueError):
             EmbeddingTable(2, ["a", "a"], np.zeros((2, 2), dtype=np.float32))
 
-    def test_scaling_requires_positive_factor(self):
-        table = make_table({"a": [1.0, 1.0]}, 2)
-        with pytest.raises(ValueError):
-            table.scaled(0.0)
+    def test_nonpositive_dim_rejected(self):
+        with pytest.raises(ValueError, match="dim must be positive, got 0"):
+            EmbeddingTable(0, [], np.zeros((0, 0), dtype=np.float32))
 
 
 class TestMatrixTable:
@@ -648,10 +658,8 @@ class TestMatrixTable:
         assert sorted(table.entries) == ["aa", "bb", "cc", "dd"]
         self.assert_one_matrix(table)
 
-    def test_scaled_and_added_tables_stay_one_matrix(self):
-        table = make_table({"a": [1.0, 2.0], "b": [3.0, 4.0]}, 2)
-        self.assert_one_matrix(table)
-        self.assert_one_matrix(table.scaled(0.5))
+    def test_constructed_table_is_one_matrix(self):
+        self.assert_one_matrix(make_table({"a": [1.0, 2.0], "b": [3.0, 4.0]}, 2))
 
     def test_duplicate_token_reports_line(self, tmp_path):
         path = tmp_path / "dup.vec"

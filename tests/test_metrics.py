@@ -12,7 +12,6 @@ from clozerank.metrics import (
     compute_report,
     most_frequent_object,
     per_relation_tsv,
-    precision_at_k,
 )
 from clozerank.ranking import Prediction, rank_static
 from clozerank.wordpiece import SPECIAL_TOKENS, SubwordVocab
@@ -41,42 +40,36 @@ class TestPrecision:
         ds = make_dataset(tmp_path, rows, [template("P1"), template("P2")])
         preds = [pred("P1#0", "P1", ["aa", "bb"])]
         preds += [pred(f"P2#{i}", "P2", ["dd", "cc"]) for i in range(9)]
-        per_rel, macro = precision_at_k(preds, ds, 1)
-        assert per_rel == {"P1": 1.0, "P2": 0.0}
-        assert macro == 0.5
+        report = compute_report(preds, ds)
+        assert {rel: row["p_at_1"] for rel, row in report.per_relation.items()} \
+            == {"P1": 1.0, "P2": 0.0}
+        assert report.macro_p1 == 0.5
 
     def test_k_covering_all_candidates_gives_one(self, mini_dataset):
         cands = build_candidates(mini_dataset)
         preds = [pred(t.id, t.relation_id, list(cands[t.relation_id]))
                  for t in mini_dataset.triples()]
-        _, macro = precision_at_k(preds, mini_dataset, 5)
-        assert macro == 1.0
+        assert compute_report(preds, mini_dataset).macro_p5 == 1.0
 
     def test_p1_never_exceeds_p5(self, mini_dataset, mini_vocab, mini_table):
         preds = rank_static(mini_table, mini_vocab, mini_dataset,
                             build_candidates(mini_dataset))
-        p1_rel, macro_p1 = precision_at_k(preds, mini_dataset, 1)
-        p5_rel, macro_p5 = precision_at_k(preds, mini_dataset, 5)
-        assert macro_p1 <= macro_p5 <= 1.0
-        for rel in p1_rel:
-            assert p1_rel[rel] <= p5_rel[rel]
-
-    def test_k_must_be_positive(self, mini_dataset):
-        with pytest.raises(ValueError):
-            precision_at_k([], mini_dataset, 0)
+        report = compute_report(preds, mini_dataset)
+        assert report.macro_p1 <= report.macro_p5 <= 1.0
+        for row in report.per_relation.values():
+            assert row["p_at_1"] <= row["p_at_5"]
 
     def test_duplicate_prediction_rejected(self, tmp_path):
         ds = make_dataset(tmp_path, [triple_row("s", "aa")], [template()])
         doubled = [pred("P1#0", "P1", ["aa"]), pred("P1#0", "P1", ["aa"])]
         with pytest.raises(ValueError, match="duplicate"):
-            precision_at_k(doubled, ds, 1)
+            compute_report(doubled, ds)
 
     def test_missing_prediction_named(self, tmp_path):
         rows = [triple_row(f"s{i}", "aa") for i in range(3)]
         ds = make_dataset(tmp_path, rows, [template()])
         with pytest.raises(ValueError, match="P1#2"):
-            precision_at_k([pred("P1#0", "P1", ["aa"]),
-                            pred("P1#1", "P1", ["aa"])], ds, 1)
+            compute_report([pred("P1#0", "P1", ["aa"]), pred("P1#1", "P1", ["aa"])], ds)
 
     def test_duplicating_a_relation_keeps_macro(self, tmp_path):
         rows = [triple_row("s1", "aa"), triple_row("s2", "aa"),
@@ -86,9 +79,8 @@ class TestPrecision:
         answer = ["aa", "bb"]
         preds_small = [pred(t.id, "P1", answer) for t in ds_small.triples()]
         preds_big = [pred(t.id, "P1", answer) for t in ds_big.triples()]
-        _, macro_small = precision_at_k(preds_small, ds_small, 1)
-        _, macro_big = precision_at_k(preds_big, ds_big, 1)
-        assert macro_small == macro_big
+        assert compute_report(preds_small, ds_small).macro_p1 \
+            == compute_report(preds_big, ds_big).macro_p1
 
 
 class TestMostFrequentFilter:
@@ -97,9 +89,8 @@ class TestMostFrequentFilter:
                 triple_row("s3", "bb")]
         ds = make_dataset(tmp_path, rows, [template()])
         always_aa = [pred(t.id, "P1", ["aa", "bb"]) for t in ds.triples()]
-        _, p1 = precision_at_k(always_aa, ds, 1)
-        assert p1 == pytest.approx(2 / 3)
         report = compute_report(always_aa, ds)
+        assert report.macro_p1 == pytest.approx(2 / 3)
         assert report.p1_mf == 0.0
         assert report.relations_dropped_by_mf == 0
 
@@ -158,7 +149,7 @@ class TestDiversity:
         preds = rank_static(mini_table, mini_vocab, mini_dataset,
                             build_candidates(mini_dataset))
         entropy = compute_report(preds, mini_dataset).entropy_bits
-        labels = {p.top1 for p in preds}
+        labels = {p.ranked[0][0] for p in preds}
         assert 0.0 <= entropy <= math.log2(len(labels)) + 1e-12
 
 
@@ -198,10 +189,10 @@ class TestBuckets:
         ds = make_dataset(tmp_path, rows, [template()])
         preds = [pred("P1#0", "P1", ["cc"]), pred("P1#1", "P1", ["cc", "aa"]),
                  pred("P1#2", "P1", ["aa"])]
-        assert precision_at_k(preds, ds, 1)[1] == pytest.approx(1 / 3)
-        assert precision_at_k(preds, ds, 5)[1] == pytest.approx(1 / 3)
-        # mf is cc, so only the aa triple is kept, and its gold is absent
         report = compute_report(preds, ds, vocab=self.whole_word_vocab(["aa"]))
+        assert report.macro_p1 == pytest.approx(1 / 3)
+        assert report.macro_p5 == pytest.approx(1 / 3)
+        # mf is cc, so only the aa triple is kept, and its gold is absent
         assert (report.p1_mf, report.relations_dropped_by_mf) == (0.0, 0)
         assert report.buckets == {1: {"n": 3, "p1": pytest.approx(1 / 3)}}
 

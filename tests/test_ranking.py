@@ -7,7 +7,7 @@ import pytest
 
 from clozerank import ranking
 from clozerank.embeddings import EmbeddingTable
-from clozerank.kb import CandidateSet, build_candidates
+from clozerank.kb import CandidateSet, Dataset, RelationSpec, Triple, build_candidates
 from clozerank.ranking import (
     Prediction,
     export_mlm_manifest,
@@ -15,7 +15,6 @@ from clozerank.ranking import (
     rank_mlm,
     rank_oracle,
     rank_static,
-    read_score_file,
     save_predictions,
     write_stub_scores,
 )
@@ -86,6 +85,16 @@ class TestStaticRanking:
         assert pred.ranked == [("aa", -1.0), ("bb", -1.0)]
         assert pred.flags["zero_norm"] is True
 
+    def test_blank_subject_composes_no_piece(self):
+        # ingest_dataset rejects a blank label, so only a hand-built Dataset holds one.
+        ds = Dataset("en", {"P1": RelationSpec("P1", TEMPLATE["template"])},
+                     {"P1": [Triple("P1#0", "   ", "P1", "bb")]})
+        cands = {"P1": CandidateSet("P1", ("aa", "bb"))}
+        table = make_table({"aa": [1, 0], "bb": [0, 1]})
+        (pred,) = rank_static(table, make_vocab(["aa", "bb"]), ds, cands)
+        assert pred.ranked == [("aa", -1.0), ("bb", -1.0)]
+        assert pred.flags == {"query_oov": True, "zero_norm": True}
+
     def test_out_of_vocabulary_subject_is_flagged(self, tmp_path):
         entries = {"aa": [1, 0], "bb": [0, 1]}
         ds = make_dataset(tmp_path, [triple_row("zq", "aa")], [TEMPLATE])
@@ -102,7 +111,9 @@ class TestStaticRanking:
             tmp_path, "qq", entries, ["c1", "c2", "c3", "c4"])
         (base,) = rank_static(table, vocab, ds, cands)
         for factor in (0.5, 2.0, 3.7, 7.0):
-            (scaled,) = rank_static(table.scaled(factor), vocab, ds, cands)
+            scaled_table = EmbeddingTable(table.dim, table.entries,
+                                          table.matrix * np.float32(factor))
+            (scaled,) = rank_static(scaled_table, vocab, ds, cands)
             assert [c for c, _ in scaled.ranked] == [c for c, _ in base.ranked]
             # scores drift by float32 rounding of the scaled vectors
             for (_, a), (_, b) in zip(scaled.ranked, base.ranked):
@@ -259,7 +270,7 @@ class TestOracle:
         rows = [triple_row("s1", "bb"), triple_row("s2", "aa")]
         ds = make_dataset(tmp_path, rows, [TEMPLATE])
         preds = rank_oracle(ds, build_candidates(ds))
-        assert all(p.top1 == "aa" for p in preds)
+        assert all(p.ranked[0][0] == "aa" for p in preds)
 
     def test_candidate_outside_gold_objects_scores_zero(self, tmp_path):
         ds = make_dataset(tmp_path, [triple_row("s1", "bb")], [TEMPLATE])
@@ -278,7 +289,7 @@ class TestManifestExport:
         assert n == 1
         row = json.loads(out.read_text(encoding="utf-8"))
         assert row["query_text"] == "ada was born in [MASK] ."
-        assert row["mask_token_ids"] == [vocab.id_for("paris")]
+        assert row["mask_token_ids"] == [vocab.token_to_id["paris"]]
         assert row["candidate_oov"] is False
 
     def test_multi_piece_candidate_gets_one_mask_per_piece(self, tmp_path):
@@ -289,8 +300,7 @@ class TestManifestExport:
         export_mlm_manifest(ds, build_candidates(ds), vocab, out)
         row = json.loads(out.read_text(encoding="utf-8"))
         assert row["query_text"] == "ada was born in [MASK] [MASK] [MASK] ."
-        assert row["mask_token_ids"] == [vocab.id_for("par"), vocab.id_for("##is"),
-                                         vocab.id_for("##ian")]
+        assert row["mask_token_ids"] == [vocab.token_to_id[t] for t in ("par", "##is", "##ian")]
 
     def test_unsegmentable_candidate_flagged(self, tmp_path):
         ds = make_dataset(tmp_path, [triple_row("ada", "qqq", "P19")],
@@ -312,25 +322,26 @@ class TestManifestExport:
 
 
 class TestScoreRecords:
-    """read_score_file applies the one log-prob rule to every row."""
+    """rank_mlm applies the one log-prob rule to every score row."""
 
     def test_score_is_mean_of_token_logprobs(self, tmp_path):
         ds = make_dataset(tmp_path, [triple_row("s1", "aa", "P1")], [TEMPLATE])
         scores = write_scores(tmp_path / "s.jsonl", [("P1#0", "aa", [-1.0, -3.0])])
-        (rec,) = read_score_file(scores)
-        assert (rec.triple_id, rec.candidate, rec.token_logprobs) == ("P1#0", "aa", (-1.0, -3.0))
         (pred,) = rank_mlm(scores, ds, {"P1": CandidateSet("P1", ("aa",))})
         assert pred.ranked == [("aa", -2.0)]
 
     def test_validation(self, tmp_path):
+        ds = make_dataset(tmp_path, [triple_row("s1", "aa", "P1")], [TEMPLATE])
+        cands = {"P1": CandidateSet("P1", ("aa",))}
         # json writes NaN and -Infinity, and Python's json reads them back.
         for lps in ([], [-1.0, 0.5], [math.nan], [-math.inf]):
-            scores = write_scores(tmp_path / "s.jsonl", [("t1", "aa", lps)])
+            scores = write_scores(tmp_path / "s.jsonl", [("P1#0", "aa", lps)])
             with pytest.raises(ValueError) as err:
-                read_score_file(scores)
+                rank_mlm(scores, ds, cands)
             assert str(err.value).startswith(f"{scores}:1: malformed score row")
-        scores = write_scores(tmp_path / "s.jsonl", [("t1", "aa", [0.0])])
-        assert read_score_file(scores)[0].token_logprobs == (0.0,)  # certainty is allowed
+        scores = write_scores(tmp_path / "s.jsonl", [("P1#0", "aa", [0.0])])
+        (pred,) = rank_mlm(scores, ds, cands)
+        assert pred.ranked == [("aa", 0.0)]  # certainty is allowed
 
 
 def write_scores(path, rows):
@@ -424,7 +435,7 @@ class TestMlmRanking:
             ("P1#0", "aa", [-0.5, -0.7]), ("P1#0", "bb", [-1.0]),
         ])
         (pred,) = rank_mlm(good, ds, cands, manifest_path=manifest)
-        assert pred.top1 == "aa"
+        assert pred.ranked[0][0] == "aa"
 
     def test_equal_means_tie_break_lexicographically(self, tmp_path):
         ds, cands = self.setup_single(tmp_path)
@@ -447,8 +458,7 @@ class TestStubScorer:
     def test_lookup_values_pass_through(self, tmp_path):
         manifest = self.make_manifest(tmp_path)
         out = tmp_path / "scores.jsonl"
-        n = write_stub_scores(manifest, out,
-                              lookup={"t1": {"aa": [-0.5]}})
+        n = write_stub_scores(manifest, out, lookup={("t1", "aa"): (-0.5,)})
         assert n == 2
         rows = {r["candidate"]: r["token_logprobs"]
                 for r in map(json.loads, out.read_text().splitlines())}
@@ -461,7 +471,7 @@ class TestStubScorer:
         manifest = self.make_manifest(tmp_path)
         with pytest.raises(ValueError, match="log-probs"):
             write_stub_scores(manifest, tmp_path / "x.jsonl",
-                              lookup={"t1": {"aa": [-0.5, -0.5]}})
+                              lookup={("t1", "aa"): (-0.5, -0.5)})
 
     def test_filler_is_deterministic(self, tmp_path):
         manifest = self.make_manifest(tmp_path)
