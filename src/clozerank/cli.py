@@ -11,7 +11,6 @@ uses, and main runs it with the cyclic garbage collector off.
 """
 
 import argparse
-import dataclasses
 import functools
 import gc
 import hashlib
@@ -193,7 +192,7 @@ def cmd_train_embeddings(ctx: RunContext) -> int:
     table_path = ctx.output("embeddings.vec")
     embeddings.save_table(table, table_path)
     return ctx.finish(f"trained {len(table)} vectors (dim {table.dim}) -> {table_path}",
-                      embed=dataclasses.asdict(cfg), workers=workers)
+                      embed=cfg.to_dict(), workers=workers)
 
 
 def cmd_build_candidates(ctx: RunContext) -> int:

@@ -6,8 +6,6 @@ that touch no vector never load it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .jsonio import RowError, open_text
 from .wordpiece import SubwordVocab
 
@@ -15,25 +13,22 @@ from .wordpiece import SubwordVocab
 SERIALIZATION_DECIMALS = 5
 
 
-@dataclass(frozen=True)
 class EmbedTrainConfig:
     """Hyperparameters for skip-gram training with negative sampling.
 
     char_ngram_min/max of 0 disable character n-grams entirely.
     """
 
-    dim: int = 300
-    window: int = 5
-    negatives: int = 5
-    epochs: int = 5
-    learning_rate: float = 0.05
-    min_count: int = 5
-    char_ngram_min: int = 3
-    char_ngram_max: int = 6
-    ngram_buckets: int = 2_000_000
-    seed: int = 1
+    __slots__ = ("dim", "window", "negatives", "epochs", "learning_rate", "min_count",
+                 "char_ngram_min", "char_ngram_max", "ngram_buckets", "seed")
 
-    def __post_init__(self):
+    def __init__(self, dim: int = 300, window: int = 5, negatives: int = 5, epochs: int = 5,
+                 learning_rate: float = 0.05, min_count: int = 5, char_ngram_min: int = 3,
+                 char_ngram_max: int = 6, ngram_buckets: int = 2_000_000, seed: int = 1):
+        self.dim, self.window, self.negatives, self.epochs = dim, window, negatives, epochs
+        self.learning_rate, self.min_count, self.seed = learning_rate, min_count, seed
+        self.char_ngram_min, self.char_ngram_max = char_ngram_min, char_ngram_max
+        self.ngram_buckets = ngram_buckets
         if self.dim <= 0:
             raise ValueError(f"dim must be positive, got {self.dim}")
         for name in ("window", "negatives", "epochs", "min_count", "ngram_buckets"):
@@ -49,6 +44,10 @@ class EmbedTrainConfig:
     @property
     def ngrams_enabled(self) -> bool:
         return self.char_ngram_min > 0 and self.char_ngram_max > 0
+
+    def to_dict(self) -> dict:
+        """The settings under their names, as a train-embeddings manifest records them."""
+        return {name: getattr(self, name) for name in self.__slots__}
 
 
 class EmbeddingTable:

@@ -5,30 +5,25 @@ defaults for datacenter overhead (PUE 1.58) and grid carbon intensity
 (0.954 lb CO2e per kWh) follow the figures commonly used for US averages.
 """
 
-from dataclasses import dataclass
-
 DEFAULT_PUE = 1.58
 DEFAULT_CARBON_INTENSITY = 0.954
 
 
-@dataclass(frozen=True)
 class EnergyInput:
-    power_watts: float
-    hours: float
-    pue: float = DEFAULT_PUE
-    carbon_intensity: float = DEFAULT_CARBON_INTENSITY
+    __slots__ = ("power_watts", "hours", "pue", "carbon_intensity")
 
-    def __post_init__(self):
-        if self.power_watts <= 0:
-            raise ValueError(f"power_watts must be positive, got {self.power_watts}")
-        if self.hours < 0:
-            raise ValueError(f"hours must be non-negative, got {self.hours}")
-        if self.pue <= 0:
-            raise ValueError(f"pue must be positive, got {self.pue}")
-        if self.carbon_intensity <= 0:
-            raise ValueError(
-                f"carbon_intensity must be positive, got {self.carbon_intensity}"
-            )
+    def __init__(self, power_watts: float, hours: float, pue: float = DEFAULT_PUE,
+                 carbon_intensity: float = DEFAULT_CARBON_INTENSITY):
+        self.power_watts, self.hours, self.pue = power_watts, hours, pue
+        self.carbon_intensity = carbon_intensity
+        if power_watts <= 0:
+            raise ValueError(f"power_watts must be positive, got {power_watts}")
+        if hours < 0:
+            raise ValueError(f"hours must be non-negative, got {hours}")
+        if pue <= 0:
+            raise ValueError(f"pue must be positive, got {pue}")
+        if carbon_intensity <= 0:
+            raise ValueError(f"carbon_intensity must be positive, got {carbon_intensity}")
 
 
 def energy_kwh(inp: EnergyInput) -> float:

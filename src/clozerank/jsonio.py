@@ -13,8 +13,16 @@ from pathlib import Path
 
 # A str holding a surrogate code point has no UTF-8 encoding.
 _SURROGATE = re.compile("[\ud800-\udfff]")
-# One encoder for every JSONL row: json.dumps with an argument builds a new one per call.
-_encode_row = json.JSONEncoder(ensure_ascii=False).encode
+# JSONEncoder.encode builds a C encoder per call; every JSONL row shares this one,
+# which keeps no circular-reference markers, as no row holds itself.
+_row_chunks = json.encoder.c_make_encoder(None, json.JSONEncoder().default,
+    json.encoder.encode_basestring, None, ": ", ", ", False, False, True)
+# One decoder call per JSONL row; unlike json.loads it skips no whitespace.
+_decode_row = json.JSONDecoder().raw_decode
+
+
+def _encode_row(row) -> str:  # the text json.dumps(row, ensure_ascii=False) gives
+    return "".join(_row_chunks(row, 0))
 
 
 def is_utf8_text(value) -> bool:
@@ -65,12 +73,17 @@ def read_jsonl(path, *fields, text=()):
     pick = operator.itemgetter(*fields)
     with open_text(path) as f:
         for lineno, line in enumerate(f, start=1):
-            if not line.strip():
-                continue
-            try:
-                row = json.loads(line)
-            except ValueError as exc:  # also an integer too long to convert
-                raise ValueError(f"{path}:{lineno}: malformed JSON line: {exc}") from None
+            try:  # a value that fills the line, as json.loads reads it
+                row, end = _decode_row(line)
+                if line[end:] not in ("\n", ""):
+                    raise ValueError
+            except ValueError:  # blank, padded or malformed: json.loads decides
+                if not line.strip():
+                    continue
+                try:
+                    row = json.loads(line)
+                except ValueError as exc:  # also an integer too long to convert
+                    raise ValueError(f"{path}:{lineno}: malformed JSON line: {exc}") from None
             if not isinstance(row, dict):
                 raise ValueError(
                     f"{path}:{lineno}: expected a JSON object, got {type(row).__name__}"
@@ -81,7 +94,7 @@ def read_jsonl(path, *fields, text=()):
                 raise ValueError(f"{path}:{lineno}: missing field {exc}") from None
             for name in text:
                 value = row.get(name, "")
-                if not is_utf8_text(value):
+                if not (type(value) is str and (value.isascii() or not _SURROGATE.search(value))):
                     raise ValueError(f"{path}:{lineno}: {name} must be a UTF-8 string, "
                                      f"got {value!r}")
             yield lineno, row, values

@@ -1,7 +1,5 @@
 """KB ingestion: triples, relation templates, typed candidate sets, queries."""
 
-from dataclasses import dataclass, field
-
 from .jsonio import is_utf8_text, open_text, read_jsonl
 from .wordpiece import MASK_TOKEN
 
@@ -9,7 +7,6 @@ SUBJECT_SLOT = "[X]"
 OBJECT_SLOT = "[Y]"
 
 
-@dataclass(frozen=True)
 class Triple:
     """One (subject, relation, object) fact; each field a non-empty UTF-8 string.
 
@@ -18,42 +15,38 @@ class Triple:
     labels' encoding only.
     """
 
-    id: str
-    subject: str
-    relation_id: str
-    object: str
+    __slots__ = ("id", "subject", "relation_id", "object")
 
-    def __post_init__(self):
-        for name in ("id", "subject", "relation_id", "object"):
+    def __init__(self, id: str, subject: str, relation_id: str, object: str):
+        self.id, self.subject, self.relation_id, self.object = id, subject, relation_id, object
+        for name in self.__slots__:
             value = getattr(self, name)
             if not value or name in ("subject", "object") and not is_utf8_text(value):
                 raise ValueError(f"triple field {name} must be a non-empty UTF-8 string")
 
 
-@dataclass(frozen=True)
 class RelationSpec:
     """A relation id with its cloze template."""
 
-    relation_id: str
-    template: str
+    __slots__ = ("relation_id", "template")
 
-    def __post_init__(self):
+    def __init__(self, relation_id: str, template: str):
+        self.relation_id, self.template = relation_id, template
         for slot in (SUBJECT_SLOT, OBJECT_SLOT):
-            if self.template.count(slot) != 1:
+            if template.count(slot) != 1:
                 raise ValueError(
-                    f"template for {self.relation_id!r} must contain exactly one "
-                    f"{slot}: {self.template!r}"
+                    f"template for {relation_id!r} must contain exactly one "
+                    f"{slot}: {template!r}"
                 )
 
 
-@dataclass(frozen=True)
 class CandidateSet:
     """Distinct gold objects of one relation, in lexicographic order."""
 
-    relation_id: str
-    candidates: tuple[str, ...]
+    __slots__ = ("relation_id", "candidates")
 
-    def __post_init__(self):
+    def __init__(self, relation_id: str, candidates: tuple[str, ...]):
+        self.relation_id, self.candidates = relation_id, candidates
         if not self.candidates:
             raise ValueError(f"empty candidate set for {self.relation_id!r}")
         if list(self.candidates) != sorted(set(self.candidates)):
@@ -66,13 +59,15 @@ class CandidateSet:
         return iter(self.candidates)
 
 
-@dataclass
 class Dataset:
     """Triples grouped by relation, with templates attached. Immutable by use."""
 
-    language: str
-    relations: dict[str, RelationSpec]
-    triples_by_relation: dict[str, list[Triple]] = field(default_factory=dict)
+    __slots__ = ("language", "relations", "triples_by_relation")
+
+    def __init__(self, language: str, relations: dict[str, RelationSpec],
+                 triples_by_relation: dict[str, list[Triple]]):
+        self.language, self.relations = language, relations
+        self.triples_by_relation = triples_by_relation
 
     @property
     def relation_ids(self) -> list[str]:

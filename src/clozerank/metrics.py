@@ -8,7 +8,6 @@ top-1 label and the position of its gold object in the ranking.
 
 import math
 from collections import Counter, defaultdict
-from dataclasses import MISSING, asdict, dataclass, field, fields
 from typing import TYPE_CHECKING
 
 from .jsonio import is_number, read_json, write_json
@@ -99,22 +98,27 @@ def _buckets(outcomes: dict, dataset: Dataset, vocab: SubwordVocab) -> dict[int,
     }
 
 
-@dataclass
 class MetricsReport:
     """Full evaluation results; a metric that is undefined, or off in an older file, holds None."""
 
-    per_relation: dict[str, dict]
-    macro_p1: float
-    macro_p5: float | None
-    p1_mf: float | None
-    relations_dropped_by_mf: int | None
-    entropy_bits: float | None
-    avg_distinct_predictions: float | None
-    buckets: dict[int, dict] = field(default_factory=dict)
-    metadata: dict = field(default_factory=dict)
+    # The fields a saved report must hold, each with whether it may be null.
+    _REQUIRED = (("per_relation", False), ("macro_p1", False), ("macro_p5", True),
+                ("p1_mf", True), ("relations_dropped_by_mf", True), ("entropy_bits", True),
+                ("avg_distinct_predictions", True))
+    __slots__ = (*(name for name, _ in _REQUIRED), "buckets", "metadata")
+
+    def __init__(self, per_relation: dict[str, dict], macro_p1: float, macro_p5: float | None,
+                 p1_mf: float | None, relations_dropped_by_mf: int | None,
+                 entropy_bits: float | None, avg_distinct_predictions: float | None,
+                 buckets: dict[int, dict] | None = None, metadata: dict | None = None):
+        self.per_relation, self.macro_p1, self.macro_p5 = per_relation, macro_p1, macro_p5
+        self.p1_mf, self.relations_dropped_by_mf = p1_mf, relations_dropped_by_mf
+        self.entropy_bits, self.avg_distinct_predictions = entropy_bits, avg_distinct_predictions
+        self.buckets = {} if buckets is None else buckets
+        self.metadata = {} if metadata is None else metadata
 
     def to_dict(self) -> dict:
-        out = asdict(self)
+        out = {name: getattr(self, name) for name in self.__slots__}
         out["buckets"] = {str(k): v for k, v in self.buckets.items()}
         return out
 
@@ -133,20 +137,17 @@ class MetricsReport:
         """
         raw = read_json(path)
         required = {}
-        for f in fields(cls):
-            if f.default_factory is not MISSING:
-                continue
-            if f.name not in raw:
-                raise ValueError(f"{path}: missing key {f.name!r}")
-            value = required[f.name] = raw[f.name]
-            if f.name == "per_relation":
+        for name, nullable in cls._REQUIRED:
+            if name not in raw:
+                raise ValueError(f"{path}: missing key {name!r}")
+            value = required[name] = raw[name]
+            if name == "per_relation":
                 ok, kind = isinstance(value, dict), "an object"
             else:
-                nullable = isinstance(None, f.type)  # true for a `T | None` field
                 ok = value is None and nullable or is_number(value)
                 kind = "a number or null" if nullable else "a number"
             if not ok:
-                raise ValueError(f"{path}: key {f.name!r} must be {kind}, got {value!r}")
+                raise ValueError(f"{path}: key {name!r} must be {kind}, got {value!r}")
         buckets = raw.get("buckets", {})
         if not isinstance(buckets, dict):
             raise ValueError(f"{path}: key 'buckets' must be an object, got {buckets!r}")

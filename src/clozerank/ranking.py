@@ -3,29 +3,25 @@
 import hashlib
 import math
 from collections import Counter
-from dataclasses import dataclass, field
 
 from .embeddings import EmbeddingTable, compose
-from .jsonio import is_number, read_json, read_jsonl, write_jsonl
+from .jsonio import read_json, read_jsonl, write_jsonl
 from .kb import CandidateSet, Dataset, instantiate_query
 from .wordpiece import UNK_TOKEN, SubwordVocab, tokenize
 
 
-@dataclass
 class Prediction:
     """Ranked candidates for one triple, scores descending.
 
     Ties sort by the lexicographically smaller candidate label.
     """
 
-    triple_id: str
-    relation_id: str
-    ranked: list[tuple[str, float]]
-    flags: dict = field(default_factory=dict)
+    __slots__ = ("triple_id", "relation_id", "ranked", "flags")
 
-
-def _rank_items(scores: dict[str, float]) -> list[tuple[str, float]]:
-    return sorted(scores.items(), key=lambda item: (-item[1], item[0]))
+    def __init__(self, triple_id: str, relation_id: str, ranked: list[tuple[str, float]],
+                 flags: dict | None = None):
+        self.triple_id, self.relation_id, self.ranked = triple_id, relation_id, ranked
+        self.flags = {} if flags is None else flags
 
 
 def _composed(table: EmbeddingTable, vocab: SubwordVocab, text: str):
@@ -132,7 +128,9 @@ def rank_oracle(dataset: Dataset, candidates: dict[str, CandidateSet]) -> list[P
     for rel in dataset.relation_ids:
         triples = dataset.triples_by_relation[rel]
         freq = Counter(t.object for t in triples)
-        ranked = _rank_items({c: float(freq.get(c, 0)) for c in candidates[rel]})
+        scores = {c: float(freq.get(c, 0)) for c in candidates[rel]}
+        # A stable sort over the sorted labels breaks each tie by label.
+        ranked = [(c, scores[c]) for c in sorted(scores, key=scores.__getitem__, reverse=True)]
         for triple in triples:
             predictions.append(Prediction(
                 triple_id=triple.id, relation_id=rel,
@@ -169,12 +167,12 @@ def export_mlm_manifest(dataset: Dataset, candidates: dict[str, CandidateSet],
 
 def _logprobs(value) -> tuple[float, ...]:
     """token_logprobs as floats: a non-empty JSON list of numbers, each finite and <= 0."""
-    if type(value) is not list or not value or not all(map(is_number, value)):
+    if type(value) is not list or not value or not set(map(type, value)) <= {int, float}:
         raise ValueError(f"token_logprobs must be a non-empty list of numbers, got {value!r}")
     lps = tuple(map(float, value))
-    for lp in lps:
-        if not math.isfinite(lp) or lp > 0:
-            raise ValueError(f"log-prob {lp!r} must be finite and <= 0")
+    if not (all(map(math.isfinite, lps)) and max(lps) <= 0):
+        lp = next(lp for lp in lps if not math.isfinite(lp) or lp > 0)
+        raise ValueError(f"log-prob {lp!r} must be finite and <= 0")
     return lps
 
 
@@ -202,7 +200,7 @@ def _read_manifest(manifest_path):
     for lineno, _, (triple_id, cand, mask_ids) in read_jsonl(
             manifest_path, "triple_id", "candidate", "mask_token_ids",
             text=("triple_id", "candidate")):
-        if not (type(mask_ids) is list and mask_ids and all(type(i) is int for i in mask_ids)):
+        if not (type(mask_ids) is list and set(map(type, mask_ids)) == {int}):
             raise ValueError(f"{manifest_path}:{lineno}: mask_token_ids must be a list "
                              f"of one or more integers, got {mask_ids!r}")
         yield lineno, triple_id, cand, len(mask_ids)
@@ -252,8 +250,9 @@ def rank_mlm(score_path, dataset: Dataset, candidates: dict[str, CandidateSet],
                     missing.append((triple.id, cand))
                 else:
                     scores[cand] = sum(lps) / len(lps)
-            predictions.append(Prediction(triple.id, rel, _rank_items(scores),
-                                          {"query_oov": False}))
+            # As in rank_oracle: a stable sort over the sorted labels breaks each tie by label.
+            ranked = [(c, scores[c]) for c in sorted(scores, key=scores.__getitem__, reverse=True)]
+            predictions.append(Prediction(triple.id, rel, ranked, {"query_oov": False}))
     if missing:
         shown = ", ".join(repr(m) for m in sorted(missing)[:10])
         raise ValueError(f"{len(missing)} (triple, candidate) pairs unscored: {shown}")
@@ -261,14 +260,6 @@ def rank_mlm(score_path, dataset: Dataset, candidates: dict[str, CandidateSet],
         shown = ", ".join(repr(e) for e in sorted(by_pair)[:10])
         raise ValueError(f"{len(by_pair)} score rows match no (triple, candidate) pair: {shown}")
     return predictions
-
-
-def _stub_logprob(triple_id: str, candidate: str, position: int) -> float:
-    digest = hashlib.sha256(
-        f"{triple_id}\t{candidate}\t{position}".encode("utf-8")
-    ).digest()
-    unit = int.from_bytes(digest[:8], "big") / 2 ** 64
-    return -0.01 - 7.99 * unit
 
 
 def read_lookup(path) -> dict[tuple[str, str], tuple[float, ...]]:
@@ -293,22 +284,30 @@ def write_stub_scores(manifest_path, out_path, lookup=None) -> int:
     """Generate a valid score file from a manifest without any external model.
 
     lookup, as read_lookup returns it, maps (triple_id, candidate) to that
-    pair's log-probs; pairs not covered get deterministic filler values. A
-    manifest that fails part way leaves out_path as it was. Returns the number
-    of rows written.
+    pair's log-probs; pairs not covered get deterministic filler values, and
+    a lookup pair that matches no manifest row is an error. A manifest that
+    fails part way leaves out_path as it was. Returns the number of rows
+    written.
     """
     lookup = lookup or {}
+    unused = set(lookup)
 
     def rows():
         for lineno, triple_id, cand, masks in _read_manifest(manifest_path):
             key = (triple_id, cand)
             lps = lookup.get(key)
-            if lps is None:
-                lps = [_stub_logprob(*key, i) for i in range(masks)]
+            unused.discard(key)
+            if lps is None:  # filler from sha256 of "triple_id\tcandidate\tposition"
+                prefix = f"{triple_id}\t{cand}\t".encode("utf-8")
+                digests = (hashlib.sha256(prefix + b"%d" % i).digest() for i in range(masks))
+                lps = [-0.01 - 7.99 * (int.from_bytes(d[:8], "big") / 2 ** 64) for d in digests]
             elif len(lps) != masks:
                 raise ValueError(f"{manifest_path}:{lineno}: lookup for {key!r} has "
                                  f"{len(lps)} log-probs, manifest wants {masks}")
             yield {"triple_id": triple_id, "candidate": cand, "token_logprobs": lps}
+        if unused:
+            shown = ", ".join(repr(p) for p in sorted(unused)[:10])
+            raise ValueError(f"{len(unused)} lookup pairs match no manifest row: {shown}")
     return write_jsonl(out_path, rows())
 
 

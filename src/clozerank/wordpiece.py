@@ -3,7 +3,6 @@
 import hashlib
 import heapq
 from collections import Counter
-from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from .jsonio import RowError, open_text, read_json, write_json
@@ -15,21 +14,21 @@ SPECIAL_TOKENS = (UNK_TOKEN, MASK_TOKEN)
 CONTINUATION = "##"
 
 
-@dataclass(frozen=True)
 class VocabTrainConfig:
     """Settings for training a wordpiece vocabulary."""
 
-    target_size: int
-    min_frequency: int = 1
-    max_word_length: int = 100
+    __slots__ = ("target_size", "min_frequency", "max_word_length")
 
-    def __post_init__(self):
-        if self.target_size <= 0:
-            raise ValueError(f"target_size must be positive, got {self.target_size}")
-        if self.min_frequency <= 0:
-            raise ValueError(f"min_frequency must be positive, got {self.min_frequency}")
-        if self.max_word_length <= 0:
-            raise ValueError(f"max_word_length must be positive, got {self.max_word_length}")
+    def __init__(self, target_size: int, min_frequency: int = 1, max_word_length: int = 100):
+        self.target_size, self.min_frequency = target_size, min_frequency
+        self.max_word_length = max_word_length
+        for name, value in self.to_dict().items():
+            if value <= 0:
+                raise ValueError(f"{name} must be positive, got {value}")
+
+    def to_dict(self) -> dict:
+        """The settings under their names, as the sidecar records them."""
+        return {name: getattr(self, name) for name in self.__slots__}
 
 
 class SubwordVocab:
@@ -334,7 +333,7 @@ def save_vocab_with_sidecar(vocab: SubwordVocab, cfg: VocabTrainConfig,
     """Write vocab.txt plus a JSON sidecar recording cfg and the corpus digest."""
     vocab.save(vocab_path)
     write_json(f"{vocab_path}.json", {
-        "config": asdict(cfg),
+        "config": cfg.to_dict(),
         "size": vocab.size,
         "specials": list(SPECIAL_TOKENS),
         "normalization": "none",

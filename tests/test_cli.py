@@ -284,6 +284,25 @@ class TestMlmPipeline:
                                     tmp_path / "predictions_mlm.jsonl"))
         assert report["macro_p1"] == pytest.approx(5 / 6, rel=1e-12)
 
+    @pytest.mark.parametrize("lookup, unused", [
+        ({"P19#99": {"rome": [-0.5]}}, "1 lookup pairs match no manifest row: ('P19#99', 'rome')"),
+        ({"P19#0": {"madrid": [-0.1], "rome": [-0.5]}},
+         "1 lookup pairs match no manifest row: ('P19#0', 'madrid')"),
+        ({"P19#99": {"rome": [-0.5]}, "P19#0": {"madrid": [-0.1]}},
+         "2 lookup pairs match no manifest row: ('P19#0', 'madrid'), ('P19#99', 'rome')"),
+    ], ids=["unknown-triple", "unknown-candidate", "both"])
+    def test_lookup_pair_without_manifest_row_exits_1(self, tmp_path, capsys, lookup, unused):
+        manifest, scores = export_and_stub_score(tmp_path)
+        earlier = scores.read_bytes()
+        path = tmp_path / "lookup.json"
+        path.write_text(json.dumps(lookup), encoding="utf-8")
+        assert run_cli(["stub-score", "--manifest", manifest, "--lookup", path,
+                        "--output", tmp_path]) == 1
+        assert cli_error(capsys) == {"command": "stub-score", "error": "ValueError",
+                                     "message": unused}
+        assert scores.read_bytes() == earlier
+        assert not (tmp_path / "stub_scores.jsonl.part").exists()
+
 
 class TestEnergyCommand:
     def test_run_with_baseline(self, tmp_path):
@@ -853,8 +872,8 @@ class TestConfigValueShapes:
 class TestManifestMaskIds:
     """mask_token_ids must be a list of one or more integers; anything else names path:line."""
 
-    @pytest.mark.parametrize("value", [5, [True], ["3"], []],
-                             ids=["int", "bool", "str", "empty"])
+    @pytest.mark.parametrize("value", [5, [True], ["3"], [], [1.0]],
+                             ids=["int", "bool", "str", "empty", "float"])
     @pytest.mark.parametrize("command", ["stub-score", "rank-mlm"])
     def test_mistyped_mask_ids_rejected(self, tmp_path, capsys, command, value):
         manifest, scores = export_and_stub_score(tmp_path / "mlm")
@@ -868,7 +887,8 @@ class TestManifestMaskIds:
         assert run_cli([*argv, "--output", tmp_path / "out"]) == 1
         record = cli_error(capsys)
         assert record["error"] == "ValueError"
-        assert record["message"].startswith(f"{manifest}:1: mask_token_ids must be a list")
+        assert record["message"] == (f"{manifest}:1: mask_token_ids must be a list of one "
+                                     f"or more integers, got {value!r}")
 
 
 class TestReportInputTypes:

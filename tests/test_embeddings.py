@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import json
 import math
@@ -39,6 +38,11 @@ def make_table(entries, dim):
 
 def make_vocab(words):
     return SubwordVocab(list(SPECIAL_TOKENS) + sorted(words))
+
+
+def reconfigured(cfg, **changes):
+    """cfg's settings with changes applied, as a new config."""
+    return EmbedTrainConfig(**{**cfg.to_dict(), **changes})
 
 
 class TestConfig:
@@ -421,7 +425,7 @@ class TestBatchedTrainer:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for seed in seeds:
-                table = train_static_embeddings(corpus, vocab, dataclasses.replace(cfg, seed=seed))
+                table = train_static_embeddings(corpus, vocab, reconfigured(cfg, seed=seed))
                 assert np.isfinite(table.matrix).all(), f"seed {seed}"
 
     def test_batches_match_a_per_pair_reference(self):
@@ -486,18 +490,18 @@ class TestBatchedTrainer:
         corpus = [[ids[i % 4]] for i in range(0, 60, 3)] + [[ids[1]]] * 5
         cfg = EmbedTrainConfig(dim=8, window=5, min_count=1, char_ngram_min=0,
                                char_ngram_max=0, seed=3)
-        one = train_static_embeddings(corpus, vocab, dataclasses.replace(cfg, epochs=1))
-        three = train_static_embeddings(corpus, vocab, dataclasses.replace(cfg, epochs=3))
+        one = train_static_embeddings(corpus, vocab, reconfigured(cfg, epochs=1))
+        three = train_static_embeddings(corpus, vocab, reconfigured(cfg, epochs=3))
         initial = np.random.default_rng(3).random((4, 8), dtype=np.float32)
         initial -= np.float32(0.5)
         initial *= np.float32(2.0 / 8)
         assert list(one.entries) == ["aa", "bb", "cc", "dd"]
         assert np.array_equal(one.matrix, three.matrix)
         assert np.array_equal(one.matrix, initial)
-        hashed = dataclasses.replace(cfg, char_ngram_min=1, char_ngram_max=2)
+        hashed = reconfigured(cfg, char_ngram_min=1, char_ngram_max=2)
         assert np.array_equal(
-            train_static_embeddings(corpus, vocab, dataclasses.replace(hashed, epochs=1)).matrix,
-            train_static_embeddings(corpus, vocab, dataclasses.replace(hashed, epochs=3)).matrix)
+            train_static_embeddings(corpus, vocab, reconfigured(hashed, epochs=1)).matrix,
+            train_static_embeddings(corpus, vocab, reconfigured(hashed, epochs=3)).matrix)
 
     def test_one_long_line_trains_in_bounded_memory(self):
         # 4000 tokens over a 20k-token line rarely repeat, so only the center

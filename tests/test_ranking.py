@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import random
@@ -15,6 +16,7 @@ from clozerank.ranking import (
     rank_mlm,
     rank_oracle,
     rank_static,
+    read_lookup,
     save_predictions,
     write_stub_scores,
 )
@@ -278,6 +280,14 @@ class TestOracle:
         (pred,) = rank_oracle(ds, cands)
         assert pred.ranked == [("bb", 1.0), ("aa", 0.0)]
 
+    def test_ties_at_every_frequency_rank_by_label(self, tmp_path):
+        rows = [triple_row(f"s{i}", obj) for i, obj in enumerate("dd bb cc bb dd aa".split())]
+        ds = make_dataset(tmp_path, rows, [TEMPLATE])
+        cands = {"P1": CandidateSet("P1", ("aa", "bb", "cc", "dd", "ee", "ff"))}
+        for pred in rank_oracle(ds, cands):
+            assert pred.ranked == [("bb", 2.0), ("dd", 2.0), ("aa", 1.0), ("cc", 1.0),
+                                   ("ee", 0.0), ("ff", 0.0)]
+
 
 class TestManifestExport:
     def test_single_piece_candidate(self, tmp_path):
@@ -342,6 +352,29 @@ class TestScoreRecords:
         scores = write_scores(tmp_path / "s.jsonl", [("P1#0", "aa", [0.0])])
         (pred,) = rank_mlm(scores, ds, cands)
         assert pred.ranked == [("aa", 0.0)]  # certainty is allowed
+
+    @pytest.mark.parametrize("lps, problem", [
+        ([True], "token_logprobs must be a non-empty list of numbers, got [True]"),
+        (["-1"], "token_logprobs must be a non-empty list of numbers, got ['-1']"),
+        ([], "token_logprobs must be a non-empty list of numbers, got []"),
+        ([math.nan], "log-prob nan must be finite and <= 0"),
+        ([math.inf], "log-prob inf must be finite and <= 0"),
+        ([0.5], "log-prob 0.5 must be finite and <= 0"),
+        ([-1, 0.5, 2], "log-prob 0.5 must be finite and <= 0"),
+        ([-10 ** 400], "int too large to convert to float"),
+    ], ids=["bool", "numeric-str", "empty", "nan", "infinity", "positive", "first-bad",
+            "huge-int"])
+    def test_score_rows_and_lookups_name_the_same_problem(self, tmp_path, lps, problem):
+        ds = make_dataset(tmp_path, [triple_row("s1", "aa", "P1")], [TEMPLATE])
+        scores = write_scores(tmp_path / "s.jsonl", [("P1#0", "aa", lps)])
+        with pytest.raises(ValueError) as err:
+            rank_mlm(scores, ds, {"P1": CandidateSet("P1", ("aa",))})
+        assert str(err.value) == f"{scores}:1: malformed score row: {problem}"
+        lookup = tmp_path / "lookup.json"
+        lookup.write_text(json.dumps({"P1#0": {"aa": lps}}), encoding="utf-8")
+        with pytest.raises(ValueError) as err:
+            read_lookup(lookup)
+        assert str(err.value) == f"{lookup}: lookup entry 'P1#0', candidate 'aa': {problem}"
 
 
 def write_scores(path, rows):
@@ -445,6 +478,19 @@ class TestMlmRanking:
         (pred,) = rank_mlm(scores, ds, cands)
         assert [cand for cand, _ in pred.ranked] == ["aa", "bb"]
 
+    @pytest.mark.parametrize("first, second, mean", [
+        ([-1.0, -3.0], [-2.0], -2.0), ([-2.0], [-1.0, -3.0], -2.0),
+        ([0.0], [-0.0], 0.0), ([-0.0], [0.0], 0.0),
+    ], ids=["two-one", "one-two", "zero-negative-zero", "negative-zero-zero"])
+    def test_equal_means_from_different_rows_rank_the_smaller_label_first(
+            self, tmp_path, first, second, mean):
+        ds, cands = self.setup_single(tmp_path)
+        scores = write_scores(tmp_path / "s.jsonl", [
+            ("P1#0", "bb", first), ("P1#0", "aa", second),
+        ])
+        (pred,) = rank_mlm(scores, ds, cands)
+        assert pred.ranked == [("aa", mean), ("bb", mean)]
+
 
 class TestStubScorer:
     def make_manifest(self, tmp_path):
@@ -479,6 +525,33 @@ class TestStubScorer:
         write_stub_scores(manifest, a)
         write_stub_scores(manifest, b)
         assert a.read_text() == b.read_text()
+
+    def test_filler_hashes_pair_and_position(self, tmp_path):
+        out = tmp_path / "scores.jsonl"
+        write_stub_scores(self.make_manifest(tmp_path), out)
+        rows = {r["candidate"]: r["token_logprobs"]
+                for r in map(json.loads, out.read_text().splitlines())}
+        for cand, lps in rows.items():
+            for i, lp in enumerate(lps):
+                digest = hashlib.sha256(f"t1\t{cand}\t{i}".encode("utf-8")).digest()
+                assert lp == -0.01 - 7.99 * (int.from_bytes(digest[:8], "big") / 2 ** 64)
+        assert [len(lps) for lps in rows.values()] == [1, 2]
+
+    @pytest.mark.parametrize("lookup, unused", [
+        ({("t9", "aa"): (-0.5,)}, "('t9', 'aa')"),
+        ({("t1", "zz"): (-0.5,), ("t1", "aa"): (-0.5,)}, "('t1', 'zz')"),
+        ({(f"t{i:02d}", "aa"): (-0.5,) for i in range(2, 14)},
+         ", ".join(f"('t{i:02d}', 'aa')" for i in range(2, 12))),
+    ], ids=["unknown-triple", "unknown-candidate", "first-ten"])
+    def test_lookup_pair_without_manifest_row_rejected(self, tmp_path, lookup, unused):
+        out = tmp_path / "scores.jsonl"
+        out.write_text("earlier\n", encoding="utf-8")
+        with pytest.raises(ValueError) as err:
+            write_stub_scores(self.make_manifest(tmp_path), out, lookup=lookup)
+        count = len(lookup) - (("t1", "aa") in lookup)
+        assert str(err.value) == f"{count} lookup pairs match no manifest row: {unused}"
+        assert out.read_text(encoding="utf-8") == "earlier\n"
+        assert not (tmp_path / "scores.jsonl.part").exists()
 
 
 class TestPredictionIO:

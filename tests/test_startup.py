@@ -1,9 +1,10 @@
 """Commands load only what they run: numpy, and the clozerank modules a command needs.
 
 Functions that use numpy import it, and each CLI command imports its own
-library modules. The test process has imported both long ago, so each check
-runs its commands in a fresh interpreter that imports clozerank from the same
-source tree.
+library modules. The records are plain slotted classes, so no command loads
+dataclasses. The test process has imported all of these long ago, so each
+check runs its commands in a fresh interpreter that imports clozerank from
+the same source tree.
 """
 
 import json
@@ -25,8 +26,8 @@ KB_ARGS = ["--triples", str(FIXTURES / "mini_triples.jsonl"),
 
 # Runs each argv list (JSON in argv[1]) through cli.main in order. Exits 4 if
 # importing the CLI put numpy in sys.modules, 3 on the first failing command,
-# and otherwise prints, as JSON, whether numpy is in sys.modules after the
-# commands and which clozerank modules are.
+# and otherwise prints, as JSON, whether numpy and dataclasses are in
+# sys.modules after the commands and which clozerank modules are.
 SCRIPT = """
 import json, sys
 from clozerank.cli import main
@@ -35,21 +36,22 @@ if "numpy" in sys.modules:
 for argv in json.loads(sys.argv[1]):
     if main(argv) != 0:
         sys.exit(3)
-print(json.dumps({"numpy": "numpy" in sys.modules,
+print(json.dumps({"numpy": "numpy" in sys.modules, "dataclasses": "dataclasses" in sys.modules,
                   "modules": [m for m in sys.modules if m.startswith("clozerank.")]}))
 """
 
 
 def run_fresh(commands) -> dict:
     """Run commands in a new interpreter; return whether they loaded numpy
-    ("numpy") and the set of clozerank modules loaded ("modules")."""
+    ("numpy") and dataclasses ("dataclasses"), and the set of clozerank
+    modules loaded ("modules")."""
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-c", SCRIPT, json.dumps(commands)],
                           env={**os.environ, "PYTHONPATH": path},
                           capture_output=True, text=True)
     assert proc.returncode == 0, (proc.returncode, proc.stderr)
     loaded = json.loads(proc.stdout.splitlines()[-1])
-    return {"numpy": loaded["numpy"], "modules": set(loaded["modules"])}
+    return {**loaded, "modules": set(loaded["modules"])}
 
 
 def test_non_vector_pipeline_leaves_numpy_unloaded(tmp_path):
@@ -69,6 +71,8 @@ COMMAND_MODULES = {
     "tokenize": ("wordpiece", ("kb", "ranking", "metrics", "embeddings", "energy")),
     "build-candidates": ("kb", ("ranking", "metrics", "embeddings")),
     "rank oracle": ("ranking", ("metrics",)),
+    "stub-score": ("ranking", ("metrics", "energy")),
+    "evaluate": ("metrics", ("energy",)),
 }
 
 
@@ -76,17 +80,26 @@ COMMAND_MODULES = {
 def test_command_loads_only_the_modules_it_runs(tmp_path, command):
     corpus = tmp_path / "corpus.txt"
     corpus.write_text("paris is big\nrome and paris\nberlin is old\n" * 5, encoding="utf-8")
+    inputs = str(tmp_path / "inputs")
+    assert main(["export-manifest", *KB_ARGS, "--vocab", str(FIXTURES / "mini_vocab.txt"),
+                 "--output", inputs]) == 0
+    assert main(["rank", "oracle", *KB_ARGS, "--output", inputs]) == 0
     argv = {
         "build-vocab": ["build-vocab", "--corpus", str(corpus), "--target-size", "40"],
         "tokenize": ["tokenize", "--vocab", str(FIXTURES / "mini_vocab.txt"),
                      "--input", str(corpus)],
         "build-candidates": ["build-candidates", *KB_ARGS],
         "rank oracle": ["rank", "oracle", *KB_ARGS],
+        "stub-score": ["stub-score", "--manifest", f"{inputs}/mlm_manifest.jsonl"],
+        "evaluate": ["evaluate", *KB_ARGS, "--predictions",
+                     f"{inputs}/predictions_oracle.jsonl"],
     }[command]
-    loaded = run_fresh([[*argv, "--output", str(tmp_path / "out")]])["modules"]
+    fresh = run_fresh([[*argv, "--output", str(tmp_path / "out")]])
+    loaded = fresh["modules"]
     runs, unused = COMMAND_MODULES[command]
     assert f"clozerank.{runs}" in loaded
     assert not loaded & {f"clozerank.{name}" for name in unused}, sorted(loaded)
+    assert not fresh["dataclasses"]
 
 
 def test_rank_static_loads_numpy_and_matches_in_process_run(tmp_path):
