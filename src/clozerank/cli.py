@@ -251,8 +251,6 @@ def cmd_evaluate(ctx: RunContext) -> int:
     predictions = ranking.load_predictions(ctx.input("predictions"))
     vocab = ctx.vocab(required=False)
     report = metrics.compute_report(predictions, dataset, vocab=vocab)
-    if vocab is not None:
-        report.metadata["vocab_size"] = vocab.size
 
     report_path = ctx.output("metrics.json")
     report.save(report_path)

@@ -312,10 +312,15 @@ def train_static_embeddings(tokenized_corpus, vocab: SubwordVocab,
     return EmbeddingTable(cfg.dim, [vocab.tokens[tid] for tid in kept_ids], means)
 
 
+def _unsaveable(token: str) -> bool:
+    """Whether a token is empty or holds whitespace, so no .vec row can carry it."""
+    return token.split() != [token]
+
+
 def save_table(table: EmbeddingTable, path) -> None:
     """Write the text format: header "count dim", then "token v1 .. vd" rows."""
     for token in table.entries:
-        if not token or any(ch.isspace() for ch in token):
+        if _unsaveable(token):
             raise ValueError(
                 f"cannot save token {token!r}: tokens must be non-empty "
                 "and contain no whitespace"
@@ -351,6 +356,9 @@ def load_table(path) -> EmbeddingTable:
                 rows.append(np.array([float(x) for x in parts[1:]], dtype=np.float32))
             except ValueError:
                 raise ValueError(f"{path}:{lineno}: non-numeric vector value") from None
+            if _unsaveable(parts[0]):
+                raise ValueError(f"{path}:{lineno}: token {parts[0]!r} is empty or holds "
+                                 "whitespace")
             tokens.append(parts[0])
     if len(tokens) != count:
         raise ValueError(f"{path}: header declares {count} rows, found {len(tokens)}")

@@ -7,7 +7,7 @@ top-1 label and the position of its gold object in the ranking.
 """
 
 import math
-from collections import Counter, defaultdict
+from collections import Counter
 from typing import TYPE_CHECKING
 
 from .jsonio import is_number, read_json, write_json
@@ -40,62 +40,10 @@ def _outcomes(predictions: "list[Prediction]", dataset: Dataset) -> dict[str, tu
     return outcomes
 
 
-def _precision_at_k(outcomes: dict, dataset: Dataset, k: int) -> tuple[dict[str, float], float]:
-    """Per-relation hit rate of the gold object in the top k, plus its macro mean."""
-    per_relation = {}
-    for rel in dataset.relation_ids:
-        triples = dataset.triples_by_relation[rel]
-        per_relation[rel] = sum(1 for t in triples if outcomes[t.id][1] < k) / len(triples)
-    return per_relation, sum(per_relation.values()) / len(per_relation)
-
-
 def most_frequent_object(dataset: Dataset, relation_id: str) -> str:
     """The relation's most common gold object, ties going to the smaller label."""
     freq = Counter(t.object for t in dataset.triples_by_relation[relation_id])
     return min(freq, key=lambda obj: (-freq[obj], obj))
-
-
-def _p1_mf(outcomes: dict, dataset: Dataset) -> tuple[float | None, int]:
-    """(Macro p@1 without each relation's most frequent object, relations left empty)."""
-    per_relation = []
-    for rel in dataset.relation_ids:
-        mf = most_frequent_object(dataset, rel)
-        kept = [t for t in dataset.triples_by_relation[rel] if t.object != mf]
-        if kept:
-            per_relation.append(sum(1 for t in kept if outcomes[t.id][1] == 0) / len(kept))
-    dropped = len(dataset.relation_ids) - len(per_relation)
-    return (sum(per_relation) / len(per_relation) if per_relation else None), dropped
-
-
-def _diversity(outcomes: dict, dataset: Dataset) -> tuple[float, float]:
-    """(Base-2 entropy of the pooled top-1 labels, mean distinct top-1 per relation)."""
-    pooled = Counter()
-    distinct_counts = []
-    for rel in dataset.relation_ids:
-        tops = [outcomes[t.id][0] for t in dataset.triples_by_relation[rel]]
-        pooled.update(tops)
-        distinct_counts.append(len(set(tops)))
-    total = sum(pooled.values())
-    entropy = 0.0
-    for label in sorted(pooled):
-        p = pooled[label] / total
-        entropy -= p * math.log2(p)
-    return entropy, sum(distinct_counts) / len(distinct_counts)
-
-
-def _buckets(outcomes: dict, dataset: Dataset, vocab: SubwordVocab) -> dict[int, dict]:
-    """Micro p@1 grouped by how many pieces the subject tokenizes into."""
-    hits = defaultdict(int)
-    totals = defaultdict(int)
-    for triple in dataset.triples():
-        length = len(tokenize(vocab, triple.subject))
-        totals[length] += 1
-        if outcomes[triple.id][1] == 0:
-            hits[length] += 1
-    return {
-        length: {"n": totals[length], "p1": hits[length] / totals[length]}
-        for length in sorted(totals)
-    }
 
 
 class MetricsReport:
@@ -168,34 +116,50 @@ class MetricsReport:
 
 def compute_report(predictions: "list[Prediction]", dataset: Dataset,
                    vocab: SubwordVocab = None) -> MetricsReport:
-    """Full evaluation over one prediction set; buckets need a vocabulary."""
+    """Full evaluation over one prediction set, one pass per relation.
+
+    A vocabulary adds the subject-length buckets and metadata vocab_size.
+    """
     outcomes = _outcomes(predictions, dataset)
-    p1_by_rel, macro_p1 = _precision_at_k(outcomes, dataset, 1)
-    p5_by_rel, macro_p5 = _precision_at_k(outcomes, dataset, 5)
-    p1_mf, dropped = _p1_mf(outcomes, dataset)
-    entropy, avg_distinct = _diversity(outcomes, dataset)
-    per_relation = {
-        rel: {"n_triples": len(dataset.triples_by_relation[rel]),
-              "p_at_1": p1_by_rel[rel], "p_at_5": p5_by_rel[rel]}
-        for rel in dataset.relation_ids
-    }
-    buckets = _buckets(outcomes, dataset, vocab) if vocab is not None else {}
+    per_relation, p1_mf, distinct, pooled = {}, [], [], Counter()
+    bucket_n, bucket_hits = Counter(), Counter()
+    for rel in dataset.relation_ids:
+        triples = dataset.triples_by_relation[rel]
+        tops = [outcomes[t.id][0] for t in triples]
+        ranks = [outcomes[t.id][1] for t in triples]
+        per_relation[rel] = {"n_triples": len(triples), "p_at_1": ranks.count(0) / len(ranks),
+                             "p_at_5": sum(rank < 5 for rank in ranks) / len(ranks)}
+        mf = most_frequent_object(dataset, rel)
+        kept = [rank for t, rank in zip(triples, ranks) if t.object != mf]
+        if kept:
+            p1_mf.append(kept.count(0) / len(kept))
+        pooled.update(tops)
+        distinct.append(len(set(tops)))
+        if vocab is not None:
+            lengths = [len(tokenize(vocab, t.subject)) for t in triples]
+            bucket_n.update(lengths)
+            bucket_hits.update(n for n, rank in zip(lengths, ranks) if rank == 0)
+    total = sum(pooled.values())
+    entropy = 0.0
+    for label in sorted(pooled):
+        p = pooled[label] / total
+        entropy -= p * math.log2(p)
+    metadata = {"n_relations": len(per_relation), "n_triples": dataset.n_triples,
+                "entropy_scope": "pooled-top1-base2", "bucket_aggregation": "micro",
+                "language": dataset.language}
+    if vocab is not None:
+        metadata["vocab_size"] = vocab.size
     return MetricsReport(
         per_relation=per_relation,
-        macro_p1=macro_p1,
-        macro_p5=macro_p5,
-        p1_mf=p1_mf,
-        relations_dropped_by_mf=dropped,
+        macro_p1=sum(row["p_at_1"] for row in per_relation.values()) / len(per_relation),
+        macro_p5=sum(row["p_at_5"] for row in per_relation.values()) / len(per_relation),
+        p1_mf=sum(p1_mf) / len(p1_mf) if p1_mf else None,
+        relations_dropped_by_mf=len(per_relation) - len(p1_mf),
         entropy_bits=entropy,
-        avg_distinct_predictions=avg_distinct,
-        buckets=buckets,
-        metadata={
-            "n_relations": len(dataset.relation_ids),
-            "n_triples": dataset.n_triples,
-            "entropy_scope": "pooled-top1-base2",
-            "bucket_aggregation": "micro",
-            "language": dataset.language,
-        },
+        avg_distinct_predictions=sum(distinct) / len(distinct),
+        buckets={length: {"n": n, "p1": bucket_hits[length] / n}
+                 for length, n in sorted(bucket_n.items())},
+        metadata=metadata,
     )
 
 

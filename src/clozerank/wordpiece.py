@@ -44,8 +44,11 @@ class SubwordVocab:
         self.max_word_length = max_word_length
         self.sidecar: str | None = None  # the <path>.json that load() read, if any
         for i, tok in enumerate(self.tokens):
-            if not tok:
-                raise RowError(i, "empty token in vocabulary")
+            # str.split() keeps tok whole only if it is non-empty and holds no
+            # whitespace, as every token training writes; one C-level call.
+            if tok.split() != [tok]:
+                raise RowError(i, f"token {tok!r} holds whitespace" if tok
+                               else "empty token in vocabulary")
             if tok == CONTINUATION:
                 raise RowError(i, f"continuation token {tok!r} has no content")
             if self.token_to_id.setdefault(tok, i) != i:

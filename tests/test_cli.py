@@ -1274,7 +1274,9 @@ class TestVocabularyFileLocations:
         (lambda lines: lines + ["carla"], ":25: duplicate token 'carla'"),
         (lambda lines: lines + ["##"], ":25: continuation token '##' has no content"),
         (lambda lines: lines[:1] + lines[2:], ": missing special token '[MASK]'"),
-    ], ids=["blank", "repeated", "bare-continuation", "no-mask"])
+        (lambda lines: lines[:2] + ["paris "] + lines[3:], ":3: token 'paris ' holds whitespace"),
+        (lambda lines: lines[:2] + ["a\tb"] + lines[3:], ":3: token 'a\\tb' holds whitespace"),
+    ], ids=["blank", "repeated", "bare-continuation", "no-mask", "trailing-space", "tab"])
     def test_rank_static_names_the_line(self, tmp_path, capsys, edit, problem):
         lines = Path(MINI["vocab"]).read_text(encoding="utf-8").splitlines()
         vocab = tmp_path / "vocab.txt"

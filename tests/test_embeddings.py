@@ -587,6 +587,18 @@ class TestInputLocations:
         assert repr(token) in str(err.value)
         assert not path.exists()
 
+    @pytest.mark.parametrize("token", ["", "b\t"], ids=["empty", "tab"])
+    def test_unsaveable_token_row_rejected_with_location(self, tmp_path, token):
+        # Such a row would load under a token no lookup can match; save_table
+        # refuses to write it, and load_table refuses to read it.
+        with pytest.raises(ValueError, match="cannot save token"):
+            save_table(make_table({"a": [1.0, 2.0], token: [0.3, 0.4]}, 2), tmp_path / "t.vec")
+        path = tmp_path / "bad.vec"
+        path.write_text(f"3 2\na 1 2\n{token} 0.3 0.4\nc 5 6\n", encoding="utf-8")
+        with pytest.raises(ValueError) as err:
+            load_table(path)
+        assert str(err.value) == f"{path}:3: token {token!r} is empty or holds whitespace"
+
 
 class TestNgramHashing:
     # published FNV-1a 32-bit reference values pin the hash choice

@@ -276,6 +276,12 @@ class TestReport:
         assert raw["metadata"]["bucket_aggregation"] == "micro"
         assert raw["metadata"]["language"] == "en"
 
+    def test_vocab_size_recorded_only_with_a_vocabulary(self, mini_dataset, mini_vocab):
+        preds = [pred(t.id, t.relation_id, [t.object]) for t in mini_dataset.triples()]
+        assert compute_report(preds, mini_dataset, vocab=mini_vocab).metadata["vocab_size"] \
+            == mini_vocab.size
+        assert "vocab_size" not in compute_report(preds, mini_dataset).metadata
+
     def test_predictions_outside_the_dataset_are_ignored(self, tmp_path):
         rows = [triple_row("s1", "aa"), triple_row("s2", "bb", "P2")]
         full = make_dataset(tmp_path, rows, [template(), template("P2")])
