@@ -215,8 +215,13 @@ def cmd_export_manifest(ctx: RunContext) -> int:
 
 def cmd_rank(ctx: RunContext) -> int:
     from . import embeddings, ranking
-    dataset, candidates = ctx.dataset()
     mode = ctx.args.mode
+    # A flag that only another mode reads is an error, not ignored; a config key is not.
+    reads = {"static": ("table", "vocab", "exclude_subject_match"), "mlm": ("scores", "manifest")}
+    for key in sum(reads.values(), ()):
+        if key not in reads.get(mode, ()) and getattr(ctx.args, key) is not None:
+            raise ValueError(f"rank {mode} does not read {ctx.args.flags[key].option_strings[0]}")
+    dataset, candidates = ctx.dataset()
     settings = {"mode": mode}
     if mode == "static":
         table = embeddings.load_table(ctx.input("table"))

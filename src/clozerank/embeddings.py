@@ -347,7 +347,8 @@ def load_table(path) -> EmbeddingTable:
             raise ValueError(f"{path}: invalid header values {count} {dim}")
         tokens, rows = [], []
         for lineno, line in enumerate(f, start=2):
-            parts = line.rstrip("\n").split(" ")
+            # fastText's .vec writer ends each row with a space after the last value.
+            parts = line.rstrip("\n ").split(" ")
             if len(parts) != dim + 1:
                 raise ValueError(
                     f"{path}:{lineno}: expected {dim} values, got {len(parts) - 1}"

@@ -43,6 +43,9 @@ class SubwordVocab:
         self.token_to_id: dict[str, int] = {}
         self.max_word_length = max_word_length
         self.sidecar: str | None = None  # the <path>.json that load() read, if any
+        # Piece -> id, one table per position: word-initial tokens, ## bodies.
+        self._initial: dict[str, int] = {}
+        self._continuation: dict[str, int] = {}
         for i, tok in enumerate(self.tokens):
             # str.split() keeps tok whole only if it is non-empty and holds no
             # whitespace, as every token training writes; one C-level call.
@@ -53,25 +56,16 @@ class SubwordVocab:
                 raise RowError(i, f"continuation token {tok!r} has no content")
             if self.token_to_id.setdefault(tok, i) != i:
                 raise RowError(i, f"duplicate token {tok!r}")
+            if tok.startswith(CONTINUATION):
+                self._continuation[tok[len(CONTINUATION):]] = i
+            else:
+                self._initial[tok] = i
         for special in SPECIAL_TOKENS:
             if special not in self.token_to_id:
                 raise ValueError(f"missing special token {special!r}")
         self.unk_id = self.token_to_id[UNK_TOKEN]
-        # Longest-match search only needs tokens bucketed by surface form.
-        self._initial: set[str] = set()
-        self._continuation: set[str] = set()
-        self._max_initial_len = 1
-        self._max_cont_len = 1
-        for tok in self.tokens:
-            if tok in SPECIAL_TOKENS:
-                continue
-            if tok.startswith(CONTINUATION):
-                body = tok[len(CONTINUATION):]
-                self._continuation.add(body)
-                self._max_cont_len = max(self._max_cont_len, len(body))
-            else:
-                self._initial.add(tok)
-                self._max_initial_len = max(self._max_initial_len, len(tok))
+        self._max_initial_len = max(map(len, self._initial))
+        self._max_cont_len = max(map(len, self._continuation), default=1)
 
     @property
     def size(self) -> int:
@@ -285,7 +279,9 @@ def train_wordpiece(corpus, cfg: VocabTrainConfig) -> SubwordVocab:
 def tokenize(vocab: SubwordVocab, text: str) -> list[int]:
     """Tokenize text to ids: whitespace split, then greedy longest match.
 
-    A word that cannot be fully segmented, or that exceeds the vocabulary's
+    A word's first piece is its longest prefix among the tokens without ##
+    (specials included), each later piece the longest ## token that follows.
+    A word that cannot be segmented so, or is longer than the vocabulary's
     max_word_length, becomes a single [UNK]. Total over all strings.
     """
     ids: list[int] = []
@@ -297,29 +293,21 @@ def tokenize(vocab: SubwordVocab, text: str) -> list[int]:
 def _tokenize_word(vocab: SubwordVocab, word: str) -> list[int]:
     if len(word) > vocab.max_word_length:
         return [vocab.unk_id]
-    # Whole-word fast path; continuation-form entries never match word-initially.
-    if word in vocab.token_to_id and not word.startswith(CONTINUATION):
-        return [vocab.token_to_id[word]]
-    pieces: list[int] = []
-    pos = 0
-    n = len(word)
+    table = vocab._initial
+    if word in table:  # the loop's first probe, without its set-up
+        return [table[word]]
+    pieces, pos, n, max_len = [], 0, len(word), vocab._max_initial_len
     while pos < n:
-        if pos == 0:
-            table, max_len, prefix = vocab._initial, vocab._max_initial_len, ""
-        else:
-            table, max_len, prefix = vocab._continuation, vocab._max_cont_len, CONTINUATION
         end = min(n, pos + max_len)
-        match = None
-        while end > pos:
-            piece = word[pos:end]
-            if piece in table:
-                match = piece
-                break
+        piece = word[pos:end]
+        while piece not in table:
             end -= 1
-        if match is None:
-            return [vocab.unk_id]
-        pieces.append(vocab.token_to_id[prefix + match])
-        pos += len(match)
+            if end == pos:
+                return [vocab.unk_id]
+            piece = word[pos:end]
+        pieces.append(table[piece])
+        pos = end
+        table, max_len = vocab._continuation, vocab._max_cont_len
     return pieces
 
 

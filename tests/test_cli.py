@@ -2,8 +2,10 @@ import gc
 import hashlib
 import json
 import math
+import os
 import random
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -382,6 +384,41 @@ class TestErrorHandling:
         assert "table" in record["message"]
 
 
+class TestRankModeFlags:
+    """rank rejects a flag that only another mode reads, before it reads any input."""
+
+    @pytest.mark.parametrize("mode, own, other, flag", [
+        ("oracle", [], ["--exclude-subject-match"], "--exclude-subject-match"),
+        ("oracle", [], ["--table", "missing.vec"], "--table"),
+        ("oracle", [], ["--scores", "missing.jsonl"], "--scores"),
+        ("mlm", ["--scores", "missing.jsonl"], ["--exclude-subject-match"],
+         "--exclude-subject-match"),
+        ("mlm", ["--scores", "missing.jsonl"], ["--vocab", MINI["vocab"]], "--vocab"),
+        ("static", ["--table", MINI["table"], "--vocab", MINI["vocab"]],
+         ["--manifest", "missing.jsonl"], "--manifest"),
+    ], ids=["oracle-exclude", "oracle-table", "oracle-scores", "mlm-exclude",
+            "mlm-vocab", "static-manifest"])
+    def test_other_mode_flag_rejected(self, tmp_path, capsys, mode, own, other, flag):
+        out = tmp_path / "out"
+        assert run_cli(["rank", mode, "--triples", tmp_path / "missing.jsonl",
+                        "--templates", MINI["templates"], *own, *other,
+                        "--output", out]) == 1
+        assert cli_error(capsys) == {"command": "rank", "error": "ValueError",
+                                     "message": f"rank {mode} does not read {flag}"}
+        assert not out.exists()
+
+    def test_config_keys_of_other_modes_still_serve(self, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"table": MINI["table"], "vocab": MINI["vocab"],
+                                      "exclude_subject_match": True,
+                                      "scores": "missing.jsonl"}), encoding="utf-8")
+        assert run_cli(["rank", "oracle", "--config", config, "--triples", MINI["triples"],
+                        "--templates", MINI["templates"], "--output", tmp_path]) == 0
+        assert read_json(tmp_path / "rank_manifest.json")["settings"] == {
+            "mode": "oracle", "subset": None, "templates": MINI["templates"],
+            "triples": MINI["triples"]}
+
+
 class TestGarbageCollector:
     """main runs a command with the cyclic collector off and then restores the caller's state."""
 
@@ -458,6 +495,64 @@ class TestDeterminism:
             evaluate(out, preds)
             trees.append({p.name: p.read_bytes()
                           for p in sorted(out.iterdir()) if p.is_file()})
+        assert trees[0] == trees[1]
+
+
+# Runs each argv list given as JSON through cli.main in one fresh interpreter.
+HASH_SEED_RUNNER = """
+import json, sys
+from clozerank.cli import main
+for argv in json.loads(sys.argv[1]):
+    assert main(argv) == 0, argv
+"""
+
+
+class TestHashSeed:
+    def test_artifacts_do_not_depend_on_the_hash_seed(self, tmp_path):
+        # Set and dict order could leak into an artifact only across
+        # interpreters, so each hash seed runs the whole pipeline in a fresh
+        # one, at the same paths.
+        rng = random.Random(11)
+        words = sorted({word for line in Path(MINI["triples"]).read_text(encoding="utf-8")
+                        .splitlines() for key in ("sub_label", "obj_label")
+                        for word in json.loads(line)[key].split()}) + ["speaks", "born", "in"]
+        run = tmp_path / "run"
+        kb_args = ["--triples", MINI["triples"], "--templates", MINI["templates"]]
+        vocab, out = str(run / "vocab" / "vocab_70.txt"), str(run / "out")
+        commands = [
+            ["build-vocab", "--corpus", str(tmp_path / "corpus.txt"), "--target-size", "50",
+             "70", "--output", str(run / "vocab")],
+            ["tokenize", "--vocab", vocab, "--input", str(tmp_path / "corpus.txt"),
+             "--output", out],
+            ["train-embeddings", "--vocab", vocab, "--corpus", str(tmp_path / "corpus.txt"),
+             "--dim", "8", "--epochs", "2", "--min-count", "1", "--char-ngram-min", "2",
+             "--char-ngram-max", "3", "--hash-buckets", "997", "--output", out],
+            ["rank", "static", *kb_args, "--table", f"{out}/embeddings.vec",
+             "--vocab", vocab, "--output", f"{out}/static"],
+            ["rank", "oracle", *kb_args, "--output", f"{out}/oracle"],
+            ["export-manifest", *kb_args, "--vocab", vocab, "--output", f"{out}/mlm"],
+            ["stub-score", "--manifest", f"{out}/mlm/mlm_manifest.jsonl",
+             "--output", f"{out}/mlm"],
+            ["rank", "mlm", *kb_args, "--scores", f"{out}/mlm/stub_scores.jsonl",
+             "--manifest", f"{out}/mlm/mlm_manifest.jsonl", "--output", f"{out}/mlm"],
+            *(["evaluate", *kb_args, "--predictions", f"{out}/{mode}/predictions_{mode}.jsonl",
+               "--vocab", vocab, "--output", f"{out}/{mode}"]
+              for mode in ("static", "oracle", "mlm")),
+        ]
+        (tmp_path / "corpus.txt").write_text(
+            "".join(" ".join(rng.choices(words, k=rng.randint(3, 9))) + "\n"
+                    for _ in range(150)), encoding="utf-8")
+        trees = []
+        for seed in ("1", "2"):
+            if run.exists():
+                shutil.rmtree(run)
+            proc = subprocess.run([sys.executable, "-c", HASH_SEED_RUNNER, json.dumps(commands)],
+                                  capture_output=True, text=True,
+                                  env={**os.environ, "PYTHONHASHSEED": seed})
+            assert proc.returncode == 0, proc.stderr
+            trees.append({str(p.relative_to(run)): p.read_bytes()
+                          for p in sorted(run.rglob("*")) if p.is_file()})
+        assert len(trees[0]) > 20
         assert trees[0] == trees[1]
 
 

@@ -162,6 +162,15 @@ class TestTableIO:
         with pytest.raises(ValueError, match="expected 3"):
             load_table(path)
 
+    def test_trailing_space_rows_load_as_without_it(self, tmp_path):
+        # fastText's .vec writer ends every row with a space after the last value.
+        plain, spaced = tmp_path / "plain.vec", tmp_path / "spaced.vec"
+        plain.write_text("2 2\na 1 2\n##b 0.5 -3\n", encoding="utf-8")
+        spaced.write_text("2 2\na 1 2 \n##b 0.5 -3 \n", encoding="utf-8")
+        want, got = load_table(plain), load_table(spaced)
+        assert got.entries == want.entries
+        assert np.array_equal(got.matrix, want.matrix)
+
     def test_duplicate_token_rejected(self, tmp_path):
         path = tmp_path / "bad.vec"
         path.write_text("2 2\na 1 2\na 3 4\n", encoding="utf-8")

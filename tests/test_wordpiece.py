@@ -128,6 +128,23 @@ class TestTokenize:
         assert tokenize(vocab, "") == []
         assert tokenize(vocab, "   \t\n") == []
 
+    def test_special_word_gives_its_own_id(self):
+        vocab = self.make_vocab(["paris"])
+        for special in SPECIAL_TOKENS:
+            assert tokenize(vocab, special) == [vocab.token_to_id[special]]
+
+    def test_word_starting_with_special_continues_after_it(self):
+        # A special is an ordinary word-initial piece, so the longest match
+        # takes it whole and the rest of the word follows as ## pieces.
+        vocab = self.make_vocab(["##b"])
+        assert vocab.ids_to_tokens(tokenize(vocab, MASK_TOKEN + "ab")) == [
+            MASK_TOKEN, "##a", "##b"]
+
+    def test_word_starting_with_continuation_marker_is_unk(self):
+        vocab = self.make_vocab(["paris"])
+        assert tokenize(vocab, "##paris") == [vocab.unk_id]
+        assert tokenize(vocab, "##a") == [vocab.unk_id]
+
 
 def random_corpus(rng, n_lines=40, letters="abcde"):
     lines = []
