@@ -237,8 +237,8 @@ def cmd_rank(ctx: RunContext) -> int:
                                        manifest_path=ctx.input("manifest", required=False))
 
     out_path = ctx.output(f"predictions_{mode}.jsonl")
-    ranking.save_predictions(predictions, out_path)
-    return ctx.finish(f"{len(predictions)} predictions -> {out_path}", **settings)
+    count = ranking.save_predictions(predictions, out_path)
+    return ctx.finish(f"{count} predictions -> {out_path}", **settings)
 
 
 def cmd_stub_score(ctx: RunContext) -> int:
@@ -430,8 +430,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    # A command's objects live until it exits, so collecting cycles among its
-    # rankings and parsed rows only costs time. The caller's state comes back.
+    # A command's inputs live until it exits and the rows it streams hold no
+    # cycles, so collecting only costs time. The caller's state comes back.
     enabled = gc.isenabled()
     gc.disable()
     try:

@@ -15,28 +15,32 @@ from .kb import Dataset
 from .wordpiece import SubwordVocab, tokenize
 
 if TYPE_CHECKING:  # report reads metrics files and never loads ranking
+    from collections.abc import Iterable
+
     from .ranking import Prediction
 
 
-def _outcomes(predictions: "list[Prediction]", dataset: Dataset) -> dict[str, tuple[str, float]]:
-    """Triple id -> (top-1, gold's 0-based rank or inf, a miss at any k); rest ignored."""
-    by_id = {}
-    for pred in predictions:
-        if pred.triple_id in by_id:
-            raise ValueError(f"duplicate prediction for triple {pred.triple_id!r}")
-        by_id[pred.triple_id] = pred
-    missing = [t.id for t in dataset.triples() if t.id not in by_id]
-    if missing:
-        shown = ", ".join(repr(m) for m in missing[:10])
-        raise ValueError(f"{len(missing)} triples have no prediction: {shown}")
+def _outcomes(predictions: "Iterable[Prediction]", dataset: Dataset) -> dict:
+    """Triple id -> (top-1, gold's 0-based rank or inf, a miss at any k), one prediction
+    at a time; a triple outside the dataset maps to None, so a repeat is still caught."""
+    triples = {t.id: t for t in dataset.triples()}
     outcomes = {}
-    for t in dataset.triples():
-        pred = by_id[t.id]
+    for pred in predictions:
+        if pred.triple_id in outcomes:
+            raise ValueError(f"duplicate prediction for triple {pred.triple_id!r}")
+        t = triples.get(pred.triple_id)
+        if t is None:
+            outcomes[pred.triple_id] = None
+            continue
         if pred.relation_id != t.relation_id:
             raise ValueError(f"prediction for triple {t.id!r} names relation "
                              f"{pred.relation_id!r}, but the KB files it under {t.relation_id!r}")
         labels = [cand for cand, _ in pred.ranked]
         outcomes[t.id] = labels[0], labels.index(t.object) if t.object in labels else math.inf
+    missing = [tid for tid in triples if tid not in outcomes]
+    if missing:
+        shown = ", ".join(repr(m) for m in missing[:10])
+        raise ValueError(f"{len(missing)} triples have no prediction: {shown}")
     return outcomes
 
 
@@ -114,9 +118,9 @@ class MetricsReport:
                    metadata=metadata)
 
 
-def compute_report(predictions: "list[Prediction]", dataset: Dataset,
+def compute_report(predictions: "Iterable[Prediction]", dataset: Dataset,
                    vocab: SubwordVocab = None) -> MetricsReport:
-    """Full evaluation over one prediction set, one pass per relation.
+    """Full evaluation over one pass of predictions, then one pass per relation.
 
     A vocabulary adds the subject-length buckets and metadata vocab_size.
     """

@@ -3,6 +3,7 @@
 import hashlib
 import math
 from collections import Counter
+from collections.abc import Iterable, Iterator
 
 from .embeddings import EmbeddingTable, compose
 from .jsonio import read_json, read_jsonl, write_jsonl
@@ -36,20 +37,19 @@ def _composed(table: EmbeddingTable, vocab: SubwordVocab, text: str):
 
 def rank_static(table: EmbeddingTable, vocab: SubwordVocab, dataset: Dataset,
                 candidates: dict[str, CandidateSet],
-                exclude_subject_match: bool = False) -> list[Prediction]:
-    """Rank each relation's candidates by cosine to the composed subject.
+                exclude_subject_match: bool = False) -> Iterator[Prediction]:
+    """Yield, relation by relation, each triple's candidates ranked by cosine to the subject.
 
     The template plays no part: the only signal is the subject string. A
     pair with a zero-norm composition scores the floor -1.0 instead of NaN.
     With exclude_subject_match a candidate identical to the subject is
     dropped from that triple's ranking; a triple left with no candidate
-    raises ValueError. Each distinct string is composed once.
+    raises ValueError once reached. Each distinct string is composed once.
     """
     strings = {t.subject for t in dataset.triples()}
     for rel in dataset.relation_ids:
         strings.update(candidates[rel])
     composed = {text: _composed(table, vocab, text) for text in strings}
-    predictions = []
     for rel in dataset.relation_ids:
         triples = dataset.triples_by_relation[rel]
         rankings = _rank_relation(candidates[rel].candidates, [t.subject for t in triples],
@@ -58,13 +58,8 @@ def rank_static(table: EmbeddingTable, vocab: SubwordVocab, dataset: Dataset,
             if not ranked:
                 raise ValueError(f"triple {triple.id!r} of relation {rel!r} has no candidate "
                                  f"left once its subject is excluded")
-            predictions.append(Prediction(
-                triple_id=triple.id,
-                relation_id=rel,
-                ranked=ranked,
-                flags={"query_oov": composed[triple.subject][2], "zero_norm": zero_norm},
-            ))
-    return predictions
+            yield Prediction(triple.id, rel, ranked,
+                             {"query_oov": composed[triple.subject][2], "zero_norm": zero_norm})
 
 
 def _rank_relation(labels, subjects, composed, exclude_subject_match):
@@ -122,9 +117,8 @@ def _rank_relation(labels, subjects, composed, exclude_subject_match):
             yield ranked, any_zero
 
 
-def rank_oracle(dataset: Dataset, candidates: dict[str, CandidateSet]) -> list[Prediction]:
-    """Per relation, rank candidates by gold-object frequency, most frequent first."""
-    predictions = []
+def rank_oracle(dataset: Dataset, candidates: dict[str, CandidateSet]) -> Iterator[Prediction]:
+    """Yield, relation by relation, each triple's candidates ranked by gold-object frequency."""
     for rel in dataset.relation_ids:
         triples = dataset.triples_by_relation[rel]
         freq = Counter(t.object for t in triples)
@@ -132,11 +126,7 @@ def rank_oracle(dataset: Dataset, candidates: dict[str, CandidateSet]) -> list[P
         # A stable sort over the sorted labels breaks each tie by label.
         ranked = [(c, scores[c]) for c in sorted(scores, key=scores.__getitem__, reverse=True)]
         for triple in triples:
-            predictions.append(Prediction(
-                triple_id=triple.id, relation_id=rel,
-                ranked=list(ranked), flags={"query_oov": False},
-            ))
-    return predictions
+            yield Prediction(triple.id, rel, list(ranked), {"query_oov": False})
 
 
 def export_mlm_manifest(dataset: Dataset, candidates: dict[str, CandidateSet],
@@ -311,11 +301,11 @@ def write_stub_scores(manifest_path, out_path, lookup=None) -> int:
     return write_jsonl(out_path, rows())
 
 
-def save_predictions(predictions, path) -> None:
-    """Write one row per prediction; a ranking that holds the previous row's
-    (label, score) tuples, as rank oracle's and the zero-norm floor rankings
-    do, is encoded once."""
-    write_jsonl(path, ({
+def save_predictions(predictions: Iterable[Prediction], path) -> int:
+    """Write one row per prediction as it arrives and return the count; a failure
+    leaves path as it was. A ranking that holds the previous row's (label, score)
+    tuples, as rank oracle's and the zero-norm floor rankings do, is encoded once."""
+    return write_jsonl(path, ({
         "triple_id": pred.triple_id,
         "relation_id": pred.relation_id,
         "ranked": pred.ranked,  # json writes each (label, score) tuple as an array
@@ -323,9 +313,10 @@ def save_predictions(predictions, path) -> None:
     } for pred in predictions), shared="ranked")
 
 
-def load_predictions(path) -> list[Prediction]:
-    """Read a predictions file; each triple may have one row only."""
-    predictions, seen = [], set()
+def load_predictions(path) -> Iterator[Prediction]:
+    """Yield each row of a predictions file once it passes its checks: one row per
+    triple, each label once per ranking, flags (if given) an object of booleans."""
+    seen = set()
     for lineno, row, (triple_id, relation_id, ranked) in read_jsonl(
             path, "triple_id", "relation_id", "ranked", text=("triple_id", "relation_id")):
         if triple_id in seen:  # rescan for the first row only on error
@@ -351,5 +342,12 @@ def load_predictions(path) -> list[Prediction]:
         if not pairs or len(pairs) != len(ranked):
             raise ValueError(f"{path}:{lineno}: ranked must be a non-empty list of "
                              "[label, score] pairs of a string and a number")
-        predictions.append(Prediction(triple_id, relation_id, pairs, row.get("flags", {})))
-    return predictions
+        if len({label for label, _ in pairs}) != len(pairs):  # loop only to name the label
+            counts = Counter(label for label, _ in pairs)
+            label = next(label for label, _ in pairs if counts[label] > 1)
+            raise ValueError(f"{path}:{lineno}: ranked lists label {label!r} twice")
+        flags = row.get("flags", {})
+        if type(flags) is not dict or not set(map(type, flags.values())) <= {bool}:
+            raise ValueError(f"{path}:{lineno}: flags must be an object of booleans, "
+                             f"got {flags!r}")
+        yield Prediction(triple_id, relation_id, pairs, flags)

@@ -103,7 +103,7 @@ def test_criterion_3_metrics_match_brute_force(tmp_path, capsys):
     for seed in range(N_INSTANCES):
         inst, ds, vocab, table = instance_pieces(tmp_path, seed)
         cands = build_candidates(ds)
-        preds = rank_static(table, vocab, ds, cands)
+        preds = list(rank_static(table, vocab, ds, cands))
         relations, gold, lengths, _ = oracle_views(inst, ds, cands)
         top_lists = {p.triple_id: [c for c, _ in p.ranked] for p in preds}
 
@@ -355,7 +355,7 @@ def test_criterion_9_end_to_end_fixture(tmp_path, capsys, mini_dataset,
     cands = build_candidates(mini_dataset)
 
     # Static pipeline against the hand-computed report.
-    preds = rank_static(mini_table, mini_vocab, mini_dataset, cands)
+    preds = list(rank_static(mini_table, mini_vocab, mini_dataset, cands))
     top1 = {p.triple_id: p.ranked[0][0] for p in preds}
     expected_top1 = {
         "P103": ["french", "french", "german", "german", "italian", "german"],

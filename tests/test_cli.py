@@ -1218,6 +1218,28 @@ class TestExcludeSubjectLeavesNoCandidate:
         assert "'P19#0'" in record["message"] and "'P19'" in record["message"]
         assert not (out / "predictions_static.jsonl").exists()
 
+    def test_failed_rerun_keeps_the_earlier_predictions(self, tmp_path, capsys):
+        triples = tmp_path / "triples.jsonl"
+        triples.write_text(
+            '{"sub_label": "rome", "obj_label": "paris", "predicate_id": "P19"}\n'
+            '{"sub_label": "paris", "obj_label": "paris", "predicate_id": "P19"}\n',
+            encoding="utf-8")
+        out = tmp_path / "out"
+        args = ["rank", "static", "--triples", triples, "--templates", MINI["templates"],
+                "--table", MINI["table"], "--vocab", MINI["vocab"], "--output", out]
+        assert run_cli(args) == 0
+        preds = out / "predictions_static.jsonl"
+        before = preds.read_bytes()
+        capsys.readouterr()
+        # The first triple is written before the second one fails.
+        assert run_cli([*args, "--exclude-subject-match"]) == 1
+        assert cli_error(capsys)["message"] == (
+            "triple 'P19#1' of relation 'P19' has no candidate left once its subject "
+            "is excluded")
+        assert preds.read_bytes() == before
+        assert sorted(p.name for p in out.iterdir()) == [
+            "predictions_static.jsonl", "rank_manifest.json"]
+
 
 class TestDuplicateScoreRow:
     def test_repeated_pair_names_both_lines(self, tmp_path, capsys):
@@ -1244,6 +1266,40 @@ class TestDuplicatePrediction:
             f"{preds}:{len(rows) + 1}: duplicate prediction for triple 'P103#0' "
             "(first at line 1)")
         assert not (out / "metrics.json").exists()
+
+    def test_malformed_last_row_writes_no_metrics(self, tmp_path, capsys):
+        preds = rank_static(tmp_path)
+        rows = preds.read_text(encoding="utf-8").splitlines()
+        preds.write_text("\n".join(rows[:-1] + [rows[-1][:-1]]) + "\n", encoding="utf-8")
+        out = tmp_path / "out"
+        assert run_cli(["evaluate", "--predictions", preds, "--triples", MINI["triples"],
+                        "--templates", MINI["templates"], "--output", out]) == 1
+        assert cli_error(capsys)["message"].startswith(
+            f"{preds}:{len(rows)}: malformed JSON line: ")
+        assert not (out / "metrics.json").exists()
+
+
+class TestPredictionRowRules:
+    def evaluate_with(self, tmp_path, capsys, first_row):
+        preds = rank_static(tmp_path)
+        rows = preds.read_text(encoding="utf-8").splitlines()
+        row = json.loads(rows[0])
+        assert row["triple_id"] == "P103#0"
+        preds.write_text("\n".join([json.dumps(dict(row, **first_row))] + rows[1:]) + "\n",
+                         encoding="utf-8")
+        capsys.readouterr()
+        assert run_cli(["evaluate", "--predictions", preds, "--triples", MINI["triples"],
+                        "--templates", MINI["templates"], "--output", tmp_path / "out"]) == 1
+        return preds, cli_error(capsys)["message"]
+
+    def test_label_listed_twice(self, tmp_path, capsys):
+        ranked = [["german", 3.0], ["german", 2.0], ["french", 1.0]]
+        preds, message = self.evaluate_with(tmp_path, capsys, {"ranked": ranked})
+        assert message == f"{preds}:1: ranked lists label 'german' twice"
+
+    def test_flags_not_an_object(self, tmp_path, capsys):
+        preds, message = self.evaluate_with(tmp_path, capsys, {"flags": 5})
+        assert message == f"{preds}:1: flags must be an object of booleans, got 5"
 
 
 class TestNonUtf8Input:

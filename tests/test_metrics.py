@@ -146,8 +146,8 @@ class TestDiversity:
 
     def test_entropy_bounded_by_label_count(self, mini_dataset, mini_vocab,
                                             mini_table):
-        preds = rank_static(mini_table, mini_vocab, mini_dataset,
-                            build_candidates(mini_dataset))
+        preds = list(rank_static(mini_table, mini_vocab, mini_dataset,
+                                 build_candidates(mini_dataset)))
         entropy = compute_report(preds, mini_dataset).entropy_bits
         labels = {p.ranked[0][0] for p in preds}
         assert 0.0 <= entropy <= math.log2(len(labels)) + 1e-12
@@ -234,7 +234,7 @@ class TestBruteForceEquality:
         for seed in range(8):
             inst, ds, vocab, table = instance_pieces(tmp_path, seed)
             cands = build_candidates(ds)
-            preds = rank_static(table, vocab, ds, cands)
+            preds = list(rank_static(table, vocab, ds, cands))
             relations, gold, lengths, exact_tops = oracle_views(inst, ds, cands)
 
             top_lists = {p.triple_id: [c for c, _ in p.ranked] for p in preds}

@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ import pytest
 from clozerank import ranking
 from clozerank.embeddings import EmbeddingTable
 from clozerank.kb import CandidateSet, Dataset, RelationSpec, Triple, build_candidates
+from clozerank.metrics import compute_report
 from clozerank.ranking import (
     Prediction,
     export_mlm_manifest,
@@ -144,7 +146,7 @@ class TestStaticRanking:
     def test_ranking_covers_exactly_the_candidate_set(
             self, mini_dataset, mini_vocab, mini_table):
         cands = build_candidates(mini_dataset)
-        preds = rank_static(mini_table, mini_vocab, mini_dataset, cands)
+        preds = list(rank_static(mini_table, mini_vocab, mini_dataset, cands))
         assert len(preds) == mini_dataset.n_triples
         for pred in preds:
             labels = sorted(c for c, _ in pred.ranked)
@@ -182,7 +184,7 @@ class TestVectorisedScores:
     def assert_scores_match_scalar(self, table, vocab, dataset):
         cands = build_candidates(dataset)
         reference = scalar_scores(table, vocab, dataset, cands)
-        preds = rank_static(table, vocab, dataset, cands)
+        preds = list(rank_static(table, vocab, dataset, cands))
         assert isinstance(preds, list)
         for pred in preds:
             expected = reference[pred.triple_id]
@@ -217,7 +219,7 @@ class TestVectorisedScores:
         entries.update({s: [rng.randint(0, 99) for _ in range(dim)] for s in subjects})
         ds = make_dataset(tmp_path, [triple_row(s, labels[0]) for s in subjects], [TEMPLATE])
         cands = {"P1": CandidateSet("P1", tuple(labels))}
-        preds = rank_static(make_table(entries), make_vocab(entries), ds, cands)
+        preds = list(rank_static(make_table(entries), make_vocab(entries), ds, cands))
         assert len(preds) == n_subjects
         for pred in preds:
             at = [i for i, (label, _) in enumerate(pred.ranked) if label in tied]
@@ -252,7 +254,8 @@ class TestVectorisedScores:
         rows = [triple_row("aa", "bb"), triple_row("aa", "cc"), triple_row("yy", "bb"),
                 triple_row("zz", "cc")]
         ds = make_dataset(tmp_path, rows, [TEMPLATE])
-        preds = rank_static(make_table(entries), make_vocab(entries), ds, build_candidates(ds))
+        preds = list(rank_static(make_table(entries), make_vocab(entries), ds,
+                                 build_candidates(ds)))
         assert preds[0].ranked == preds[1].ranked
         assert preds[2].ranked == preds[3].ranked == [("bb", -1.0), ("cc", -1.0)]
         assert len({id(p.ranked) for p in preds}) == 4
@@ -263,7 +266,7 @@ class TestOracle:
         rows = [triple_row("s1", "aa"), triple_row("s2", "aa"),
                 triple_row("s3", "bb")]
         ds = make_dataset(tmp_path, rows, [TEMPLATE])
-        preds = rank_oracle(ds, build_candidates(ds))
+        preds = list(rank_oracle(ds, build_candidates(ds)))
         assert len(preds) == 3
         for pred in preds:
             assert pred.ranked == [("aa", 2.0), ("bb", 1.0)]
@@ -611,13 +614,13 @@ class TestPredictionIO:
         path = tmp_path / "preds.jsonl"
         path.write_text('{"triple_id": "t1"}\n', encoding="utf-8")
         with pytest.raises(ValueError, match=":1:"):
-            load_predictions(path)
+            list(load_predictions(path))
 
     def test_non_object_row_reports_location(self, tmp_path):
         path = tmp_path / "preds.jsonl"
         path.write_text('"x"\n', encoding="utf-8")
         with pytest.raises(ValueError, match=f"{path}:1: expected a JSON object"):
-            load_predictions(path)
+            list(load_predictions(path))
 
 
 class TestPredictionReader:
@@ -643,14 +646,14 @@ class TestPredictionReader:
     def test_malformed_ranked_names_path_and_line(self, tmp_path, ranked):
         path = self.write(tmp_path, ranked)
         with pytest.raises(ValueError) as err:
-            load_predictions(path)
+            list(load_predictions(path))
         assert str(err.value) == (f"{path}:2: ranked must be a non-empty list of "
                                   "[label, score] pairs of a string and a number")
 
     def test_huge_integer_score_names_path_and_line(self, tmp_path):
         path = self.write(tmp_path, [["a", 10 ** 400]])
         with pytest.raises(ValueError) as err:
-            load_predictions(path)
+            list(load_predictions(path))
         assert str(err.value) == (f"{path}:2: malformed prediction: "
                                   "int too large to convert to float")
 
@@ -659,6 +662,84 @@ class TestPredictionReader:
         _, pred = load_predictions(path)
         assert pred.ranked == [("bb", 2.0), ("aa", -0.25), ("cc", 1e-300)]
         assert [type(score) for _, score in pred.ranked] == [float] * 3
+
+    def test_repeated_label_names_path_and_line(self, tmp_path):
+        path = self.write(tmp_path, [["bb", 3.0], ["aa", 2.5], ["aa", 2.0], ["bb", 1.0]])
+        with pytest.raises(ValueError) as err:
+            list(load_predictions(path))
+        assert str(err.value) == f"{path}:2: ranked lists label 'bb' twice"
+
+    @pytest.mark.parametrize("flags, shown", [
+        (5, "5"), (None, "None"), (["query_oov"], "['query_oov']"),
+        ({"query_oov": 1}, "{'query_oov': 1}"), ({"zero_norm": "true"}, "{'zero_norm': 'true'}"),
+    ], ids=["number", "null", "list", "int-value", "str-value"])
+    def test_flags_must_be_an_object_of_booleans(self, tmp_path, flags, shown):
+        path = tmp_path / "preds.jsonl"
+        path.write_text(json.dumps({"triple_id": "t0", "relation_id": "P1",
+                                    "ranked": [["aa", 0.5]], "flags": flags}) + "\n",
+                        encoding="utf-8")
+        with pytest.raises(ValueError) as err:
+            list(load_predictions(path))
+        assert str(err.value) == f"{path}:1: flags must be an object of booleans, got {shown}"
+
+    def test_row_without_flags_gets_empty_flags(self, tmp_path):
+        path = self.write(tmp_path, [["aa", 0.5]])
+        assert [p.flags for p in load_predictions(path)] == [{}, {}]
+
+    def test_bad_row_raises_when_the_reader_reaches_it(self, tmp_path):
+        path = self.write(tmp_path, [])
+        rows = load_predictions(path)
+        assert next(rows).triple_id == "t0"
+        with pytest.raises(ValueError, match=f"{path}:2: ranked must be"):
+            next(rows)
+
+
+class TestStreamedMemory:
+    """rank static and evaluate hold one ranking at a time, not every (label, score) pair.
+
+    One relation of 1600 triples over 400 candidates is 640k pairs, which as
+    tuples take tens of MB; streamed, the peak stays near one ranking.
+    """
+
+    BOUND = 2 * 2 ** 20
+
+    @pytest.fixture(scope="class")
+    def setup(self, tmp_path_factory):
+        tmp_path = tmp_path_factory.mktemp("streamed")
+        rng = random.Random(5)
+        objects = [f"o{i:03d}" for i in range(400)]
+        subjects = [f"s{i:02d}" for i in range(16)]
+        rows = [triple_row(subjects[i % 16], objects[i % 400]) for i in range(1600)]
+        ds = make_dataset(tmp_path, rows, [TEMPLATE])
+        entries = {w: [rng.randint(-9, 9) for _ in range(8)] for w in subjects + objects}
+        table, vocab, cands = make_table(entries), make_vocab(entries), build_candidates(ds)
+        path = tmp_path / "preds.jsonl"
+        save_predictions(rank_static(table, vocab, ds, cands), path)
+        return ds, table, vocab, cands, path
+
+    def traced_peak(self, run):
+        tracemalloc.start()
+        try:
+            result = run()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return result, peak
+
+    def test_rank_static_writes_with_bounded_memory(self, setup, tmp_path):
+        ds, table, vocab, cands, expected = setup
+        path = tmp_path / "preds.jsonl"
+        count, peak = self.traced_peak(
+            lambda: save_predictions(rank_static(table, vocab, ds, cands), path))
+        assert peak < self.BOUND, f"peak {peak / 2 ** 20:.2f} MB"
+        assert count == 1600
+        assert path.read_bytes() == expected.read_bytes()
+
+    def test_evaluate_reads_with_bounded_memory(self, setup):
+        ds, _, _, _, path = setup
+        report, peak = self.traced_peak(lambda: compute_report(load_predictions(path), ds))
+        assert peak < self.BOUND, f"peak {peak / 2 ** 20:.2f} MB"
+        assert report.metadata["n_triples"] == 1600
 
 
 class TestComposeOnce:
@@ -671,7 +752,7 @@ class TestComposeOnce:
         words = ["aa", "bb", "cc", "dd", "ee", "ff"]
         vocab = make_vocab(words)
         table = make_table({w: [i + 1.0, 1.0] for i, w in enumerate(words)})
-        expected = rank_static(table, vocab, ds, cands)
+        expected = list(rank_static(table, vocab, ds, cands))
 
         calls = []
 
@@ -682,7 +763,7 @@ class TestComposeOnce:
             return original(table, tokens)
 
         monkeypatch.setattr(ranking, "compose", counting)
-        predictions = rank_static(table, vocab, ds, cands)
+        predictions = list(rank_static(table, vocab, ds, cands))
         assert sorted(calls) == [(w,) for w in words]
         assert [(p.triple_id, p.ranked, p.flags) for p in predictions] == \
             [(p.triple_id, p.ranked, p.flags) for p in expected]
