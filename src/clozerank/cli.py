@@ -28,6 +28,8 @@ class RunContext:
     the flag, else the default. A config key must name a flag of some command,
     so one config file can serve several. The manifest that finish() writes
     lists every path read through input() or vocab() and written through output().
+    Used as a context manager, a run that fails removes the output directories
+    it created, as long as they are still empty.
     """
 
     def __init__(self, args):
@@ -35,6 +37,7 @@ class RunContext:
         self.config = {} if args.config is None else jsonio.read_json(args.config)
         self.digest = functools.cache(wordpiece.corpus_checksum)  # hash each file once
         self.settings, self.inputs, self.outputs = {}, [], []
+        self.created = []  # the directories output() made, innermost first
         unknown = sorted(self.config.keys() - args.config_keys)
         if unknown:
             raise ValueError(f"{args.config}: config key {unknown[0]!r} must be a setting "
@@ -52,6 +55,17 @@ class RunContext:
                                  f"{'one or more ' if flag.nargs else ''}{kind.__name__}, "
                                  f"like {flag.option_strings[0]}")
             self.config[key] = list(map(kind, items)) if flag.nargs else kind(value)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, exc_type, exc, tb):
+        if exc_type is not None:
+            for directory in self.created:
+                try:
+                    directory.rmdir()  # fails on a directory that holds anything
+                except OSError:
+                    break
 
     def get(self, key, default=None):
         value = getattr(self.args, key, None)
@@ -87,7 +101,9 @@ class RunContext:
     def output(self, name: str) -> Path:
         """The path of artifact name under --output, which is created on first use."""
         out = Path(self.get("output", "."))
-        out.mkdir(parents=True, exist_ok=True)
+        if not out.is_dir():
+            self.created = [d for d in (out, *out.parents) if not d.exists()]
+            out.mkdir(parents=True)
         self.outputs.append(out / name)
         return out / name
 
@@ -435,7 +451,8 @@ def main(argv=None) -> int:
     enabled = gc.isenabled()
     gc.disable()
     try:
-        return args.func(RunContext(args))
+        with RunContext(args) as ctx:
+            return args.func(ctx)
     except Exception as exc:
         record = {
             "command": getattr(args, "command", None),

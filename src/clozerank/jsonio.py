@@ -120,16 +120,20 @@ def _sharing(rows, key):
                                   for k, v in row.items()) + "}"
 
 
-def write_jsonl(path, rows, shared=None) -> int:
+def write_jsonl(path, rows, shared=None, encoded=False) -> int:
     """Write each row as one JSON line and return the count.
 
     shared names a list field that runs of rows hold the same entries in: such
     a row reuses the previous row's encoded text of it, with the same bytes.
+    With encoded, rows are lines already encoded, each without its newline.
     The lines go to path.part, which replaces path only after the last row,
     so rows that fail part way leave path as it was and no .part behind.
     """
     count, part = 0, f"{path}.part"
-    lines = map(_encode_row, rows) if shared is None else _sharing(rows, shared)
+    if encoded:
+        lines = rows
+    else:
+        lines = map(_encode_row, rows) if shared is None else _sharing(rows, shared)
     f = open(part, "w", encoding="utf-8")
     try:
         with f:

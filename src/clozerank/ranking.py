@@ -1,12 +1,13 @@
 """Candidate ranking: static nearest-neighbor, frequency oracle, MLM adapter."""
 
-import hashlib
 import math
 from collections import Counter
 from collections.abc import Iterable, Iterator
+from hashlib import sha256
+from operator import itemgetter
 
 from .embeddings import EmbeddingTable, compose
-from .jsonio import read_json, read_jsonl, write_jsonl
+from .jsonio import _encode_row, read_json, read_jsonl, write_jsonl
 from .kb import CandidateSet, Dataset, instantiate_query
 from .wordpiece import UNK_TOKEN, SubwordVocab, tokenize
 
@@ -136,23 +137,31 @@ def export_mlm_manifest(dataset: Dataset, candidates: dict[str, CandidateSet],
     The query carries as many [MASK] tokens as the candidate has pieces under
     the scorer's vocabulary; rows whose candidate is [UNK]-only are flagged so
     the scorer can skip or special-case them. Returns the row count.
+
+    Each row is the object {triple_id, relation_id, candidate, query_text,
+    mask_token_ids, candidate_oov}, joined from fragments the row encoder
+    wrote once: each triple's head, each candidate's name and tail per
+    relation, each query per (triple, mask count).
     """
-    def rows():
+    def lines():
         for rel in dataset.relation_ids:
-            spec = dataset.relations[rel]
-            pieces = [(cand, tokenize(scorer_vocab, cand)) for cand in candidates[rel]]
+            spec, relation = dataset.relations[rel], _encode_row(rel)
+            pieces = []  # (mask count, name, tail) per candidate
+            for cand in candidates[rel]:
+                ids = tokenize(scorer_vocab, cand)
+                oov = all(i == scorer_vocab.unk_id for i in ids)
+                pieces.append((len(ids), f'{_encode_row(cand)}, "query_text": ',
+                               f', "mask_token_ids": {_encode_row(ids)}, '
+                               f'"candidate_oov": {_encode_row(oov)}}}'))
+            mask_counts = {masks for masks, _, _ in pieces}
             for triple in dataset.triples_by_relation[rel]:
-                for cand, token_ids in pieces:
-                    yield {
-                        "triple_id": triple.id,
-                        "relation_id": rel,
-                        "candidate": cand,
-                        "query_text": instantiate_query(spec, triple.subject,
-                                                        len(token_ids)),
-                        "mask_token_ids": token_ids,
-                        "candidate_oov": all(i == scorer_vocab.unk_id for i in token_ids),
-                    }
-    return write_jsonl(out_path, rows())
+                head = (f'{{"triple_id": {_encode_row(triple.id)}, "relation_id": {relation}, '
+                        '"candidate": ')
+                queries = {masks: _encode_row(instantiate_query(spec, triple.subject, masks))
+                           for masks in mask_counts}
+                for masks, name, tail in pieces:
+                    yield head + name + queries[masks] + tail
+    return write_jsonl(out_path, lines(), encoded=True)
 
 
 def _logprobs(value) -> tuple[float, ...]:
@@ -166,25 +175,6 @@ def _logprobs(value) -> tuple[float, ...]:
     return lps
 
 
-def _scores_by_pair(path) -> dict[tuple[str, str], tuple[float, ...]]:
-    """Read a score file into each pair's log-probs; a pair may have one row only."""
-    by_pair = {}
-    for lineno, _, (triple_id, candidate, logprobs) in read_jsonl(
-            path, "triple_id", "candidate", "token_logprobs",
-            text=("triple_id", "candidate")):
-        key = (triple_id, candidate)
-        if key in by_pair:  # rescan for the first row only on error
-            first = next(n for n, _, pair in read_jsonl(path, "triple_id", "candidate")
-                         if pair == key)
-            raise ValueError(f"{path}:{lineno}: duplicate score row for {key!r} "
-                             f"(first at line {first})")
-        try:
-            by_pair[key] = _logprobs(logprobs)
-        except (OverflowError, ValueError) as exc:
-            raise ValueError(f"{path}:{lineno}: malformed score row: {exc}") from None
-    return by_pair
-
-
 def _read_manifest(manifest_path):
     """Yield (lineno, triple_id, candidate, mask count) for each manifest row."""
     for lineno, _, (triple_id, cand, mask_ids) in read_jsonl(
@@ -196,60 +186,116 @@ def _read_manifest(manifest_path):
         yield lineno, triple_id, cand, len(mask_ids)
 
 
-def _check_manifest(manifest_path, by_pair: dict) -> None:
-    """Every scored pair needs a manifest row with one mask id per log-prob."""
-    unlisted = set(by_pair)
-    for lineno, triple_id, cand, masks in _read_manifest(manifest_path):
-        key = (triple_id, cand)
-        unlisted.discard(key)
-        lps = by_pair.get(key)
-        if lps is not None and len(lps) != masks:
-            raise ValueError(
-                f"{manifest_path}:{lineno}: score length {len(lps)} "
-                f"for {key!r} does not match manifest mask count {masks}"
-            )
-    if unlisted:
-        shown = ", ".join(repr(p) for p in sorted(unlisted)[:10])
-        raise ValueError(
-            f"{manifest_path}: {len(unlisted)} scored pairs have no manifest row: {shown}"
-        )
+def _repeated(path, lineno: int, kind: str, pair) -> ValueError:
+    """The error for a second row of a (triple_id, candidate) pair at path:lineno;
+    path is rescanned for the first only now, on error."""
+    first = next(n for n, _, row_pair in read_jsonl(path, "triple_id", "candidate")
+                 if row_pair == pair)
+    return ValueError(f"{path}:{lineno}: duplicate {kind} row for {pair!r} "
+                      f"(first at line {first})")
 
 
 def rank_mlm(score_path, dataset: Dataset, candidates: dict[str, CandidateSet],
-             manifest_path=None) -> list[Prediction]:
-    """Turn an external scorer's output into per-triple rankings.
+             manifest_path=None) -> Iterator[Prediction]:
+    """Check an external scorer's output in full, then yield per-triple rankings.
 
     A candidate's score is the arithmetic mean of its per-mask log
     probabilities. The file must cover every (triple, candidate) pair exactly
-    once; row order is irrelevant. A manifest, if given, must hold a row for
-    every scored pair with as many mask ids as the pair has log-probs.
+    once; row order is irrelevant. A manifest, if given, must list each pair
+    at most once and hold a row for every scored pair with as many mask ids
+    as the pair has log-probs. Every check runs before this returns; the
+    rankings then follow relation by relation, as rank_static yields them.
     """
-    by_pair = _scores_by_pair(score_path)
+    from array import array  # here, so that rank static and evaluate do not load it
+    # One slot per expected pair: its triple's first slot plus the candidate's
+    # position in the relation's sorted set. A scored pair that matches none
+    # gets a slot past them, which extra records.
+    first, expected = {}, 0
+    for rel in dataset.relation_ids:
+        position = {cand: i for i, cand in enumerate(candidates[rel])}
+        for triple in dataset.triples_by_relation[rel]:
+            first[triple.id] = (expected, position)
+            expected += len(position)
+    extra = {}
+
+    def slot_of(triple_id, cand):
+        entry = first.get(triple_id)
+        if entry is not None:
+            index = entry[1].get(cand)
+            if index is not None:
+                return entry[0] + index
+        return extra.get((triple_id, cand))
+
+    # Each slot's mean log-prob and its log-prob count, 0 while unscored.
+    means, counts = array("d", [0.0]) * expected, array("i", [0]) * expected
+    rows = 0
+    for lineno, _, (triple_id, cand, logprobs) in read_jsonl(
+            score_path, "triple_id", "candidate", "token_logprobs",
+            text=("triple_id", "candidate")):
+        slot = slot_of(triple_id, cand)
+        if slot is None:
+            slot = extra[triple_id, cand] = len(counts)
+            means.append(0.0)
+            counts.append(0)
+        elif counts[slot]:
+            raise _repeated(score_path, lineno, "score", (triple_id, cand))
+        try:
+            lps = _logprobs(logprobs)
+        except (OverflowError, ValueError) as exc:
+            raise ValueError(f"{score_path}:{lineno}: malformed score row: {exc}") from None
+        means[slot], counts[slot] = sum(lps) / len(lps), len(lps)
+        rows += 1
+
+    def pairs():  # each slot's (triple_id, candidate), in slot order
+        for rel in dataset.relation_ids:
+            for triple in dataset.triples_by_relation[rel]:
+                for cand in candidates[rel]:
+                    yield triple.id, cand
+        yield from extra
 
     if manifest_path is not None:
-        _check_manifest(manifest_path, by_pair)
+        # A listed slot holds ~count, which is negative; ~~count is the count.
+        listed = 0
+        for lineno, triple_id, cand, masks in _read_manifest(manifest_path):
+            slot = slot_of(triple_id, cand)
+            if slot is None:  # a pair this run neither ranks nor scores
+                continue
+            count = counts[slot]
+            if count < 0:
+                raise _repeated(manifest_path, lineno, "manifest", (triple_id, cand))
+            if count and count != masks:
+                raise ValueError(
+                    f"{manifest_path}:{lineno}: score length {count} for "
+                    f"{(triple_id, cand)!r} does not match manifest mask count {masks}")
+            counts[slot] = ~count
+            listed += count > 0
+        if listed < rows:
+            unlisted = [pair for pair, count in zip(pairs(), counts) if count > 0]
+            shown = ", ".join(repr(p) for p in sorted(unlisted)[:10])
+            raise ValueError(
+                f"{manifest_path}: {len(unlisted)} scored pairs have no manifest row: {shown}")
 
-    # One pass pairs every expected pair with its row; rows left over are extra.
-    predictions, missing = [], []
-    for rel in dataset.relation_ids:
-        for triple in dataset.triples_by_relation[rel]:
-            scores = {}
-            for cand in candidates[rel]:
-                lps = by_pair.pop((triple.id, cand), None)
-                if lps is None:
-                    missing.append((triple.id, cand))
-                else:
-                    scores[cand] = sum(lps) / len(lps)
-            # As in rank_oracle: a stable sort over the sorted labels breaks each tie by label.
-            ranked = [(c, scores[c]) for c in sorted(scores, key=scores.__getitem__, reverse=True)]
-            predictions.append(Prediction(triple.id, rel, ranked, {"query_oov": False}))
-    if missing:
+    if rows - len(extra) < expected:
+        missing = [pair for pair, count in zip(pairs(), counts[:expected])
+                   if count in (0, ~0)]  # ~0: unscored, and listed in the manifest
         shown = ", ".join(repr(m) for m in sorted(missing)[:10])
         raise ValueError(f"{len(missing)} (triple, candidate) pairs unscored: {shown}")
-    if by_pair:
-        shown = ", ".join(repr(e) for e in sorted(by_pair)[:10])
-        raise ValueError(f"{len(by_pair)} score rows match no (triple, candidate) pair: {shown}")
-    return predictions
+    if extra:
+        shown = ", ".join(repr(e) for e in sorted(extra)[:10])
+        raise ValueError(f"{len(extra)} score rows match no (triple, candidate) pair: {shown}")
+
+    def rankings():
+        slot = 0
+        for rel in dataset.relation_ids:
+            labels = candidates[rel].candidates
+            for triple in dataset.triples_by_relation[rel]:
+                scores = means[slot:slot + len(labels)]
+                slot += len(labels)
+                # As in rank_oracle: a stable sort over the sorted labels breaks each tie
+                # by label.
+                ranked = sorted(zip(labels, scores), key=itemgetter(1), reverse=True)
+                yield Prediction(triple.id, rel, ranked, {"query_oov": False})
+    return rankings()
 
 
 def read_lookup(path) -> dict[tuple[str, str], tuple[float, ...]]:
@@ -277,28 +323,34 @@ def write_stub_scores(manifest_path, out_path, lookup=None) -> int:
     pair's log-probs; pairs not covered get deterministic filler values, and
     a lookup pair that matches no manifest row is an error. A manifest that
     fails part way leaves out_path as it was. Returns the number of rows
-    written.
+    written. Each row {triple_id, candidate, token_logprobs} is joined from
+    encoded fragments, with its triple's head encoded once per run of rows.
     """
     lookup = lookup or {}
     unused = set(lookup)
 
-    def rows():
+    def lines():
+        triple = head = None
         for lineno, triple_id, cand, masks in _read_manifest(manifest_path):
-            key = (triple_id, cand)
-            lps = lookup.get(key)
-            unused.discard(key)
+            if triple_id != triple:
+                triple, head = triple_id, f'{{"triple_id": {_encode_row(triple_id)}, "candidate": '
+            lps = None
+            if lookup:
+                key = (triple_id, cand)
+                lps = lookup.get(key)
+                unused.discard(key)
             if lps is None:  # filler from sha256 of "triple_id\tcandidate\tposition"
                 prefix = f"{triple_id}\t{cand}\t".encode("utf-8")
-                digests = (hashlib.sha256(prefix + b"%d" % i).digest() for i in range(masks))
-                lps = [-0.01 - 7.99 * (int.from_bytes(d[:8], "big") / 2 ** 64) for d in digests]
+                lps = [-0.01 - 7.99 * (int.from_bytes(sha256(prefix + b"%d" % i).digest()[:8],
+                                                      "big") / 2 ** 64) for i in range(masks)]
             elif len(lps) != masks:
                 raise ValueError(f"{manifest_path}:{lineno}: lookup for {key!r} has "
                                  f"{len(lps)} log-probs, manifest wants {masks}")
-            yield {"triple_id": triple_id, "candidate": cand, "token_logprobs": lps}
+            yield f'{head}{_encode_row(cand)}, "token_logprobs": {_encode_row(lps)}}}'
         if unused:
             shown = ", ".join(repr(p) for p in sorted(unused)[:10])
             raise ValueError(f"{len(unused)} lookup pairs match no manifest row: {shown}")
-    return write_jsonl(out_path, rows())
+    return write_jsonl(out_path, lines(), encoded=True)
 
 
 def save_predictions(predictions: Iterable[Prediction], path) -> int:

@@ -166,7 +166,7 @@ def test_criterion_5_mlm_adapter_law(tmp_path, capsys, mini_dataset, mini_vocab)
 
     records = {(r["triple_id"], r["candidate"]): r["token_logprobs"]
                for r in map(json.loads, scores.read_text(encoding="utf-8").splitlines())}
-    preds = rank_mlm(scores, mini_dataset, cands)
+    preds = list(rank_mlm(scores, mini_dataset, cands))
     for pred in preds:
         for cand, score in pred.ranked:
             lps = records[(pred.triple_id, cand)]

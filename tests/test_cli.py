@@ -1241,6 +1241,33 @@ class TestExcludeSubjectLeavesNoCandidate:
             "predictions_static.jsonl", "rank_manifest.json"]
 
 
+class TestFailedRunRemovesItsOutputDirectory:
+    """A run that fails takes back the --output directories it created while empty."""
+
+    def rank_self_match(self, tmp_path, out):
+        triples = tmp_path / "triples.jsonl"
+        triples.write_text(
+            '{"sub_label": "paris", "obj_label": "paris", "predicate_id": "P19"}\n',
+            encoding="utf-8")
+        return run_cli(["rank", "static", "--triples", triples,
+                        "--templates", MINI["templates"], "--table", MINI["table"],
+                        "--vocab", MINI["vocab"], "--exclude-subject-match",
+                        "--output", out])
+
+    def test_mid_stream_failure_leaves_no_directory(self, tmp_path, capsys):
+        assert self.rank_self_match(tmp_path, tmp_path / "out" / "nested") == 1
+        assert "has no candidate left" in cli_error(capsys)["message"]
+        assert not (tmp_path / "out").exists()
+
+    def test_directory_that_existed_is_kept(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        out.mkdir()
+        assert self.rank_self_match(tmp_path, out / "nested") == 1
+        assert cli_error(capsys)["error"] == "ValueError"
+        assert sorted(tmp_path.iterdir()) == [out, tmp_path / "triples.jsonl"]
+        assert sorted(out.iterdir()) == []
+
+
 class TestDuplicateScoreRow:
     def test_repeated_pair_names_both_lines(self, tmp_path, capsys):
         manifest, scores = export_and_stub_score(tmp_path / "mlm")
@@ -1252,6 +1279,21 @@ class TestDuplicateScoreRow:
         assert cli_error(capsys)["message"] == (
             f"{scores}:{len(rows) + 1}: duplicate score row for ('P103#0', 'french') "
             "(first at line 1)")
+
+
+class TestDuplicateManifestRow:
+    def test_repeated_pair_names_both_lines(self, tmp_path, capsys):
+        manifest, scores = export_and_stub_score(tmp_path / "mlm")
+        rows = manifest.read_text(encoding="utf-8").splitlines()
+        manifest.write_text("\n".join(rows + rows[:1]) + "\n", encoding="utf-8")
+        out = tmp_path / "out"
+        assert run_cli(["rank", "mlm", "--triples", MINI["triples"],
+                        "--templates", MINI["templates"], "--scores", scores,
+                        "--manifest", manifest, "--output", out]) == 1
+        assert cli_error(capsys)["message"] == (
+            f"{manifest}:{len(rows) + 1}: duplicate manifest row for ('P103#0', 'french') "
+            "(first at line 1)")
+        assert not out.exists()
 
 
 class TestDuplicatePrediction:
@@ -1351,7 +1393,7 @@ class TestFailedWriteLeavesNoArtifact:
         assert run_cli(["stub-score", "--manifest", self.broken_manifest(tmp_path),
                         "--output", out]) == 1
         assert ":2: malformed JSON line" in cli_error(capsys)["message"]
-        assert sorted(out.iterdir()) == []
+        assert not out.exists()
 
     def test_tokenize_on_bad_input_line(self, tmp_path, capsys):
         text = tmp_path / "text.txt"
@@ -1360,7 +1402,7 @@ class TestFailedWriteLeavesNoArtifact:
         assert run_cli(["tokenize", "--vocab", MINI["vocab"], "--input", text,
                         "--output", out]) == 1
         assert cli_error(capsys)["message"] == f"{text}:2: not UTF-8 text"
-        assert sorted(out.iterdir()) == []
+        assert not out.exists()
 
     def test_failed_rerun_keeps_the_good_run(self, tmp_path, capsys):
         broken = self.broken_manifest(tmp_path)

@@ -101,3 +101,17 @@ def test_unencodable_row_fails_as_json_dumps_does(tmp_path):
         json.dumps({"a": {1, 2}})
     assert str(err.value) == str(expected.value)
     assert not path.exists() and not (tmp_path / "rows.jsonl.part").exists()
+
+
+def test_encoded_lines_take_the_same_part_file_rule(tmp_path):
+    path = tmp_path / "rows.jsonl"
+    assert write_jsonl(path, ['{"a": 1}', '{"b": "é"}'], encoded=True) == 2
+    assert path.read_text(encoding="utf-8") == '{"a": 1}\n{"b": "é"}\n'
+
+    def failing():
+        yield '{"c": 2}'
+        raise ValueError("stop")
+    with pytest.raises(ValueError, match="stop"):
+        write_jsonl(path, failing(), encoded=True)
+    assert path.read_text(encoding="utf-8") == '{"a": 1}\n{"b": "é"}\n'
+    assert not (tmp_path / "rows.jsonl.part").exists()

@@ -334,6 +334,71 @@ class TestManifestExport:
         assert len(out.read_text(encoding="utf-8").splitlines()) == n
 
 
+class TestAdapterRowBytes:
+    """Manifest and stub-score lines are joined from encoded fragments; each must
+    read as json.dumps(row, ensure_ascii=False) of the whole row dict."""
+
+    # Non-ASCII and astral text, U+2028, '"', '\\' and control characters in
+    # every string a row carries: ids, labels and the template.
+    ODD = 'é𝄞\u2028"\\\x00\x1f\x7f'
+
+    @pytest.fixture()
+    def setup(self, tmp_path):
+        odd = self.ODD
+        objects = [f"aa{odd}", "aa", "aa bb", f"{odd}o", 'q"q']
+        rows = [{"id": f"t{i}{odd}", "sub_label": f"s{i}{odd}", "obj_label": obj,
+                 "predicate_id": f"P{odd}"} for i, obj in enumerate(objects)]
+        rows.append({"id": "plain", "sub_label": "s", "obj_label": "aa", "predicate_id": "P2"})
+        ds = make_dataset(tmp_path, rows, [
+            {"relation": f"P{odd}", "template": f"[X] {odd} \\[Y]\" ."},
+            {"relation": "P2", "template": "[X] is [Y] ."}])
+        return ds, build_candidates(ds), make_vocab(["aa", "bb"])
+
+    def expected_manifest(self, ds, cands, vocab):
+        rows = []
+        for rel in ds.relation_ids:
+            for triple in ds.triples_by_relation[rel]:
+                for cand in cands[rel]:
+                    ids = tokenize(vocab, cand)
+                    rows.append({"triple_id": triple.id, "relation_id": rel, "candidate": cand,
+                                 "query_text": ranking.instantiate_query(
+                                     ds.relations[rel], triple.subject, len(ids)),
+                                 "mask_token_ids": ids,
+                                 "candidate_oov": all(i == vocab.unk_id for i in ids)})
+        return rows
+
+    def test_manifest_lines_are_json_dumps_of_each_row(self, tmp_path, setup):
+        ds, cands, vocab = setup
+        out = tmp_path / "manifest.jsonl"
+        expected = self.expected_manifest(ds, cands, vocab)
+        assert {row["candidate_oov"] for row in expected} == {True, False}
+        assert {len(row["mask_token_ids"]) for row in expected} >= {1, 2}
+        assert export_mlm_manifest(ds, cands, vocab, out) == len(expected) == 26
+        assert out.read_text(encoding="utf-8") == "".join(
+            json.dumps(row, ensure_ascii=False) + "\n" for row in expected)
+
+    def test_stub_score_lines_are_json_dumps_of_each_row(self, tmp_path, setup):
+        ds, cands, vocab = setup
+        manifest = tmp_path / "manifest.jsonl"
+        export_mlm_manifest(ds, cands, vocab, manifest)
+        pinned = ("t0" + self.ODD, "aa bb")
+        lookup = {pinned: (-0.5, -0.0)}
+        out = tmp_path / "scores.jsonl"
+        assert write_stub_scores(manifest, out, lookup=lookup) == 26
+        expected = []
+        for row in self.expected_manifest(ds, cands, vocab):
+            pair = (row["triple_id"], row["candidate"])
+            lps = lookup.get(pair)
+            if lps is None:
+                lps = []
+                for i in range(len(row["mask_token_ids"])):
+                    digest = hashlib.sha256(f"{pair[0]}\t{pair[1]}\t{i}".encode("utf-8")).digest()
+                    lps.append(-0.01 - 7.99 * (int.from_bytes(digest[:8], "big") / 2 ** 64))
+            expected.append({"triple_id": pair[0], "candidate": pair[1], "token_logprobs": lps})
+        assert out.read_text(encoding="utf-8") == "".join(
+            json.dumps(row, ensure_ascii=False) + "\n" for row in expected)
+
+
 class TestScoreRecords:
     """rank_mlm applies the one log-prob rule to every score row."""
 
@@ -472,6 +537,44 @@ class TestMlmRanking:
         ])
         (pred,) = rank_mlm(good, ds, cands, manifest_path=manifest)
         assert pred.ranked[0][0] == "aa"
+
+    def write_manifest(self, path, rows):
+        with open(path, "w", encoding="utf-8") as f:
+            for triple_id, cand, ids in rows:
+                f.write(json.dumps({"triple_id": triple_id, "candidate": cand,
+                                    "mask_token_ids": ids}) + "\n")
+        return path
+
+    @pytest.mark.parametrize("scored, repeated", [
+        ([("P1#0", "aa", [-0.5]), ("P1#0", "bb", [-1.0])], ("P1#0", "aa")),
+        ([("P1#0", "aa", [-0.5])], ("P1#0", "bb")),
+        ([("P1#0", "aa", [-0.5]), ("P1#0", "bb", [-1.0]), ("ghost", "aa", [-1.0])],
+         ("ghost", "aa")),
+    ], ids=["scored", "unscored", "matches-no-pair"])
+    def test_manifest_row_repeated_rejected(self, tmp_path, scored, repeated):
+        ds, cands = self.setup_single(tmp_path)
+        scores = write_scores(tmp_path / "s.jsonl", scored)
+        manifest = self.write_manifest(tmp_path / "m.jsonl", [
+            ("P1#0", "aa", [4]), ("P1#0", "bb", [6]), ("ghost", "aa", [4]), (*repeated, [4])])
+        with pytest.raises(ValueError) as err:
+            rank_mlm(scores, ds, cands, manifest_path=manifest)
+        first = {("P1#0", "aa"): 1, ("P1#0", "bb"): 2, ("ghost", "aa"): 3}[repeated]
+        assert str(err.value) == (f"{manifest}:4: duplicate manifest row for {repeated!r} "
+                                  f"(first at line {first})")
+
+    @pytest.mark.parametrize("listed, message", [
+        (True, "1 score rows match no (triple, candidate) pair: ('ghost', 'aa')"),
+        (False, "{manifest}: 1 scored pairs have no manifest row: ('ghost', 'aa')"),
+    ], ids=["listed", "unlisted"])
+    def test_score_row_that_matches_no_pair_with_manifest(self, tmp_path, listed, message):
+        ds, cands = self.setup_single(tmp_path)
+        scores = write_scores(tmp_path / "s.jsonl", [
+            ("ghost", "aa", [-1.0]), ("P1#0", "aa", [-0.5]), ("P1#0", "bb", [-1.0])])
+        manifest = self.write_manifest(tmp_path / "m.jsonl", [
+            ("P1#0", "aa", [4]), ("P1#0", "bb", [6]), ("ghost", "aa", [4])][:3 if listed else 2])
+        with pytest.raises(ValueError) as err:
+            rank_mlm(scores, ds, cands, manifest_path=manifest)
+        assert str(err.value) == message.format(manifest=manifest)
 
     def test_equal_means_tie_break_lexicographically(self, tmp_path):
         ds, cands = self.setup_single(tmp_path)
@@ -740,6 +843,35 @@ class TestStreamedMemory:
         report, peak = self.traced_peak(lambda: compute_report(load_predictions(path), ds))
         assert peak < self.BOUND, f"peak {peak / 2 ** 20:.2f} MB"
         assert report.metadata["n_triples"] == 1600
+
+
+class TestMlmStreamedMemory:
+    """rank mlm holds two numbers per pair, not a tuple and dict entry per pair,
+    and writes one ranking at a time.
+
+    One relation of 120 triples over 120 candidates is 14,400 pairs, which as
+    dict entries and ranked tuples take about 4 MB; in slots they take 170 KB.
+    """
+
+    BOUND = 2 ** 20
+
+    def test_rank_mlm_with_manifest_writes_with_bounded_memory(self, tmp_path):
+        objects = [f"o{i:03d}" for i in range(120)]
+        rows = [triple_row(f"s{i % 16:02d}", objects[i]) for i in range(120)]
+        ds = make_dataset(tmp_path, rows, [TEMPLATE])
+        cands = build_candidates(ds)
+        manifest, scores = tmp_path / "m.jsonl", tmp_path / "s.jsonl"
+        export_mlm_manifest(ds, cands, make_vocab(objects), manifest)
+        write_stub_scores(manifest, scores)
+        path = tmp_path / "preds.jsonl"
+        tracemalloc.start()
+        try:
+            count = save_predictions(rank_mlm(scores, ds, cands, manifest_path=manifest), path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < self.BOUND, f"peak {peak / 2 ** 20:.2f} MB"
+        assert count == 120
 
 
 class TestComposeOnce:
