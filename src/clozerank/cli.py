@@ -179,8 +179,8 @@ def cmd_tokenize(ctx: RunContext) -> int:
     with jsonio.open_text(text_path) as fin:
         out_path = ctx.output("tokens.jsonl")
         ids_per_line = (wordpiece.tokenize(vocab, line) for line in fin)
-        jsonio.write_jsonl(out_path, ({"token_ids": ids, "tokens": vocab.ids_to_tokens(ids)}
-                                      for ids in ids_per_line))
+        jsonio.write_jsonl(out_path, map(jsonio.encode_row, (
+            {"token_ids": ids, "tokens": vocab.ids_to_tokens(ids)} for ids in ids_per_line)))
     return ctx.finish(f"tokenized {text_path} -> {out_path}")
 
 

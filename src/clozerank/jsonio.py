@@ -21,7 +21,9 @@ _row_chunks = json.encoder.c_make_encoder(None, json.JSONEncoder().default,
 _decode_row = json.JSONDecoder().raw_decode
 
 
-def _encode_row(row) -> str:  # the text json.dumps(row, ensure_ascii=False) gives
+def encode_row(row) -> str:
+    """The text json.dumps(row, ensure_ascii=False) gives: a JSONL line without its
+    newline, or a fragment that joins into one."""
     return "".join(_row_chunks(row, 0))
 
 
@@ -100,40 +102,13 @@ def read_jsonl(path, *fields, text=()):
             yield lineno, row, values
 
 
-def _sharing(rows, key):
-    """Encode rows; a row whose key list holds the previous row's entries reuses its text.
+def write_jsonl(path, lines) -> int:
+    """Write each encoded line, as encode_row gives it, with a newline; return the count.
 
-    Entries are compared by identity, never ==: 0.0 == -0.0 and 1 == 1.0, but
-    each pair encodes differently. A reused line is joined as the encoder
-    writes an object with string keys.
-    """
-    previous = text = None
-    for row in rows:
-        value = row[key]
-        if (previous is None or len(value) != len(previous)
-                or not all(map(operator.is_, value, previous))):
-            previous, text = value, None
-            yield _encode_row(row)
-        else:
-            text = text or _encode_row(previous)
-            yield "{" + ", ".join(f"{_encode_row(k)}: {text if k == key else _encode_row(v)}"
-                                  for k, v in row.items()) + "}"
-
-
-def write_jsonl(path, rows, shared=None, encoded=False) -> int:
-    """Write each row as one JSON line and return the count.
-
-    shared names a list field that runs of rows hold the same entries in: such
-    a row reuses the previous row's encoded text of it, with the same bytes.
-    With encoded, rows are lines already encoded, each without its newline.
-    The lines go to path.part, which replaces path only after the last row,
-    so rows that fail part way leave path as it was and no .part behind.
+    The lines go to path.part, which replaces path only after the last line,
+    so lines that fail part way leave path as it was and no .part behind.
     """
     count, part = 0, f"{path}.part"
-    if encoded:
-        lines = rows
-    else:
-        lines = map(_encode_row, rows) if shared is None else _sharing(rows, shared)
     f = open(part, "w", encoding="utf-8")
     try:
         with f:

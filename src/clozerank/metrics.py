@@ -35,7 +35,7 @@ def _outcomes(predictions: "Iterable[Prediction]", dataset: Dataset) -> dict:
         if pred.relation_id != t.relation_id:
             raise ValueError(f"prediction for triple {t.id!r} names relation "
                              f"{pred.relation_id!r}, but the KB files it under {t.relation_id!r}")
-        labels = [cand for cand, _ in pred.ranked]
+        labels = pred.labels
         outcomes[t.id] = labels[0], labels.index(t.object) if t.object in labels else math.inf
     missing = [tid for tid in triples if tid not in outcomes]
     if missing:

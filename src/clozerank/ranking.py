@@ -2,27 +2,28 @@
 
 import math
 from collections import Counter
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Sequence
 from hashlib import sha256
-from operator import itemgetter
 
 from .embeddings import EmbeddingTable, compose
-from .jsonio import _encode_row, read_json, read_jsonl, write_jsonl
+from .jsonio import encode_row, read_json, read_jsonl, write_jsonl
 from .kb import CandidateSet, Dataset, instantiate_query
 from .wordpiece import UNK_TOKEN, SubwordVocab, tokenize
 
 
 class Prediction:
-    """Ranked candidates for one triple, scores descending.
+    """Ranked candidates for one triple: labels and their scores, scores descending.
 
-    Ties sort by the lexicographically smaller candidate label.
+    Ties sort by the lexicographically smaller candidate label. Predictions
+    that share a ranking share its two sequences, as tuples.
     """
 
-    __slots__ = ("triple_id", "relation_id", "ranked", "flags")
+    __slots__ = ("triple_id", "relation_id", "labels", "scores", "flags")
 
-    def __init__(self, triple_id: str, relation_id: str, ranked: list[tuple[str, float]],
-                 flags: dict | None = None):
-        self.triple_id, self.relation_id, self.ranked = triple_id, relation_id, ranked
+    def __init__(self, triple_id: str, relation_id: str, labels: Sequence[str],
+                 scores: Sequence[float], flags: dict | None = None):
+        self.triple_id, self.relation_id = triple_id, relation_id
+        self.labels, self.scores = labels, scores
         self.flags = {} if flags is None else flags
 
 
@@ -55,22 +56,23 @@ def rank_static(table: EmbeddingTable, vocab: SubwordVocab, dataset: Dataset,
         triples = dataset.triples_by_relation[rel]
         rankings = _rank_relation(candidates[rel].candidates, [t.subject for t in triples],
                                   composed, exclude_subject_match)
-        for triple, (ranked, zero_norm) in zip(triples, rankings):
-            if not ranked:
+        for triple, (labels, scores, zero_norm) in zip(triples, rankings):
+            if not labels:
                 raise ValueError(f"triple {triple.id!r} of relation {rel!r} has no candidate "
                                  f"left once its subject is excluded")
-            yield Prediction(triple.id, rel, ranked,
+            yield Prediction(triple.id, rel, labels, scores,
                              {"query_oov": composed[triple.subject][2], "zero_norm": zero_norm})
 
 
 def _rank_relation(labels, subjects, composed, exclude_subject_match):
-    """Yield (ranking, zero_norm) for each subject over one relation's sorted labels.
+    """Yield (labels, scores, zero_norm) for each subject over one relation's sorted labels.
 
     The cosines are one product of the distinct unit subject rows with the
     distinct unit candidate rows. Candidates whose unit rows are bitwise
     equal (copied or doubled vectors) share one column, so they tie exactly
-    and the stable sort breaks the tie by label. A zero-norm subject gets the
-    label-ordered floor ranking, and every -1.0 in a ranking is one float.
+    and the stable sort breaks the tie by label. A live subject gets two new
+    lists; a zero-norm subject gets the relation's label-ordered floor
+    ranking, two tuples that every such subject without an exclusion shares.
     """
     import numpy as np
     floor = -1.0
@@ -98,24 +100,24 @@ def _rank_relation(labels, subjects, composed, exclude_subject_match):
             keys[row, position[subject]] = np.inf
     order = np.argsort(keys, axis=1, kind="stable")
     ranked_scores = np.take_along_axis(scores, order, axis=1)
-    values = ranked_scores.astype(object)
-    values[ranked_scores == floor] = floor
     names = np.array(labels, dtype=object)[order]
 
-    floor_ranking = [(label, floor) for label in labels]
+    floor_labels, floor_scores = tuple(labels), (floor,) * len(labels)
     rows = {subject: row for row, subject in enumerate(queries)}
     for subject in subjects:
         row = rows.get(subject)
         if row is None:  # a zero-norm subject
-            ranked = list(floor_ranking)
             if subject in position:
-                del ranked[position[subject]]
-            yield ranked, True
+                i = position[subject]
+                yield floor_labels[:i] + floor_labels[i + 1:], floor_scores[1:], True
+            else:
+                yield floor_labels, floor_scores, True
         else:
-            ranked = list(zip(names[row].tolist(), values[row].tolist()))
-            if subject in position:
-                ranked.pop()  # the excluded candidate, sorted last
-            yield ranked, any_zero
+            ranked_labels, ranked_values = names[row].tolist(), ranked_scores[row].tolist()
+            if subject in position:  # the excluded candidate, sorted last
+                ranked_labels.pop()
+                ranked_values.pop()
+            yield ranked_labels, ranked_values, any_zero
 
 
 def rank_oracle(dataset: Dataset, candidates: dict[str, CandidateSet]) -> Iterator[Prediction]:
@@ -125,9 +127,10 @@ def rank_oracle(dataset: Dataset, candidates: dict[str, CandidateSet]) -> Iterat
         freq = Counter(t.object for t in triples)
         scores = {c: float(freq.get(c, 0)) for c in candidates[rel]}
         # A stable sort over the sorted labels breaks each tie by label.
-        ranked = [(c, scores[c]) for c in sorted(scores, key=scores.__getitem__, reverse=True)]
+        labels = tuple(sorted(scores, key=scores.__getitem__, reverse=True))
+        values = tuple(map(scores.__getitem__, labels))
         for triple in triples:
-            yield Prediction(triple.id, rel, list(ranked), {"query_oov": False})
+            yield Prediction(triple.id, rel, labels, values, {"query_oov": False})
 
 
 def export_mlm_manifest(dataset: Dataset, candidates: dict[str, CandidateSet],
@@ -145,23 +148,23 @@ def export_mlm_manifest(dataset: Dataset, candidates: dict[str, CandidateSet],
     """
     def lines():
         for rel in dataset.relation_ids:
-            spec, relation = dataset.relations[rel], _encode_row(rel)
+            spec, relation = dataset.relations[rel], encode_row(rel)
             pieces = []  # (mask count, name, tail) per candidate
             for cand in candidates[rel]:
                 ids = tokenize(scorer_vocab, cand)
                 oov = all(i == scorer_vocab.unk_id for i in ids)
-                pieces.append((len(ids), f'{_encode_row(cand)}, "query_text": ',
-                               f', "mask_token_ids": {_encode_row(ids)}, '
-                               f'"candidate_oov": {_encode_row(oov)}}}'))
+                pieces.append((len(ids), f'{encode_row(cand)}, "query_text": ',
+                               f', "mask_token_ids": {encode_row(ids)}, '
+                               f'"candidate_oov": {encode_row(oov)}}}'))
             mask_counts = {masks for masks, _, _ in pieces}
             for triple in dataset.triples_by_relation[rel]:
-                head = (f'{{"triple_id": {_encode_row(triple.id)}, "relation_id": {relation}, '
+                head = (f'{{"triple_id": {encode_row(triple.id)}, "relation_id": {relation}, '
                         '"candidate": ')
-                queries = {masks: _encode_row(instantiate_query(spec, triple.subject, masks))
+                queries = {masks: encode_row(instantiate_query(spec, triple.subject, masks))
                            for masks in mask_counts}
                 for masks, name, tail in pieces:
                     yield head + name + queries[masks] + tail
-    return write_jsonl(out_path, lines(), encoded=True)
+    return write_jsonl(out_path, lines())
 
 
 def _logprobs(value) -> tuple[float, ...]:
@@ -293,8 +296,9 @@ def rank_mlm(score_path, dataset: Dataset, candidates: dict[str, CandidateSet],
                 slot += len(labels)
                 # As in rank_oracle: a stable sort over the sorted labels breaks each tie
                 # by label.
-                ranked = sorted(zip(labels, scores), key=itemgetter(1), reverse=True)
-                yield Prediction(triple.id, rel, ranked, {"query_oov": False})
+                order = sorted(range(len(labels)), key=scores.__getitem__, reverse=True)
+                yield Prediction(triple.id, rel, [labels[i] for i in order],
+                                 [scores[i] for i in order], {"query_oov": False})
     return rankings()
 
 
@@ -333,7 +337,7 @@ def write_stub_scores(manifest_path, out_path, lookup=None) -> int:
         triple = head = None
         for lineno, triple_id, cand, masks in _read_manifest(manifest_path):
             if triple_id != triple:
-                triple, head = triple_id, f'{{"triple_id": {_encode_row(triple_id)}, "candidate": '
+                triple, head = triple_id, f'{{"triple_id": {encode_row(triple_id)}, "candidate": '
             lps = None
             if lookup:
                 key = (triple_id, cand)
@@ -346,23 +350,33 @@ def write_stub_scores(manifest_path, out_path, lookup=None) -> int:
             elif len(lps) != masks:
                 raise ValueError(f"{manifest_path}:{lineno}: lookup for {key!r} has "
                                  f"{len(lps)} log-probs, manifest wants {masks}")
-            yield f'{head}{_encode_row(cand)}, "token_logprobs": {_encode_row(lps)}}}'
+            yield f'{head}{encode_row(cand)}, "token_logprobs": {encode_row(lps)}}}'
         if unused:
             shown = ", ".join(repr(p) for p in sorted(unused)[:10])
             raise ValueError(f"{len(unused)} lookup pairs match no manifest row: {shown}")
-    return write_jsonl(out_path, lines(), encoded=True)
+    return write_jsonl(out_path, lines())
 
 
 def save_predictions(predictions: Iterable[Prediction], path) -> int:
     """Write one row per prediction as it arrives and return the count; a failure
-    leaves path as it was. A ranking that holds the previous row's (label, score)
-    tuples, as rank oracle's and the zero-norm floor rankings do, is encoded once."""
-    return write_jsonl(path, ({
-        "triple_id": pred.triple_id,
-        "relation_id": pred.relation_id,
-        "ranked": pred.ranked,  # json writes each (label, score) tuple as an array
-        "flags": pred.flags,
-    } for pred in predictions), shared="ranked")
+    leaves path as it was.
+
+    Each row is the object {triple_id, relation_id, ranked, flags}, where ranked
+    lists [label, score] pairs, joined from encoded fragments. A prediction that
+    holds the previous row's labels and scores objects, as rank oracle's and the
+    zero-norm floor rankings do, reuses that row's ranked text. The previous
+    objects stay referenced here, so an identity match is never a reused id.
+    """
+    def lines():
+        labels = scores = ranked = None
+        for pred in predictions:
+            if pred.labels is not labels or pred.scores is not scores:
+                labels, scores = pred.labels, pred.scores
+                ranked = encode_row(list(zip(labels, scores)))
+            yield (f'{{"triple_id": {encode_row(pred.triple_id)}, '
+                   f'"relation_id": {encode_row(pred.relation_id)}, '
+                   f'"ranked": {ranked}, "flags": {encode_row(pred.flags)}}}')
+    return write_jsonl(path, lines())
 
 
 def load_predictions(path) -> Iterator[Prediction]:
@@ -378,28 +392,29 @@ def load_predictions(path) -> Iterator[Prediction]:
                              f"{triple_id!r} (first at line {first})")
         seen.add(triple_id)
         # Only a two-element list unpacks into a string and a number: a JSON
-        # string or object yields strings. save_predictions writes float
-        # scores, which the first pass keeps; a row holding an integer score
-        # or a malformed entry takes the second, which converts integers.
+        # string or object yields strings.
         try:
-            pairs = [(label, score) for label, score in ranked
-                     if type(label) is str and type(score) is float]
-            if len(pairs) != len(ranked):
-                pairs = [(label, float(score)) for label, score in ranked
-                         if type(label) is str and type(score) in (int, float)]
-        except OverflowError as exc:  # an integer too large for a float
-            raise ValueError(f"{path}:{lineno}: malformed prediction: {exc}") from None
+            labels = [label for label, _ in ranked]
+            scores = [score for _, score in ranked]
         except (TypeError, ValueError):  # not a list, or an entry that is not two values
-            pairs = []
-        if not pairs or len(pairs) != len(ranked):
+            labels = scores = []
+        score_types = set(map(type, scores))
+        if score_types != {float}:  # save_predictions writes floats; integers convert
+            try:
+                scores = [float(score) if type(score) is int and type(label) is str else score
+                          for label, score in zip(labels, scores)]
+            except OverflowError as exc:  # an integer too large for a float
+                raise ValueError(f"{path}:{lineno}: malformed prediction: {exc}") from None
+            score_types = set(map(type, scores))
+        if score_types != {float} or set(map(type, labels)) != {str}:
             raise ValueError(f"{path}:{lineno}: ranked must be a non-empty list of "
                              "[label, score] pairs of a string and a number")
-        if len({label for label, _ in pairs}) != len(pairs):  # loop only to name the label
-            counts = Counter(label for label, _ in pairs)
-            label = next(label for label, _ in pairs if counts[label] > 1)
+        if len(set(labels)) != len(labels):  # loop only to name the label
+            counts = Counter(labels)
+            label = next(label for label in labels if counts[label] > 1)
             raise ValueError(f"{path}:{lineno}: ranked lists label {label!r} twice")
         flags = row.get("flags", {})
         if type(flags) is not dict or not set(map(type, flags.values())) <= {bool}:
             raise ValueError(f"{path}:{lineno}: flags must be an object of booleans, "
                              f"got {flags!r}")
-        yield Prediction(triple_id, relation_id, pairs, flags)
+        yield Prediction(triple_id, relation_id, labels, scores, flags)

@@ -29,6 +29,11 @@ def mini_table():
     return embeddings.load_table(FIXTURES / "mini_table.vec")
 
 
+def ranked(pred) -> list[tuple[str, float]]:
+    """A prediction's ranking as (label, score) pairs."""
+    return list(zip(pred.labels, pred.scores))
+
+
 def write_jsonl(path, rows) -> Path:
     path = Path(path)
     with open(path, "w", encoding="utf-8") as f:

@@ -38,7 +38,7 @@ from clozerank.wordpiece import (
 )
 
 import oracles
-from conftest import FIXTURES, make_dataset
+from conftest import FIXTURES, make_dataset, ranked
 from test_metrics import instance_pieces, oracle_views
 
 
@@ -88,7 +88,7 @@ def test_criterion_2_static_ranking_matches_brute_force(tmp_path, capsys):
         preds = rank_static(table, vocab, ds, cands)
         _, _, _, exact_tops = oracle_views(inst, ds, cands)
         for pred in preds:
-            got = [c for c, _ in pred.ranked]
+            got = [c for c, _ in ranked(pred)]
             assert got == exact_tops[pred.triple_id], \
                 f"seed {seed}, triple {pred.triple_id}"
 
@@ -105,7 +105,7 @@ def test_criterion_3_metrics_match_brute_force(tmp_path, capsys):
         cands = build_candidates(ds)
         preds = list(rank_static(table, vocab, ds, cands))
         relations, gold, lengths, _ = oracle_views(inst, ds, cands)
-        top_lists = {p.triple_id: [c for c, _ in p.ranked] for p in preds}
+        top_lists = {p.triple_id: [c for c, _ in ranked(p)] for p in preds}
 
         report = compute_report(preds, ds, vocab=vocab)
         _, macro_p1 = oracles.brute_p_at_k(top_lists, gold, relations, 1)
@@ -168,7 +168,7 @@ def test_criterion_5_mlm_adapter_law(tmp_path, capsys, mini_dataset, mini_vocab)
                for r in map(json.loads, scores.read_text(encoding="utf-8").splitlines())}
     preds = list(rank_mlm(scores, mini_dataset, cands))
     for pred in preds:
-        for cand, score in pred.ranked:
+        for cand, score in ranked(pred):
             lps = records[(pred.triple_id, cand)]
             assert abs(score - sum(lps) / len(lps)) < 1e-12
 
@@ -177,8 +177,8 @@ def test_criterion_5_mlm_adapter_law(tmp_path, capsys, mini_dataset, mini_vocab)
     shuffled = tmp_path / "shuffled.jsonl"
     shuffled.write_text("\n".join(lines) + "\n", encoding="utf-8")
     reordered = rank_mlm(shuffled, mini_dataset, cands)
-    assert [(p.triple_id, p.ranked) for p in preds] \
-        == [(p.triple_id, p.ranked) for p in reordered]
+    assert [(p.triple_id, ranked(p)) for p in preds] \
+        == [(p.triple_id, ranked(p)) for p in reordered]
 
     report_pass(capsys, 5, "candidate scores are mean token log-probs "
                 "(1e-12) and row order is irrelevant", started)
@@ -315,7 +315,7 @@ def scaled_table(table, factor):
 
 
 def orderings(predictions):
-    return [(p.triple_id, [c for c, _ in p.ranked]) for p in predictions]
+    return [(p.triple_id, [c for c, _ in ranked(p)]) for p in predictions]
 
 
 def test_criterion_8_scale_invariance(tmp_path, capsys, mini_dataset,
@@ -356,7 +356,7 @@ def test_criterion_9_end_to_end_fixture(tmp_path, capsys, mini_dataset,
 
     # Static pipeline against the hand-computed report.
     preds = list(rank_static(mini_table, mini_vocab, mini_dataset, cands))
-    top1 = {p.triple_id: p.ranked[0][0] for p in preds}
+    top1 = {p.triple_id: ranked(p)[0][0] for p in preds}
     expected_top1 = {
         "P103": ["french", "french", "german", "german", "italian", "german"],
         "P19": ["paris", "paris", "berlin", "rome", "berlin", "rome"],
@@ -393,7 +393,7 @@ def test_criterion_9_end_to_end_fixture(tmp_path, capsys, mini_dataset,
     lookup = read_lookup(FIXTURES / "mini_stub_lookup.json")
     scores = tmp_path / "scores.jsonl"
     write_stub_scores(manifest, scores, lookup=lookup)
-    mlm_preds = {p.triple_id: [c for c, _ in p.ranked]
+    mlm_preds = {p.triple_id: [c for c, _ in ranked(p)]
                  for p in rank_mlm(scores, mini_dataset, cands)}
 
     overrides = {

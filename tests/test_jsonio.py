@@ -7,7 +7,7 @@ import re
 
 import pytest
 
-from clozerank.jsonio import read_jsonl, write_jsonl
+from clozerank.jsonio import encode_row, read_jsonl, write_jsonl
 
 SURROGATE = re.compile("[\ud800-\udfff]")
 
@@ -89,14 +89,14 @@ def test_rows_and_messages_match_per_line_json_loads(tmp_path, case, final_newli
 ], ids=["text-and-numbers", "non-finite", "tuples-and-nesting", "empty"])
 def test_rows_written_as_json_dumps_writes_them(tmp_path, row):
     path = tmp_path / "rows.jsonl"
-    assert write_jsonl(path, [row, row]) == 2
+    assert write_jsonl(path, map(encode_row, [row, row])) == 2
     assert path.read_text(encoding="utf-8") == 2 * (json.dumps(row, ensure_ascii=False) + "\n")
 
 
 def test_unencodable_row_fails_as_json_dumps_does(tmp_path):
     path = tmp_path / "rows.jsonl"
     with pytest.raises(TypeError) as err:
-        write_jsonl(path, [{"a": 1}, {"a": {1, 2}}])
+        write_jsonl(path, map(encode_row, [{"a": 1}, {"a": {1, 2}}]))
     with pytest.raises(TypeError) as expected:
         json.dumps({"a": {1, 2}})
     assert str(err.value) == str(expected.value)
@@ -105,13 +105,13 @@ def test_unencodable_row_fails_as_json_dumps_does(tmp_path):
 
 def test_encoded_lines_take_the_same_part_file_rule(tmp_path):
     path = tmp_path / "rows.jsonl"
-    assert write_jsonl(path, ['{"a": 1}', '{"b": "é"}'], encoded=True) == 2
+    assert write_jsonl(path, ['{"a": 1}', '{"b": "é"}']) == 2
     assert path.read_text(encoding="utf-8") == '{"a": 1}\n{"b": "é"}\n'
 
     def failing():
         yield '{"c": 2}'
         raise ValueError("stop")
     with pytest.raises(ValueError, match="stop"):
-        write_jsonl(path, failing(), encoded=True)
+        write_jsonl(path, failing())
     assert path.read_text(encoding="utf-8") == '{"a": 1}\n{"b": "é"}\n'
     assert not (tmp_path / "rows.jsonl.part").exists()

@@ -17,7 +17,7 @@ from clozerank.ranking import Prediction, rank_static
 from clozerank.wordpiece import SPECIAL_TOKENS, SubwordVocab
 
 import oracles
-from conftest import make_dataset
+from conftest import make_dataset, ranked
 
 
 def triple_row(subject, obj, relation="P1"):
@@ -29,8 +29,7 @@ def template(relation="P1"):
 
 
 def pred(triple_id, relation, labels):
-    ranked = [(label, float(-i)) for i, label in enumerate(labels)]
-    return Prediction(triple_id, relation, ranked)
+    return Prediction(triple_id, relation, labels, [float(-i) for i in range(len(labels))])
 
 
 class TestPrecision:
@@ -149,7 +148,7 @@ class TestDiversity:
         preds = list(rank_static(mini_table, mini_vocab, mini_dataset,
                                  build_candidates(mini_dataset)))
         entropy = compute_report(preds, mini_dataset).entropy_bits
-        labels = {p.ranked[0][0] for p in preds}
+        labels = {ranked(p)[0][0] for p in preds}
         assert 0.0 <= entropy <= math.log2(len(labels)) + 1e-12
 
 
@@ -237,7 +236,7 @@ class TestBruteForceEquality:
             preds = list(rank_static(table, vocab, ds, cands))
             relations, gold, lengths, exact_tops = oracle_views(inst, ds, cands)
 
-            top_lists = {p.triple_id: [c for c, _ in p.ranked] for p in preds}
+            top_lists = {p.triple_id: [c for c, _ in ranked(p)] for p in preds}
             assert top_lists == exact_tops, f"seed {seed}"
 
             report = compute_report(preds, ds, vocab=vocab)

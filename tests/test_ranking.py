@@ -24,7 +24,7 @@ from clozerank.ranking import (
 )
 from clozerank.wordpiece import SPECIAL_TOKENS, SubwordVocab, tokenize
 
-from conftest import make_dataset
+from conftest import make_dataset, ranked
 from test_metrics import instance_pieces
 
 TEMPLATE = {"relation": "P1", "template": "[X] maps to [Y] ."}
@@ -58,7 +58,7 @@ class TestStaticRanking:
         ds, cands, vocab, table = one_triple_setup(tmp_path, "qq", entries,
                                                    ["aa", "bb"])
         (pred,) = rank_static(table, vocab, ds, cands)
-        assert pred.ranked == [("aa", 1.0), ("bb", 0.0)]
+        assert ranked(pred) == [("aa", 1.0), ("bb", 0.0)]
         assert pred.flags == {"query_oov": False, "zero_norm": False}
 
     def test_hand_computed_cosines(self, tmp_path):
@@ -66,10 +66,10 @@ class TestStaticRanking:
         ds, cands, vocab, table = one_triple_setup(tmp_path, "qq", entries,
                                                    ["c1", "c2", "c3"])
         (pred,) = rank_static(table, vocab, ds, cands)
-        assert [cand for cand, _ in pred.ranked] == ["c1", "c2", "c3"]
+        assert [cand for cand, _ in ranked(pred)] == ["c1", "c2", "c3"]
         expected = {"c1": 3 / math.sqrt(10), "c2": 2 / math.sqrt(5),
                     "c3": 1 / math.sqrt(5)}
-        for cand, score in pred.ranked:
+        for cand, score in ranked(pred):
             assert score == pytest.approx(expected[cand], abs=1e-12)
 
     def test_antiparallel_and_zero_norm_share_the_floor(self, tmp_path):
@@ -78,7 +78,7 @@ class TestStaticRanking:
         ds, cands, vocab, table = one_triple_setup(tmp_path, "qq", entries,
                                                    ["am", "bb", "zz"])
         (pred,) = rank_static(table, vocab, ds, cands)
-        assert pred.ranked == [("bb", 0.0), ("am", -1.0), ("zz", -1.0)]
+        assert ranked(pred) == [("bb", 0.0), ("am", -1.0), ("zz", -1.0)]
         assert pred.flags["zero_norm"] is True
 
     def test_zero_norm_query_floors_everything(self, tmp_path):
@@ -86,7 +86,7 @@ class TestStaticRanking:
         ds, cands, vocab, table = one_triple_setup(tmp_path, "qq", entries,
                                                    ["aa", "bb"])
         (pred,) = rank_static(table, vocab, ds, cands)
-        assert pred.ranked == [("aa", -1.0), ("bb", -1.0)]
+        assert ranked(pred) == [("aa", -1.0), ("bb", -1.0)]
         assert pred.flags["zero_norm"] is True
 
     def test_blank_subject_composes_no_piece(self):
@@ -96,7 +96,7 @@ class TestStaticRanking:
         cands = {"P1": CandidateSet("P1", ("aa", "bb"))}
         table = make_table({"aa": [1, 0], "bb": [0, 1]})
         (pred,) = rank_static(table, make_vocab(["aa", "bb"]), ds, cands)
-        assert pred.ranked == [("aa", -1.0), ("bb", -1.0)]
+        assert ranked(pred) == [("aa", -1.0), ("bb", -1.0)]
         assert pred.flags == {"query_oov": True, "zero_norm": True}
 
     def test_out_of_vocabulary_subject_is_flagged(self, tmp_path):
@@ -118,9 +118,9 @@ class TestStaticRanking:
             scaled_table = EmbeddingTable(table.dim, table.entries,
                                           table.matrix * np.float32(factor))
             (scaled,) = rank_static(scaled_table, vocab, ds, cands)
-            assert [c for c, _ in scaled.ranked] == [c for c, _ in base.ranked]
+            assert [c for c, _ in ranked(scaled)] == [c for c, _ in ranked(base)]
             # scores drift by float32 rounding of the scaled vectors
-            for (_, a), (_, b) in zip(scaled.ranked, base.ranked):
+            for (_, a), (_, b) in zip(ranked(scaled), ranked(base)):
                 assert a == pytest.approx(b, abs=1e-6)
 
     def test_identical_vectors_tie_break_lexicographically(self, tmp_path):
@@ -128,8 +128,8 @@ class TestStaticRanking:
         ds, cands, vocab, table = one_triple_setup(tmp_path, "qq", entries,
                                                    ["xx", "ya"])
         (pred,) = rank_static(table, vocab, ds, cands)
-        assert pred.ranked[0][1] == pred.ranked[1][1]
-        assert [cand for cand, _ in pred.ranked] == ["xx", "ya"]
+        assert ranked(pred)[0][1] == ranked(pred)[1][1]
+        assert [cand for cand, _ in ranked(pred)] == ["xx", "ya"]
 
     def test_exclude_subject_match(self, tmp_path):
         entries = {"aa": [1, 0], "bb": [0, 1]}
@@ -138,10 +138,10 @@ class TestStaticRanking:
         vocab = make_vocab(["aa", "bb"])
         table = make_table(entries)
         (kept,) = rank_static(table, vocab, ds, cands)
-        assert [c for c, _ in kept.ranked] == ["aa", "bb"]
+        assert [c for c, _ in ranked(kept)] == ["aa", "bb"]
         (dropped,) = rank_static(table, vocab, ds, cands,
                                  exclude_subject_match=True)
-        assert [c for c, _ in dropped.ranked] == ["bb"]
+        assert [c for c, _ in ranked(dropped)] == ["bb"]
 
     def test_ranking_covers_exactly_the_candidate_set(
             self, mini_dataset, mini_vocab, mini_table):
@@ -149,7 +149,7 @@ class TestStaticRanking:
         preds = list(rank_static(mini_table, mini_vocab, mini_dataset, cands))
         assert len(preds) == mini_dataset.n_triples
         for pred in preds:
-            labels = sorted(c for c, _ in pred.ranked)
+            labels = sorted(c for c, _ in ranked(pred))
             assert labels == list(cands[pred.relation_id].candidates)
 
 
@@ -188,8 +188,8 @@ class TestVectorisedScores:
         assert isinstance(preds, list)
         for pred in preds:
             expected = reference[pred.triple_id]
-            assert sorted(label for label, _ in pred.ranked) == sorted(expected)
-            for label, score in pred.ranked:
+            assert sorted(label for label, _ in ranked(pred)) == sorted(expected)
+            for label, score in ranked(pred):
                 assert abs(score - expected[label]) <= 1e-12, (pred.triple_id, label)
 
     def test_mini_fixture_scores_match_scalar_reference(self, mini_dataset, mini_vocab,
@@ -222,10 +222,10 @@ class TestVectorisedScores:
         preds = list(rank_static(make_table(entries), make_vocab(entries), ds, cands))
         assert len(preds) == n_subjects
         for pred in preds:
-            at = [i for i, (label, _) in enumerate(pred.ranked) if label in tied]
-            assert [pred.ranked[i][0] for i in at] == tied
+            at = [i for i, (label, _) in enumerate(ranked(pred)) if label in tied]
+            assert [ranked(pred)[i][0] for i in at] == tied
             assert at == list(range(at[0], at[0] + len(tied)))
-            assert len({pred.ranked[i][1].hex() for i in at}) == 1
+            assert len({ranked(pred)[i][1].hex() for i in at}) == 1
 
     def test_zero_norm_flag_counts_only_the_candidates_left(self, tmp_path):
         # An excluded candidate is the subject's own string: it is zero-norm
@@ -236,29 +236,35 @@ class TestVectorisedScores:
         cands = {"P1": CandidateSet("P1", ("aa", "bb", "zz"))}
         preds = rank_static(make_table(entries), make_vocab(entries), ds, cands,
                             exclude_subject_match=True)
-        got = {p.triple_id: (p.ranked, p.flags["zero_norm"]) for p in preds}
+        got = {p.triple_id: (ranked(p), p.flags["zero_norm"]) for p in preds}
         assert got["P1#0"] == ([("bb", 0.0), ("zz", -1.0)], True)
         assert got["P1#1"] == ([("aa", -1.0), ("bb", -1.0)], True)
         assert got["P1#2"] == ([("aa", 0.0), ("zz", -1.0)], True)
         cands = {"P1": CandidateSet("P1", ("aa", "bb"))}
         first, second, third = rank_static(make_table(entries), make_vocab(entries), ds,
                                              cands, exclude_subject_match=True)
-        assert (first.ranked, first.flags["zero_norm"]) == ([("bb", 0.0)], False)
-        assert (second.ranked, second.flags["zero_norm"]) == (
+        assert (ranked(first), first.flags["zero_norm"]) == ([("bb", 0.0)], False)
+        assert (ranked(second), second.flags["zero_norm"]) == (
             [("aa", -1.0), ("bb", -1.0)], True)
-        assert (third.ranked, third.flags["zero_norm"]) == ([("aa", 0.0)], False)
+        assert (ranked(third), third.flags["zero_norm"]) == ([("aa", 0.0)], False)
 
-    def test_each_prediction_owns_its_ranking_list(self, tmp_path):
+    def test_only_tuple_rankings_are_shared(self, tmp_path):
         # Two triples share a subject, and two zero-norm subjects share the floor.
         entries = {"aa": [1, 2], "bb": [2, 1], "cc": [3, 0], "yy": [0, 0], "zz": [0, 0]}
         rows = [triple_row("aa", "bb"), triple_row("aa", "cc"), triple_row("yy", "bb"),
                 triple_row("zz", "cc")]
         ds = make_dataset(tmp_path, rows, [TEMPLATE])
-        preds = list(rank_static(make_table(entries), make_vocab(entries), ds,
-                                 build_candidates(ds)))
-        assert preds[0].ranked == preds[1].ranked
-        assert preds[2].ranked == preds[3].ranked == [("bb", -1.0), ("cc", -1.0)]
-        assert len({id(p.ranked) for p in preds}) == 4
+        cands = build_candidates(ds)
+        preds = list(rank_static(make_table(entries), make_vocab(entries), ds, cands))
+        assert ranked(preds[0]) == ranked(preds[1])
+        assert ranked(preds[2]) == ranked(preds[3]) == [("bb", -1.0), ("cc", -1.0)]
+        live = [seq for p in preds[:2] for seq in (p.labels, p.scores)]
+        assert all(type(seq) is list for seq in live)
+        assert len({id(seq) for seq in live}) == 4
+        for group in (preds, list(rank_oracle(ds, cands))):
+            sequences = [seq for p in group for seq in (p.labels, p.scores)]
+            shared = [seq for seq in sequences if sum(seq is other for other in sequences) > 1]
+            assert shared and all(type(seq) is tuple for seq in shared)
 
 
 class TestOracle:
@@ -269,26 +275,26 @@ class TestOracle:
         preds = list(rank_oracle(ds, build_candidates(ds)))
         assert len(preds) == 3
         for pred in preds:
-            assert pred.ranked == [("aa", 2.0), ("bb", 1.0)]
+            assert ranked(pred) == [("aa", 2.0), ("bb", 1.0)]
 
     def test_frequency_tie_breaks_lexicographically(self, tmp_path):
         rows = [triple_row("s1", "bb"), triple_row("s2", "aa")]
         ds = make_dataset(tmp_path, rows, [TEMPLATE])
         preds = rank_oracle(ds, build_candidates(ds))
-        assert all(p.ranked[0][0] == "aa" for p in preds)
+        assert all(ranked(p)[0][0] == "aa" for p in preds)
 
     def test_candidate_outside_gold_objects_scores_zero(self, tmp_path):
         ds = make_dataset(tmp_path, [triple_row("s1", "bb")], [TEMPLATE])
         cands = {"P1": CandidateSet("P1", ("aa", "bb"))}
         (pred,) = rank_oracle(ds, cands)
-        assert pred.ranked == [("bb", 1.0), ("aa", 0.0)]
+        assert ranked(pred) == [("bb", 1.0), ("aa", 0.0)]
 
     def test_ties_at_every_frequency_rank_by_label(self, tmp_path):
         rows = [triple_row(f"s{i}", obj) for i, obj in enumerate("dd bb cc bb dd aa".split())]
         ds = make_dataset(tmp_path, rows, [TEMPLATE])
         cands = {"P1": CandidateSet("P1", ("aa", "bb", "cc", "dd", "ee", "ff"))}
         for pred in rank_oracle(ds, cands):
-            assert pred.ranked == [("bb", 2.0), ("dd", 2.0), ("aa", 1.0), ("cc", 1.0),
+            assert ranked(pred) == [("bb", 2.0), ("dd", 2.0), ("aa", 1.0), ("cc", 1.0),
                                    ("ee", 0.0), ("ff", 0.0)]
 
 
@@ -406,7 +412,7 @@ class TestScoreRecords:
         ds = make_dataset(tmp_path, [triple_row("s1", "aa", "P1")], [TEMPLATE])
         scores = write_scores(tmp_path / "s.jsonl", [("P1#0", "aa", [-1.0, -3.0])])
         (pred,) = rank_mlm(scores, ds, {"P1": CandidateSet("P1", ("aa",))})
-        assert pred.ranked == [("aa", -2.0)]
+        assert ranked(pred) == [("aa", -2.0)]
 
     def test_validation(self, tmp_path):
         ds = make_dataset(tmp_path, [triple_row("s1", "aa", "P1")], [TEMPLATE])
@@ -419,7 +425,7 @@ class TestScoreRecords:
             assert str(err.value).startswith(f"{scores}:1: malformed score row")
         scores = write_scores(tmp_path / "s.jsonl", [("P1#0", "aa", [0.0])])
         (pred,) = rank_mlm(scores, ds, cands)
-        assert pred.ranked == [("aa", 0.0)]  # certainty is allowed
+        assert ranked(pred) == [("aa", 0.0)]  # certainty is allowed
 
     @pytest.mark.parametrize("lps, problem", [
         ([True], "token_logprobs must be a non-empty list of numbers, got [True]"),
@@ -466,7 +472,7 @@ class TestMlmRanking:
             ("P1#0", "bb", [-0.1, -4.0]),
         ])
         (pred,) = rank_mlm(scores, ds, cands)
-        assert pred.ranked == [("aa", -0.5), ("bb", (-0.1 + -4.0) / 2)]
+        assert ranked(pred) == [("aa", -0.5), ("bb", (-0.1 + -4.0) / 2)]
 
     def test_row_order_is_irrelevant(self, tmp_path, mini_dataset):
         cands = build_candidates(mini_dataset)
@@ -480,8 +486,8 @@ class TestMlmRanking:
         random.Random(5).shuffle(rows)
         rev = rank_mlm(write_scores(tmp_path / "rev.jsonl", rows),
                        mini_dataset, cands)
-        assert [(p.triple_id, p.ranked) for p in fwd] \
-            == [(p.triple_id, p.ranked) for p in rev]
+        assert [(p.triple_id, ranked(p)) for p in fwd] \
+            == [(p.triple_id, ranked(p)) for p in rev]
 
     def test_missing_pairs_listed_first_ten(self, tmp_path):
         rows = [triple_row(f"s{i:02d}", f"obj{i:02d}") for i in range(12)]
@@ -536,7 +542,7 @@ class TestMlmRanking:
             ("P1#0", "aa", [-0.5, -0.7]), ("P1#0", "bb", [-1.0]),
         ])
         (pred,) = rank_mlm(good, ds, cands, manifest_path=manifest)
-        assert pred.ranked[0][0] == "aa"
+        assert ranked(pred)[0][0] == "aa"
 
     def write_manifest(self, path, rows):
         with open(path, "w", encoding="utf-8") as f:
@@ -582,7 +588,7 @@ class TestMlmRanking:
             ("P1#0", "bb", [-1.0]), ("P1#0", "aa", [-2.0, 0.0]),
         ])
         (pred,) = rank_mlm(scores, ds, cands)
-        assert [cand for cand, _ in pred.ranked] == ["aa", "bb"]
+        assert [cand for cand, _ in ranked(pred)] == ["aa", "bb"]
 
     @pytest.mark.parametrize("first, second, mean", [
         ([-1.0, -3.0], [-2.0], -2.0), ([-2.0], [-1.0, -3.0], -2.0),
@@ -595,7 +601,7 @@ class TestMlmRanking:
             ("P1#0", "bb", first), ("P1#0", "aa", second),
         ])
         (pred,) = rank_mlm(scores, ds, cands)
-        assert pred.ranked == [("aa", mean), ("bb", mean)]
+        assert ranked(pred) == [("aa", mean), ("bb", mean)]
 
 
 class TestStubScorer:
@@ -663,53 +669,65 @@ class TestStubScorer:
 class TestPredictionIO:
     def test_roundtrip(self, tmp_path):
         preds = [
-            Prediction("t1", "P1", [("aa", 1.0), ("bb", -0.25)],
+            Prediction("t1", "P1", ["aa", "bb"], [1.0, -0.25],
                        flags={"query_oov": False, "zero_norm": True}),
-            Prediction("t2", "P2", [("cc", 0.3333333333333333)]),
+            Prediction("t2", "P2", ["cc"], [0.3333333333333333]),
         ]
         path = tmp_path / "preds.jsonl"
         save_predictions(preds, path)
         loaded = load_predictions(path)
-        assert [(p.triple_id, p.relation_id, p.ranked, p.flags) for p in loaded] \
-            == [(p.triple_id, p.relation_id, p.ranked, p.flags) for p in preds]
+        assert [(p.triple_id, p.relation_id, ranked(p), p.flags) for p in loaded] \
+            == [(p.triple_id, p.relation_id, ranked(p), p.flags) for p in preds]
 
     @staticmethod
     def shared_rankings():
         """Rank oracle's rows: every triple of a relation holds the same tuples."""
-        ranked = [("ä", 2.0), ("b", 0.5), ("c", 0.0)]
-        return [list(ranked) for _ in range(3)], [{"query_oov": False}] * 3
+        ranking = (("ä", "b", "c"), (2.0, 0.5, 0.0))
+        return [ranking] * 3, [{"query_oov": False}] * 3
 
     @staticmethod
     def floor_minus_one():
         """Zero-norm floor rows; the second excludes its subject."""
-        floor = [(label, -1.0) for label in ("a", "b", "c")]
-        excluded = list(floor)
-        del excluded[1]
-        return [list(floor), excluded, list(floor)], [{"zero_norm": True}] * 3
+        floor = (("a", "b", "c"), (-1.0,) * 3)
+        excluded = (("a", "c"), floor[1][1:])
+        return [floor, excluded, floor], [{"zero_norm": True}] * 3
 
     @staticmethod
     def equal_values_distinct_objects():
         """0.0 == -0.0 and 1 == 1.0, but each encodes differently."""
-        return ([[("a", 0.0)], [("a", -0.0)], [("a", 1)], [("a", 1.0)]],
+        labels = ("a",)
+        return ([(labels, [0.0]), (labels, [-0.0]), (labels, [1]), (labels, [1.0])],
                 [{}] * 4)
 
     @staticmethod
     def one_ranking_different_flags():
-        ranked = [("a", 0.25), ("b", -1.0)]
-        return [ranked, ranked, ranked], [{"query_oov": False}, {"query_oov": True},
-                                          {"query_oov": True, "zero_norm": True}]
+        ranking = (["a", "b"], [0.25, -1.0])
+        return [ranking] * 3, [{"query_oov": False}, {"query_oov": True},
+                               {"query_oov": True, "zero_norm": True}]
+
+    @staticmethod
+    def same_labels_other_scores():
+        labels = ("a", "b")
+        return [(labels, (0.5, -1.0)), (labels, (0.25, 0.0))], [{}] * 2
+
+    @staticmethod
+    def same_scores_other_labels():
+        scores = (0.5, -1.0)
+        return [(("a", "b"), scores), (("b", "a"), scores)], [{}] * 2
 
     @pytest.mark.parametrize("case", ["shared_rankings", "floor_minus_one",
                                       "equal_values_distinct_objects",
-                                      "one_ranking_different_flags"])
+                                      "one_ranking_different_flags",
+                                      "same_labels_other_scores",
+                                      "same_scores_other_labels"])
     def test_reused_ranking_text_writes_exact_bytes(self, tmp_path, case):
         rankings, flags = getattr(self, case)()
-        preds = [Prediction(f"t{i}", "P1", ranked, flags=dict(f))
-                 for i, (ranked, f) in enumerate(zip(rankings, flags))]
+        preds = [Prediction(f"t{i}", "P1", labels, scores, flags=dict(f))
+                 for i, ((labels, scores), f) in enumerate(zip(rankings, flags))]
         path = tmp_path / "preds.jsonl"
         save_predictions(preds, path)
         expected = "".join(json.dumps({"triple_id": p.triple_id, "relation_id": p.relation_id,
-                                       "ranked": p.ranked, "flags": p.flags},
+                                       "ranked": ranked(p), "flags": p.flags},
                                       ensure_ascii=False) + "\n" for p in preds)
         assert path.read_text(encoding="utf-8") == expected
 
@@ -763,8 +781,8 @@ class TestPredictionReader:
     def test_scores_read_as_floats(self, tmp_path):
         path = self.write(tmp_path, [["bb", 2], ["aa", -0.25], ["cc", 1e-300]])
         _, pred = load_predictions(path)
-        assert pred.ranked == [("bb", 2.0), ("aa", -0.25), ("cc", 1e-300)]
-        assert [type(score) for _, score in pred.ranked] == [float] * 3
+        assert ranked(pred) == [("bb", 2.0), ("aa", -0.25), ("cc", 1e-300)]
+        assert [type(score) for _, score in ranked(pred)] == [float] * 3
 
     def test_repeated_label_names_path_and_line(self, tmp_path):
         path = self.write(tmp_path, [["bb", 3.0], ["aa", 2.5], ["aa", 2.0], ["bb", 1.0]])
@@ -897,5 +915,5 @@ class TestComposeOnce:
         monkeypatch.setattr(ranking, "compose", counting)
         predictions = list(rank_static(table, vocab, ds, cands))
         assert sorted(calls) == [(w,) for w in words]
-        assert [(p.triple_id, p.ranked, p.flags) for p in predictions] == \
-            [(p.triple_id, p.ranked, p.flags) for p in expected]
+        assert [(p.triple_id, ranked(p), p.flags) for p in predictions] == \
+            [(p.triple_id, ranked(p), p.flags) for p in expected]

@@ -55,14 +55,22 @@ def run_fresh(commands) -> dict:
 
 
 def test_non_vector_pipeline_leaves_numpy_unloaded(tmp_path):
-    out = str(tmp_path)
+    out, mlm = str(tmp_path), str(tmp_path / "mlm")
     assert not run_fresh([
         ["build-candidates", *KB_ARGS, "--output", out],
         ["rank", "oracle", *KB_ARGS, "--output", out],
         ["evaluate", *KB_ARGS, "--predictions", f"{out}/predictions_oracle.jsonl",
          "--output", out],
+        ["export-manifest", *KB_ARGS, "--vocab", str(FIXTURES / "mini_vocab.txt"),
+         "--output", mlm],
+        ["stub-score", "--manifest", f"{mlm}/mlm_manifest.jsonl", "--output", mlm],
+        ["rank", "mlm", *KB_ARGS, "--scores", f"{mlm}/stub_scores.jsonl",
+         "--manifest", f"{mlm}/mlm_manifest.jsonl", "--output", mlm],
+        ["evaluate", *KB_ARGS, "--predictions", f"{mlm}/predictions_mlm.jsonl",
+         "--output", mlm],
     ])["numpy"]
     assert (tmp_path / "metrics.json").exists()
+    assert (tmp_path / "mlm" / "metrics.json").exists()
 
 
 # Per command: a module it runs, and the modules it must not load.
