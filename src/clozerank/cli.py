@@ -11,7 +11,6 @@ uses, and main runs it with the cyclic garbage collector off.
 """
 
 import argparse
-import functools
 import gc
 import hashlib
 import json
@@ -35,7 +34,6 @@ class RunContext:
     def __init__(self, args):
         self.args = args
         self.config = {} if args.config is None else jsonio.read_json(args.config)
-        self.digest = functools.cache(wordpiece.corpus_checksum)  # hash each file once
         self.settings, self.inputs, self.outputs = {}, [], []
         self.created = []  # the directories output() made, innermost first
         unknown = sorted(self.config.keys() - args.config_keys)
@@ -89,14 +87,9 @@ class RunContext:
         return path
 
     def vocab(self, required=True):
-        """The vocabulary the vocab setting names, or None; its sidecar is an input too."""
+        """The vocabulary the vocab setting names, or None."""
         path = self.input("vocab", required)
-        if path is None:
-            return None
-        vocab = wordpiece.SubwordVocab.load(path)
-        if vocab.sidecar is not None:
-            self.inputs.append(vocab.sidecar)
-        return vocab
+        return None if path is None else wordpiece.SubwordVocab.load(path)
 
     def output(self, name: str) -> Path:
         """The path of artifact name under --output, which is created on first use."""
@@ -139,7 +132,8 @@ class RunContext:
             "command": command,
             "config_checksum": hashlib.sha256(canonical.encode("utf-8")).hexdigest(),
             "settings": settings,
-            "inputs": {p: self.digest(p) for p in sorted(set(map(str, self.inputs)))},
+            "inputs": {p: wordpiece.corpus_checksum(p)
+                       for p in sorted(set(map(str, self.inputs)))},
             "outputs": outputs,
         }, ensure_ascii=True)
         print(message)
@@ -152,7 +146,7 @@ def cmd_build_vocab(ctx: RunContext) -> int:
     repeated = next((size for size in sizes if sizes.count(size) > 1), None)
     if repeated is not None:
         raise ValueError(f"target_size {repeated} is given more than once")
-    given = ctx.given("min_frequency", "max_word_length")
+    given = ctx.given("min_frequency")
     cfgs = [wordpiece.VocabTrainConfig(target_size=size, **given) for size in sizes]
 
     # Train once: the target only decides when merging stops, so every
@@ -164,13 +158,10 @@ def cmd_build_vocab(ctx: RunContext) -> int:
     for cfg, vocab in zip(cfgs, vocabs):
         name = f"vocab_{cfg.target_size}.txt"
         vocab_path = ctx.output(name)
-        ctx.output(f"{name}.json")  # the sidecar
-        wordpiece.save_vocab_with_sidecar(vocab, cfg, vocab_path,
-                                          corpus_sha256=ctx.digest(corpus))
+        vocab.save(vocab_path)
         lines.append(f"vocab_{cfg.target_size}: {vocab.size} tokens -> {vocab_path}")
     return ctx.finish("\n".join(lines), target_size=sizes,
-                      min_frequency=cfgs[0].min_frequency,
-                      max_word_length=cfgs[0].max_word_length)
+                      min_frequency=cfgs[0].min_frequency)
 
 
 def cmd_tokenize(ctx: RunContext) -> int:
@@ -358,7 +349,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target-size", type=int, nargs="+",
                    help="one or more sizes; training runs once, to the largest")
     p.add_argument("--min-frequency", type=int)
-    p.add_argument("--max-word-length", type=int)
     p.set_defaults(func=cmd_build_vocab)
 
     p = sub.add_parser("tokenize", parents=[common],

@@ -7,7 +7,7 @@ that touch no vector never load it.
 from __future__ import annotations
 
 from .jsonio import RowError, open_text
-from .wordpiece import SubwordVocab
+from .wordpiece import SubwordVocab, is_token
 
 
 SERIALIZATION_DECIMALS = 5
@@ -312,15 +312,10 @@ def train_static_embeddings(tokenized_corpus, vocab: SubwordVocab,
     return EmbeddingTable(cfg.dim, [vocab.tokens[tid] for tid in kept_ids], means)
 
 
-def _unsaveable(token: str) -> bool:
-    """Whether a token is empty or holds whitespace, so no .vec row can carry it."""
-    return token.split() != [token]
-
-
 def save_table(table: EmbeddingTable, path) -> None:
     """Write the text format: header "count dim", then "token v1 .. vd" rows."""
     for token in table.entries:
-        if _unsaveable(token):
+        if not is_token(token):
             raise ValueError(
                 f"cannot save token {token!r}: tokens must be non-empty "
                 "and contain no whitespace"
@@ -357,7 +352,7 @@ def load_table(path) -> EmbeddingTable:
                 rows.append(np.array([float(x) for x in parts[1:]], dtype=np.float32))
             except ValueError:
                 raise ValueError(f"{path}:{lineno}: non-numeric vector value") from None
-            if _unsaveable(parts[0]):
+            if not is_token(parts[0]):
                 raise ValueError(f"{path}:{lineno}: token {parts[0]!r} is empty or holds "
                                  "whitespace")
             tokens.append(parts[0])

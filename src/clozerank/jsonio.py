@@ -96,7 +96,7 @@ def read_jsonl(path, *fields, text=()):
                 raise ValueError(f"{path}:{lineno}: missing field {exc}") from None
             for name in text:
                 value = row.get(name, "")
-                if not (type(value) is str and (value.isascii() or not _SURROGATE.search(value))):
+                if not is_utf8_text(value):
                     raise ValueError(f"{path}:{lineno}: {name} must be a UTF-8 string, "
                                      f"got {value!r}")
             yield lineno, row, values

@@ -5,7 +5,7 @@ import heapq
 from collections import Counter
 from pathlib import Path
 
-from .jsonio import RowError, open_text, read_json, write_json
+from .jsonio import RowError, open_text
 
 UNK_TOKEN = "[UNK]"
 MASK_TOKEN = "[MASK]"
@@ -13,22 +13,27 @@ SPECIAL_TOKENS = (UNK_TOKEN, MASK_TOKEN)
 
 CONTINUATION = "##"
 
+# The longest word training keeps and tokenize splits; a longer one is [UNK].
+# BERT's tokenizer fixes the same limit (max_input_chars_per_word).
+MAX_WORD_LENGTH = 100
+
+
+def is_token(text: str) -> bool:
+    """Whether text is non-empty and holds no whitespace, as every vocabulary
+    line and .vec row token must be; str.split() keeps only such text whole."""
+    return text.split() == [text]
+
 
 class VocabTrainConfig:
     """Settings for training a wordpiece vocabulary."""
 
-    __slots__ = ("target_size", "min_frequency", "max_word_length")
+    __slots__ = ("target_size", "min_frequency")
 
-    def __init__(self, target_size: int, min_frequency: int = 1, max_word_length: int = 100):
+    def __init__(self, target_size: int, min_frequency: int = 1):
         self.target_size, self.min_frequency = target_size, min_frequency
-        self.max_word_length = max_word_length
-        for name, value in self.to_dict().items():
-            if value <= 0:
-                raise ValueError(f"{name} must be positive, got {value}")
-
-    def to_dict(self) -> dict:
-        """The settings under their names, as the sidecar records them."""
-        return {name: getattr(self, name) for name in self.__slots__}
+        for name in self.__slots__:
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
 
 
 class SubwordVocab:
@@ -38,18 +43,14 @@ class SubwordVocab:
     then the character alphabet, then merged subwords.
     """
 
-    def __init__(self, tokens, max_word_length: int = 100):
+    def __init__(self, tokens):
         self.tokens: list[str] = list(tokens)
         self.token_to_id: dict[str, int] = {}
-        self.max_word_length = max_word_length
-        self.sidecar: str | None = None  # the <path>.json that load() read, if any
         # Piece -> id, one table per position: word-initial tokens, ## bodies.
         self._initial: dict[str, int] = {}
         self._continuation: dict[str, int] = {}
         for i, tok in enumerate(self.tokens):
-            # str.split() keeps tok whole only if it is non-empty and holds no
-            # whitespace, as every token training writes; one C-level call.
-            if tok.split() != [tok]:
+            if not is_token(tok):
                 raise RowError(i, f"token {tok!r} holds whitespace" if tok
                                else "empty token in vocabulary")
             if tok == CONTINUATION:
@@ -81,7 +82,7 @@ class SubwordVocab:
         base_size = sum(tok in SPECIAL_TOKENS or len(tok.removeprefix(CONTINUATION)) == 1
                         for tok in self.tokens)
         _check_target_size(size, base_size)
-        return SubwordVocab(self.tokens[:size], max_word_length=self.max_word_length)
+        return SubwordVocab(self.tokens[:size])
 
     def ids_to_tokens(self, ids) -> list[str]:
         return [self.tokens[i] for i in ids]
@@ -92,29 +93,14 @@ class SubwordVocab:
 
     @classmethod
     def load(cls, path) -> "SubwordVocab":
-        """Read one token per line; errors name path:LINE, or path for a missing special.
-
-        max_word_length is the config.max_word_length recorded in the
-        <path>.json sidecar that build-vocab writes, else 100. The loaded
-        vocabulary's sidecar attribute names that file when it was read.
-        """
+        """Read one token per line; errors name path:LINE, or path for a missing special."""
         with open_text(path) as f:
             lines = f.read().splitlines()
-        sidecar = f"{path}.json" if Path(f"{path}.json").is_file() else None
-        max_word_length = 100
-        if sidecar is not None:
-            config = read_json(sidecar).get("config")
-            max_word_length = config.get("max_word_length") if isinstance(config, dict) else None
-            if type(max_word_length) is not int or max_word_length <= 0:
-                raise ValueError(f"{sidecar}: key 'config.max_word_length' must be a "
-                                 f"positive integer, got {max_word_length!r}")
         try:
-            vocab = cls(lines, max_word_length=max_word_length)
+            return cls(lines)
         except ValueError as exc:
             where = f"{path}:{exc.row + 1}" if isinstance(exc, RowError) else path
             raise ValueError(f"{where}: {exc}") from None
-        vocab.sidecar = sidecar
-        return vocab
 
 
 def _word_symbols(word: str) -> list[str]:
@@ -146,12 +132,11 @@ def train_wordpiece(corpus, cfg: VocabTrainConfig) -> SubwordVocab:
     retained = {
         w: f
         for w, f in word_freq.items()
-        if f >= cfg.min_frequency and len(w) <= cfg.max_word_length
+        if f >= cfg.min_frequency and len(w) <= MAX_WORD_LENGTH
     }
     if not retained:
-        raise ValueError(
-            "no words retained; lower min_frequency or raise max_word_length"
-        )
+        raise ValueError("no words retained; lower min_frequency (a word over "
+                         f"{MAX_WORD_LENGTH} characters is never kept)")
 
     segmentations = []
     freqs = []
@@ -273,7 +258,7 @@ def train_wordpiece(corpus, cfg: VocabTrainConfig) -> SubwordVocab:
             for sym in list(sym_pairs):
                 live_pairs(sym)
 
-    return SubwordVocab(tokens, max_word_length=cfg.max_word_length)
+    return SubwordVocab(tokens)
 
 
 def tokenize(vocab: SubwordVocab, text: str) -> list[int]:
@@ -281,8 +266,8 @@ def tokenize(vocab: SubwordVocab, text: str) -> list[int]:
 
     A word's first piece is its longest prefix among the tokens without ##
     (specials included), each later piece the longest ## token that follows.
-    A word that cannot be segmented so, or is longer than the vocabulary's
-    max_word_length, becomes a single [UNK]. Total over all strings.
+    A word that cannot be segmented so, or is longer than MAX_WORD_LENGTH,
+    becomes a single [UNK]. Total over all strings.
     """
     ids: list[int] = []
     for word in text.split():
@@ -291,7 +276,7 @@ def tokenize(vocab: SubwordVocab, text: str) -> list[int]:
 
 
 def _tokenize_word(vocab: SubwordVocab, word: str) -> list[int]:
-    if len(word) > vocab.max_word_length:
+    if len(word) > MAX_WORD_LENGTH:
         return [vocab.unk_id]
     table = vocab._initial
     if word in table:  # the loop's first probe, without its set-up
@@ -317,16 +302,3 @@ def corpus_checksum(path) -> str:
         for chunk in iter(lambda: f.read(1 << 20), b""):
             h.update(chunk)
     return h.hexdigest()
-
-
-def save_vocab_with_sidecar(vocab: SubwordVocab, cfg: VocabTrainConfig,
-                            vocab_path, corpus_sha256: str | None = None) -> None:
-    """Write vocab.txt plus a JSON sidecar recording cfg and the corpus digest."""
-    vocab.save(vocab_path)
-    write_json(f"{vocab_path}.json", {
-        "config": cfg.to_dict(),
-        "size": vocab.size,
-        "specials": list(SPECIAL_TOKENS),
-        "normalization": "none",
-        "corpus_sha256": corpus_sha256,
-    }, ensure_ascii=True)

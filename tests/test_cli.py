@@ -73,9 +73,7 @@ class TestBuildVocab:
         for size in (8, 10):
             vocab_path = out / f"vocab_{size}.txt"
             assert vocab_path.exists()
-            sidecar = read_json(out / f"vocab_{size}.txt.json")
-            assert sidecar["size"] == len(
-                vocab_path.read_text(encoding="utf-8").splitlines())
+            assert not (out / f"vocab_{size}.txt.json").exists()
         digest = hashlib.sha256(corpus.read_bytes()).hexdigest()
         assert manifest["inputs"][str(corpus)] == digest
         assert manifest["command"] == "build-vocab"
@@ -91,9 +89,6 @@ class TestBuildVocab:
         assert run_cli(["build-vocab", "--corpus", corpus,
                         "--target-size", "8", "9", "10", "--output", out]) == 0
         assert calls == [str(corpus)]
-        digest = read_json(out / "build_vocab_manifest.json")["inputs"][str(corpus)]
-        for size in (8, 9, 10):
-            assert read_json(out / f"vocab_{size}.txt.json")["corpus_sha256"] == digest
 
     def test_target_size_single(self, tmp_path):
         corpus = tmp_path / "corpus.txt"
@@ -104,17 +99,20 @@ class TestBuildVocab:
         assert (out / "vocab_7.txt").exists()
 
     def test_tokenize_keeps_the_trained_max_word_length(self, tmp_path):
+        """A word of 100 characters is split, one of 101 is [UNK], as in BERT."""
         corpus = tmp_path / "corpus.txt"
         corpus.write_text("ab ba abab\n", encoding="utf-8")
         text = tmp_path / "text.txt"
-        text.write_text("abababab\n", encoding="utf-8")
+        text.write_text("ab" * 50 + "\n" + "ab" * 50 + "a\n", encoding="utf-8")
         out = tmp_path / "out"
         assert run_cli(["build-vocab", "--corpus", corpus, "--target-size", "8",
-                        "--max-word-length", "3", "--output", out]) == 0
+                        "--output", out]) == 0
         assert run_cli(["tokenize", "--vocab", out / "vocab_8.txt",
                         "--input", text, "--output", out]) == 0
-        row = json.loads((out / "tokens.jsonl").read_text(encoding="utf-8"))
-        assert row["tokens"] == ["[UNK]"]
+        rows = [json.loads(line) for line in
+                (out / "tokens.jsonl").read_text(encoding="utf-8").splitlines()]
+        assert "".join(rows[0]["tokens"]).replace("##", "") == "ab" * 50
+        assert rows[1]["tokens"] == ["[UNK]"]
 
 
 class TestTokenize:
@@ -1169,8 +1167,8 @@ class TestVocabSizesSweep:
             alone = tmp_path / f"alone_{size}"
             assert run_cli(["build-vocab", "--corpus", corpus, "--target-size", size,
                             *extra, "--output", alone]) == 0
-            for name in (f"vocab_{size}.txt", f"vocab_{size}.txt.json"):
-                assert (sweep / name).read_bytes() == (alone / name).read_bytes()
+            name = f"vocab_{size}.txt"
+            assert (sweep / name).read_bytes() == (alone / name).read_bytes()
 
     def test_size_below_alphabet_fails_before_writing(self, tmp_path, capsys):
         corpus = write_sweep_corpus(tmp_path)
@@ -1416,22 +1414,23 @@ class TestFailedWriteLeavesNoArtifact:
 class TestManifestRecordsWhatRuns:
     """The manifest lists what the run read, and a rejected run writes nothing."""
 
-    def test_vocab_sidecar_is_an_input(self, tmp_path):
+    def test_stale_vocab_sidecar_is_ignored(self, tmp_path):
+        """A vocab_N.txt.json that older builds wrote is neither read nor listed."""
         vocab = tmp_path / "vocab.txt"
         vocab.write_bytes(Path(MINI["vocab"]).read_bytes())
-        sidecar = tmp_path / "vocab.txt.json"
-        listed = []
-        for max_word_length in (100, 4):
-            sidecar.write_text(json.dumps({"config": {"max_word_length": max_word_length}}),
-                               encoding="utf-8")
-            out = tmp_path / f"mwl_{max_word_length}"
+        outputs = []
+        for sidecar in (None, '{"config": {"max_word_length": 4}}', "not json"):
+            if sidecar is not None:
+                (tmp_path / "vocab.txt.json").write_text(sidecar, encoding="utf-8")
+            out = tmp_path / f"run_{len(outputs)}"
             assert run_cli(["rank", "static", "--triples", MINI["triples"],
                             "--templates", MINI["templates"], "--table", MINI["table"],
                             "--vocab", vocab, "--output", out]) == 0
             inputs = read_json(out / "rank_manifest.json")["inputs"]
-            assert inputs[str(sidecar)] == sha256_file(sidecar)
-            listed.append(inputs)
-        assert listed[0] != listed[1]
+            assert sorted(inputs) == sorted(map(str, (
+                vocab, MINI["triples"], MINI["templates"], MINI["table"])))
+            outputs.append((out / "predictions_static.jsonl").read_bytes())
+        assert outputs[0] == outputs[1] == outputs[2]
 
     @pytest.mark.parametrize("command", ["target-size-repeated", "dim-zero", "workers-zero",
                                          "workers-two"])

@@ -1,4 +1,3 @@
-import json
 import random
 import tracemalloc
 from collections import Counter
@@ -8,12 +7,11 @@ import pytest
 from clozerank.wordpiece import (
     CONTINUATION,
     MASK_TOKEN,
+    MAX_WORD_LENGTH,
     SPECIAL_TOKENS,
     UNK_TOKEN,
     SubwordVocab,
     VocabTrainConfig,
-    corpus_checksum,
-    save_vocab_with_sidecar,
     tokenize,
     train_wordpiece,
 )
@@ -77,8 +75,7 @@ class TestTraining:
 
     @pytest.mark.parametrize("cfg", [
         VocabTrainConfig(target_size=10, min_frequency=2),
-        VocabTrainConfig(target_size=10, max_word_length=2),
-    ], ids=["min-frequency", "max-word-length"])
+    ], ids=["min-frequency"])
     def test_no_word_retained_rejected(self, cfg):
         with pytest.raises(ValueError, match="no words retained"):
             train_wordpiece(["abc bcd cde"], cfg)
@@ -119,9 +116,11 @@ class TestTokenize:
         assert tokenize(vocab, "qat") == [vocab.unk_id]
 
     def test_word_over_length_limit_is_unk(self):
-        vocab = SubwordVocab(list(SPECIAL_TOKENS) + ["a", "##a"], max_word_length=5)
-        assert tokenize(vocab, "a" * 5) != [vocab.unk_id]
-        assert tokenize(vocab, "a" * 6) == [vocab.unk_id]
+        vocab = SubwordVocab(list(SPECIAL_TOKENS) + ["a", "##a"])
+        assert MAX_WORD_LENGTH == 100  # BERT's max_input_chars_per_word
+        assert tokenize(vocab, "a" * 100) == [vocab.token_to_id["a"]] + [
+            vocab.token_to_id["##a"]] * 99
+        assert tokenize(vocab, "a" * 101) == [vocab.unk_id]
 
     def test_empty_text_gives_no_tokens(self):
         vocab = self.make_vocab([])
@@ -250,47 +249,6 @@ class TestVocabIO:
         assert lines[vocab.unk_id] == UNK_TOKEN
         assert lines[vocab.token_to_id[MASK_TOKEN]] == MASK_TOKEN
 
-    def test_sidecar_records_config_and_checksum(self, tmp_path):
-        corpus = tmp_path / "corpus.txt"
-        corpus.write_text("ab ab b\n", encoding="utf-8")
-        cfg = VocabTrainConfig(target_size=20)
-        with open(corpus, encoding="utf-8") as f:
-            vocab = train_wordpiece(f, cfg)
-        vocab_path = tmp_path / "vocab.txt"
-        save_vocab_with_sidecar(vocab, cfg, vocab_path)
-        sidecar = json.loads((tmp_path / "vocab.txt.json").read_text(encoding="utf-8"))
-        assert sidecar["corpus_sha256"] is None
-        digest = corpus_checksum(corpus)
-        save_vocab_with_sidecar(vocab, cfg, vocab_path, corpus_sha256=digest)
-        sidecar = json.loads((tmp_path / "vocab.txt.json").read_text(encoding="utf-8"))
-        assert sidecar["config"]["target_size"] == 20
-        assert sidecar["normalization"] == "none"
-        assert sidecar["corpus_sha256"] == digest
-        assert len(digest) == 64
-        assert sidecar["size"] == vocab.size
-
-    def test_load_takes_max_word_length_from_sidecar(self, tmp_path):
-        cfg = VocabTrainConfig(target_size=8, max_word_length=3)
-        vocab = train_wordpiece(["ab ba abab"], cfg)
-        path = tmp_path / "vocab.txt"
-        save_vocab_with_sidecar(vocab, cfg, path)
-        assert tokenize(vocab, "abababab") == [vocab.unk_id]
-        assert tokenize(SubwordVocab.load(path), "abababab") == [vocab.unk_id]
-        (tmp_path / "vocab.txt.json").unlink()
-        assert SubwordVocab.load(path).max_word_length == 100
-
-    @pytest.mark.parametrize("value", [0, "3", True, None], ids=["zero", "str", "bool", "null"])
-    def test_bad_sidecar_max_word_length_names_sidecar(self, tmp_path, value):
-        path = tmp_path / "vocab.txt"
-        path.write_text("[UNK]\n[MASK]\na\n", encoding="utf-8")
-        sidecar = tmp_path / "vocab.txt.json"
-        sidecar.write_text(json.dumps({"config": {"max_word_length": value}}),
-                           encoding="utf-8")
-        with pytest.raises(ValueError) as err:
-            SubwordVocab.load(path)
-        assert str(err.value).startswith(
-            f"{sidecar}: key 'config.max_word_length' must be a positive integer")
-
     def test_duplicate_token_rejected(self):
         with pytest.raises(ValueError):
             SubwordVocab(list(SPECIAL_TOKENS) + ["a", "a"])
@@ -308,8 +266,6 @@ class TestVocabIO:
             VocabTrainConfig(target_size=0)
         with pytest.raises(ValueError):
             VocabTrainConfig(target_size=10, min_frequency=0)
-        with pytest.raises(ValueError):
-            VocabTrainConfig(target_size=10, max_word_length=0)
 
 
 def zipf_corpus(seed, n_words=800, n_lines=120, letters="abcdefghijklmnoprstuvwxyz"):
@@ -340,6 +296,10 @@ BLOCKED_TIE = ("#a#aa #a#aa #a#aa #a# #a# #a# a### #aa#a#a #aa#a#a aaaaaa# aaaaa
                "aa aa aa ##a ##a #a### #a### aa#a#a ##a ##a ##a ## ##aaa# ##aaa# "
                "##aaa# ##aa ##aa ##aa")
 
+# A 100-character word, which training keeps, and a 101-character one with
+# letters the Zipfian lexicon lacks, which it drops.
+LONG_WORDS = " ".join(["ab" * 50] * 3 + ["q" + "xq" * 50] * 3)
+
 
 class TestHeapTrainerMatchesScan:
     """The heap trainer gives exactly the tokens of the full-scan reference."""
@@ -350,11 +310,11 @@ class TestHeapTrainerMatchesScan:
         (hash_corpus(4), VocabTrainConfig(target_size=10**6)),
         ([BLOCKED_TIE], VocabTrainConfig(target_size=10**6)),
         (zipf_corpus(5), VocabTrainConfig(target_size=600, min_frequency=3)),
-        (zipf_corpus(5), VocabTrainConfig(target_size=600, max_word_length=4)),
+        (zipf_corpus(5) + [LONG_WORDS], VocabTrainConfig(target_size=600)),
         (zipf_corpus(6, n_words=150, n_lines=30), VocabTrainConfig(target_size=10**6)),
         *[([line], VocabTrainConfig(target_size=10**6)) for line in REPEATED_LETTERS],
     ], ids=["zipf-1", "zipf-7", "zipf-11", "hash-3", "hash-4", "blocked-tie", "min-frequency-3",
-            "max-word-length-4", "past-exhaustion", "repeated-letters",
+            "word-over-100", "past-exhaustion", "repeated-letters",
             "repeated-letters-mixed"])
     def test_same_tokens_as_scan_reference(self, corpus, cfg):
         expected, _ = scan_train_wordpiece(corpus, cfg)

@@ -8,7 +8,7 @@ require identical tokens and check that a corpus exercises the rule.
 
 from collections import Counter
 
-from clozerank.wordpiece import CONTINUATION, SPECIAL_TOKENS
+from clozerank.wordpiece import CONTINUATION, MAX_WORD_LENGTH, SPECIAL_TOKENS
 
 
 def _word_symbols(word):
@@ -29,12 +29,10 @@ def scan_train_wordpiece(corpus, cfg):
     retained = {
         w: f
         for w, f in word_freq.items()
-        if f >= cfg.min_frequency and len(w) <= cfg.max_word_length
+        if f >= cfg.min_frequency and len(w) <= MAX_WORD_LENGTH
     }
     if not retained:
-        raise ValueError(
-            "no words retained; lower min_frequency or raise max_word_length"
-        )
+        raise ValueError("no words retained")
 
     segmentations = []
     freqs = []
