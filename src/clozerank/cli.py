@@ -143,25 +143,23 @@ class RunContext:
 def cmd_build_vocab(ctx: RunContext) -> int:
     corpus = ctx.input("corpus")
     sizes = ctx.require("target_size")
-    repeated = next((size for size in sizes if sizes.count(size) > 1), None)
-    if repeated is not None:
-        raise ValueError(f"target_size {repeated} is given more than once")
-    given = ctx.given("min_frequency")
-    cfgs = [wordpiece.VocabTrainConfig(target_size=size, **given) for size in sizes]
+    for size in sizes:
+        if size <= 0:
+            raise ValueError(f"target_size must be positive, got {size}")
+        if sizes.count(size) > 1:
+            raise ValueError(f"target_size {size} is given more than once")
 
     # Train once: the target only decides when merging stops, so every
     # smaller vocabulary is a prefix of the largest.
     with jsonio.open_text(corpus) as f:
-        trained = wordpiece.train_wordpiece(f, max(cfgs, key=lambda c: c.target_size))
-    vocabs = [trained.prefix(cfg.target_size) for cfg in cfgs]
+        trained = wordpiece.train_wordpiece(f, max(sizes))
+    vocabs = [trained.prefix(size) for size in sizes]  # each size is checked before any write
     lines = []
-    for cfg, vocab in zip(cfgs, vocabs):
-        name = f"vocab_{cfg.target_size}.txt"
-        vocab_path = ctx.output(name)
+    for size, vocab in zip(sizes, vocabs):
+        vocab_path = ctx.output(f"vocab_{size}.txt")
         vocab.save(vocab_path)
-        lines.append(f"vocab_{cfg.target_size}: {vocab.size} tokens -> {vocab_path}")
-    return ctx.finish("\n".join(lines), target_size=sizes,
-                      min_frequency=cfgs[0].min_frequency)
+        lines.append(f"vocab_{size}: {vocab.size} tokens -> {vocab_path}")
+    return ctx.finish("\n".join(lines), target_size=sizes)
 
 
 def cmd_tokenize(ctx: RunContext) -> int:
@@ -276,15 +274,14 @@ def cmd_evaluate(ctx: RunContext) -> int:
 
 def cmd_energy(ctx: RunContext) -> int:
     from . import energy
-    factors = ctx.given("pue", "carbon_intensity")
-    run = energy.EnergyInput(ctx.require("watts"), ctx.require("hours"), **factors)
+    run = energy.EnergyInput(ctx.require("watts"), ctx.require("hours"))
     payload = {"run": energy.footprint(run)}
 
     baseline_watts, baseline_hours = ctx.get("baseline_watts"), ctx.get("baseline_hours")
     if (baseline_watts is None) != (baseline_hours is None):
         raise ValueError("baseline needs both --baseline-watts and --baseline-hours")
     if baseline_watts is not None:
-        baseline = energy.EnergyInput(baseline_watts, baseline_hours, **factors)
+        baseline = energy.EnergyInput(baseline_watts, baseline_hours)
         payload["baseline"] = energy.footprint(baseline)
         payload["ratios"] = energy.footprint_ratio(run, baseline)
 
@@ -292,15 +289,15 @@ def cmd_energy(ctx: RunContext) -> int:
     jsonio.write_json(out_path, payload)
     return ctx.finish(f"{payload['run']['energy_kwh']:.4f} kWh, "
                       f"{payload['run']['co2e']:.4f} lb CO2e -> {out_path}",
-                      watts=run.power_watts, hours=run.hours, pue=run.pue,
-                      carbon_intensity=run.carbon_intensity,
+                      watts=run.power_watts, hours=run.hours,
                       baseline_watts=baseline_watts, baseline_hours=baseline_hours)
 
 
 def _parse_run_spec(spec: str) -> tuple[str, str, str | None]:
     name, _, paths = spec.partition("=")
     first, comma, second = paths.partition(",")
-    if not name or not first or comma and not second:
+    # The name becomes a report.tsv cell, which a tab or line break would split.
+    if not name or any(c in name for c in "\t\r\n") or not first or comma and not second:
         raise ValueError(f"run spec {spec!r} must look like NAME=metrics.json[,uhn.json]")
     return name, first, second or None
 
@@ -348,7 +345,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus")
     p.add_argument("--target-size", type=int, nargs="+",
                    help="one or more sizes; training runs once, to the largest")
-    p.add_argument("--min-frequency", type=int)
     p.set_defaults(func=cmd_build_vocab)
 
     p = sub.add_parser("tokenize", parents=[common],
@@ -410,8 +406,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="energy and CO2e accounting for a training run")
     p.add_argument("--watts", type=float)
     p.add_argument("--hours", type=float)
-    p.add_argument("--pue", type=float)
-    p.add_argument("--carbon-intensity", type=float)
     p.add_argument("--baseline-watts", type=float)
     p.add_argument("--baseline-hours", type=float)
     p.set_defaults(func=cmd_energy)

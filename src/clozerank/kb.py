@@ -168,8 +168,8 @@ def read_subset_ids(path) -> list[str]:
 
 
 def instantiate_query(spec: RelationSpec, subject: str, mask_count: int = 1) -> str:
-    """Fill the template: subject into [X], mask_count [MASK] tokens into [Y]."""
+    """Fill [Y] with mask_count [MASK] tokens, then [X] with subject, slot text and all."""
     if mask_count < 1:
         raise ValueError(f"mask_count must be >= 1, got {mask_count}")
     masks = " ".join([MASK_TOKEN] * mask_count)
-    return spec.template.replace(SUBJECT_SLOT, subject).replace(OBJECT_SLOT, masks)
+    return spec.template.replace(OBJECT_SLOT, masks).replace(SUBJECT_SLOT, subject)

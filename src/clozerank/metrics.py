@@ -171,8 +171,7 @@ def per_relation_tsv(report: MetricsReport) -> str:
     lines = ["relation\tn_triples\tp_at_1\tp_at_5"]
     for rel in sorted(report.per_relation):
         row = report.per_relation[rel]
-        p5 = f"{row['p_at_5']:.4f}" if "p_at_5" in row else "-"
-        lines.append(f"{rel}\t{row['n_triples']}\t{row['p_at_1']:.4f}\t{p5}")
+        lines.append(f"{rel}\t{row['n_triples']}\t{row['p_at_1']:.4f}\t{row['p_at_5']:.4f}")
     return "\n".join(lines) + "\n"
 
 

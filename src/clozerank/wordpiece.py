@@ -24,18 +24,6 @@ def is_token(text: str) -> bool:
     return text.split() == [text]
 
 
-class VocabTrainConfig:
-    """Settings for training a wordpiece vocabulary."""
-
-    __slots__ = ("target_size", "min_frequency")
-
-    def __init__(self, target_size: int, min_frequency: int = 1):
-        self.target_size, self.min_frequency = target_size, min_frequency
-        for name in self.__slots__:
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
-
-
 class SubwordVocab:
     """Token inventory with continuation-marked subwords and special tokens.
 
@@ -112,16 +100,17 @@ def _check_target_size(target_size: int, base_size: int) -> None:
         raise ValueError(f"target_size {target_size} below alphabet+specials ({base_size})")
 
 
-def train_wordpiece(corpus, cfg: VocabTrainConfig) -> SubwordVocab:
+def train_wordpiece(corpus, target_size: int) -> SubwordVocab:
     """Train a wordpiece vocabulary from an iterable of text lines.
 
-    Words are whitespace-split, no normalization or lowercasing. The merge
-    loop repeatedly joins the adjacent symbol pair maximizing
+    Words are whitespace-split, no normalization or lowercasing, and every
+    word of up to MAX_WORD_LENGTH characters is kept. The merge loop
+    repeatedly joins the adjacent symbol pair maximizing
     freq(ab) / (freq(a) * freq(b)) over the current segmentations, with ties
     broken by the lexicographically smaller merged string, then by the pair
     that entered the pair counts first, until the vocabulary reaches
-    cfg.target_size or no pairs remain. The target only decides when to
-    stop, so a smaller vocabulary is a prefix of a larger one.
+    target_size or no pairs remain. The target only decides when to stop,
+    so a smaller vocabulary is a prefix of a larger one.
     """
     word_freq: Counter[str] = Counter()
     for line in corpus:
@@ -129,14 +118,9 @@ def train_wordpiece(corpus, cfg: VocabTrainConfig) -> SubwordVocab:
     if not word_freq:
         raise ValueError("corpus is empty")
 
-    retained = {
-        w: f
-        for w, f in word_freq.items()
-        if f >= cfg.min_frequency and len(w) <= MAX_WORD_LENGTH
-    }
+    retained = {w: f for w, f in word_freq.items() if len(w) <= MAX_WORD_LENGTH}
     if not retained:
-        raise ValueError("no words retained; lower min_frequency (a word over "
-                         f"{MAX_WORD_LENGTH} characters is never kept)")
+        raise ValueError(f"no words retained: every word is over {MAX_WORD_LENGTH} characters")
 
     segmentations = []
     freqs = []
@@ -146,7 +130,7 @@ def train_wordpiece(corpus, cfg: VocabTrainConfig) -> SubwordVocab:
 
     alphabet = sorted({sym for seg in segmentations for sym in seg})
     base_size = len(SPECIAL_TOKENS) + len(alphabet)
-    _check_target_size(cfg.target_size, base_size)
+    _check_target_size(target_size, base_size)
 
     tokens = list(SPECIAL_TOKENS) + alphabet
     vocab_set = set(tokens)
@@ -190,7 +174,7 @@ def train_wordpiece(corpus, cfg: VocabTrainConfig) -> SubwordVocab:
     heap = entries(pair_freq)
     heapq.heapify(heap)
 
-    while len(tokens) < cfg.target_size and heap:
+    while len(tokens) < target_size and heap:
         top = heapq.heappop(heap)
         best_merged, best_pair = top[1], top[3]
         if best_pair not in pair_freq or entries((best_pair,))[0] != top:

@@ -32,7 +32,6 @@ from clozerank.ranking import (
 from clozerank.wordpiece import (
     SPECIAL_TOKENS,
     SubwordVocab,
-    VocabTrainConfig,
     tokenize,
     train_wordpiece,
 )
@@ -228,7 +227,7 @@ def test_criterion_6_tokenizer_properties(tmp_path, capsys):
 
     vocabs = {}
     for size in sizes:
-        vocab = train_wordpiece(iter(lines), VocabTrainConfig(target_size=size))
+        vocab = train_wordpiece(iter(lines), size)
         assert vocab.size == size
         vocabs[size] = vocab
 
@@ -255,7 +254,7 @@ def test_criterion_6_tokenizer_properties(tmp_path, capsys):
     for bigger, smaller in zip(unk_counts[1:], unk_counts[:-1]):
         assert bigger <= smaller
 
-    twin = train_wordpiece(iter(lines), VocabTrainConfig(target_size=500))
+    twin = train_wordpiece(iter(lines), 500)
     path_a, path_b = tmp_path / "a.txt", tmp_path / "b.txt"
     vocabs[500].save(path_a)
     twin.save(path_b)

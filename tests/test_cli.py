@@ -322,6 +322,10 @@ class TestEnergyCommand:
                         "--output", tmp_path]) == 0
         payload = read_json(tmp_path / "energy.json")
         assert "ratios" not in payload
+        # PUE and grid intensity are fixed, and energy.json still records them.
+        assert (payload["run"]["pue"], payload["run"]["carbon_intensity"]) == (1.58, 0.954)
+        settings = read_json(tmp_path / "energy_manifest.json")["settings"]
+        assert "pue" not in settings and "carbon_intensity" not in settings
 
     def test_half_baseline_rejected(self, tmp_path, capsys):
         rc = run_cli(["energy", "--watts", "618", "--hours", "5",
@@ -353,7 +357,8 @@ class TestReportCommand:
         assert record["command"] == "report"
 
     @pytest.mark.parametrize("spec", ["static", "=metrics.json", "static=",
-                                      "static=,metrics.json", "static=metrics.json,"])
+                                      "static=,metrics.json", "static=metrics.json,",
+                                      "a\tb=metrics.json", "x\ny=metrics.json"])
     def test_spec_needs_name_and_path(self, tmp_path, capsys, spec):
         out = tmp_path / "out"
         assert run_cli(["report", "--run", spec, "--output", out]) == 1
@@ -918,7 +923,7 @@ class TestLabelTypesInRankingFiles:
 
 class TestConfigValueShapes:
     """Boolean, string and list flags type their config values; a key no flag names
-    (a typo, or a retired key such as 'metrics', 'embed' or 'no_p5') is rejected."""
+    (a typo, or a retired key such as 'metrics', 'embed', 'no_p5' or 'pue') is rejected."""
 
     @pytest.mark.parametrize("command, key, value", [
         ("rank-static", "exclude_subject_match", "false"),
@@ -936,10 +941,14 @@ class TestConfigValueShapes:
         ("evaluate", "no_p5", True),
         ("build-vocab", "target_size", []),
         ("evaluate", "config", "other.json"),
+        ("build-vocab", "min_frequency", 2),
+        ("energy", "pue", 1.2),
+        ("energy", "carbon_intensity", 0.5),
     ], ids=["exclude-str", "metrics-number", "metrics-str-toggle", "metrics-unknown-key",
             "vocab-sizes-empty", "corpus-int", "triples-list", "metrics-once-valid",
             "epoch-unknown", "embed-nested", "runs-unknown", "run-int-list", "no-p5-retired",
-            "target-size-empty", "config-in-config"])
+            "target-size-empty", "config-in-config", "min-frequency-retired", "pue-retired",
+            "carbon-intensity-retired"])
     def test_value_rejected_with_path_and_key(self, tmp_path, capsys, command, key, value):
         kb_args = ["--triples", MINI["triples"], "--templates", MINI["templates"]]
         assert run_cli(["rank", "oracle", *kb_args, "--output", tmp_path / "oracle"]) == 0
@@ -952,6 +961,7 @@ class TestConfigValueShapes:
             "train-embeddings": ["train-embeddings", "--vocab", MINI["vocab"],
                                  "--corpus", MINI["vocab"]],
             "report": ["report", "--run", f"oracle={tmp_path / 'oracle' / 'metrics.json'}"],
+            "energy": ["energy", "--watts", "618", "--hours", "5"],
         }[command]
         config = tmp_path / "config.json"
         config.write_text(json.dumps({key: value}), encoding="utf-8")
@@ -1156,17 +1166,22 @@ def write_sweep_corpus(tmp_path):
 class TestVocabSizesSweep:
     """--target-size with several sizes trains once and cuts each from the largest."""
 
-    @pytest.mark.parametrize("extra", [(), ("--min-frequency", "2")], ids=["all", "min-freq-2"])
-    def test_each_size_matches_a_separate_run(self, tmp_path, extra):
+    # A word over 100 characters, in letters the lexicon lacks, is left out of training.
+    @pytest.mark.parametrize("extra_line", ["", " ".join(["xyz" * 34] * 3)],
+                             ids=["all", "word-over-100"])
+    def test_each_size_matches_a_separate_run(self, tmp_path, extra_line):
         corpus = write_sweep_corpus(tmp_path)
+        with corpus.open("a", encoding="utf-8") as f:
+            f.write(extra_line + "\n")
         sizes = ["300", "40", "100000", "120"]
         sweep = tmp_path / "sweep"
         assert run_cli(["build-vocab", "--corpus", corpus, "--target-size", *sizes,
-                        *extra, "--output", sweep]) == 0
+                        "--output", sweep]) == 0
+        assert "x" not in (sweep / "vocab_100000.txt").read_text(encoding="utf-8").split()
         for size in sizes:
             alone = tmp_path / f"alone_{size}"
             assert run_cli(["build-vocab", "--corpus", corpus, "--target-size", size,
-                            *extra, "--output", alone]) == 0
+                            "--output", alone]) == 0
             name = f"vocab_{size}.txt"
             assert (sweep / name).read_bytes() == (alone / name).read_bytes()
 
@@ -1180,6 +1195,14 @@ class TestVocabSizesSweep:
         assert re.fullmatch(r"target_size 3 below alphabet\+specials \(\d+\)",
                             record["message"])
         assert not list(out.glob("vocab_*"))
+
+    def test_size_zero_fails_before_reading_or_writing(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run_cli(["build-vocab", "--corpus", tmp_path / "missing.txt",
+                        "--target-size", "40", "0", "--output", out]) == 1
+        assert cli_error(capsys) == {"command": "build-vocab", "error": "ValueError",
+                                     "message": "target_size must be positive, got 0"}
+        assert not out.exists()
 
     @pytest.mark.parametrize("route", ["flag", "config"])
     def test_repeated_size_fails_before_writing(self, tmp_path, capsys, route):

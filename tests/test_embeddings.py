@@ -23,7 +23,6 @@ from clozerank.ranking import export_mlm_manifest, rank_mlm, write_stub_scores
 from clozerank.wordpiece import (
     SPECIAL_TOKENS,
     SubwordVocab,
-    VocabTrainConfig,
     tokenize,
     train_wordpiece,
 )
@@ -405,7 +404,7 @@ def zipfian_corpus(seed, lines, lexicon, vocab_size):
     weights = list(itertools.accumulate(1.0 / (rank + 1) for rank in range(len(words))))
     text = [" ".join(rng.choices(words, cum_weights=weights, k=rng.randint(6, 14)))
             for _ in range(lines)]
-    vocab = train_wordpiece(iter(text), VocabTrainConfig(target_size=vocab_size))
+    vocab = train_wordpiece(iter(text), vocab_size)
     return vocab, [tokenize(vocab, line) for line in text]
 
 

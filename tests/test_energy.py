@@ -3,8 +3,8 @@ import random
 import pytest
 
 from clozerank.energy import (
-    DEFAULT_CARBON_INTENSITY,
-    DEFAULT_PUE,
+    CARBON_INTENSITY,
+    PUE,
     EnergyInput,
     co2e,
     energy_kwh,
@@ -32,14 +32,6 @@ class TestFormula:
 
     def test_co2e_is_intensity_times_kwh(self):
         assert co2e(10.0) == pytest.approx(9.54, abs=1e-12)
-        assert co2e(10.0, carbon_intensity=0.5) == 5.0
-
-    def test_defaults(self):
-        assert DEFAULT_PUE == 1.58
-        assert DEFAULT_CARBON_INTENSITY == 0.954
-        inp = EnergyInput(power_watts=100, hours=1)
-        assert inp.pue == DEFAULT_PUE
-        assert inp.carbon_intensity == DEFAULT_CARBON_INTENSITY
 
     def test_zero_hours_means_zero_energy(self):
         idle = EnergyInput(power_watts=618, hours=0)
@@ -130,7 +122,8 @@ class TestFootprint:
         report = footprint(STATIC_EN)
         assert report["power_watts"] == 618
         assert report["hours"] == 5
-        assert report["pue"] == DEFAULT_PUE
+        assert report["pue"] == PUE == 1.58
+        assert report["carbon_intensity"] == CARBON_INTENSITY == 0.954
         assert report["energy_kwh"] == energy_kwh(STATIC_EN)
         assert report["co2e"] == co2e(energy_kwh(STATIC_EN))
 
@@ -143,10 +136,6 @@ class TestValidation:
             EnergyInput(power_watts=-5, hours=1)
         with pytest.raises(ValueError):
             EnergyInput(power_watts=100, hours=-1)
-        with pytest.raises(ValueError):
-            EnergyInput(power_watts=100, hours=1, pue=0)
-        with pytest.raises(ValueError):
-            EnergyInput(power_watts=100, hours=1, carbon_intensity=0)
 
     def test_negative_kwh_rejected(self):
         with pytest.raises(ValueError):

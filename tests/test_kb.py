@@ -213,6 +213,12 @@ class TestQueries:
         assert (instantiate_query(spec, "Cook County")
                 == "The capital of Cook County is [MASK] .")
 
+    def test_slot_text_in_subject_is_kept(self):
+        spec = RelationSpec("P19", "[X] was born in [Y] .")
+        assert (instantiate_query(spec, "the [Y] band", mask_count=2)
+                == "the [Y] band was born in [MASK] [MASK] .")
+        assert instantiate_query(spec, "[X]") == "[X] was born in [MASK] ."
+
     def test_zero_masks_rejected(self):
         spec = RelationSpec("P19", "[X] was born in [Y] .")
         with pytest.raises(ValueError):

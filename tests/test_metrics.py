@@ -302,15 +302,6 @@ class TestReport:
         assert len(lines) == 1 + 3
         assert lines[1].startswith("P103\t6\t")
 
-    def test_tsv_marks_absent_p5(self, mini_dataset, mini_vocab, mini_table):
-        preds = rank_static(mini_table, mini_vocab, mini_dataset,
-                            build_candidates(mini_dataset))
-        report = compute_report(preds, mini_dataset)
-        for row in report.per_relation.values():  # as in a file written with p@5 off
-            del row["p_at_5"]
-        for line in per_relation_tsv(report).splitlines()[1:]:
-            assert line.endswith("\t-")
-
     def test_buckets_tsv_layout(self, mini_dataset, mini_vocab, mini_table):
         preds = rank_static(mini_table, mini_vocab, mini_dataset,
                             build_candidates(mini_dataset))

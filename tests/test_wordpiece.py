@@ -11,7 +11,6 @@ from clozerank.wordpiece import (
     SPECIAL_TOKENS,
     UNK_TOKEN,
     SubwordVocab,
-    VocabTrainConfig,
     tokenize,
     train_wordpiece,
 )
@@ -46,7 +45,7 @@ def brute_force_best_merge(word_freq):
 class TestTraining:
     def test_best_pair_is_merged(self):
         corpus = ["ab ab ab b"]
-        vocab = train_wordpiece(corpus, VocabTrainConfig(target_size=50))
+        vocab = train_wordpiece(corpus, 50)
         for tok in ("a", "##b", "b"):
             assert tok in vocab.token_to_id
         expected = brute_force_best_merge({"ab": 3, "b": 1})
@@ -55,43 +54,37 @@ class TestTraining:
         assert vocab.ids_to_tokens(tokenize(vocab, "ab")) == ["ab"]
 
     def test_single_char_corpus_has_no_merges(self):
-        vocab = train_wordpiece(["x"], VocabTrainConfig(target_size=N_SPECIALS + 1))
+        vocab = train_wordpiece(["x"], N_SPECIALS + 1)
         assert vocab.tokens == list(SPECIAL_TOKENS) + ["x"]
 
     def test_published_target_sizes_are_valid_configs(self):
         for size in (30000, 120000, 250000, 500000, 1000000):
-            assert VocabTrainConfig(target_size=size).target_size == size
+            assert train_wordpiece(["ab ab b"], size).tokens[-1] == "ab"
 
     def test_empty_corpus_rejected(self):
         with pytest.raises(ValueError):
-            train_wordpiece([], VocabTrainConfig(target_size=10))
+            train_wordpiece([], 10)
         with pytest.raises(ValueError):
-            train_wordpiece(["   ", ""], VocabTrainConfig(target_size=10))
+            train_wordpiece(["   ", ""], 10)
 
     def test_target_below_alphabet_rejected(self):
         # alphabet of "abc" is {a, ##b, ##c}: 3 symbols + specials
         with pytest.raises(ValueError):
-            train_wordpiece(["abc"], VocabTrainConfig(target_size=N_SPECIALS + 2))
+            train_wordpiece(["abc"], N_SPECIALS + 2)
 
-    @pytest.mark.parametrize("cfg", [
-        VocabTrainConfig(target_size=10, min_frequency=2),
-    ], ids=["min-frequency"])
-    def test_no_word_retained_rejected(self, cfg):
-        with pytest.raises(ValueError, match="no words retained"):
-            train_wordpiece(["abc bcd cde"], cfg)
-
-    def test_min_frequency_filters_words(self):
-        corpus = ["aa aa aa zz"]
-        vocab = train_wordpiece(corpus, VocabTrainConfig(target_size=50, min_frequency=2))
-        assert "z" not in vocab.token_to_id
-        assert tokenize(vocab, "zz") == [vocab.unk_id]
+    @pytest.mark.parametrize("corpus", [
+        ["a" * (MAX_WORD_LENGTH + 1), "b" * (MAX_WORD_LENGTH + 2)],
+    ], ids=["word-over-100"])
+    def test_no_word_retained_rejected(self, corpus):
+        with pytest.raises(ValueError, match="no words retained: every word is over 100"):
+            train_wordpiece(corpus, 10)
 
     def test_merge_order_matches_brute_force(self):
         # replay training one merge at a time against the enumeration oracle
         words = {"abab": 4, "abc": 3, "bc": 5, "cab": 2}
         corpus = [" ".join(w for w, n in words.items() for _ in range(n))]
         # alphabet is {a, b, c, ##a, ##b, ##c}; leave room for exactly one merge
-        base = train_wordpiece(corpus, VocabTrainConfig(target_size=N_SPECIALS + 7))
+        base = train_wordpiece(corpus, N_SPECIALS + 7)
         first_merge = base.tokens[-1]
         assert first_merge == brute_force_best_merge(words)
 
@@ -180,9 +173,8 @@ def check_greedy_maximality(vocab, word, pieces):
 class TestProperties:
     def test_training_is_deterministic(self, tmp_path):
         corpus = random_corpus(random.Random(7))
-        cfg = VocabTrainConfig(target_size=60)
-        a = train_wordpiece(corpus, cfg)
-        b = train_wordpiece(list(corpus), cfg)
+        a = train_wordpiece(corpus, 60)
+        b = train_wordpiece(list(corpus), 60)
         assert a.tokens == b.tokens
         pa, pb = tmp_path / "a.txt", tmp_path / "b.txt"
         a.save(pa)
@@ -192,7 +184,7 @@ class TestProperties:
     def test_segmentation_soundness(self):
         rng = random.Random(11)
         corpus = random_corpus(rng)
-        vocab = train_wordpiece(corpus, VocabTrainConfig(target_size=40))
+        vocab = train_wordpiece(corpus, 40)
         for line in corpus + random_corpus(rng, n_lines=10):
             for word in line.split():
                 ids = tokenize(vocab, word)
@@ -205,7 +197,7 @@ class TestProperties:
     def test_greedy_maximality(self):
         rng = random.Random(13)
         corpus = random_corpus(rng)
-        vocab = train_wordpiece(corpus, VocabTrainConfig(target_size=55))
+        vocab = train_wordpiece(corpus, 55)
         for line in corpus:
             for word in line.split():
                 ids = tokenize(vocab, word)
@@ -222,7 +214,7 @@ class TestProperties:
         sizes = [N_SPECIALS + 10, N_SPECIALS + 25, N_SPECIALS + 60]
         unk_counts = []
         for size in sizes:
-            vocab = train_wordpiece(corpus, VocabTrainConfig(target_size=size))
+            vocab = train_wordpiece(corpus, size)
             n_unk = sum(tok == vocab.unk_id
                         for line in held_out for tok in tokenize(vocab, line))
             unk_counts.append(n_unk)
@@ -232,13 +224,13 @@ class TestProperties:
     def test_vocab_size_never_exceeds_target(self):
         corpus = random_corpus(random.Random(19))
         for size in (N_SPECIALS + 10, N_SPECIALS + 30):
-            vocab = train_wordpiece(corpus, VocabTrainConfig(target_size=size))
+            vocab = train_wordpiece(corpus, size)
             assert vocab.size <= size
 
 
 class TestVocabIO:
     def test_save_load_roundtrip(self, tmp_path):
-        vocab = train_wordpiece(["ab ab b"], VocabTrainConfig(target_size=20))
+        vocab = train_wordpiece(["ab ab b"], 20)
         path = tmp_path / "vocab.txt"
         vocab.save(path)
         again = SubwordVocab.load(path)
@@ -262,10 +254,8 @@ class TestVocabIO:
             SubwordVocab(list(SPECIAL_TOKENS) + ["##"])
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            VocabTrainConfig(target_size=0)
-        with pytest.raises(ValueError):
-            VocabTrainConfig(target_size=10, min_frequency=0)
+        with pytest.raises(ValueError, match=r"target_size 0 below alphabet\+specials"):
+            train_wordpiece(["ab"], 0)
 
 
 def zipf_corpus(seed, n_words=800, n_lines=120, letters="abcdefghijklmnoprstuvwxyz"):
@@ -304,30 +294,28 @@ LONG_WORDS = " ".join(["ab" * 50] * 3 + ["q" + "xq" * 50] * 3)
 class TestHeapTrainerMatchesScan:
     """The heap trainer gives exactly the tokens of the full-scan reference."""
 
-    @pytest.mark.parametrize("corpus, cfg", [
-        *[(zipf_corpus(seed), VocabTrainConfig(target_size=900)) for seed in (1, 7, 11)],
-        (hash_corpus(3), VocabTrainConfig(target_size=10**6)),
-        (hash_corpus(4), VocabTrainConfig(target_size=10**6)),
-        ([BLOCKED_TIE], VocabTrainConfig(target_size=10**6)),
-        (zipf_corpus(5), VocabTrainConfig(target_size=600, min_frequency=3)),
-        (zipf_corpus(5) + [LONG_WORDS], VocabTrainConfig(target_size=600)),
-        (zipf_corpus(6, n_words=150, n_lines=30), VocabTrainConfig(target_size=10**6)),
-        *[([line], VocabTrainConfig(target_size=10**6)) for line in REPEATED_LETTERS],
-    ], ids=["zipf-1", "zipf-7", "zipf-11", "hash-3", "hash-4", "blocked-tie", "min-frequency-3",
-            "word-over-100", "past-exhaustion", "repeated-letters",
-            "repeated-letters-mixed"])
-    def test_same_tokens_as_scan_reference(self, corpus, cfg):
-        expected, _ = scan_train_wordpiece(corpus, cfg)
-        assert train_wordpiece(corpus, cfg).tokens == expected
+    @pytest.mark.parametrize("corpus, target_size", [
+        *[(zipf_corpus(seed), 900) for seed in (1, 7, 11)],
+        (hash_corpus(3), 10**6),
+        (hash_corpus(4), 10**6),
+        ([BLOCKED_TIE], 10**6),
+        (zipf_corpus(5) + [LONG_WORDS], 600),
+        (zipf_corpus(6, n_words=150, n_lines=30), 10**6),
+        *[([line], 10**6) for line in REPEATED_LETTERS],
+    ], ids=["zipf-1", "zipf-7", "zipf-11", "hash-3", "hash-4", "blocked-tie", "word-over-100",
+            "past-exhaustion", "repeated-letters", "repeated-letters-mixed"])
+    def test_same_tokens_as_scan_reference(self, corpus, target_size):
+        expected, _ = scan_train_wordpiece(corpus, target_size)
+        assert train_wordpiece(corpus, target_size).tokens == expected
 
     def test_hash_corpora_exercise_the_blocked_rule(self):
         for corpus in (hash_corpus(3), hash_corpus(4), [BLOCKED_TIE]):
-            _, blocked = scan_train_wordpiece(corpus, VocabTrainConfig(target_size=10**6))
+            _, blocked = scan_train_wordpiece(corpus, 10**6)
             assert blocked
 
     def test_past_exhaustion_merges_everything(self):
         corpus = zipf_corpus(6, n_words=150, n_lines=30)
-        vocab = train_wordpiece(corpus, VocabTrainConfig(target_size=10**6))
+        vocab = train_wordpiece(corpus, 10**6)
         assert vocab.size < 10**6
         for word in {w for line in corpus for w in line.split()}:
             assert vocab.ids_to_tokens(tokenize(vocab, word)) == [word]
@@ -339,10 +327,10 @@ class TestHeapTrainerMatchesScan:
         # ratio exceeds the bound (2.4x on 80 lines). Without the rebuild
         # the heap grows by about 60 entries a merge, and 200 merges cross it.
         corpus = zipf_corpus(11, n_words=5000, n_lines=1000)
-        cfg = VocabTrainConfig(target_size=2 + 49 + 200)
+        target_size = 2 + 49 + 200
         peaks = []
-        for train in (lambda: scan_train_wordpiece(corpus, cfg),
-                      lambda: train_wordpiece(corpus, cfg)):
+        for train in (lambda: scan_train_wordpiece(corpus, target_size),
+                      lambda: train_wordpiece(corpus, target_size)):
             tracemalloc.start()
             try:
                 train()
@@ -412,19 +400,19 @@ class TestFullMergeOrder:
         for merged in brute_force_merge_order(word_freq):
             if merged not in expected:
                 expected.append(merged)
-        vocab = train_wordpiece(corpus, VocabTrainConfig(target_size=10**6))
+        vocab = train_wordpiece(corpus, 10**6)
         assert vocab.tokens == expected
 
 
 class TestPrefix:
     def test_smaller_target_is_a_prefix(self):
         corpus = zipf_corpus(7)
-        full = train_wordpiece(corpus, VocabTrainConfig(target_size=10**6))
+        full = train_wordpiece(corpus, 10**6)
         for size in (60, 300, 600, full.size, 10**6):
-            trained = train_wordpiece(corpus, VocabTrainConfig(target_size=size))
+            trained = train_wordpiece(corpus, size)
             assert full.prefix(size).tokens == trained.tokens
 
     def test_prefix_below_alphabet_rejected(self):
-        vocab = train_wordpiece(["abc"], VocabTrainConfig(target_size=50))
+        vocab = train_wordpiece(["abc"], 50)
         with pytest.raises(ValueError, match=r"target_size 4 below alphabet\+specials \(5\)"):
             vocab.prefix(4)

@@ -19,18 +19,14 @@ def _merge_string(left, right):
     return left + right[len(CONTINUATION):]
 
 
-def scan_train_wordpiece(corpus, cfg):
+def scan_train_wordpiece(corpus, target_size):
     word_freq = Counter()
     for line in corpus:
         word_freq.update(line.split())
     if not word_freq:
         raise ValueError("corpus is empty")
 
-    retained = {
-        w: f
-        for w, f in word_freq.items()
-        if f >= cfg.min_frequency and len(w) <= MAX_WORD_LENGTH
-    }
+    retained = {w: f for w, f in word_freq.items() if len(w) <= MAX_WORD_LENGTH}
     if not retained:
         raise ValueError("no words retained")
 
@@ -42,9 +38,9 @@ def scan_train_wordpiece(corpus, cfg):
 
     alphabet = sorted({sym for seg in segmentations for sym in seg})
     base_size = len(SPECIAL_TOKENS) + len(alphabet)
-    if cfg.target_size < base_size:
+    if target_size < base_size:
         raise ValueError(
-            f"target_size {cfg.target_size} below alphabet+specials ({base_size})"
+            f"target_size {target_size} below alphabet+specials ({base_size})"
         )
 
     tokens = list(SPECIAL_TOKENS) + alphabet
@@ -62,7 +58,7 @@ def scan_train_wordpiece(corpus, cfg):
 
     blocked = set()
 
-    while len(tokens) < cfg.target_size and pair_freq:
+    while len(tokens) < target_size and pair_freq:
         best_pair = None
         best_score = -1.0
         best_merged = None
