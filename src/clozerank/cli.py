@@ -104,8 +104,7 @@ class RunContext:
         """The KB cut to subset, and each kept relation's candidate set from the whole KB."""
         from . import kb
         triples = self.input("triples")
-        full = kb.ingest_dataset(triples, self.input("templates"),
-                                 language_tag=self.get("language", "en"))
+        full = kb.ingest_dataset(triples, self.input("templates"))
         dataset, subset = full, self.input("subset", required=False)
         if subset is not None:
             dataset, unknown = kb.apply_subset(full, kb.read_subset_ids(subset))
@@ -173,23 +172,15 @@ def cmd_tokenize(ctx: RunContext) -> int:
     return ctx.finish(f"tokenized {text_path} -> {out_path}")
 
 
-# train-embeddings settings, under their flag names; two map to a differently
-# named EmbedTrainConfig field.
-_EMBED_SETTINGS = ("dim", "window", "negatives", "epochs", "lr", "min_count",
-                  "char_ngram_min", "char_ngram_max", "hash_buckets", "seed")
-_EMBED_FIELDS = {"lr": "learning_rate", "hash_buckets": "ngram_buckets"}
-
-
 def cmd_train_embeddings(ctx: RunContext) -> int:
     from . import embeddings
-    vocab = ctx.vocab()
-    corpus = ctx.input("corpus")
-    cfg = embeddings.EmbedTrainConfig(**{_EMBED_FIELDS.get(key, key): value for key, value
-                                         in ctx.given(*_EMBED_SETTINGS).items()})
+    cfg = embeddings.EmbedTrainConfig(**ctx.given(*embeddings.EmbedTrainConfig.__slots__))
     workers = ctx.get("workers", 1)
     if workers != 1:
         raise ValueError(f"workers must be 1: training is single-threaded and "
                          f"deterministic, got {workers}")
+    vocab = ctx.vocab()
+    corpus = ctx.input("corpus")
     with jsonio.open_text(corpus) as f:
         table = embeddings.train_static_embeddings(
             (wordpiece.tokenize(vocab, line) for line in f), vocab, cfg)
@@ -197,7 +188,7 @@ def cmd_train_embeddings(ctx: RunContext) -> int:
     table_path = ctx.output("embeddings.vec")
     embeddings.save_table(table, table_path)
     return ctx.finish(f"trained {len(table)} vectors (dim {table.dim}) -> {table_path}",
-                      embed=cfg.to_dict(), workers=workers)
+                      **cfg.to_dict(), workers=workers)
 
 
 def cmd_build_candidates(ctx: RunContext) -> int:
@@ -260,7 +251,8 @@ def cmd_evaluate(ctx: RunContext) -> int:
     dataset, _ = ctx.dataset()
     predictions = ranking.load_predictions(ctx.input("predictions"))
     vocab = ctx.vocab(required=False)
-    report = metrics.compute_report(predictions, dataset, vocab=vocab)
+    language = ctx.get("language", "en")
+    report = metrics.compute_report(predictions, dataset, vocab=vocab, language=language)
 
     report_path = ctx.output("metrics.json")
     report.save(report_path)
@@ -269,7 +261,7 @@ def cmd_evaluate(ctx: RunContext) -> int:
     if report.buckets:
         ctx.output("buckets.tsv").write_text(metrics.buckets_tsv(report), encoding="utf-8")
     return ctx.finish(f"macro p1 {report.macro_p1:.4f} -> {report_path}",
-                      language=dataset.language)
+                      language=language)
 
 
 def cmd_energy(ctx: RunContext) -> int:
@@ -331,7 +323,6 @@ def build_parser() -> argparse.ArgumentParser:
     kb_inputs.add_argument("--triples")
     kb_inputs.add_argument("--templates")
     kb_inputs.add_argument("--subset", help="file of triple ids to keep, one per line")
-    kb_inputs.add_argument("--language", help="language tag of the KB (default en)")
 
     parser = argparse.ArgumentParser(
         prog="clozerank",
@@ -361,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--window", type=int)
     p.add_argument("--negatives", type=int)
     p.add_argument("--epochs", type=int)
-    p.add_argument("--lr", type=float)
+    p.add_argument("--learning-rate", type=float)
     p.add_argument("--min-count", type=int)
     p.add_argument("--char-ngram-min", type=int)
     p.add_argument("--char-ngram-max", type=int)
@@ -400,6 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="compute the metric suite over predictions")
     p.add_argument("--predictions")
     p.add_argument("--vocab", help="enables subject-length buckets")
+    p.add_argument("--language", help="language tag of the KB (default en)")
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("energy", parents=[common],

@@ -6,6 +6,8 @@ that touch no vector never load it.
 
 from __future__ import annotations
 
+import math
+
 from .jsonio import RowError, open_text
 from .wordpiece import SubwordVocab, is_token
 
@@ -20,22 +22,22 @@ class EmbedTrainConfig:
     """
 
     __slots__ = ("dim", "window", "negatives", "epochs", "learning_rate", "min_count",
-                 "char_ngram_min", "char_ngram_max", "ngram_buckets", "seed")
+                 "char_ngram_min", "char_ngram_max", "hash_buckets", "seed")
 
     def __init__(self, dim: int = 300, window: int = 5, negatives: int = 5, epochs: int = 5,
                  learning_rate: float = 0.05, min_count: int = 5, char_ngram_min: int = 3,
-                 char_ngram_max: int = 6, ngram_buckets: int = 2_000_000, seed: int = 1):
+                 char_ngram_max: int = 6, hash_buckets: int = 2_000_000, seed: int = 1):
         self.dim, self.window, self.negatives, self.epochs = dim, window, negatives, epochs
         self.learning_rate, self.min_count, self.seed = learning_rate, min_count, seed
         self.char_ngram_min, self.char_ngram_max = char_ngram_min, char_ngram_max
-        self.ngram_buckets = ngram_buckets
+        self.hash_buckets = hash_buckets
         if self.dim <= 0:
             raise ValueError(f"dim must be positive, got {self.dim}")
-        for name in ("window", "negatives", "epochs", "min_count", "ngram_buckets"):
+        for name in ("window", "negatives", "epochs", "min_count", "hash_buckets"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError(f"learning_rate must be positive and finite, got {learning_rate}")
         if self.char_ngram_min < 0 or self.char_ngram_max < 0:
             raise ValueError("char n-gram bounds must be non-negative (0 disables)")
         if self.ngrams_enabled and self.char_ngram_min > self.char_ngram_max:
@@ -180,7 +182,7 @@ def train_static_embeddings(tokenized_corpus, vocab: SubwordVocab,
 
     The stored vector for a token is the mean of its word row and its n-gram
     rows. Only n-gram buckets in use get a row, so memory scales with the kept
-    tokens, not with cfg.ngram_buckets.
+    tokens, not with cfg.hash_buckets.
 
     Training is single-threaded and bitwise deterministic for a fixed seed.
     """
@@ -223,7 +225,7 @@ def train_static_embeddings(tokenized_corpus, vocab: SubwordVocab,
         in_rows.append(row)
         if cfg.ngrams_enabled:
             grams = char_ngram_buckets(vocab.tokens[tid], cfg.char_ngram_min,
-                                       cfg.char_ngram_max, cfg.ngram_buckets)
+                                       cfg.char_ngram_max, cfg.hash_buckets)
             in_rows.extend(n_tokens + bucket_row.setdefault(g, len(bucket_row))
                            for g in grams)
         in_ptr.append(len(in_rows))

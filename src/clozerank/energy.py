@@ -6,6 +6,8 @@ per kWh) are fixed at the US-average figures of Strubell et al. 2019
 (arXiv 1906.02243), so every run is costed on the same terms.
 """
 
+import math
+
 PUE = 1.58
 CARBON_INTENSITY = 0.954
 
@@ -15,10 +17,10 @@ class EnergyInput:
 
     def __init__(self, power_watts: float, hours: float):
         self.power_watts, self.hours = power_watts, hours
-        if power_watts <= 0:
-            raise ValueError(f"power_watts must be positive, got {power_watts}")
-        if hours < 0:
-            raise ValueError(f"hours must be non-negative, got {hours}")
+        if not (math.isfinite(power_watts) and power_watts > 0):
+            raise ValueError(f"power_watts must be positive and finite, got {power_watts}")
+        if not (math.isfinite(hours) and hours >= 0):
+            raise ValueError(f"hours must be non-negative and finite, got {hours}")
 
 
 def energy_kwh(inp: EnergyInput) -> float:

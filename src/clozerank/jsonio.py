@@ -135,5 +135,5 @@ def read_json(path) -> dict:
 
 
 def write_json(path, obj, ensure_ascii: bool = False) -> None:
-    Path(path).write_text(json.dumps(obj, ensure_ascii=ensure_ascii, indent=2, sort_keys=True)
-                          + "\n", encoding="utf-8")
+    text = json.dumps(obj, ensure_ascii=ensure_ascii, allow_nan=False, indent=2, sort_keys=True)
+    Path(path).write_text(text + "\n", encoding="utf-8")

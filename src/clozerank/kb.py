@@ -62,12 +62,11 @@ class CandidateSet:
 class Dataset:
     """Triples grouped by relation, with templates attached. Immutable by use."""
 
-    __slots__ = ("language", "relations", "triples_by_relation")
+    __slots__ = ("relations", "triples_by_relation")
 
-    def __init__(self, language: str, relations: dict[str, RelationSpec],
+    def __init__(self, relations: dict[str, RelationSpec],
                  triples_by_relation: dict[str, list[Triple]]):
-        self.language, self.relations = language, relations
-        self.triples_by_relation = triples_by_relation
+        self.relations, self.triples_by_relation = relations, triples_by_relation
 
     @property
     def relation_ids(self) -> list[str]:
@@ -82,7 +81,7 @@ class Dataset:
             yield from self.triples_by_relation[rel]
 
 
-def ingest_dataset(triples_path, templates_path, language_tag: str = "en") -> Dataset:
+def ingest_dataset(triples_path, templates_path) -> Dataset:
     """Load triples and templates; every triple's relation must have a template.
 
     Triple rows are JSONL objects {id?, sub_label, obj_label, predicate_id};
@@ -127,8 +126,7 @@ def ingest_dataset(triples_path, templates_path, language_tag: str = "en") -> Da
             f"{rel} ({count} triples)" for rel, count in sorted(unknown.items())
         )
         raise ValueError(f"triples reference relations with no template: {offenders}")
-    return Dataset(language=language_tag, relations=relations,
-                   triples_by_relation=triples_by_relation)
+    return Dataset(relations=relations, triples_by_relation=triples_by_relation)
 
 
 def build_candidates(dataset: Dataset) -> dict[str, CandidateSet]:
@@ -155,11 +153,7 @@ def apply_subset(dataset: Dataset, id_list) -> tuple[Dataset, int]:
         if selected:
             kept[rel] = selected
     unknown = len(wanted) - len({t.id for ts in kept.values() for t in ts})
-    return (
-        Dataset(language=dataset.language, relations=dict(dataset.relations),
-                triples_by_relation=kept),
-        unknown,
-    )
+    return Dataset(relations=dict(dataset.relations), triples_by_relation=kept), unknown
 
 
 def read_subset_ids(path) -> list[str]:

@@ -119,10 +119,10 @@ class MetricsReport:
 
 
 def compute_report(predictions: "Iterable[Prediction]", dataset: Dataset,
-                   vocab: SubwordVocab = None) -> MetricsReport:
+                   vocab: SubwordVocab = None, language: str = "en") -> MetricsReport:
     """Full evaluation over one pass of predictions, then one pass per relation.
 
-    A vocabulary adds the subject-length buckets and metadata vocab_size.
+    metadata records language; a vocabulary adds vocab_size and the subject-length buckets.
     """
     outcomes = _outcomes(predictions, dataset)
     per_relation, p1_mf, distinct, pooled = {}, [], [], Counter()
@@ -150,7 +150,7 @@ def compute_report(predictions: "Iterable[Prediction]", dataset: Dataset,
         entropy -= p * math.log2(p)
     metadata = {"n_relations": len(per_relation), "n_triples": dataset.n_triples,
                 "entropy_scope": "pooled-top1-base2", "bucket_aggregation": "micro",
-                "language": dataset.language}
+                "language": language}
     if vocab is not None:
         metadata["vocab_size"] = vocab.size
     return MetricsReport(

@@ -1,6 +1,7 @@
 """Candidate ranking: static nearest-neighbor, frequency oracle, MLM adapter."""
 
 import math
+import operator
 from collections import Counter
 from collections.abc import Iterable, Iterator, Sequence
 from hashlib import sha256
@@ -12,7 +13,7 @@ from .wordpiece import UNK_TOKEN, SubwordVocab, tokenize
 
 
 class Prediction:
-    """Ranked candidates for one triple: labels and their scores, scores descending.
+    """Ranked candidates for one triple: labels and their finite scores, scores descending.
 
     Ties sort by the lexicographically smaller candidate label. Predictions
     that share a ranking share its two sequences, as tuples.
@@ -380,8 +381,8 @@ def save_predictions(predictions: Iterable[Prediction], path) -> int:
 
 
 def load_predictions(path) -> Iterator[Prediction]:
-    """Yield each row of a predictions file once it passes its checks: one row per
-    triple, each label once per ranking, flags (if given) an object of booleans."""
+    """Yield each row of a predictions file once it passes its checks: one row per triple,
+    each label once in a ranking in Prediction's order, flags (if any) an object of booleans."""
     seen = set()
     for lineno, row, (triple_id, relation_id, ranked) in read_jsonl(
             path, "triple_id", "relation_id", "ranked", text=("triple_id", "relation_id")):
@@ -413,6 +414,14 @@ def load_predictions(path) -> Iterator[Prediction]:
             counts = Counter(labels)
             label = next(label for label in labels if counts[label] > 1)
             raise ValueError(f"{path}:{lineno}: ranked lists label {label!r} twice")
+        # Prediction's order. NaN fails every comparison, so scores that never rise are
+        # finite if both ends are; only a ranking with a tie leaves the C-level pass.
+        if not (math.isfinite(scores[0]) and math.isfinite(scores[-1])
+                and (all(map(operator.gt, scores, scores[1:]))
+                     or all(s > t or s == t and a < b
+                            for s, t, a, b in zip(scores, scores[1:], labels, labels[1:])))):
+            raise ValueError(f"{path}:{lineno}: ranked must list finite scores that never "
+                             "rise, tied labels in ascending order")
         flags = row.get("flags", {})
         if type(flags) is not dict or not set(map(type, flags.values())) <= {bool}:
             raise ValueError(f"{path}:{lineno}: flags must be an object of booleans, "

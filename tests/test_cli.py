@@ -153,15 +153,32 @@ class TestTrainEmbeddings:
         assert header == "2 8"
         manifest = read_json(out / "train_embeddings_manifest.json")
         assert manifest["outputs"] == [str(out / "embeddings.vec")]
-        assert manifest["settings"]["embed"]["learning_rate"] == 0.05
+        assert manifest["settings"]["learning_rate"] == 0.05
 
-    def test_lr_flag_reaches_the_trainer(self, tmp_path):
+    def test_learning_rate_flag_reaches_the_trainer(self, tmp_path, monkeypatch):
+        from clozerank import embeddings
         vocab, corpus = write_tiny_training_setup(tmp_path)
-        out = tmp_path / "out"
+        out, rates, trainer = tmp_path / "out", [], embeddings.train_static_embeddings
+
+        def train(corpus, vocab, cfg):
+            rates.append(cfg.learning_rate)
+            return trainer(corpus, vocab, cfg)
+
+        monkeypatch.setattr(embeddings, "train_static_embeddings", train)
         assert run_cli(self.train_args(vocab, corpus, out,
-                                       extra=["--lr", "0.1"])) == 0
+                                       extra=["--learning-rate", "0.1"])) == 0
+        assert rates == [0.1]
         manifest = read_json(out / "train_embeddings_manifest.json")
-        assert manifest["settings"]["embed"]["learning_rate"] == 0.1
+        assert manifest["settings"]["learning_rate"] == 0.1
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_learning_rate_fails_before_reading(self, tmp_path, capsys, value):
+        missing = tmp_path / "missing.txt"
+        assert run_cli(self.train_args(missing, missing, tmp_path / "out",
+                                       extra=["--learning-rate", value])) == 1
+        assert cli_error(capsys)["message"] == (
+            f"learning_rate must be positive and finite, got {value}")
+        assert not (tmp_path / "out").exists()
 
     def test_deterministic_runs_are_byte_identical(self, tmp_path):
         vocab, corpus = write_tiny_training_setup(tmp_path)
@@ -326,6 +343,18 @@ class TestEnergyCommand:
         assert (payload["run"]["pue"], payload["run"]["carbon_intensity"]) == (1.58, 0.954)
         settings = read_json(tmp_path / "energy_manifest.json")["settings"]
         assert "pue" not in settings and "carbon_intensity" not in settings
+
+    @pytest.mark.parametrize("watts, hours, message", [
+        ("nan", "5", "power_watts must be positive and finite, got nan"),
+        ("inf", "5", "power_watts must be positive and finite, got inf"),
+        ("618", "nan", "hours must be non-negative and finite, got nan"),
+        ("1e308", "1e308", "Out of range float values are not JSON compliant"),
+    ], ids=["nan-watts", "inf-watts", "nan-hours", "overflow"])
+    def test_non_finite_run_writes_nothing(self, tmp_path, capsys, watts, hours, message):
+        out = tmp_path / "out"
+        assert run_cli(["energy", "--watts", watts, "--hours", hours, "--output", out]) == 1
+        assert cli_error(capsys)["message"].startswith(message)
+        assert not out.exists()
 
     def test_half_baseline_rejected(self, tmp_path, capsys):
         rc = run_cli(["energy", "--watts", "618", "--hours", "5",
@@ -701,7 +730,7 @@ class TestMlmManifestCoverage:
 
 class TestTrainEmbeddingsConfig:
     FLAGS = {"dim": 8, "epochs": 1, "min_count": 1, "char_ngram_min": 0,
-             "char_ngram_max": 0, "seed": 5, "lr": 0.1, "hash_buckets": 64}
+             "char_ngram_max": 0, "seed": 5, "learning_rate": 0.1, "hash_buckets": 64}
 
     def test_config_matches_flags(self, tmp_path):
         vocab, corpus = write_tiny_training_setup(tmp_path)
@@ -719,9 +748,31 @@ class TestTrainEmbeddingsConfig:
         assert table.splitlines()[0] == b"2 8"
         assert table == (tmp_path / "flags" / "embeddings.vec").read_bytes()
         manifest = read_json(tmp_path / "config" / "train_embeddings_manifest.json")
-        embed = manifest["settings"]["embed"]
-        assert embed["seed"] == 5
-        assert embed["ngram_buckets"] == 64
+        assert manifest["settings"]["seed"] == 5
+        assert manifest["settings"]["hash_buckets"] == 64
+
+    def test_manifest_settings_rerun_as_a_config(self, tmp_path):
+        """The manifest records every setting flat, under its flag's name, so its
+        settings make a config file that reruns the same training."""
+        vocab, corpus = write_tiny_training_setup(tmp_path)
+        flags = []
+        for key, value in self.FLAGS.items():
+            flags += [f"--{key.replace('_', '-')}", value]
+        assert run_cli(["train-embeddings", "--vocab", vocab, "--corpus", corpus,
+                        *flags, "--output", tmp_path / "flags"]) == 0
+        first = read_json(tmp_path / "flags" / "train_embeddings_manifest.json")
+        assert sorted(first["settings"]) == sorted([
+            "vocab", "corpus", "dim", "window", "negatives", "epochs", "learning_rate",
+            "min_count", "char_ngram_min", "char_ngram_max", "hash_buckets", "seed", "workers"])
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(first["settings"]), encoding="utf-8")
+        assert run_cli(["train-embeddings", "--config", config,
+                        "--output", tmp_path / "config"]) == 0
+        second = read_json(tmp_path / "config" / "train_embeddings_manifest.json")
+        assert second["settings"] == first["settings"]
+        assert second["config_checksum"] == first["config_checksum"]
+        assert ((tmp_path / "config" / "embeddings.vec").read_bytes()
+                == (tmp_path / "flags" / "embeddings.vec").read_bytes())
 
 
 class TestCommonOptions:
@@ -737,6 +788,22 @@ class TestCommonOptions:
         assert exc.value.code == 2
         assert "--deterministic" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["train-embeddings", "--lr", "0.1"],
+        ["rank", "static", "--language", "de"],
+        ["rank", "oracle", "--language", "de"],
+        ["rank", "mlm", "--language", "de"],
+        ["build-candidates", "--language", "de"],
+        ["export-manifest", "--language", "de"],
+    ], ids=["lr", "rank-static-language", "rank-oracle-language", "rank-mlm-language",
+            "build-candidates-language", "export-manifest-language"])
+    def test_flag_of_a_setting_the_command_lacks(self, capsys, argv):
+        """--lr is now --learning-rate, and only evaluate reads --language."""
+        with pytest.raises(SystemExit) as exc:
+            run_cli(argv)
+        assert exc.value.code == 2
+        assert argv[-2] in capsys.readouterr().err
+
     def test_language_reaches_metrics_and_checksum(self, tmp_path):
         preds_path = rank_static(tmp_path)
         en = read_json(evaluate(tmp_path / "en", preds_path))
@@ -750,7 +817,8 @@ class TestConfigTypes:
     """Config values must have the type of the flag with the same name."""
 
     @pytest.mark.parametrize("key, value", [
-        ("dim", "8"), ("dim", 8.0), ("epochs", True), ("lr", "0.1"), ("seed", None),
+        ("dim", "8"), ("dim", 8.0), ("epochs", True), ("learning_rate", "0.1"),
+        ("seed", None),
     ])
     def test_mistyped_value_rejected(self, tmp_path, capsys, key, value):
         vocab, corpus = write_tiny_training_setup(tmp_path)
@@ -775,7 +843,7 @@ class TestConfigTypes:
 
     def test_integer_lr_checksum_matches_flag(self, tmp_path):
         vocab, corpus = write_tiny_training_setup(tmp_path)
-        settings = dict(TestTrainEmbeddingsConfig.FLAGS, lr=1)
+        settings = dict(TestTrainEmbeddingsConfig.FLAGS, learning_rate=1)
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"vocab": str(vocab), "corpus": str(corpus),
                                       **settings}), encoding="utf-8")
@@ -788,7 +856,7 @@ class TestConfigTypes:
                         *flags, "--output", tmp_path / "flags"]) == 0
         from_config, from_flags = (read_json(tmp_path / side / "train_embeddings_manifest.json")
                                    for side in ("config", "flags"))
-        assert from_config["settings"]["embed"]["learning_rate"] == 1.0
+        assert from_config["settings"]["learning_rate"] == 1.0
         assert from_config["config_checksum"] == from_flags["config_checksum"]
 
 
@@ -923,7 +991,7 @@ class TestLabelTypesInRankingFiles:
 
 class TestConfigValueShapes:
     """Boolean, string and list flags type their config values; a key no flag names
-    (a typo, or a retired key such as 'metrics', 'embed', 'no_p5' or 'pue') is rejected."""
+    (a typo, or a retired key such as 'metrics', 'embed', 'lr', 'no_p5' or 'pue') is rejected."""
 
     @pytest.mark.parametrize("command, key, value", [
         ("rank-static", "exclude_subject_match", "false"),
@@ -944,11 +1012,12 @@ class TestConfigValueShapes:
         ("build-vocab", "min_frequency", 2),
         ("energy", "pue", 1.2),
         ("energy", "carbon_intensity", 0.5),
+        ("train-embeddings", "lr", 0.1),
     ], ids=["exclude-str", "metrics-number", "metrics-str-toggle", "metrics-unknown-key",
             "vocab-sizes-empty", "corpus-int", "triples-list", "metrics-once-valid",
             "epoch-unknown", "embed-nested", "runs-unknown", "run-int-list", "no-p5-retired",
             "target-size-empty", "config-in-config", "min-frequency-retired", "pue-retired",
-            "carbon-intensity-retired"])
+            "carbon-intensity-retired", "lr-retired"])
     def test_value_rejected_with_path_and_key(self, tmp_path, capsys, command, key, value):
         kb_args = ["--triples", MINI["triples"], "--templates", MINI["templates"]]
         assert run_cli(["rank", "oracle", *kb_args, "--output", tmp_path / "oracle"]) == 0
@@ -1363,6 +1432,32 @@ class TestPredictionRowRules:
     def test_flags_not_an_object(self, tmp_path, capsys):
         preds, message = self.evaluate_with(tmp_path, capsys, {"flags": 5})
         assert message == f"{preds}:1: flags must be an object of booleans, got 5"
+
+    @pytest.mark.parametrize("ranked", [
+        [["french", 1.0], ["german", 3.0]],
+        [["german", 2.0], ["french", 2.0]],
+        [["german", float("nan")]],
+    ], ids=["rising", "tie-out-of-label-order", "nan"])
+    def test_ranking_out_of_order(self, tmp_path, capsys, ranked):
+        preds, message = self.evaluate_with(tmp_path, capsys, {"ranked": ranked})
+        assert message == (f"{preds}:1: ranked must list finite scores that never rise, "
+                           "tied labels in ascending order")
+        assert not (tmp_path / "out" / "metrics.json").exists()
+
+    def test_reversed_oracle_rankings_rejected(self, tmp_path, capsys):
+        """Reversed rows keep each label's score, so evaluate once read the lowest
+        score as the top-1 and exited 0; the order of the scores now rules."""
+        assert run_cli(["rank", "oracle", "--triples", MINI["triples"],
+                        "--templates", MINI["templates"], "--output", tmp_path]) == 0
+        preds = tmp_path / "predictions_oracle.jsonl"
+        rows = [json.loads(line) for line in preds.read_text(encoding="utf-8").splitlines()]
+        preds.write_text("".join(json.dumps(dict(row, ranked=row["ranked"][::-1])) + "\n"
+                                 for row in rows), encoding="utf-8")
+        out = tmp_path / "out"
+        assert run_cli(["evaluate", "--predictions", preds, "--triples", MINI["triples"],
+                        "--templates", MINI["templates"], "--output", out]) == 1
+        assert cli_error(capsys)["message"].startswith(f"{preds}:1: ranked must list")
+        assert not out.exists()
 
 
 class TestNonUtf8Input:

@@ -55,7 +55,7 @@ class TestConfig:
         assert cfg.min_count == 5
         assert cfg.char_ngram_min == 3
         assert cfg.char_ngram_max == 6
-        assert cfg.ngram_buckets == 2_000_000
+        assert cfg.hash_buckets == 2_000_000
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -228,7 +228,7 @@ class TestTraining:
     def small_cfg(self, **kw):
         base = dict(dim=16, window=2, negatives=3, epochs=3, learning_rate=0.05,
                     min_count=1, char_ngram_min=0, char_ngram_max=0,
-                    ngram_buckets=1000, seed=1)
+                    hash_buckets=1000, seed=1)
         base.update(kw)
         return EmbedTrainConfig(**base)
 
@@ -305,7 +305,7 @@ class TestCompactTrainer:
     def cfg(self, **kw):
         base = dict(dim=16, window=2, negatives=3, epochs=1, learning_rate=0.05,
                     min_count=1, char_ngram_min=3, char_ngram_max=6,
-                    ngram_buckets=1000, seed=4)
+                    hash_buckets=1000, seed=4)
         base.update(kw)
         return EmbedTrainConfig(**base)
 
@@ -316,7 +316,7 @@ class TestCompactTrainer:
         tracemalloc.start()
         try:
             table = train_static_embeddings(
-                corpus, vocab, self.cfg(ngram_buckets=2_000_000))
+                corpus, vocab, self.cfg(hash_buckets=2_000_000))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -326,8 +326,8 @@ class TestCompactTrainer:
     def test_single_bucket_is_shared_and_deterministic(self):
         vocab = make_vocab(["aa", "bb", "cc", "dd"])
         corpus = cooccurrence_corpus(vocab)
-        t1 = train_static_embeddings(corpus, vocab, self.cfg(ngram_buckets=1))
-        t2 = train_static_embeddings(corpus, vocab, self.cfg(ngram_buckets=1))
+        t1 = train_static_embeddings(corpus, vocab, self.cfg(hash_buckets=1))
+        t2 = train_static_embeddings(corpus, vocab, self.cfg(hash_buckets=1))
         wide = train_static_embeddings(corpus, vocab, self.cfg())
         assert sorted(t1.entries) == ["aa", "bb", "cc", "dd"]
         assert np.all(np.isfinite(t1.matrix))
@@ -445,14 +445,14 @@ class TestBatchedTrainer:
         line = [vocab.token_to_id[t] for t in ("aa", "ab", "ba", "aa", "ab", "ba")]
         cfg = EmbedTrainConfig(dim=8, window=2, negatives=3, epochs=3, learning_rate=0.5,
                                min_count=1, char_ngram_min=1, char_ngram_max=2,
-                               ngram_buckets=5, seed=11)
+                               hash_buckets=5, seed=11)
         table = train_static_embeddings([line], vocab, cfg)
 
         kept = sorted(set(line))
         row_of = {tid: row for row, tid in enumerate(kept)}
         buckets = {}
         inputs = [[row] + [len(kept) + buckets.setdefault(b, len(buckets)) for b in
-                           char_ngram_buckets(vocab.tokens[tid], 1, 2, cfg.ngram_buckets)]
+                           char_ngram_buckets(vocab.tokens[tid], 1, 2, cfg.hash_buckets)]
                   for row, tid in enumerate(kept)]
         assert any(len(set(rows)) < len(rows) for rows in inputs)
         rng = np.random.default_rng(cfg.seed)
@@ -677,7 +677,7 @@ class TestMatrixTable:
         vocab = make_vocab(["aa", "bb", "cc", "dd"])
         corpus = cooccurrence_corpus(vocab)
         cfg = EmbedTrainConfig(dim=16, window=2, negatives=3, epochs=1, min_count=1,
-                               char_ngram_min=3, char_ngram_max=4, ngram_buckets=50)
+                               char_ngram_min=3, char_ngram_max=4, hash_buckets=50)
         table = train_static_embeddings(corpus, vocab, cfg)
         assert sorted(table.entries) == ["aa", "bb", "cc", "dd"]
         self.assert_one_matrix(table)

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -136,6 +137,9 @@ class TestValidation:
             EnergyInput(power_watts=-5, hours=1)
         with pytest.raises(ValueError):
             EnergyInput(power_watts=100, hours=-1)
+        for watts, hours in ((math.nan, 1), (math.inf, 1), (100, math.nan), (100, math.inf)):
+            with pytest.raises(ValueError, match="finite"):
+                EnergyInput(power_watts=watts, hours=hours)
 
     def test_negative_kwh_rejected(self):
         with pytest.raises(ValueError):

@@ -7,7 +7,7 @@ import re
 
 import pytest
 
-from clozerank.jsonio import encode_row, read_jsonl, write_jsonl
+from clozerank.jsonio import encode_row, read_jsonl, write_json, write_jsonl
 
 SURROGATE = re.compile("[\ud800-\udfff]")
 
@@ -101,6 +101,14 @@ def test_unencodable_row_fails_as_json_dumps_does(tmp_path):
         json.dumps({"a": {1, 2}})
     assert str(err.value) == str(expected.value)
     assert not path.exists() and not (tmp_path / "rows.jsonl.part").exists()
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_json_file_refuses_non_finite_numbers(tmp_path, value):
+    path = tmp_path / "out.json"
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        write_json(path, {"energy_kwh": value})
+    assert not path.exists()
 
 
 def test_encoded_lines_take_the_same_part_file_rule(tmp_path):

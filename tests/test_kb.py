@@ -91,11 +91,6 @@ class TestIngest:
         tpath = write_jsonl(tmp_path / "templates.jsonl", [BIRTHPLACE])
         assert ingest_dataset(path, tpath).n_triples == 1
 
-    def test_language_tag_recorded(self, tmp_path):
-        tpath = write_jsonl(tmp_path / "t.jsonl", [triple_row("a", "P19", "x")])
-        mpath = write_jsonl(tmp_path / "m.jsonl", [BIRTHPLACE])
-        assert ingest_dataset(tpath, mpath, language_tag="de").language == "de"
-
     def test_forty_one_relations_accepted(self, tmp_path):
         templates = [{"relation": f"P{i}", "template": f"[X] r{i} [Y] ."}
                      for i in range(41)]

@@ -281,6 +281,10 @@ class TestReport:
             == mini_vocab.size
         assert "vocab_size" not in compute_report(preds, mini_dataset).metadata
 
+    def test_language_recorded(self, mini_dataset):
+        preds = [pred(t.id, t.relation_id, [t.object]) for t in mini_dataset.triples()]
+        assert compute_report(preds, mini_dataset, language="de").metadata["language"] == "de"
+
     def test_predictions_outside_the_dataset_are_ignored(self, tmp_path):
         rows = [triple_row("s1", "aa"), triple_row("s2", "bb", "P2")]
         full = make_dataset(tmp_path, rows, [template(), template("P2")])

@@ -91,7 +91,7 @@ class TestStaticRanking:
 
     def test_blank_subject_composes_no_piece(self):
         # ingest_dataset rejects a blank label, so only a hand-built Dataset holds one.
-        ds = Dataset("en", {"P1": RelationSpec("P1", TEMPLATE["template"])},
+        ds = Dataset({"P1": RelationSpec("P1", TEMPLATE["template"])},
                      {"P1": [Triple("P1#0", "   ", "P1", "bb")]})
         cands = {"P1": CandidateSet("P1", ("aa", "bb"))}
         table = make_table({"aa": [1, 0], "bb": [0, 1]})
@@ -779,10 +779,29 @@ class TestPredictionReader:
                                   "int too large to convert to float")
 
     def test_scores_read_as_floats(self, tmp_path):
-        path = self.write(tmp_path, [["bb", 2], ["aa", -0.25], ["cc", 1e-300]])
+        path = self.write(tmp_path, [["bb", 2], ["cc", 1e-300], ["aa", -0.25]])
         _, pred = load_predictions(path)
-        assert ranked(pred) == [("bb", 2.0), ("aa", -0.25), ("cc", 1e-300)]
+        assert ranked(pred) == [("bb", 2.0), ("cc", 1e-300), ("aa", -0.25)]
         assert [type(score) for _, score in ranked(pred)] == [float] * 3
+
+    @pytest.mark.parametrize("ranked", [
+        [["aa", 0.25], ["bb", 0.5]], [["bb", 0.5], ["aa", 0.5]],
+        [["aa", 1.0], ["cc", 0.5], ["bb", 0.5]], [["aa", math.nan]],
+        [["aa", 1.0], ["bb", math.nan], ["cc", 0.0]], [["aa", math.inf], ["bb", 0.0]],
+        [["aa", 1.0], ["bb", -math.inf]],
+    ], ids=["rising", "tie-labels-descending", "later-tie-labels-descending", "nan-alone",
+            "nan-inside", "inf-first", "minus-inf-last"])
+    def test_ranking_out_of_order_names_path_and_line(self, tmp_path, ranked):
+        path = self.write(tmp_path, ranked)
+        with pytest.raises(ValueError) as err:
+            list(load_predictions(path))
+        assert str(err.value) == (f"{path}:2: ranked must list finite scores that never "
+                                  "rise, tied labels in ascending order")
+
+    def test_falling_scores_with_ties_in_label_order_pass(self, tmp_path):
+        entries = [["dd", 3.0], ["aa", 1.0], ["bb", 1], ["cc", 0.0], ["ee", -0.0]]
+        _, pred = load_predictions(self.write(tmp_path, entries))
+        assert pred.labels == ["dd", "aa", "bb", "cc", "ee"]
 
     def test_repeated_label_names_path_and_line(self, tmp_path):
         path = self.write(tmp_path, [["bb", 3.0], ["aa", 2.5], ["aa", 2.0], ["bb", 1.0]])
