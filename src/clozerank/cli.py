@@ -101,20 +101,19 @@ class RunContext:
         return out / name
 
     def dataset(self):
-        """The KB cut to subset, and each kept relation's candidate set from the whole KB."""
+        """The KB cut to subset; a kept relation keeps its candidate set from the whole KB."""
         from . import kb
         triples = self.input("triples")
-        full = kb.ingest_dataset(triples, self.input("templates"))
-        dataset, subset = full, self.input("subset", required=False)
+        dataset = kb.ingest_dataset(triples, self.input("templates"))
+        subset = self.input("subset", required=False)
         if subset is not None:
-            dataset, unknown = kb.apply_subset(full, kb.read_subset_ids(subset))
+            dataset, unknown = kb.apply_subset(dataset, kb.read_subset_ids(subset))
             if unknown:
                 print(f"subset list has {unknown} ids not present in the dataset",
                       file=sys.stderr)
         if dataset.n_triples == 0:
             raise ValueError(f"{subset or triples}: the run keeps no triple of the KB")
-        candidates = kb.build_candidates(full)
-        return dataset, {rel: candidates[rel] for rel in dataset.relation_ids}
+        return dataset
 
     def finish(self, message: str, **settings) -> int:
         """Write the manifest, the run's one record of its settings and inputs.
@@ -192,20 +191,18 @@ def cmd_train_embeddings(ctx: RunContext) -> int:
 
 
 def cmd_build_candidates(ctx: RunContext) -> int:
-    _, candidates = ctx.dataset()
+    candidates = ctx.dataset().candidates
     out_path = ctx.output("candidates.json")
-    jsonio.write_json(out_path, {
-        "candidates": {rel: list(cset) for rel, cset in candidates.items()},
-    })
+    jsonio.write_json(out_path, {"candidates": candidates})
     return ctx.finish(f"{len(candidates)} candidate sets -> {out_path}")
 
 
 def cmd_export_manifest(ctx: RunContext) -> int:
     from . import ranking
-    dataset, candidates = ctx.dataset()
+    dataset = ctx.dataset()
     vocab = ctx.vocab()
     out_path = ctx.output("mlm_manifest.jsonl")
-    rows = ranking.export_mlm_manifest(dataset, candidates, vocab, out_path)
+    rows = ranking.export_mlm_manifest(dataset, vocab, out_path)
     return ctx.finish(f"{rows} scoring rows -> {out_path}")
 
 
@@ -217,19 +214,18 @@ def cmd_rank(ctx: RunContext) -> int:
     for key in sum(reads.values(), ()):
         if key not in reads.get(mode, ()) and getattr(ctx.args, key) is not None:
             raise ValueError(f"rank {mode} does not read {ctx.args.flags[key].option_strings[0]}")
-    dataset, candidates = ctx.dataset()
+    dataset = ctx.dataset()
     settings = {"mode": mode}
     if mode == "static":
         table = embeddings.load_table(ctx.input("table"))
         vocab = ctx.vocab()
         exclude = ctx.get("exclude_subject_match", False)
         settings["exclude_subject_match"] = exclude
-        predictions = ranking.rank_static(table, vocab, dataset, candidates,
-                                          exclude_subject_match=exclude)
+        predictions = ranking.rank_static(table, vocab, dataset, exclude_subject_match=exclude)
     elif mode == "oracle":
-        predictions = ranking.rank_oracle(dataset, candidates)
+        predictions = ranking.rank_oracle(dataset)
     else:  # mlm
-        predictions = ranking.rank_mlm(ctx.input("scores"), dataset, candidates,
+        predictions = ranking.rank_mlm(ctx.input("scores"), dataset,
                                        manifest_path=ctx.input("manifest", required=False))
 
     out_path = ctx.output(f"predictions_{mode}.jsonl")
@@ -248,7 +244,7 @@ def cmd_stub_score(ctx: RunContext) -> int:
 
 def cmd_evaluate(ctx: RunContext) -> int:
     from . import metrics, ranking
-    dataset, _ = ctx.dataset()
+    dataset = ctx.dataset()
     predictions = ranking.load_predictions(ctx.input("predictions"))
     vocab = ctx.vocab(required=False)
     language = ctx.get("language", "en")

@@ -135,5 +135,11 @@ def read_json(path) -> dict:
 
 
 def write_json(path, obj, ensure_ascii: bool = False) -> None:
-    text = json.dumps(obj, ensure_ascii=ensure_ascii, allow_nan=False, indent=2, sort_keys=True)
+    """Write one JSON object; a value JSON cannot hold, such as a non-finite float,
+    raises ValueError naming the path before anything is written."""
+    try:
+        text = json.dumps(obj, ensure_ascii=ensure_ascii, allow_nan=False, indent=2,
+                          sort_keys=True)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     Path(path).write_text(text + "\n", encoding="utf-8")

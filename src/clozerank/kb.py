@@ -40,33 +40,24 @@ class RelationSpec:
                 )
 
 
-class CandidateSet:
-    """Distinct gold objects of one relation, in lexicographic order."""
-
-    __slots__ = ("relation_id", "candidates")
-
-    def __init__(self, relation_id: str, candidates: tuple[str, ...]):
-        self.relation_id, self.candidates = relation_id, candidates
-        if not self.candidates:
-            raise ValueError(f"empty candidate set for {self.relation_id!r}")
-        if list(self.candidates) != sorted(set(self.candidates)):
-            raise ValueError(
-                f"candidates for {self.relation_id!r} must be deduplicated "
-                "and lexicographically sorted"
-            )
-
-    def __iter__(self):
-        return iter(self.candidates)
-
-
 class Dataset:
-    """Triples grouped by relation, with templates attached. Immutable by use."""
+    """Triples grouped by relation, with templates and, for each relation that holds
+    triples, its candidate set: distinct labels in lexicographic order. Immutable by use."""
 
-    __slots__ = ("relations", "triples_by_relation")
+    __slots__ = ("relations", "triples_by_relation", "candidates")
 
     def __init__(self, relations: dict[str, RelationSpec],
-                 triples_by_relation: dict[str, list[Triple]]):
+                 triples_by_relation: dict[str, list[Triple]],
+                 candidates: dict[str, tuple[str, ...]]):
         self.relations, self.triples_by_relation = relations, triples_by_relation
+        self.candidates = candidates
+        for rel in triples_by_relation:
+            labels = candidates.get(rel)
+            if not labels:
+                raise ValueError(f"empty candidate set for {rel!r}")
+            if list(labels) != sorted(set(labels)):
+                raise ValueError(f"candidates for {rel!r} must be deduplicated "
+                                 "and lexicographically sorted")
 
     @property
     def relation_ids(self) -> list[str]:
@@ -82,7 +73,8 @@ class Dataset:
 
 
 def ingest_dataset(triples_path, templates_path) -> Dataset:
-    """Load triples and templates; every triple's relation must have a template.
+    """Load triples and templates, with build_candidates' sets; every triple's relation
+    must have a template.
 
     Triple rows are JSONL objects {id?, sub_label, obj_label, predicate_id};
     missing ids are synthesized as "<predicate_id>#<index>" with the index
@@ -92,12 +84,12 @@ def ingest_dataset(triples_path, templates_path) -> Dataset:
     relations: dict[str, RelationSpec] = {}
     for lineno, _, (rel, template) in read_jsonl(
             templates_path, "relation", "template", text=("relation", "template")):
-        spec = RelationSpec(relation_id=rel, template=template)
-        if spec.relation_id in relations:
-            raise ValueError(
-                f"{templates_path}:{lineno}: duplicate template for {spec.relation_id!r}"
-            )
-        relations[spec.relation_id] = spec
+        if rel in relations:
+            raise ValueError(f"{templates_path}:{lineno}: duplicate template for {rel!r}")
+        try:
+            relations[rel] = RelationSpec(relation_id=rel, template=template)
+        except ValueError as exc:
+            raise ValueError(f"{templates_path}:{lineno}: {exc}") from None
 
     triples_by_relation: dict[str, list[Triple]] = {}
     seen_ids: set[str] = set()
@@ -126,25 +118,21 @@ def ingest_dataset(triples_path, templates_path) -> Dataset:
             f"{rel} ({count} triples)" for rel, count in sorted(unknown.items())
         )
         raise ValueError(f"triples reference relations with no template: {offenders}")
-    return Dataset(relations=relations, triples_by_relation=triples_by_relation)
+    return Dataset(relations, triples_by_relation, build_candidates(triples_by_relation))
 
 
-def build_candidates(dataset: Dataset) -> dict[str, CandidateSet]:
-    """Per relation, the distinct gold objects across its triples."""
-    if dataset.n_triples == 0:
-        raise ValueError("dataset has no triples")
-    out = {}
-    for rel in dataset.relation_ids:
-        objects = sorted({t.object for t in dataset.triples_by_relation[rel]})
-        out[rel] = CandidateSet(relation_id=rel, candidates=tuple(objects))
-    return out
+def build_candidates(triples_by_relation: dict[str, list[Triple]]) -> dict[str, tuple[str, ...]]:
+    """Per relation, the distinct gold objects across its triples, sorted."""
+    return {rel: tuple(sorted({t.object for t in triples}))
+            for rel, triples in triples_by_relation.items()}
 
 
 def apply_subset(dataset: Dataset, id_list) -> tuple[Dataset, int]:
     """Retain exactly the listed triple ids; drop relations left empty.
 
-    Returns the filtered dataset and the count of ids that matched nothing;
-    unknown ids are not an error, and reporting them is up to the caller.
+    A kept relation keeps its candidate set from the whole dataset. Returns
+    the filtered dataset and the count of ids that matched nothing; unknown
+    ids are not an error, and reporting them is up to the caller.
     """
     wanted = set(id_list)
     kept: dict[str, list[Triple]] = {}
@@ -153,7 +141,8 @@ def apply_subset(dataset: Dataset, id_list) -> tuple[Dataset, int]:
         if selected:
             kept[rel] = selected
     unknown = len(wanted) - len({t.id for ts in kept.values() for t in ts})
-    return Dataset(relations=dict(dataset.relations), triples_by_relation=kept), unknown
+    return Dataset(dict(dataset.relations), kept,
+                   {rel: dataset.candidates[rel] for rel in kept}), unknown
 
 
 def read_subset_ids(path) -> list[str]:

@@ -8,7 +8,7 @@ from hashlib import sha256
 
 from .embeddings import EmbeddingTable, compose
 from .jsonio import encode_row, read_json, read_jsonl, write_jsonl
-from .kb import CandidateSet, Dataset, instantiate_query
+from .kb import Dataset, instantiate_query
 from .wordpiece import UNK_TOKEN, SubwordVocab, tokenize
 
 
@@ -39,7 +39,6 @@ def _composed(table: EmbeddingTable, vocab: SubwordVocab, text: str):
 
 
 def rank_static(table: EmbeddingTable, vocab: SubwordVocab, dataset: Dataset,
-                candidates: dict[str, CandidateSet],
                 exclude_subject_match: bool = False) -> Iterator[Prediction]:
     """Yield, relation by relation, each triple's candidates ranked by cosine to the subject.
 
@@ -51,11 +50,11 @@ def rank_static(table: EmbeddingTable, vocab: SubwordVocab, dataset: Dataset,
     """
     strings = {t.subject for t in dataset.triples()}
     for rel in dataset.relation_ids:
-        strings.update(candidates[rel])
+        strings.update(dataset.candidates[rel])
     composed = {text: _composed(table, vocab, text) for text in strings}
     for rel in dataset.relation_ids:
         triples = dataset.triples_by_relation[rel]
-        rankings = _rank_relation(candidates[rel].candidates, [t.subject for t in triples],
+        rankings = _rank_relation(dataset.candidates[rel], [t.subject for t in triples],
                                   composed, exclude_subject_match)
         for triple, (labels, scores, zero_norm) in zip(triples, rankings):
             if not labels:
@@ -121,12 +120,12 @@ def _rank_relation(labels, subjects, composed, exclude_subject_match):
             yield ranked_labels, ranked_values, any_zero
 
 
-def rank_oracle(dataset: Dataset, candidates: dict[str, CandidateSet]) -> Iterator[Prediction]:
+def rank_oracle(dataset: Dataset) -> Iterator[Prediction]:
     """Yield, relation by relation, each triple's candidates ranked by gold-object frequency."""
     for rel in dataset.relation_ids:
         triples = dataset.triples_by_relation[rel]
         freq = Counter(t.object for t in triples)
-        scores = {c: float(freq.get(c, 0)) for c in candidates[rel]}
+        scores = {c: float(freq.get(c, 0)) for c in dataset.candidates[rel]}
         # A stable sort over the sorted labels breaks each tie by label.
         labels = tuple(sorted(scores, key=scores.__getitem__, reverse=True))
         values = tuple(map(scores.__getitem__, labels))
@@ -134,8 +133,7 @@ def rank_oracle(dataset: Dataset, candidates: dict[str, CandidateSet]) -> Iterat
             yield Prediction(triple.id, rel, labels, values, {"query_oov": False})
 
 
-def export_mlm_manifest(dataset: Dataset, candidates: dict[str, CandidateSet],
-                        scorer_vocab: SubwordVocab, out_path) -> int:
+def export_mlm_manifest(dataset: Dataset, scorer_vocab: SubwordVocab, out_path) -> int:
     """Write one JSONL row per (triple, candidate) pair for an external scorer.
 
     The query carries as many [MASK] tokens as the candidate has pieces under
@@ -151,7 +149,7 @@ def export_mlm_manifest(dataset: Dataset, candidates: dict[str, CandidateSet],
         for rel in dataset.relation_ids:
             spec, relation = dataset.relations[rel], encode_row(rel)
             pieces = []  # (mask count, name, tail) per candidate
-            for cand in candidates[rel]:
+            for cand in dataset.candidates[rel]:
                 ids = tokenize(scorer_vocab, cand)
                 oov = all(i == scorer_vocab.unk_id for i in ids)
                 pieces.append((len(ids), f'{encode_row(cand)}, "query_text": ',
@@ -199,8 +197,7 @@ def _repeated(path, lineno: int, kind: str, pair) -> ValueError:
                       f"(first at line {first})")
 
 
-def rank_mlm(score_path, dataset: Dataset, candidates: dict[str, CandidateSet],
-             manifest_path=None) -> Iterator[Prediction]:
+def rank_mlm(score_path, dataset: Dataset, manifest_path=None) -> Iterator[Prediction]:
     """Check an external scorer's output in full, then yield per-triple rankings.
 
     A candidate's score is the arithmetic mean of its per-mask log
@@ -216,7 +213,7 @@ def rank_mlm(score_path, dataset: Dataset, candidates: dict[str, CandidateSet],
     # gets a slot past them, which extra records.
     first, expected = {}, 0
     for rel in dataset.relation_ids:
-        position = {cand: i for i, cand in enumerate(candidates[rel])}
+        position = {cand: i for i, cand in enumerate(dataset.candidates[rel])}
         for triple in dataset.triples_by_relation[rel]:
             first[triple.id] = (expected, position)
             expected += len(position)
@@ -253,7 +250,7 @@ def rank_mlm(score_path, dataset: Dataset, candidates: dict[str, CandidateSet],
     def pairs():  # each slot's (triple_id, candidate), in slot order
         for rel in dataset.relation_ids:
             for triple in dataset.triples_by_relation[rel]:
-                for cand in candidates[rel]:
+                for cand in dataset.candidates[rel]:
                     yield triple.id, cand
         yield from extra
 
@@ -291,7 +288,7 @@ def rank_mlm(score_path, dataset: Dataset, candidates: dict[str, CandidateSet],
     def rankings():
         slot = 0
         for rel in dataset.relation_ids:
-            labels = candidates[rel].candidates
+            labels = dataset.candidates[rel]
             for triple in dataset.triples_by_relation[rel]:
                 scores = means[slot:slot + len(labels)]
                 slot += len(labels)

@@ -47,3 +47,10 @@ def make_dataset(tmp_path, triples, templates, name="ds"):
     tpath = write_jsonl(tmp_path / f"{name}_triples.jsonl", triples)
     mpath = write_jsonl(tmp_path / f"{name}_templates.jsonl", templates)
     return kb.ingest_dataset(tpath, mpath)
+
+
+def with_candidates(dataset, candidates) -> kb.Dataset:
+    """dataset with the given label tuples, keyed by relation, as those relations'
+    candidate sets."""
+    return kb.Dataset(dataset.relations, dataset.triples_by_relation,
+                      {**dataset.candidates, **candidates})

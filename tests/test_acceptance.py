@@ -19,7 +19,6 @@ from clozerank.embeddings import (
     train_static_embeddings,
 )
 from clozerank.energy import EnergyInput, co2e, energy_kwh, footprint_ratio
-from clozerank.kb import build_candidates
 from clozerank.metrics import compute_report
 from clozerank.ranking import (
     rank_mlm,
@@ -83,8 +82,8 @@ def test_criterion_2_static_ranking_matches_brute_force(tmp_path, capsys):
     started = time.perf_counter()
     for seed in range(N_INSTANCES):
         inst, ds, vocab, table = instance_pieces(tmp_path, seed)
-        cands = build_candidates(ds)
-        preds = rank_static(table, vocab, ds, cands)
+        cands = ds.candidates
+        preds = rank_static(table, vocab, ds)
         _, _, _, exact_tops = oracle_views(inst, ds, cands)
         for pred in preds:
             got = [c for c, _ in ranked(pred)]
@@ -101,8 +100,8 @@ def test_criterion_3_metrics_match_brute_force(tmp_path, capsys):
     started = time.perf_counter()
     for seed in range(N_INSTANCES):
         inst, ds, vocab, table = instance_pieces(tmp_path, seed)
-        cands = build_candidates(ds)
-        preds = list(rank_static(table, vocab, ds, cands))
+        cands = ds.candidates
+        preds = list(rank_static(table, vocab, ds))
         relations, gold, lengths, _ = oracle_views(inst, ds, cands)
         top_lists = {p.triple_id: [c for c, _ in ranked(p)] for p in preds}
 
@@ -142,7 +141,7 @@ def test_criterion_4_oracle_baseline_law(tmp_path, capsys, mini_dataset):
         datasets.append(ds)
 
     for ds in datasets:
-        preds = rank_oracle(ds, build_candidates(ds))
+        preds = rank_oracle(ds)
         per_relation = compute_report(preds, ds).per_relation
         for rel in ds.relation_ids:
             triples = ds.triples_by_relation[rel]
@@ -157,15 +156,14 @@ def test_criterion_4_oracle_baseline_law(tmp_path, capsys, mini_dataset):
 
 def test_criterion_5_mlm_adapter_law(tmp_path, capsys, mini_dataset, mini_vocab):
     started = time.perf_counter()
-    cands = build_candidates(mini_dataset)
     manifest = tmp_path / "manifest.jsonl"
-    export_mlm_manifest(mini_dataset, cands, mini_vocab, manifest)
+    export_mlm_manifest(mini_dataset, mini_vocab, manifest)
     scores = tmp_path / "scores.jsonl"
     write_stub_scores(manifest, scores)
 
     records = {(r["triple_id"], r["candidate"]): r["token_logprobs"]
                for r in map(json.loads, scores.read_text(encoding="utf-8").splitlines())}
-    preds = list(rank_mlm(scores, mini_dataset, cands))
+    preds = list(rank_mlm(scores, mini_dataset))
     for pred in preds:
         for cand, score in ranked(pred):
             lps = records[(pred.triple_id, cand)]
@@ -175,7 +173,7 @@ def test_criterion_5_mlm_adapter_law(tmp_path, capsys, mini_dataset, mini_vocab)
     random.Random(13).shuffle(lines)
     shuffled = tmp_path / "shuffled.jsonl"
     shuffled.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    reordered = rank_mlm(shuffled, mini_dataset, cands)
+    reordered = rank_mlm(shuffled, mini_dataset)
     assert [(p.triple_id, ranked(p)) for p in preds] \
         == [(p.triple_id, ranked(p)) for p in reordered]
 
@@ -320,12 +318,10 @@ def orderings(predictions):
 def test_criterion_8_scale_invariance(tmp_path, capsys, mini_dataset,
                                       mini_vocab, mini_table):
     started = time.perf_counter()
-    mini_cands = build_candidates(mini_dataset)
-    base = orderings(rank_static(mini_table, mini_vocab, mini_dataset,
-                                 mini_cands))
+    base = orderings(rank_static(mini_table, mini_vocab, mini_dataset))
     for factor in SCALE_FACTORS:
         scaled = orderings(rank_static(scaled_table(mini_table, factor), mini_vocab,
-                                       mini_dataset, mini_cands))
+                                       mini_dataset))
         assert scaled == base, f"fixture table, factor {factor}"
 
     vocab, corpus = cooccurrence_setup()
@@ -337,11 +333,9 @@ def test_criterion_8_scale_invariance(tmp_path, capsys, mini_dataset,
     templates = [{"relation": rel, "template": "[X] pairs with [Y] ."}
                  for rel in ("R1", "R2")]
     ds = make_dataset(tmp_path, rows, templates)
-    cands = build_candidates(ds)
-    base = orderings(rank_static(trained, vocab, ds, cands))
+    base = orderings(rank_static(trained, vocab, ds))
     for factor in SCALE_FACTORS:
-        scaled = orderings(rank_static(scaled_table(trained, factor), vocab, ds,
-                                       cands))
+        scaled = orderings(rank_static(scaled_table(trained, factor), vocab, ds))
         assert scaled == base, f"trained table, factor {factor}"
 
     report_pass(capsys, 8, "positive rescaling never changes a ranking "
@@ -351,10 +345,10 @@ def test_criterion_8_scale_invariance(tmp_path, capsys, mini_dataset,
 def test_criterion_9_end_to_end_fixture(tmp_path, capsys, mini_dataset,
                                         mini_vocab, mini_table):
     started = time.perf_counter()
-    cands = build_candidates(mini_dataset)
+    cands = mini_dataset.candidates
 
     # Static pipeline against the hand-computed report.
-    preds = list(rank_static(mini_table, mini_vocab, mini_dataset, cands))
+    preds = list(rank_static(mini_table, mini_vocab, mini_dataset))
     top1 = {p.triple_id: ranked(p)[0][0] for p in preds}
     expected_top1 = {
         "P103": ["french", "french", "german", "german", "italian", "german"],
@@ -388,12 +382,12 @@ def test_criterion_9_end_to_end_fixture(tmp_path, capsys, mini_dataset,
 
     # Stub-scored MLM pipeline against the hand-computed rankings.
     manifest = tmp_path / "manifest.jsonl"
-    export_mlm_manifest(mini_dataset, cands, mini_vocab, manifest)
+    export_mlm_manifest(mini_dataset, mini_vocab, manifest)
     lookup = read_lookup(FIXTURES / "mini_stub_lookup.json")
     scores = tmp_path / "scores.jsonl"
     write_stub_scores(manifest, scores, lookup=lookup)
     mlm_preds = {p.triple_id: [c for c, _ in ranked(p)]
-                 for p in rank_mlm(scores, mini_dataset, cands)}
+                 for p in rank_mlm(scores, mini_dataset)}
 
     overrides = {
         "P103#2": ["german", "italian", "french"],
@@ -409,7 +403,7 @@ def test_criterion_9_end_to_end_fixture(tmp_path, capsys, mini_dataset,
         assert mlm_preds[triple.id] == expected, triple.id
 
     mlm_report = compute_report(
-        [p for p in rank_mlm(scores, mini_dataset, cands)], mini_dataset)
+        [p for p in rank_mlm(scores, mini_dataset)], mini_dataset)
     assert mlm_report.macro_p1 == pytest.approx(5 / 6, rel=1e-12)
 
     report_pass(capsys, 9, "bundled mini-KB reproduces the hand-computed "

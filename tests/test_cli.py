@@ -348,12 +348,12 @@ class TestEnergyCommand:
         ("nan", "5", "power_watts must be positive and finite, got nan"),
         ("inf", "5", "power_watts must be positive and finite, got inf"),
         ("618", "nan", "hours must be non-negative and finite, got nan"),
-        ("1e308", "1e308", "Out of range float values are not JSON compliant"),
+        ("1e308", "1e308", "{out}/energy.json: Out of range float values are not JSON compliant"),
     ], ids=["nan-watts", "inf-watts", "nan-hours", "overflow"])
     def test_non_finite_run_writes_nothing(self, tmp_path, capsys, watts, hours, message):
         out = tmp_path / "out"
         assert run_cli(["energy", "--watts", watts, "--hours", hours, "--output", out]) == 1
-        assert cli_error(capsys)["message"].startswith(message)
+        assert cli_error(capsys)["message"].startswith(message.format(out=out))
         assert not out.exists()
 
     def test_half_baseline_rejected(self, tmp_path, capsys):
@@ -690,6 +690,15 @@ class TestJsonlLocations:
         record = cli_error(capsys)
         assert record["error"] == "ValueError"
         assert f"{triples}:1:" in record["message"]
+
+    def test_template_without_object_slot(self, tmp_path, capsys):
+        templates = tmp_path / "templates.jsonl"
+        templates.write_text('{"relation": "P19", "template": "[X] was born in ."}\n',
+                             encoding="utf-8")
+        assert run_cli(["rank", "oracle", "--triples", MINI["triples"],
+                        "--templates", templates, "--output", tmp_path / "out"]) == 1
+        assert cli_error(capsys)["message"].startswith(
+            f"{templates}:1: template for 'P19' must contain exactly one [Y]")
 
     def test_rank_mlm_non_object_manifest(self, tmp_path, capsys):
         manifest, scores = export_and_stub_score(tmp_path)

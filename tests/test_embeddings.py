@@ -18,7 +18,7 @@ from clozerank.embeddings import (
     save_table,
     train_static_embeddings,
 )
-from clozerank.kb import build_candidates, ingest_dataset
+from clozerank.kb import ingest_dataset
 from clozerank.ranking import export_mlm_manifest, rank_mlm, write_stub_scores
 from clozerank.wordpiece import (
     SPECIAL_TOKENS,
@@ -558,9 +558,8 @@ class TestInputLocations:
         dataset = ingest_dataset(FIXTURES / "mini_triples.jsonl",
                                  FIXTURES / "mini_templates.jsonl")
         vocab = SubwordVocab.load(FIXTURES / "mini_vocab.txt")
-        cands = build_candidates(dataset)
         manifest = tmp_path / "manifest.jsonl"
-        export_mlm_manifest(dataset, cands, vocab, manifest)
+        export_mlm_manifest(dataset, vocab, manifest)
         scores = tmp_path / "scores.jsonl"
         write_stub_scores(manifest, scores)
         rows = [json.loads(line) for line in
@@ -568,12 +567,11 @@ class TestInputLocations:
         del rows[2][field]
         write_jsonl(manifest, rows)
         with pytest.raises(ValueError, match=f"{manifest}:3: missing field '{field}'"):
-            rank_mlm(scores, dataset, cands, manifest_path=manifest)
+            rank_mlm(scores, dataset, manifest_path=manifest)
 
     def test_malformed_manifest_line_reports_location(self, tmp_path):
         dataset = ingest_dataset(FIXTURES / "mini_triples.jsonl",
                                  FIXTURES / "mini_templates.jsonl")
-        cands = build_candidates(dataset)
         manifest = tmp_path / "manifest.jsonl"
         scores = tmp_path / "scores.jsonl"
         # An integer over the interpreter's 4300-digit limit is malformed JSON too.
@@ -584,7 +582,7 @@ class TestInputLocations:
             manifest.write_text(manifest_line + "\n", encoding="utf-8")
             scores.write_text(score_line + "\n", encoding="utf-8")
             with pytest.raises(ValueError, match=f"{bad}:1: malformed JSON line"):
-                rank_mlm(scores, dataset, cands, manifest_path=manifest)
+                rank_mlm(scores, dataset, manifest_path=manifest)
 
     @pytest.mark.parametrize("token", ["", "two words", "tab\there", "nl\n"])
     def test_unsaveable_token_rejected_by_name(self, tmp_path, token):

@@ -5,11 +5,10 @@ import re
 import pytest
 
 from clozerank.kb import (
-    CandidateSet,
+    Dataset,
     RelationSpec,
     Triple,
     apply_subset,
-    build_candidates,
     ingest_dataset,
     instantiate_query,
     read_subset_ids,
@@ -113,13 +112,17 @@ class TestValidation:
             Triple(id="t", subject="", relation_id="P1", object="x")
 
     def test_candidate_set_rejects_unsorted_or_empty(self):
-        CandidateSet("P1", ("a", "b"))
+        relations = {"P1": RelationSpec("P1", "[X] likes [Y] .")}
+        triples = {"P1": [Triple(id="t", subject="s", relation_id="P1", object="a")]}
+        Dataset(relations, triples, {"P1": ("a", "b")})
         with pytest.raises(ValueError):
-            CandidateSet("P1", ())
+            Dataset(relations, triples, {"P1": ()})
         with pytest.raises(ValueError):
-            CandidateSet("P1", ("b", "a"))
+            Dataset(relations, triples, {"P1": ("b", "a")})
         with pytest.raises(ValueError):
-            CandidateSet("P1", ("a", "a", "b"))
+            Dataset(relations, triples, {"P1": ("a", "a", "b")})
+        with pytest.raises(ValueError, match="'P1'"):
+            Dataset(relations, triples, {})
 
 
 class TestCandidates:
@@ -128,34 +131,28 @@ class TestCandidates:
                 triple_row("b", "P19", "France"),
                 triple_row("c", "P19", "Spain")]
         ds = make_dataset(tmp_path, rows, [BIRTHPLACE])
-        assert build_candidates(ds)["P19"].candidates == ("France", "Spain")
+        assert ds.candidates["P19"] == ("France", "Spain")
 
     def test_scoped_per_relation(self, tmp_path):
         rows = [triple_row("a", "P19", "Paris"), triple_row("b", "P1", "actor")]
         templates = [BIRTHPLACE, {"relation": "P1", "template": "[X] is a [Y] ."}]
-        cands = build_candidates(make_dataset(tmp_path, rows, templates))
-        assert cands["P19"].candidates == ("Paris",)
-        assert cands["P1"].candidates == ("actor",)
+        cands = make_dataset(tmp_path, rows, templates).candidates
+        assert cands["P19"] == ("Paris",)
+        assert cands["P1"] == ("actor",)
 
     def test_file_order_does_not_matter(self, tmp_path):
         rows = [triple_row(f"s{i}", "P19", f"obj{i % 4}", triple_id=f"t{i}")
                 for i in range(12)]
         shuffled = rows[:]
         random.Random(3).shuffle(shuffled)
-        a = build_candidates(make_dataset(tmp_path, rows, [BIRTHPLACE], name="a"))
-        b = build_candidates(make_dataset(tmp_path, shuffled, [BIRTHPLACE], name="b"))
-        assert a["P19"].candidates == b["P19"].candidates
+        a = make_dataset(tmp_path, rows, [BIRTHPLACE], name="a").candidates
+        b = make_dataset(tmp_path, shuffled, [BIRTHPLACE], name="b").candidates
+        assert a["P19"] == b["P19"]
 
     def test_every_gold_object_is_a_candidate(self, mini_dataset):
-        cands = build_candidates(mini_dataset)
+        cands = mini_dataset.candidates
         for triple in mini_dataset.triples():
-            assert triple.object in cands[triple.relation_id].candidates
-
-    def test_empty_dataset_rejected(self, tmp_path):
-        ds = make_dataset(tmp_path, [triple_row("a", "P19", "x")], [BIRTHPLACE])
-        empty, _ = apply_subset(ds, [])
-        with pytest.raises(ValueError):
-            build_candidates(empty)
+            assert triple.object in cands[triple.relation_id]
 
 
 class TestSubset:
@@ -179,6 +176,12 @@ class TestSubset:
     def test_relations_left_empty_disappear(self, mini_dataset):
         subset, _ = apply_subset(mini_dataset, ["P103#0", "P103#1"])
         assert subset.relation_ids == ["P103"]
+
+    def test_kept_relation_keeps_the_whole_candidate_set(self, mini_dataset):
+        subset, _ = apply_subset(mini_dataset, ["P19#0"])
+        assert {t.object for t in subset.triples()} == {"paris"}
+        assert subset.candidates == {"P19": mini_dataset.candidates["P19"]}
+        assert len(subset.candidates["P19"]) == 3
 
     def test_idempotent(self, mini_dataset):
         ids = ["P103#0", "P19#2", "P106#5"]

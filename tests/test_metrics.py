@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from clozerank.embeddings import EmbeddingTable
-from clozerank.kb import apply_subset, build_candidates
+from clozerank.kb import apply_subset
 from clozerank.metrics import (
     MetricsReport,
     buckets_tsv,
@@ -45,14 +45,13 @@ class TestPrecision:
         assert report.macro_p1 == 0.5
 
     def test_k_covering_all_candidates_gives_one(self, mini_dataset):
-        cands = build_candidates(mini_dataset)
+        cands = mini_dataset.candidates
         preds = [pred(t.id, t.relation_id, list(cands[t.relation_id]))
                  for t in mini_dataset.triples()]
         assert compute_report(preds, mini_dataset).macro_p5 == 1.0
 
     def test_p1_never_exceeds_p5(self, mini_dataset, mini_vocab, mini_table):
-        preds = rank_static(mini_table, mini_vocab, mini_dataset,
-                            build_candidates(mini_dataset))
+        preds = rank_static(mini_table, mini_vocab, mini_dataset)
         report = compute_report(preds, mini_dataset)
         assert report.macro_p1 <= report.macro_p5 <= 1.0
         for row in report.per_relation.values():
@@ -145,8 +144,7 @@ class TestDiversity:
 
     def test_entropy_bounded_by_label_count(self, mini_dataset, mini_vocab,
                                             mini_table):
-        preds = list(rank_static(mini_table, mini_vocab, mini_dataset,
-                                 build_candidates(mini_dataset)))
+        preds = list(rank_static(mini_table, mini_vocab, mini_dataset))
         entropy = compute_report(preds, mini_dataset).entropy_bits
         labels = {ranked(p)[0][0] for p in preds}
         assert 0.0 <= entropy <= math.log2(len(labels)) + 1e-12
@@ -232,8 +230,8 @@ class TestBruteForceEquality:
     def test_report_matches_independent_recomputation(self, tmp_path):
         for seed in range(8):
             inst, ds, vocab, table = instance_pieces(tmp_path, seed)
-            cands = build_candidates(ds)
-            preds = list(rank_static(table, vocab, ds, cands))
+            cands = ds.candidates
+            preds = list(rank_static(table, vocab, ds))
             relations, gold, lengths, exact_tops = oracle_views(inst, ds, cands)
 
             top_lists = {p.triple_id: [c for c, _ in ranked(p)] for p in preds}
@@ -264,8 +262,7 @@ class TestBruteForceEquality:
 
 class TestReport:
     def test_roundtrip(self, tmp_path, mini_dataset, mini_vocab, mini_table):
-        preds = rank_static(mini_table, mini_vocab, mini_dataset,
-                            build_candidates(mini_dataset))
+        preds = rank_static(mini_table, mini_vocab, mini_dataset)
         report = compute_report(preds, mini_dataset, vocab=mini_vocab)
         path = tmp_path / "metrics.json"
         report.save(path)
@@ -298,8 +295,7 @@ class TestReport:
         assert report.relations_dropped_by_mf == 1
 
     def test_per_relation_tsv_layout(self, mini_dataset, mini_vocab, mini_table):
-        preds = rank_static(mini_table, mini_vocab, mini_dataset,
-                            build_candidates(mini_dataset))
+        preds = rank_static(mini_table, mini_vocab, mini_dataset)
         report = compute_report(preds, mini_dataset)
         lines = per_relation_tsv(report).splitlines()
         assert lines[0] == "relation\tn_triples\tp_at_1\tp_at_5"
@@ -307,8 +303,7 @@ class TestReport:
         assert lines[1].startswith("P103\t6\t")
 
     def test_buckets_tsv_layout(self, mini_dataset, mini_vocab, mini_table):
-        preds = rank_static(mini_table, mini_vocab, mini_dataset,
-                            build_candidates(mini_dataset))
+        preds = rank_static(mini_table, mini_vocab, mini_dataset)
         report = compute_report(preds, mini_dataset, vocab=mini_vocab)
         lines = buckets_tsv(report).splitlines()
         assert lines[0] == "subject_length\tn\tp1"

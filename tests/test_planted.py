@@ -7,17 +7,19 @@ compute_report score; rank_oracle gives the frequency baseline. Seeds 1 / 2 / 3
 gave macro p@1 0.17 / 0.08 / 0.12 at size 150, 0.22 / 0.34 / 0.34 at size 1000,
 0.93 / 0.94 / 0.96 at whole words and 0.22 / 0.25 / 0.29 for the oracle. At size
 1000, one-piece subjects scored 68 of 145 and longer ones 22 of 155.
+planted_sweep.py runs the same sweep through the CLI.
 """
 
 import pytest
 
 from clozerank.embeddings import EmbedTrainConfig, train_static_embeddings
-from clozerank.kb import build_candidates, ingest_dataset
+from clozerank.kb import ingest_dataset
 from clozerank.metrics import compute_report
 from clozerank.ranking import rank_oracle, rank_static
 from clozerank.wordpiece import tokenize, train_wordpiece
 
 import planted
+import planted_sweep
 
 SEEDS = (1, 2, 3)
 SIZES = (150, 1000)
@@ -29,7 +31,6 @@ def sweep(directory, seed):
     """Each vocabulary's report, keyed by its size, 'whole' or 'oracle'."""
     paths = planted.write(directory, seed)
     dataset = ingest_dataset(paths["triples"], paths["templates"])
-    candidates = build_candidates(dataset)
     lines = paths["corpus"].read_text(encoding="utf-8").splitlines()
     whole = train_wordpiece(lines, 100000)  # more than the corpus allows: every word
     vocabs = {**{size: whole.prefix(size) for size in SIZES}, "whole": whole}
@@ -37,9 +38,9 @@ def sweep(directory, seed):
     for name, vocab in vocabs.items():
         table = train_static_embeddings((tokenize(vocab, line) for line in lines), vocab,
                                         CONFIG)
-        reports[name] = compute_report(rank_static(table, vocab, dataset, candidates),
+        reports[name] = compute_report(rank_static(table, vocab, dataset),
                                        dataset, vocab=vocab)
-    reports["oracle"] = compute_report(rank_oracle(dataset, candidates), dataset)
+    reports["oracle"] = compute_report(rank_oracle(dataset), dataset)
     return reports
 
 
@@ -72,3 +73,11 @@ def test_larger_vocabulary_ranks_planted_facts_better(reports):
             hits[length > 1] += round(row["n"] * row["p1"])
             counts[length > 1] += row["n"]
     assert hits[0] / counts[0] > hits[1] / counts[1], (hits, counts)
+
+
+def test_cli_sweep_reports_the_library_numbers(reports, tmp_path):
+    # The CLI ranks from .vec tables, which hold 5 decimals: each p@1 must still
+    # match the library's, to the 4 decimals report.tsv prints.
+    rows = planted_sweep.sweep(tmp_path, 1)
+    assert {model: p1 for model, _, p1, _ in rows} == {
+        str(name): f"{report.macro_p1:.4f}" for name, report in reports[1].items()}

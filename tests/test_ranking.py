@@ -9,7 +9,7 @@ import pytest
 
 from clozerank import ranking
 from clozerank.embeddings import EmbeddingTable
-from clozerank.kb import CandidateSet, Dataset, RelationSpec, Triple, build_candidates
+from clozerank.kb import Dataset, RelationSpec, Triple
 from clozerank.metrics import compute_report
 from clozerank.ranking import (
     Prediction,
@@ -24,7 +24,7 @@ from clozerank.ranking import (
 )
 from clozerank.wordpiece import SPECIAL_TOKENS, SubwordVocab, tokenize
 
-from conftest import make_dataset, ranked
+from conftest import make_dataset, ranked, with_candidates
 from test_metrics import instance_pieces
 
 TEMPLATE = {"relation": "P1", "template": "[X] maps to [Y] ."}
@@ -47,25 +47,23 @@ def one_triple_setup(tmp_path, subject, entries, candidate_labels):
     """Dataset with a single triple whose gold object is the first candidate."""
     ds = make_dataset(tmp_path, [triple_row(subject, candidate_labels[0])],
                       [TEMPLATE])
-    cands = {"P1": CandidateSet("P1", tuple(sorted(candidate_labels)))}
+    ds = with_candidates(ds, {"P1": tuple(sorted(candidate_labels))})
     vocab = make_vocab(set(entries) | {subject} | set(candidate_labels))
-    return ds, cands, vocab, make_table(entries)
+    return ds, vocab, make_table(entries)
 
 
 class TestStaticRanking:
     def test_collinear_and_orthogonal(self, tmp_path):
         entries = {"qq": [1, 0], "aa": [2, 0], "bb": [0, 3]}
-        ds, cands, vocab, table = one_triple_setup(tmp_path, "qq", entries,
-                                                   ["aa", "bb"])
-        (pred,) = rank_static(table, vocab, ds, cands)
+        ds, vocab, table = one_triple_setup(tmp_path, "qq", entries, ["aa", "bb"])
+        (pred,) = rank_static(table, vocab, ds)
         assert ranked(pred) == [("aa", 1.0), ("bb", 0.0)]
         assert pred.flags == {"query_oov": False, "zero_norm": False}
 
     def test_hand_computed_cosines(self, tmp_path):
         entries = {"qq": [2, 1], "c1": [1, 1], "c2": [1, 0], "c3": [0, 1]}
-        ds, cands, vocab, table = one_triple_setup(tmp_path, "qq", entries,
-                                                   ["c1", "c2", "c3"])
-        (pred,) = rank_static(table, vocab, ds, cands)
+        ds, vocab, table = one_triple_setup(tmp_path, "qq", entries, ["c1", "c2", "c3"])
+        (pred,) = rank_static(table, vocab, ds)
         assert [cand for cand, _ in ranked(pred)] == ["c1", "c2", "c3"]
         expected = {"c1": 3 / math.sqrt(10), "c2": 2 / math.sqrt(5),
                     "c3": 1 / math.sqrt(5)}
@@ -75,49 +73,45 @@ class TestStaticRanking:
     def test_antiparallel_and_zero_norm_share_the_floor(self, tmp_path):
         # cos((1,0), (-2,0)) = -1 exactly; a zero candidate also scores -1.0
         entries = {"qq": [1, 0], "am": [-2, 0], "bb": [0, 1], "zz": [0, 0]}
-        ds, cands, vocab, table = one_triple_setup(tmp_path, "qq", entries,
-                                                   ["am", "bb", "zz"])
-        (pred,) = rank_static(table, vocab, ds, cands)
+        ds, vocab, table = one_triple_setup(tmp_path, "qq", entries, ["am", "bb", "zz"])
+        (pred,) = rank_static(table, vocab, ds)
         assert ranked(pred) == [("bb", 0.0), ("am", -1.0), ("zz", -1.0)]
         assert pred.flags["zero_norm"] is True
 
     def test_zero_norm_query_floors_everything(self, tmp_path):
         entries = {"qq": [0, 0], "aa": [1, 0], "bb": [0, 1]}
-        ds, cands, vocab, table = one_triple_setup(tmp_path, "qq", entries,
-                                                   ["aa", "bb"])
-        (pred,) = rank_static(table, vocab, ds, cands)
+        ds, vocab, table = one_triple_setup(tmp_path, "qq", entries, ["aa", "bb"])
+        (pred,) = rank_static(table, vocab, ds)
         assert ranked(pred) == [("aa", -1.0), ("bb", -1.0)]
         assert pred.flags["zero_norm"] is True
 
     def test_blank_subject_composes_no_piece(self):
         # ingest_dataset rejects a blank label, so only a hand-built Dataset holds one.
         ds = Dataset({"P1": RelationSpec("P1", TEMPLATE["template"])},
-                     {"P1": [Triple("P1#0", "   ", "P1", "bb")]})
-        cands = {"P1": CandidateSet("P1", ("aa", "bb"))}
+                     {"P1": [Triple("P1#0", "   ", "P1", "bb")]}, {"P1": ("aa", "bb")})
         table = make_table({"aa": [1, 0], "bb": [0, 1]})
-        (pred,) = rank_static(table, make_vocab(["aa", "bb"]), ds, cands)
+        (pred,) = rank_static(table, make_vocab(["aa", "bb"]), ds)
         assert ranked(pred) == [("aa", -1.0), ("bb", -1.0)]
         assert pred.flags == {"query_oov": True, "zero_norm": True}
 
     def test_out_of_vocabulary_subject_is_flagged(self, tmp_path):
         entries = {"aa": [1, 0], "bb": [0, 1]}
         ds = make_dataset(tmp_path, [triple_row("zq", "aa")], [TEMPLATE])
-        cands = {"P1": CandidateSet("P1", ("aa", "bb"))}
+        ds = with_candidates(ds, {"P1": ("aa", "bb")})
         vocab = make_vocab(["aa", "bb"])  # cannot segment "zq"
-        (pred,) = rank_static(make_table(entries), vocab, ds, cands)
+        (pred,) = rank_static(make_table(entries), vocab, ds)
         assert pred.flags["query_oov"] is True
 
     def test_scale_invariance_of_ranking(self, tmp_path):
         rng = random.Random(11)
         entries = {w: [rng.randint(0, 9) for _ in range(4)]
                    for w in ["qq", "c1", "c2", "c3", "c4"]}
-        ds, cands, vocab, table = one_triple_setup(
-            tmp_path, "qq", entries, ["c1", "c2", "c3", "c4"])
-        (base,) = rank_static(table, vocab, ds, cands)
+        ds, vocab, table = one_triple_setup(tmp_path, "qq", entries, ["c1", "c2", "c3", "c4"])
+        (base,) = rank_static(table, vocab, ds)
         for factor in (0.5, 2.0, 3.7, 7.0):
             scaled_table = EmbeddingTable(table.dim, table.entries,
                                           table.matrix * np.float32(factor))
-            (scaled,) = rank_static(scaled_table, vocab, ds, cands)
+            (scaled,) = rank_static(scaled_table, vocab, ds)
             assert [c for c, _ in ranked(scaled)] == [c for c, _ in ranked(base)]
             # scores drift by float32 rounding of the scaled vectors
             for (_, a), (_, b) in zip(ranked(scaled), ranked(base)):
@@ -125,32 +119,29 @@ class TestStaticRanking:
 
     def test_identical_vectors_tie_break_lexicographically(self, tmp_path):
         entries = {"qq": [1, 2], "xx": [3, 4], "ya": [3, 4]}
-        ds, cands, vocab, table = one_triple_setup(tmp_path, "qq", entries,
-                                                   ["xx", "ya"])
-        (pred,) = rank_static(table, vocab, ds, cands)
+        ds, vocab, table = one_triple_setup(tmp_path, "qq", entries, ["xx", "ya"])
+        (pred,) = rank_static(table, vocab, ds)
         assert ranked(pred)[0][1] == ranked(pred)[1][1]
         assert [cand for cand, _ in ranked(pred)] == ["xx", "ya"]
 
     def test_exclude_subject_match(self, tmp_path):
         entries = {"aa": [1, 0], "bb": [0, 1]}
         ds = make_dataset(tmp_path, [triple_row("aa", "bb")], [TEMPLATE])
-        cands = {"P1": CandidateSet("P1", ("aa", "bb"))}
+        ds = with_candidates(ds, {"P1": ("aa", "bb")})
         vocab = make_vocab(["aa", "bb"])
         table = make_table(entries)
-        (kept,) = rank_static(table, vocab, ds, cands)
+        (kept,) = rank_static(table, vocab, ds)
         assert [c for c, _ in ranked(kept)] == ["aa", "bb"]
-        (dropped,) = rank_static(table, vocab, ds, cands,
-                                 exclude_subject_match=True)
+        (dropped,) = rank_static(table, vocab, ds, exclude_subject_match=True)
         assert [c for c, _ in ranked(dropped)] == ["bb"]
 
     def test_ranking_covers_exactly_the_candidate_set(
             self, mini_dataset, mini_vocab, mini_table):
-        cands = build_candidates(mini_dataset)
-        preds = list(rank_static(mini_table, mini_vocab, mini_dataset, cands))
+        preds = list(rank_static(mini_table, mini_vocab, mini_dataset))
         assert len(preds) == mini_dataset.n_triples
         for pred in preds:
             labels = sorted(c for c, _ in ranked(pred))
-            assert labels == list(cands[pred.relation_id].candidates)
+            assert labels == list(mini_dataset.candidates[pred.relation_id])
 
 
 def scalar_scores(table, vocab, dataset, candidates):
@@ -182,9 +173,8 @@ class TestVectorisedScores:
     """rank_static scores each relation with one matrix product."""
 
     def assert_scores_match_scalar(self, table, vocab, dataset):
-        cands = build_candidates(dataset)
-        reference = scalar_scores(table, vocab, dataset, cands)
-        preds = list(rank_static(table, vocab, dataset, cands))
+        reference = scalar_scores(table, vocab, dataset, dataset.candidates)
+        preds = list(rank_static(table, vocab, dataset))
         assert isinstance(preds, list)
         for pred in preds:
             expected = reference[pred.triple_id]
@@ -218,8 +208,8 @@ class TestVectorisedScores:
         subjects = [f"s{i}" for i in range(n_subjects)]
         entries.update({s: [rng.randint(0, 99) for _ in range(dim)] for s in subjects})
         ds = make_dataset(tmp_path, [triple_row(s, labels[0]) for s in subjects], [TEMPLATE])
-        cands = {"P1": CandidateSet("P1", tuple(labels))}
-        preds = list(rank_static(make_table(entries), make_vocab(entries), ds, cands))
+        ds = with_candidates(ds, {"P1": tuple(labels)})
+        preds = list(rank_static(make_table(entries), make_vocab(entries), ds))
         assert len(preds) == n_subjects
         for pred in preds:
             at = [i for i, (label, _) in enumerate(ranked(pred)) if label in tied]
@@ -233,16 +223,16 @@ class TestVectorisedScores:
         entries = {"aa": [1, 0], "bb": [0, 1], "zz": [0, 0]}
         rows = [triple_row("aa", "bb"), triple_row("zz", "aa"), triple_row("bb", "aa")]
         ds = make_dataset(tmp_path, rows, [TEMPLATE])
-        cands = {"P1": CandidateSet("P1", ("aa", "bb", "zz"))}
-        preds = rank_static(make_table(entries), make_vocab(entries), ds, cands,
+        ds = with_candidates(ds, {"P1": ("aa", "bb", "zz")})
+        preds = rank_static(make_table(entries), make_vocab(entries), ds,
                             exclude_subject_match=True)
         got = {p.triple_id: (ranked(p), p.flags["zero_norm"]) for p in preds}
         assert got["P1#0"] == ([("bb", 0.0), ("zz", -1.0)], True)
         assert got["P1#1"] == ([("aa", -1.0), ("bb", -1.0)], True)
         assert got["P1#2"] == ([("aa", 0.0), ("zz", -1.0)], True)
-        cands = {"P1": CandidateSet("P1", ("aa", "bb"))}
+        ds = with_candidates(ds, {"P1": ("aa", "bb")})
         first, second, third = rank_static(make_table(entries), make_vocab(entries), ds,
-                                             cands, exclude_subject_match=True)
+                                             exclude_subject_match=True)
         assert (ranked(first), first.flags["zero_norm"]) == ([("bb", 0.0)], False)
         assert (ranked(second), second.flags["zero_norm"]) == (
             [("aa", -1.0), ("bb", -1.0)], True)
@@ -254,14 +244,13 @@ class TestVectorisedScores:
         rows = [triple_row("aa", "bb"), triple_row("aa", "cc"), triple_row("yy", "bb"),
                 triple_row("zz", "cc")]
         ds = make_dataset(tmp_path, rows, [TEMPLATE])
-        cands = build_candidates(ds)
-        preds = list(rank_static(make_table(entries), make_vocab(entries), ds, cands))
+        preds = list(rank_static(make_table(entries), make_vocab(entries), ds))
         assert ranked(preds[0]) == ranked(preds[1])
         assert ranked(preds[2]) == ranked(preds[3]) == [("bb", -1.0), ("cc", -1.0)]
         live = [seq for p in preds[:2] for seq in (p.labels, p.scores)]
         assert all(type(seq) is list for seq in live)
         assert len({id(seq) for seq in live}) == 4
-        for group in (preds, list(rank_oracle(ds, cands))):
+        for group in (preds, list(rank_oracle(ds))):
             sequences = [seq for p in group for seq in (p.labels, p.scores)]
             shared = [seq for seq in sequences if sum(seq is other for other in sequences) > 1]
             assert shared and all(type(seq) is tuple for seq in shared)
@@ -272,7 +261,7 @@ class TestOracle:
         rows = [triple_row("s1", "aa"), triple_row("s2", "aa"),
                 triple_row("s3", "bb")]
         ds = make_dataset(tmp_path, rows, [TEMPLATE])
-        preds = list(rank_oracle(ds, build_candidates(ds)))
+        preds = list(rank_oracle(ds))
         assert len(preds) == 3
         for pred in preds:
             assert ranked(pred) == [("aa", 2.0), ("bb", 1.0)]
@@ -280,20 +269,20 @@ class TestOracle:
     def test_frequency_tie_breaks_lexicographically(self, tmp_path):
         rows = [triple_row("s1", "bb"), triple_row("s2", "aa")]
         ds = make_dataset(tmp_path, rows, [TEMPLATE])
-        preds = rank_oracle(ds, build_candidates(ds))
+        preds = rank_oracle(ds)
         assert all(ranked(p)[0][0] == "aa" for p in preds)
 
     def test_candidate_outside_gold_objects_scores_zero(self, tmp_path):
         ds = make_dataset(tmp_path, [triple_row("s1", "bb")], [TEMPLATE])
-        cands = {"P1": CandidateSet("P1", ("aa", "bb"))}
-        (pred,) = rank_oracle(ds, cands)
+        ds = with_candidates(ds, {"P1": ("aa", "bb")})
+        (pred,) = rank_oracle(ds)
         assert ranked(pred) == [("bb", 1.0), ("aa", 0.0)]
 
     def test_ties_at_every_frequency_rank_by_label(self, tmp_path):
         rows = [triple_row(f"s{i}", obj) for i, obj in enumerate("dd bb cc bb dd aa".split())]
         ds = make_dataset(tmp_path, rows, [TEMPLATE])
-        cands = {"P1": CandidateSet("P1", ("aa", "bb", "cc", "dd", "ee", "ff"))}
-        for pred in rank_oracle(ds, cands):
+        ds = with_candidates(ds, {"P1": ("aa", "bb", "cc", "dd", "ee", "ff")})
+        for pred in rank_oracle(ds):
             assert ranked(pred) == [("bb", 2.0), ("dd", 2.0), ("aa", 1.0), ("cc", 1.0),
                                    ("ee", 0.0), ("ff", 0.0)]
 
@@ -304,7 +293,7 @@ class TestManifestExport:
                           [{"relation": "P19", "template": "[X] was born in [Y] ."}])
         vocab = make_vocab(["ada", "paris"])
         out = tmp_path / "manifest.jsonl"
-        n = export_mlm_manifest(ds, build_candidates(ds), vocab, out)
+        n = export_mlm_manifest(ds, vocab, out)
         assert n == 1
         row = json.loads(out.read_text(encoding="utf-8"))
         assert row["query_text"] == "ada was born in [MASK] ."
@@ -316,7 +305,7 @@ class TestManifestExport:
                           [{"relation": "P19", "template": "[X] was born in [Y] ."}])
         vocab = make_vocab(["ada", "par", "##is", "##ian"])
         out = tmp_path / "manifest.jsonl"
-        export_mlm_manifest(ds, build_candidates(ds), vocab, out)
+        export_mlm_manifest(ds, vocab, out)
         row = json.loads(out.read_text(encoding="utf-8"))
         assert row["query_text"] == "ada was born in [MASK] [MASK] [MASK] ."
         assert row["mask_token_ids"] == [vocab.token_to_id[t] for t in ("par", "##is", "##ian")]
@@ -326,7 +315,7 @@ class TestManifestExport:
                           [{"relation": "P19", "template": "[X] was born in [Y] ."}])
         vocab = make_vocab(["ada"])
         out = tmp_path / "manifest.jsonl"
-        export_mlm_manifest(ds, build_candidates(ds), vocab, out)
+        export_mlm_manifest(ds, vocab, out)
         row = json.loads(out.read_text(encoding="utf-8"))
         assert row["candidate_oov"] is True
         assert row["mask_token_ids"] == [vocab.unk_id]
@@ -334,8 +323,7 @@ class TestManifestExport:
     def test_row_count_is_triples_times_candidates(self, tmp_path, mini_dataset,
                                                    mini_vocab):
         out = tmp_path / "manifest.jsonl"
-        n = export_mlm_manifest(mini_dataset, build_candidates(mini_dataset),
-                                mini_vocab, out)
+        n = export_mlm_manifest(mini_dataset, mini_vocab, out)
         assert n == 18 * 3
         assert len(out.read_text(encoding="utf-8").splitlines()) == n
 
@@ -358,7 +346,7 @@ class TestAdapterRowBytes:
         ds = make_dataset(tmp_path, rows, [
             {"relation": f"P{odd}", "template": f"[X] {odd} \\[Y]\" ."},
             {"relation": "P2", "template": "[X] is [Y] ."}])
-        return ds, build_candidates(ds), make_vocab(["aa", "bb"])
+        return ds, ds.candidates, make_vocab(["aa", "bb"])
 
     def expected_manifest(self, ds, cands, vocab):
         rows = []
@@ -379,14 +367,14 @@ class TestAdapterRowBytes:
         expected = self.expected_manifest(ds, cands, vocab)
         assert {row["candidate_oov"] for row in expected} == {True, False}
         assert {len(row["mask_token_ids"]) for row in expected} >= {1, 2}
-        assert export_mlm_manifest(ds, cands, vocab, out) == len(expected) == 26
+        assert export_mlm_manifest(ds, vocab, out) == len(expected) == 26
         assert out.read_text(encoding="utf-8") == "".join(
             json.dumps(row, ensure_ascii=False) + "\n" for row in expected)
 
     def test_stub_score_lines_are_json_dumps_of_each_row(self, tmp_path, setup):
         ds, cands, vocab = setup
         manifest = tmp_path / "manifest.jsonl"
-        export_mlm_manifest(ds, cands, vocab, manifest)
+        export_mlm_manifest(ds, vocab, manifest)
         pinned = ("t0" + self.ODD, "aa bb")
         lookup = {pinned: (-0.5, -0.0)}
         out = tmp_path / "scores.jsonl"
@@ -411,20 +399,19 @@ class TestScoreRecords:
     def test_score_is_mean_of_token_logprobs(self, tmp_path):
         ds = make_dataset(tmp_path, [triple_row("s1", "aa", "P1")], [TEMPLATE])
         scores = write_scores(tmp_path / "s.jsonl", [("P1#0", "aa", [-1.0, -3.0])])
-        (pred,) = rank_mlm(scores, ds, {"P1": CandidateSet("P1", ("aa",))})
+        (pred,) = rank_mlm(scores, ds)
         assert ranked(pred) == [("aa", -2.0)]
 
     def test_validation(self, tmp_path):
         ds = make_dataset(tmp_path, [triple_row("s1", "aa", "P1")], [TEMPLATE])
-        cands = {"P1": CandidateSet("P1", ("aa",))}
         # json writes NaN and -Infinity, and Python's json reads them back.
         for lps in ([], [-1.0, 0.5], [math.nan], [-math.inf]):
             scores = write_scores(tmp_path / "s.jsonl", [("P1#0", "aa", lps)])
             with pytest.raises(ValueError) as err:
-                rank_mlm(scores, ds, cands)
+                rank_mlm(scores, ds)
             assert str(err.value).startswith(f"{scores}:1: malformed score row")
         scores = write_scores(tmp_path / "s.jsonl", [("P1#0", "aa", [0.0])])
-        (pred,) = rank_mlm(scores, ds, cands)
+        (pred,) = rank_mlm(scores, ds)
         assert ranked(pred) == [("aa", 0.0)]  # certainty is allowed
 
     @pytest.mark.parametrize("lps, problem", [
@@ -442,7 +429,7 @@ class TestScoreRecords:
         ds = make_dataset(tmp_path, [triple_row("s1", "aa", "P1")], [TEMPLATE])
         scores = write_scores(tmp_path / "s.jsonl", [("P1#0", "aa", lps)])
         with pytest.raises(ValueError) as err:
-            rank_mlm(scores, ds, {"P1": CandidateSet("P1", ("aa",))})
+            rank_mlm(scores, ds)
         assert str(err.value) == f"{scores}:1: malformed score row: {problem}"
         lookup = tmp_path / "lookup.json"
         lookup.write_text(json.dumps({"P1#0": {"aa": lps}}), encoding="utf-8")
@@ -462,30 +449,29 @@ def write_scores(path, rows):
 class TestMlmRanking:
     def setup_single(self, tmp_path):
         ds = make_dataset(tmp_path, [triple_row("s1", "aa", "P1")], [TEMPLATE])
-        cands = {"P1": CandidateSet("P1", ("aa", "bb"))}
-        return ds, cands
+        return with_candidates(ds, {"P1": ("aa", "bb")})
 
     def test_mean_logprob_ranking(self, tmp_path):
-        ds, cands = self.setup_single(tmp_path)
+        ds = self.setup_single(tmp_path)
         scores = write_scores(tmp_path / "s.jsonl", [
             ("P1#0", "aa", [-0.5]),
             ("P1#0", "bb", [-0.1, -4.0]),
         ])
-        (pred,) = rank_mlm(scores, ds, cands)
+        (pred,) = rank_mlm(scores, ds)
         assert ranked(pred) == [("aa", -0.5), ("bb", (-0.1 + -4.0) / 2)]
 
     def test_row_order_is_irrelevant(self, tmp_path, mini_dataset):
-        cands = build_candidates(mini_dataset)
+        cands = mini_dataset.candidates
         rows = []
         for rel in mini_dataset.relation_ids:
             for t in mini_dataset.triples_by_relation[rel]:
                 for i, c in enumerate(cands[rel]):
                     rows.append((t.id, c, [-0.25 * (i + 1), -1.5]))
         fwd = rank_mlm(write_scores(tmp_path / "fwd.jsonl", rows),
-                       mini_dataset, cands)
+                       mini_dataset)
         random.Random(5).shuffle(rows)
         rev = rank_mlm(write_scores(tmp_path / "rev.jsonl", rows),
-                       mini_dataset, cands)
+                       mini_dataset)
         assert [(p.triple_id, ranked(p)) for p in fwd] \
             == [(p.triple_id, ranked(p)) for p in rev]
 
@@ -494,40 +480,40 @@ class TestMlmRanking:
         ds = make_dataset(tmp_path, rows, [TEMPLATE])
         empty = write_scores(tmp_path / "empty.jsonl", [])
         with pytest.raises(ValueError) as err:
-            rank_mlm(empty, ds, build_candidates(ds))
+            rank_mlm(empty, ds)
         message = str(err.value)
         assert "144" in message
         assert message.count("P1#") == 10
 
     def test_duplicate_pair_rejected(self, tmp_path):
-        ds, cands = self.setup_single(tmp_path)
+        ds = self.setup_single(tmp_path)
         scores = write_scores(tmp_path / "s.jsonl", [
             ("P1#0", "aa", [-0.5]), ("P1#0", "aa", [-0.5]),
             ("P1#0", "bb", [-1.0]),
         ])
         with pytest.raises(ValueError, match="duplicate"):
-            rank_mlm(scores, ds, cands)
+            rank_mlm(scores, ds)
 
     def test_unmatched_score_row_rejected(self, tmp_path):
-        ds, cands = self.setup_single(tmp_path)
+        ds = self.setup_single(tmp_path)
         scores = write_scores(tmp_path / "s.jsonl", [
             ("P1#0", "aa", [-0.5]), ("P1#0", "bb", [-1.0]),
             ("ghost", "aa", [-1.0]),
         ])
         with pytest.raises(ValueError, match="ghost"):
-            rank_mlm(scores, ds, cands)
+            rank_mlm(scores, ds)
 
     def test_unscored_pair_reported_before_extra_row(self, tmp_path):
-        ds, cands = self.setup_single(tmp_path)
+        ds = self.setup_single(tmp_path)
         scores = write_scores(tmp_path / "s.jsonl", [
             ("P1#0", "aa", [-0.5]), ("ghost", "aa", [-1.0]),
         ])
         with pytest.raises(ValueError, match=r"^1 \(triple, candidate\) pairs unscored: "
                                              r"\('P1#0', 'bb'\)$"):
-            rank_mlm(scores, ds, cands)
+            rank_mlm(scores, ds)
 
     def test_manifest_mask_count_cross_check(self, tmp_path):
-        ds, cands = self.setup_single(tmp_path)
+        ds = self.setup_single(tmp_path)
         manifest = tmp_path / "m.jsonl"
         with open(manifest, "w", encoding="utf-8") as f:
             for cand, ids in (("aa", [4, 5]), ("bb", [6])):
@@ -537,11 +523,11 @@ class TestMlmRanking:
             ("P1#0", "aa", [-0.5]), ("P1#0", "bb", [-1.0]),
         ])
         with pytest.raises(ValueError, match="mask count"):
-            rank_mlm(bad, ds, cands, manifest_path=manifest)
+            rank_mlm(bad, ds, manifest_path=manifest)
         good = write_scores(tmp_path / "good.jsonl", [
             ("P1#0", "aa", [-0.5, -0.7]), ("P1#0", "bb", [-1.0]),
         ])
-        (pred,) = rank_mlm(good, ds, cands, manifest_path=manifest)
+        (pred,) = rank_mlm(good, ds, manifest_path=manifest)
         assert ranked(pred)[0][0] == "aa"
 
     def write_manifest(self, path, rows):
@@ -558,12 +544,12 @@ class TestMlmRanking:
          ("ghost", "aa")),
     ], ids=["scored", "unscored", "matches-no-pair"])
     def test_manifest_row_repeated_rejected(self, tmp_path, scored, repeated):
-        ds, cands = self.setup_single(tmp_path)
+        ds = self.setup_single(tmp_path)
         scores = write_scores(tmp_path / "s.jsonl", scored)
         manifest = self.write_manifest(tmp_path / "m.jsonl", [
             ("P1#0", "aa", [4]), ("P1#0", "bb", [6]), ("ghost", "aa", [4]), (*repeated, [4])])
         with pytest.raises(ValueError) as err:
-            rank_mlm(scores, ds, cands, manifest_path=manifest)
+            rank_mlm(scores, ds, manifest_path=manifest)
         first = {("P1#0", "aa"): 1, ("P1#0", "bb"): 2, ("ghost", "aa"): 3}[repeated]
         assert str(err.value) == (f"{manifest}:4: duplicate manifest row for {repeated!r} "
                                   f"(first at line {first})")
@@ -573,21 +559,21 @@ class TestMlmRanking:
         (False, "{manifest}: 1 scored pairs have no manifest row: ('ghost', 'aa')"),
     ], ids=["listed", "unlisted"])
     def test_score_row_that_matches_no_pair_with_manifest(self, tmp_path, listed, message):
-        ds, cands = self.setup_single(tmp_path)
+        ds = self.setup_single(tmp_path)
         scores = write_scores(tmp_path / "s.jsonl", [
             ("ghost", "aa", [-1.0]), ("P1#0", "aa", [-0.5]), ("P1#0", "bb", [-1.0])])
         manifest = self.write_manifest(tmp_path / "m.jsonl", [
             ("P1#0", "aa", [4]), ("P1#0", "bb", [6]), ("ghost", "aa", [4])][:3 if listed else 2])
         with pytest.raises(ValueError) as err:
-            rank_mlm(scores, ds, cands, manifest_path=manifest)
+            rank_mlm(scores, ds, manifest_path=manifest)
         assert str(err.value) == message.format(manifest=manifest)
 
     def test_equal_means_tie_break_lexicographically(self, tmp_path):
-        ds, cands = self.setup_single(tmp_path)
+        ds = self.setup_single(tmp_path)
         scores = write_scores(tmp_path / "s.jsonl", [
             ("P1#0", "bb", [-1.0]), ("P1#0", "aa", [-2.0, 0.0]),
         ])
-        (pred,) = rank_mlm(scores, ds, cands)
+        (pred,) = rank_mlm(scores, ds)
         assert [cand for cand, _ in ranked(pred)] == ["aa", "bb"]
 
     @pytest.mark.parametrize("first, second, mean", [
@@ -596,11 +582,11 @@ class TestMlmRanking:
     ], ids=["two-one", "one-two", "zero-negative-zero", "negative-zero-zero"])
     def test_equal_means_from_different_rows_rank_the_smaller_label_first(
             self, tmp_path, first, second, mean):
-        ds, cands = self.setup_single(tmp_path)
+        ds = self.setup_single(tmp_path)
         scores = write_scores(tmp_path / "s.jsonl", [
             ("P1#0", "bb", first), ("P1#0", "aa", second),
         ])
-        (pred,) = rank_mlm(scores, ds, cands)
+        (pred,) = rank_mlm(scores, ds)
         assert ranked(pred) == [("aa", mean), ("bb", mean)]
 
 
@@ -852,10 +838,10 @@ class TestStreamedMemory:
         rows = [triple_row(subjects[i % 16], objects[i % 400]) for i in range(1600)]
         ds = make_dataset(tmp_path, rows, [TEMPLATE])
         entries = {w: [rng.randint(-9, 9) for _ in range(8)] for w in subjects + objects}
-        table, vocab, cands = make_table(entries), make_vocab(entries), build_candidates(ds)
+        table, vocab = make_table(entries), make_vocab(entries)
         path = tmp_path / "preds.jsonl"
-        save_predictions(rank_static(table, vocab, ds, cands), path)
-        return ds, table, vocab, cands, path
+        save_predictions(rank_static(table, vocab, ds), path)
+        return ds, table, vocab, path
 
     def traced_peak(self, run):
         tracemalloc.start()
@@ -867,16 +853,16 @@ class TestStreamedMemory:
         return result, peak
 
     def test_rank_static_writes_with_bounded_memory(self, setup, tmp_path):
-        ds, table, vocab, cands, expected = setup
+        ds, table, vocab, expected = setup
         path = tmp_path / "preds.jsonl"
         count, peak = self.traced_peak(
-            lambda: save_predictions(rank_static(table, vocab, ds, cands), path))
+            lambda: save_predictions(rank_static(table, vocab, ds), path))
         assert peak < self.BOUND, f"peak {peak / 2 ** 20:.2f} MB"
         assert count == 1600
         assert path.read_bytes() == expected.read_bytes()
 
     def test_evaluate_reads_with_bounded_memory(self, setup):
-        ds, _, _, _, path = setup
+        ds, _, _, path = setup
         report, peak = self.traced_peak(lambda: compute_report(load_predictions(path), ds))
         assert peak < self.BOUND, f"peak {peak / 2 ** 20:.2f} MB"
         assert report.metadata["n_triples"] == 1600
@@ -896,14 +882,13 @@ class TestMlmStreamedMemory:
         objects = [f"o{i:03d}" for i in range(120)]
         rows = [triple_row(f"s{i % 16:02d}", objects[i]) for i in range(120)]
         ds = make_dataset(tmp_path, rows, [TEMPLATE])
-        cands = build_candidates(ds)
         manifest, scores = tmp_path / "m.jsonl", tmp_path / "s.jsonl"
-        export_mlm_manifest(ds, cands, make_vocab(objects), manifest)
+        export_mlm_manifest(ds, make_vocab(objects), manifest)
         write_stub_scores(manifest, scores)
         path = tmp_path / "preds.jsonl"
         tracemalloc.start()
         try:
-            count = save_predictions(rank_mlm(scores, ds, cands, manifest_path=manifest), path)
+            count = save_predictions(rank_mlm(scores, ds, manifest_path=manifest), path)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -917,11 +902,10 @@ class TestComposeOnce:
         rows = [triple_row("aa", "bb"), triple_row("aa", "cc"), triple_row("aa", "dd"),
                 triple_row("ee", "bb", "P2"), triple_row("ff", "cc", "P2")]
         ds = make_dataset(tmp_path, rows, [TEMPLATE, dict(TEMPLATE, relation="P2")])
-        cands = build_candidates(ds)
         words = ["aa", "bb", "cc", "dd", "ee", "ff"]
         vocab = make_vocab(words)
         table = make_table({w: [i + 1.0, 1.0] for i, w in enumerate(words)})
-        expected = list(rank_static(table, vocab, ds, cands))
+        expected = list(rank_static(table, vocab, ds))
 
         calls = []
 
@@ -932,7 +916,7 @@ class TestComposeOnce:
             return original(table, tokens)
 
         monkeypatch.setattr(ranking, "compose", counting)
-        predictions = list(rank_static(table, vocab, ds, cands))
+        predictions = list(rank_static(table, vocab, ds))
         assert sorted(calls) == [(w,) for w in words]
         assert [(p.triple_id, ranked(p), p.flags) for p in predictions] == \
             [(p.triple_id, ranked(p), p.flags) for p in expected]
