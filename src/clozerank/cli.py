@@ -207,7 +207,7 @@ def cmd_export_manifest(ctx: RunContext) -> int:
 
 
 def cmd_rank(ctx: RunContext) -> int:
-    from . import embeddings, ranking
+    from . import ranking
     mode = ctx.args.mode
     # A flag that only another mode reads is an error, not ignored; a config key is not.
     reads = {"static": ("table", "vocab", "exclude_subject_match"), "mlm": ("scores", "manifest")}
@@ -217,6 +217,7 @@ def cmd_rank(ctx: RunContext) -> int:
     dataset = ctx.dataset()
     settings = {"mode": mode}
     if mode == "static":
+        from . import embeddings
         table = embeddings.load_table(ctx.input("table"))
         vocab = ctx.vocab()
         exclude = ctx.get("exclude_subject_match", False)

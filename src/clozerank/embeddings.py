@@ -76,23 +76,37 @@ class EmbeddingTable:
         return len(self.entries)
 
 
-def compose(table: EmbeddingTable, tokens):
-    """(Arithmetic mean of the token vectors in float64, tokens absent from the table).
+def compose(table: EmbeddingTable, token_lists):
+    """(float64 (n, dim) matrix, tokens absent from the table per row) for n token lists.
 
-    Absent tokens contribute a zero vector and are returned instead of
-    raising; candidate strings may contain rare pieces. The present rows are
-    summed in token order, starting from +0.0.
+    Row i is the arithmetic mean of list i's token vectors. Absent tokens
+    count in the mean as zero vectors and are returned instead of raising;
+    candidate strings may contain rare pieces. An empty list raises
+    ValueError. Each row sums its present rows in token order from +0.0,
+    one bincount per coordinate over all lists, so the only matrix the call
+    allocates is the one it returns.
     """
     import numpy as np
-    tokens = list(tokens)
-    if not tokens:
-        raise ValueError("cannot compose an empty token sequence")
-    rows = [table.entries.get(tok) for tok in tokens]
-    total = np.zeros(table.dim, dtype=np.float64)
-    for vec in table.matrix[[row for row in rows if row is not None]]:
-        total += vec
-    missing = tuple(tok for tok, row in zip(tokens, rows) if row is None)
-    return total / len(tokens), missing
+    entries, rows, counts, present, missing = table.entries, [], [], [], []
+    for tokens in token_lists:
+        found = [entries.get(tok) for tok in tokens]
+        if not found:
+            raise ValueError("cannot compose an empty token sequence")
+        counts.append(len(found))
+        if None in found:
+            missing.append(tuple(tok for tok, row in zip(tokens, found) if row is None))
+            found = [row for row in found if row is not None]
+        else:
+            missing.append(())
+        rows.extend(found)
+        present.append(len(found))
+    owner = np.repeat(np.arange(len(counts)), present)  # each present row's list
+    rows = np.array(rows, dtype=np.intp)
+    total = np.empty((len(counts), table.dim))
+    for j in range(table.dim):
+        total[:, j] = np.bincount(owner, weights=table.matrix[rows, j], minlength=len(counts))
+    total /= np.array(counts, dtype=np.float64)[:, None]
+    return total, missing
 
 
 def _fnv1a(data: bytes) -> int:

@@ -146,8 +146,10 @@ def apply_subset(dataset: Dataset, id_list) -> tuple[Dataset, int]:
 
 
 def read_subset_ids(path) -> list[str]:
+    """The non-blank lines of path, stripped. Lines end at LF, CRLF or CR only, so an
+    id may hold any other separator that str.splitlines knows."""
     with open_text(path) as f:
-        return [line.strip() for line in f.read().splitlines() if line.strip()]
+        return [line.strip() for line in f if line.strip()]
 
 
 def instantiate_query(spec: RelationSpec, subject: str, mask_count: int = 1) -> str:

@@ -5,11 +5,16 @@ import operator
 from collections import Counter
 from collections.abc import Iterable, Iterator, Sequence
 from hashlib import sha256
+from itertools import chain
+from struct import Struct
+from typing import TYPE_CHECKING
 
-from .embeddings import EmbeddingTable, compose
 from .jsonio import encode_row, read_json, read_jsonl, write_jsonl
-from .kb import Dataset, instantiate_query
-from .wordpiece import UNK_TOKEN, SubwordVocab, tokenize
+from .wordpiece import SubwordVocab, tokenize
+
+if TYPE_CHECKING:  # the functions that run these modules import them
+    from .embeddings import EmbeddingTable
+    from .kb import Dataset
 
 
 class Prediction:
@@ -28,17 +33,7 @@ class Prediction:
         self.flags = {} if flags is None else flags
 
 
-def _composed(table: EmbeddingTable, vocab: SubwordVocab, text: str):
-    """The mean piece vector of text, its norm, and whether any piece is OOV."""
-    import numpy as np
-    tokens = vocab.ids_to_tokens(tokenize(vocab, text))
-    if not tokens:
-        return np.zeros(table.dim, dtype=np.float64), 0.0, True
-    vector, missing = compose(table, tokens)
-    return vector, float(np.linalg.norm(vector)), bool(missing) or UNK_TOKEN in tokens
-
-
-def rank_static(table: EmbeddingTable, vocab: SubwordVocab, dataset: Dataset,
+def rank_static(table: "EmbeddingTable", vocab: SubwordVocab, dataset: "Dataset",
                 exclude_subject_match: bool = False) -> Iterator[Prediction]:
     """Yield, relation by relation, each triple's candidates ranked by cosine to the subject.
 
@@ -46,27 +41,55 @@ def rank_static(table: EmbeddingTable, vocab: SubwordVocab, dataset: Dataset,
     pair with a zero-norm composition scores the floor -1.0 instead of NaN.
     With exclude_subject_match a candidate identical to the subject is
     dropped from that triple's ranking; a triple left with no candidate
-    raises ValueError once reached. Each distinct string is composed once.
+    raises ValueError once reached. One compose call makes each distinct
+    string's mean piece vector a row of one matrix; a string is OOV if a
+    piece is [UNK] or has no vector, or if it has no piece at all (only a
+    hand-built Dataset holds such a string), which gives it a zero row.
     """
-    strings = {t.subject for t in dataset.triples()}
-    for rel in dataset.relation_ids:
-        strings.update(dataset.candidates[rel])
-    composed = {text: _composed(table, vocab, text) for text in strings}
+    import numpy as np
+
+    from .embeddings import compose
+    row_of: dict[str, int] = {}  # each distinct string's row, composed strings first
+    oov, blank = [], {}
+
+    def token_lists():  # one list per distinct string with a piece, made as compose reads it
+        for text in chain((t.subject for t in dataset.triples()),
+                          *map(dataset.candidates.__getitem__, dataset.relation_ids)):
+            if text not in row_of and text not in blank:
+                ids = tokenize(vocab, text)
+                if ids:
+                    row_of[text] = len(oov)
+                    oov.append(vocab.unk_id in ids)
+                    yield vocab.ids_to_tokens(ids)
+                else:
+                    blank[text] = None
+
+    vectors, missing = compose(table, token_lists())
+    oov = [unk or bool(gone) for unk, gone in zip(oov, missing)]
+    del missing
+    if blank:
+        vectors = np.vstack((vectors, np.zeros((len(blank), table.dim))))
+        for text in blank:
+            row_of[text] = len(oov)
+            oov.append(True)
+    # The norm np.linalg.norm gives each row, bitwise: the square root of its dot product.
+    norms = np.sqrt(np.fromiter((v.dot(v) for v in vectors), np.float64, len(vectors)))
     for rel in dataset.relation_ids:
         triples = dataset.triples_by_relation[rel]
         rankings = _rank_relation(dataset.candidates[rel], [t.subject for t in triples],
-                                  composed, exclude_subject_match)
+                                  vectors, norms, row_of, exclude_subject_match)
         for triple, (labels, scores, zero_norm) in zip(triples, rankings):
             if not labels:
                 raise ValueError(f"triple {triple.id!r} of relation {rel!r} has no candidate "
                                  f"left once its subject is excluded")
             yield Prediction(triple.id, rel, labels, scores,
-                             {"query_oov": composed[triple.subject][2], "zero_norm": zero_norm})
+                             {"query_oov": oov[row_of[triple.subject]], "zero_norm": zero_norm})
 
 
-def _rank_relation(labels, subjects, composed, exclude_subject_match):
+def _rank_relation(labels, subjects, vectors, norms, row_of, exclude_subject_match):
     """Yield (labels, scores, zero_norm) for each subject over one relation's sorted labels.
 
+    A string's composition is row row_of[text] of vectors, its norm that of norms.
     The cosines are one product of the distinct unit subject rows with the
     distinct unit candidate rows. Candidates whose unit rows are bitwise
     equal (copied or doubled vectors) share one column, so they tie exactly
@@ -76,12 +99,12 @@ def _rank_relation(labels, subjects, composed, exclude_subject_match):
     """
     import numpy as np
     floor = -1.0
-    vectors = np.array([composed[c][0] for c in labels])
-    norms = np.array([composed[c][1] for c in labels])
-    live = np.flatnonzero(norms)
+    candidate_rows = np.array([row_of[c] for c in labels])
+    candidate_norms = norms[candidate_rows]
+    live = np.flatnonzero(candidate_norms)
     column = {}  # adding +0.0 gives -0.0 and 0.0 one key
-    columns = [column.setdefault(row.tobytes(), len(column))
-               for row in vectors[live] / norms[live, None] + 0.0]
+    columns = [column.setdefault(unit.tobytes(), len(column))
+               for unit in vectors[candidate_rows[live]] / candidate_norms[live, None] + 0.0]
     dim = vectors.shape[1]
     distinct = np.frombuffer(b"".join(column), dtype=np.float64).reshape(len(column), dim)
     # The candidate a live subject excludes has the subject's own nonzero
@@ -89,9 +112,9 @@ def _rank_relation(labels, subjects, composed, exclude_subject_match):
     any_zero = len(live) < len(labels)
     position = {label: i for i, label in enumerate(labels)} if exclude_subject_match else {}
 
-    queries = list(dict.fromkeys(s for s in subjects if composed[s][1] != 0.0))
-    units = np.array([composed[s][0] for s in queries]).reshape(len(queries), dim)
-    units /= np.array([composed[s][1] for s in queries])[:, None]
+    queries = [s for s in dict.fromkeys(subjects) if norms[row_of[s]] != 0.0]
+    query_rows = np.array([row_of[s] for s in queries], dtype=np.intp)
+    units = vectors[query_rows] / norms[query_rows, None]
     scores = np.full((len(queries), len(labels)), floor)
     scores[:, live] = (units @ distinct.T)[:, columns]
     keys = -scores
@@ -120,7 +143,7 @@ def _rank_relation(labels, subjects, composed, exclude_subject_match):
             yield ranked_labels, ranked_values, any_zero
 
 
-def rank_oracle(dataset: Dataset) -> Iterator[Prediction]:
+def rank_oracle(dataset: "Dataset") -> Iterator[Prediction]:
     """Yield, relation by relation, each triple's candidates ranked by gold-object frequency."""
     for rel in dataset.relation_ids:
         triples = dataset.triples_by_relation[rel]
@@ -133,7 +156,7 @@ def rank_oracle(dataset: Dataset) -> Iterator[Prediction]:
             yield Prediction(triple.id, rel, labels, values, {"query_oov": False})
 
 
-def export_mlm_manifest(dataset: Dataset, scorer_vocab: SubwordVocab, out_path) -> int:
+def export_mlm_manifest(dataset: "Dataset", scorer_vocab: SubwordVocab, out_path) -> int:
     """Write one JSONL row per (triple, candidate) pair for an external scorer.
 
     The query carries as many [MASK] tokens as the candidate has pieces under
@@ -145,6 +168,8 @@ def export_mlm_manifest(dataset: Dataset, scorer_vocab: SubwordVocab, out_path) 
     wrote once: each triple's head, each candidate's name and tail per
     relation, each query per (triple, mask count).
     """
+    from .kb import instantiate_query
+
     def lines():
         for rel in dataset.relation_ids:
             spec, relation = dataset.relations[rel], encode_row(rel)
@@ -197,7 +222,7 @@ def _repeated(path, lineno: int, kind: str, pair) -> ValueError:
                       f"(first at line {first})")
 
 
-def rank_mlm(score_path, dataset: Dataset, manifest_path=None) -> Iterator[Prediction]:
+def rank_mlm(score_path, dataset: "Dataset", manifest_path=None) -> Iterator[Prediction]:
     """Check an external scorer's output in full, then yield per-triple rankings.
 
     A candidate's score is the arithmetic mean of its per-mask log
@@ -318,6 +343,11 @@ def read_lookup(path) -> dict[tuple[str, str], tuple[float, ...]]:
     return table
 
 
+# A digest's first 8 bytes as an integer; times 2.0 ** -64 it is exactly the
+# integer over 2 ** 64, as a power of two scales the rounded integer exactly.
+_digest_head = Struct(">Q").unpack_from
+
+
 def write_stub_scores(manifest_path, out_path, lookup=None) -> int:
     """Generate a valid score file from a manifest without any external model.
 
@@ -343,8 +373,8 @@ def write_stub_scores(manifest_path, out_path, lookup=None) -> int:
                 unused.discard(key)
             if lps is None:  # filler from sha256 of "triple_id\tcandidate\tposition"
                 prefix = f"{triple_id}\t{cand}\t".encode("utf-8")
-                lps = [-0.01 - 7.99 * (int.from_bytes(sha256(prefix + b"%d" % i).digest()[:8],
-                                                      "big") / 2 ** 64) for i in range(masks)]
+                lps = [-0.01 - 7.99 * (_digest_head(sha256(prefix + b"%d" % i).digest())[0]
+                                       * 2.0 ** -64) for i in range(masks)]
             elif len(lps) != masks:
                 raise ValueError(f"{manifest_path}:{lineno}: lookup for {key!r} has "
                                  f"{len(lps)} log-probs, manifest wants {masks}")

@@ -81,9 +81,13 @@ class SubwordVocab:
 
     @classmethod
     def load(cls, path) -> "SubwordVocab":
-        """Read one token per line; errors name path:LINE, or path for a missing special."""
+        """Read one token per line; errors name path:LINE, or path for a missing special.
+
+        Lines end at LF, CRLF or CR only, so that the line number is the token
+        id; any other separator that str.splitlines knows stays in its line.
+        """
         with open_text(path) as f:
-            lines = f.read().splitlines()
+            lines = [line.removesuffix("\n") for line in f]
         try:
             return cls(lines)
         except ValueError as exc:

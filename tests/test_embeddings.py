@@ -74,39 +74,72 @@ class TestConfig:
         assert EmbedTrainConfig().ngrams_enabled
 
 
+def reference_mean(table, tokens):
+    """Per-row reference: a float64 sum from +0.0 over the present rows in token order,
+    over the token count."""
+    total = np.zeros(table.dim, dtype=np.float64)
+    for tok in tokens:
+        if tok in table.entries:
+            total += table.matrix[table.entries[tok]]
+    return total / len(tokens)
+
+
 class TestCompose:
     def test_single_token_is_identity(self):
-        table = make_table({"a": [1.5, -2.0, 3.0]}, 3)
-        vector, missing = compose(table, ["a"])
-        assert np.array_equal(vector, np.array([1.5, -2.0, 3.0]))
-        assert missing == ()
+        table = make_table({"a": [1.5, -2.0, 3.0], "b": [0.0, -0.0, 7.0]}, 3)
+        vectors, missing = compose(table, [["a"], ["b"]])
+        assert vectors.dtype == np.float64
+        assert np.array_equal(vectors, [[1.5, -2.0, 3.0], [0.0, 0.0, 7.0]])
+        assert missing == [(), ()]
 
     def test_mean_of_two(self):
         table = make_table({"a": [1, 0], "b": [0, 1]}, 2)
-        assert np.array_equal(compose(table, ["a", "b"])[0], [0.5, 0.5])
+        vectors, _ = compose(table, [["a", "b"], ["b", "a"]])
+        assert np.array_equal(vectors, [[0.5, 0.5], [0.5, 0.5]])
 
     def test_mean_of_three(self):
+        # One call, each row its own mean: a row's neighbours do not leak into it.
         table = make_table({"a": [2, 2], "b": [0, 0], "c": [4, -2]}, 2)
-        assert np.array_equal(compose(table, ["a", "b", "c"])[0], [2.0, 0.0])
+        vectors, _ = compose(table, [["c"], ["a", "b", "c"], ["a"]])
+        assert np.array_equal(vectors, [[4.0, -2.0], [2.0, 0.0], [2.0, 2.0]])
 
     def test_empty_sequence_rejected(self):
         table = make_table({"a": [1, 0]}, 2)
-        with pytest.raises(ValueError):
-            compose(table, [])
+        with pytest.raises(ValueError, match="empty token sequence"):
+            compose(table, [["a"], []])
 
     def test_missing_token_becomes_zero_and_flags(self):
         table = make_table({"a": [2, 4]}, 2)
-        vector, missing = compose(table, ["a", "nope"])
-        assert np.array_equal(vector, [1.0, 2.0])
-        assert missing == ("nope",)
+        vectors, missing = compose(table, [["a", "nope"], ["nope", "a", "gone", "nope"],
+                                           ["x"], ["a"]])
+        assert np.array_equal(vectors, [[1.0, 2.0], [0.5, 1.0], [0.0, 0.0], [2.0, 4.0]])
+        assert missing == [("nope",), ("nope", "gone", "nope"), ("x",), ()]
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_rows_match_the_per_row_reference_bitwise(self, seed):
+        rng = np.random.default_rng(seed)
+        words = [f"t{i}" for i in range(8)]
+        matrix = rng.normal(size=(8, 5)).astype(np.float32)
+        matrix[2] = -0.0
+        matrix[3, ::2] = -0.0
+        table = EmbeddingTable(5, words, matrix)
+        lists = [["t2"], ["t2", "t2"], ["t2", "gone"], ["gone"], ["gone", "t2", "none"],
+                 ["t3", "t2"], ["t0", "t0", "t0"], ["t1"], ["gone", "other"]]
+        lists += [[f"t{i}" if i < 8 else "gone" for i in rng.integers(0, 10, size=n)]
+                  for n in rng.integers(1, 7, size=30)]
+        vectors, missing = compose(table, lists)
+        expected = np.array([reference_mean(table, tokens) for tokens in lists])
+        assert vectors.tobytes() == expected.tobytes()
+        assert not np.signbit(vectors[[0, 1, 2, 3, 4, 8]]).any()  # -0.0 sums read +0.0
+        assert missing == [tuple(t for t in tokens if t not in table.entries)
+                           for tokens in lists]
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(5)
         entries = {f"t{i}": rng.normal(size=4) for i in range(6)}
         table = make_table(entries, 4)
         tokens = list(entries)
-        fwd, _ = compose(table, tokens)
-        rev, _ = compose(table, tokens[::-1])
+        fwd, rev = compose(table, [tokens, tokens[::-1]])[0]
         assert np.allclose(fwd, rev, atol=1e-12)
 
     def test_scale_equivariance(self):
@@ -115,8 +148,8 @@ class TestCompose:
         table = make_table(entries, 3)
         for alpha in (0.5, 2.0, 7.0):
             scaled = EmbeddingTable(3, table.entries, table.matrix * np.float32(alpha))
-            a = compose(scaled, list(entries))[0]
-            b = alpha * compose(table, list(entries))[0]
+            a = compose(scaled, [list(entries)])[0]
+            b = alpha * compose(table, [list(entries)])[0]
             assert np.allclose(a, b, rtol=1e-6)
 
 
@@ -206,8 +239,8 @@ class TestImport:
         path = tmp_path / "hand.vec"
         path.write_text("2 4\nalpha 1 0 0 0\nbeta 0 1 0 0\n", encoding="utf-8")
         table = load_table(path)
-        vector, _ = compose(table, ["alpha", "beta"])
-        assert np.array_equal(vector, [0.5, 0.5, 0.0, 0.0])
+        vectors, _ = compose(table, [["alpha", "beta"]])
+        assert np.array_equal(vectors, [[0.5, 0.5, 0.0, 0.0]])
 
     def test_per_layer_files_import_independently(self, tmp_path):
         for layer in range(13):

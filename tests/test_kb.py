@@ -195,6 +195,11 @@ class TestSubset:
         path.write_text("a\n\n  b  \nc\n", encoding="utf-8")
         assert read_subset_ids(path) == ["a", "b", "c"]
 
+    def test_read_subset_ids_splits_at_line_breaks_only(self, tmp_path):
+        path = tmp_path / "ids.txt"
+        path.write_bytes("P1#0\u2028P1#1\r\nP2#0\x0cP2#1\rP3#0\n".encode("utf-8"))
+        assert read_subset_ids(path) == ["P1#0\u2028P1#1", "P2#0\x0cP2#1", "P3#0"]
+
 
 class TestQueries:
     def test_single_mask(self):

@@ -7,9 +7,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from clozerank import ranking
-from clozerank.embeddings import EmbeddingTable
-from clozerank.kb import Dataset, RelationSpec, Triple
+from clozerank import embeddings
+from clozerank.embeddings import EmbeddingTable, compose
+from clozerank.kb import Dataset, RelationSpec, Triple, instantiate_query
 from clozerank.metrics import compute_report
 from clozerank.ranking import (
     Prediction,
@@ -355,7 +355,7 @@ class TestAdapterRowBytes:
                 for cand in cands[rel]:
                     ids = tokenize(vocab, cand)
                     rows.append({"triple_id": triple.id, "relation_id": rel, "candidate": cand,
-                                 "query_text": ranking.instantiate_query(
+                                 "query_text": instantiate_query(
                                      ds.relations[rel], triple.subject, len(ids)),
                                  "mask_token_ids": ids,
                                  "candidate_oov": all(i == vocab.unk_id for i in ids)})
@@ -635,6 +635,27 @@ class TestStubScorer:
                 assert lp == -0.01 - 7.99 * (int.from_bytes(digest[:8], "big") / 2 ** 64)
         assert [len(lps) for lps in rows.values()] == [1, 2]
 
+    def test_filler_equals_the_integer_quotient_bitwise(self, tmp_path):
+        # Positions 0 to 12 of ASCII and non-ASCII pairs: each value is the one the
+        # quotient of the digest's first 8 bytes by 2 ** 64 gives.
+        manifest, out = tmp_path / "manifest.jsonl", tmp_path / "scores.jsonl"
+        pairs = [("t1", "aa"), ("P1#ü", "Zürich"), ("日本#0", "東京"), ("t\u2028", "😀 b")]
+        with open(manifest, "w", encoding="utf-8") as f:
+            for triple_id, cand in pairs:
+                f.write(json.dumps({"triple_id": triple_id, "candidate": cand,
+                                    "mask_token_ids": list(range(13))}) + "\n")
+        assert write_stub_scores(manifest, out) == len(pairs)
+        # U+2028 is a str.splitlines break, written raw, so split at "\n" only.
+        rows = [json.loads(line) for line in out.read_text(encoding="utf-8").split("\n")[:-1]]
+        assert len(rows) == len(pairs)
+        for (triple_id, cand), row in zip(pairs, rows):
+            assert (row["triple_id"], row["candidate"]) == (triple_id, cand)
+            expected = []
+            for i in range(13):
+                digest = hashlib.sha256(f"{triple_id}\t{cand}\t{i}".encode("utf-8")).digest()
+                expected.append(-0.01 - 7.99 * (int.from_bytes(digest[:8], "big") / 2 ** 64))
+            assert [lp.hex() for lp in row["token_logprobs"]] == [lp.hex() for lp in expected]
+
     @pytest.mark.parametrize("lookup, unused", [
         ({("t9", "aa"): (-0.5,)}, "('t9', 'aa')"),
         ({("t1", "zz"): (-0.5,), ("t1", "aa"): (-0.5,)}, "('t1', 'zz')"),
@@ -898,9 +919,11 @@ class TestMlmStreamedMemory:
 
 class TestComposeOnce:
     def test_each_distinct_string_composed_once(self, tmp_path, monkeypatch):
-        # Three P1 triples share the subject aa; P1 and P2 share bb and cc.
+        # Three P1 triples share the subject aa; P1 and P2 share bb and cc; two P2
+        # triples share the two-piece subject "ee aa".
         rows = [triple_row("aa", "bb"), triple_row("aa", "cc"), triple_row("aa", "dd"),
-                triple_row("ee", "bb", "P2"), triple_row("ff", "cc", "P2")]
+                triple_row("ee", "bb", "P2"), triple_row("ff", "cc", "P2"),
+                triple_row("ee aa", "bb", "P2"), triple_row("ee aa", "cc", "P2")]
         ds = make_dataset(tmp_path, rows, [TEMPLATE, dict(TEMPLATE, relation="P2")])
         words = ["aa", "bb", "cc", "dd", "ee", "ff"]
         vocab = make_vocab(words)
@@ -909,14 +932,13 @@ class TestComposeOnce:
 
         calls = []
 
-        original = ranking.compose
+        def counting(table, token_lists):
+            calls.append([tuple(tokens) for tokens in token_lists])
+            return compose(table, calls[-1])
 
-        def counting(table, tokens):
-            calls.append(tuple(tokens))
-            return original(table, tokens)
-
-        monkeypatch.setattr(ranking, "compose", counting)
+        monkeypatch.setattr(embeddings, "compose", counting)
         predictions = list(rank_static(table, vocab, ds))
-        assert sorted(calls) == [(w,) for w in words]
+        (call,) = calls
+        assert sorted(call) == sorted([(w,) for w in words] + [("ee", "aa")])
         assert [(p.triple_id, ranked(p), p.flags) for p in predictions] == \
             [(p.triple_id, ranked(p), p.flags) for p in expected]

@@ -78,9 +78,9 @@ COMMAND_MODULES = {
     "build-vocab": ("wordpiece", ("kb", "ranking", "metrics", "embeddings", "energy")),
     "tokenize": ("wordpiece", ("kb", "ranking", "metrics", "embeddings", "energy")),
     "build-candidates": ("kb", ("ranking", "metrics", "embeddings")),
-    "rank oracle": ("ranking", ("metrics",)),
-    "stub-score": ("ranking", ("metrics", "energy")),
-    "evaluate": ("metrics", ("energy",)),
+    "rank oracle": ("ranking", ("metrics", "embeddings")),
+    "stub-score": ("ranking", ("kb", "metrics", "embeddings", "energy")),
+    "evaluate": ("metrics", ("embeddings", "energy")),
 }
 
 

@@ -241,6 +241,21 @@ class TestVocabIO:
         assert lines[vocab.unk_id] == UNK_TOKEN
         assert lines[vocab.token_to_id[MASK_TOKEN]] == MASK_TOKEN
 
+    def test_lines_end_at_line_breaks_only(self, tmp_path):
+        # \x1c is a str.splitlines break but not a line break: splitting there
+        # made 7 tokens of 6 lines and gave ##b on line 6 the id 6.
+        path = tmp_path / "vocab.txt"
+        path.write_text("[UNK]\n[MASK]\na\nb\nab\x1ccd\n##b\n", encoding="utf-8")
+        with pytest.raises(ValueError) as err:
+            SubwordVocab.load(path)
+        assert str(err.value) == f"{path}:5: token 'ab\\x1ccd' holds whitespace"
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+    def test_each_line_break_ends_a_token(self, tmp_path, newline):
+        path = tmp_path / "vocab.txt"
+        path.write_bytes(newline.join(["[UNK]", "[MASK]", "a", "##b"]).encode() + b"\n")
+        assert SubwordVocab.load(path).tokens == ["[UNK]", "[MASK]", "a", "##b"]
+
     def test_duplicate_token_rejected(self):
         with pytest.raises(ValueError):
             SubwordVocab(list(SPECIAL_TOKENS) + ["a", "a"])
